@@ -9,6 +9,12 @@ modulo the diagonal entry of its own row.  Canonicality turns lattice
 equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
+Matrix products accumulate row by row and skip zero entries, and
+:meth:`HnfBasis.solve` skips rows whose residual is already zero.  The
+tower maps of :mod:`entbridge.tdlca` are mostly 0/1 matrices, and these
+two shortcuts are all the sparsity support there is: every matrix stays
+a dense tuple of rows.
+
 Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
 sparse formats, and basis reduction.  The intended scale is small ambient
 rank (up to a dozen or so) with possibly huge entries.
@@ -59,9 +65,11 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple(map(int, c)) for c in columns]
         height = len(cols[0]) if cols else (rows if rows is not None else 0)
-        data = tuple(tuple(c[i] for c in cols) for i in range(height))
+        if any(len(c) != height for c in cols):
+            raise ValueError("column length mismatch")
+        data = tuple(zip(*cols)) if cols else ((),) * height
         return IntMatrix(height, len(cols), data)
 
     @staticmethod
@@ -113,11 +121,18 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, data)
+        # Row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i][k]; tower maps are mostly 0/1, so
+        # skipping zeros saves most of the work there.
+        width = other.cols
+        data = []
+        for row in self.entries:
+            acc = [0] * width
+            for a, other_row in zip(row, other.entries):
+                if a:
+                    acc = [x + a * b for x, b in zip(acc, other_row)]
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, width, tuple(data))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -193,15 +208,18 @@ class HnfBasis:
         if len(vector) != k:
             raise ValueError("vector length mismatch")
         v = [int(x) for x in vector]
+        entries = self.matrix.entries
         coords = []
         for j in range(k):
-            q, r = divmod(v[j], self.matrix.entries[j][j])
+            if not v[j]:
+                coords.append(0)
+                continue
+            q, r = divmod(v[j], entries[j][j])
             if r:
                 return None
             coords.append(q)
-            if q:
-                for i in range(j, k):
-                    v[i] -= q * self.matrix.entries[i][j]
+            for i in range(j + 1, k):
+                v[i] -= q * entries[i][j]
         return tuple(coords)
 
     def contains(self, vector: Sequence[int]) -> bool:

@@ -69,7 +69,10 @@ def is_prime(n: int) -> bool:
 
 def rational_matrix(entries: Sequence[Sequence[RationalLike]]) -> RationalMatrix:
     """Normalize nested ints / 'a/b' strings / Fractions into a Fraction grid."""
-    rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+    try:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+    except ZeroDivisionError:
+        raise ValueError("matrix entry has a zero denominator") from None
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows must be nonempty and of equal length")
     return rows

@@ -36,8 +36,21 @@ class BoundaryEigenvalueWarning(UserWarning):
     """Some eigenvalue modulus is within tolerance of 1."""
 
 
+def _rational(x: RationalLike) -> Fraction:
+    """One matrix entry as an exact rational; non-finite or 'a/0' entries are input errors."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"matrix entry {x!r} is not a finite number")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"matrix entry {x!r} has a zero denominator") from None
+
+
 def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
-    rows = [[float(Fraction(x)) for x in row] for row in entries]
+    try:
+        rows = [[float(_rational(x)) for x in row] for row in entries]
+    except OverflowError:
+        raise ValueError("matrix entry too large for floating point") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("endomorphism matrix must be square")
     return np.array(rows, dtype=float)
@@ -70,6 +83,6 @@ def algebraic_entropy(
     entries: Sequence[Sequence[RationalLike]], tol: float = 1e-9
 ) -> float:
     """Same quantity computed on the dual side, i.e. from the transpose."""
-    rows = [[Fraction(x) for x in row] for row in entries]
+    rows = [[_rational(x) for x in row] for row in entries]
     transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
     return _expanding_sum(eigenvalue_moduli(transposed), tol)

@@ -21,6 +21,15 @@ the images of the adjoints of F_{j,t} pi, all inside the character
 group of the same working level.  Both index sequences therefore come
 out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
+
+Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
+t = 0..n-1, which are built incrementally rather than from scratch at
+each step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the
+tower, and F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One
+chain therefore costs O(n + l - j) compositions of bonding and
+component maps.  Every composite is still an ordinary, fully checked
+GroupHom, and the tower and endomorphism data are validated in full at
+construction.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .fingroup import (
     is_surjective,
     kernel,
 )
+from .padic import is_prime
 
 __all__ = [
     "Tower",
@@ -139,17 +149,36 @@ class TowerEndo:
             h = h.compose(self.maps[j + i * self.lag])
         return h
 
+    def _condition_maps(self, j: int, steps: int) -> list[GroupHom]:
+        """[F_{j,t} . pi_{level -> j+t*lag} for t = 0..steps-1], at the working level.
+
+        Built incrementally, so one chain costs O(steps + level - j)
+        compositions: pi_{level->k} = projections[k] . pi_{level->k+1}
+        and F_{j,t+1} = F_{j,t} . maps[j + t*lag].  Entry t equals
+        ``iterate(j, t).compose(tower.project(level, j + t*lag))``.
+        """
+        level = self.working_level(j, steps)
+        tower = self.tower
+        down = [GroupHom.identity(tower.levels[level])]  # down[i] = pi_{level -> level-i}
+        for k in range(level - 1, j - 1, -1):
+            down.append(tower.projections[k].compose(down[-1]))
+        out = [down[-1]]
+        f = None
+        for t in range(1, steps):
+            step = self.maps[j + (t - 1) * self.lag]
+            f = step if f is None else f.compose(step)
+            out.append(f.compose(down[level - j - t * self.lag]))
+        return out
+
     def cotrajectory_lattices(
         self, j: int, steps: int
     ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
         """(U_j, [W_1, ..., W_steps]) as lattices at the working level."""
-        level = self.working_level(j, steps)
-        tower = self.tower
-        base = tower.open_subgroup(level, j)
+        conditions = self._condition_maps(j, steps)
+        base = kernel(conditions[0])
         current = base
         out = [current]
-        for t in range(1, steps):
-            condition = self.iterate(j, t).compose(tower.project(level, j + t * self.lag))
+        for condition in conditions[1:]:
             current = current.intersect(kernel(condition))
             out.append(current)
         return base, out
@@ -158,14 +187,12 @@ class TowerEndo:
         self, j: int, steps: int
     ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
         """(perp of U_j, [T_1, ..., T_steps]) in the character group of the working level."""
-        level = self.working_level(j, steps)
-        tower = self.tower
-        source = full_subgroup(dual_group(tower.levels[j]))
-        base = image(dual_hom(tower.project(level, j)), source)
+        conditions = self._condition_maps(j, steps)
+        source = full_subgroup(dual_group(self.tower.levels[j]))
+        base = image(dual_hom(conditions[0]), source)
         current = base
         out = [current]
-        for t in range(1, steps):
-            condition = self.iterate(j, t).compose(tower.project(level, j + t * self.lag))
+        for condition in conditions[1:]:
             current = current.sum(image(dual_hom(condition), source))
             out.append(current)
         return base, out
@@ -211,7 +238,7 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
 
 def padic_tower(prime: int, height: int, entries: Sequence[Sequence[int]]) -> TowerEndo:
     """An integer matrix acting on the p-adic tower (Z/p^(k+1))^d, lag 0."""
-    if prime < 2 or any(prime % q == 0 for q in range(2, prime) if q * q <= prime):
+    if not is_prime(prime):
         raise ValueError("prime required")
     if height < 1:
         raise ValueError("tower needs at least one level")

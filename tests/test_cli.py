@@ -108,6 +108,26 @@ class TestVerify:
         assert main(["verify", path]) == 2
         assert "invertible" in capsys.readouterr().err
 
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        bad = {"kind": "qp", "prime": 2, "matrix": [["1/0", "0"], ["0", "1"]], "steps": 4}
+        path = write_instance(tmp_path, bad)
+        assert main(["verify", path]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("1e400", "not a finite number"),  # overflows to inf when the JSON is parsed
+            ('"1e400"', "too large for floating point"),  # exact, but no float holds it
+        ],
+    )
+    def test_non_finite_real_entry_is_input_error(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "instance.json"
+        text = '{"kind": "real", "matrix": [[%s, 0], [0, 1]]}' % entry
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         report = mismatch_report()
         jsonschema.validate(report, load_schema("report"))

@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entbridge.exactlinalg import (
@@ -17,6 +17,10 @@ from entbridge.exactlinalg import (
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
+# zeros, small values and entries well past 64 bits, both signs
+mixed_entries = st.one_of(
+    st.just(0), small_entries, st.integers(min_value=-(2**100), max_value=2**100)
+)
 
 
 def square_matrices(max_dim=4, entries=small_entries):
@@ -25,6 +29,28 @@ def square_matrices(max_dim=4, entries=small_entries):
             st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(lambda rows: IntMatrix.from_rows(rows, cols=n))
     )
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a.cols == b.rows; any dimension may be 0."""
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+
+    def matrix(r, c):
+        row = st.lists(mixed_entries, min_size=c, max_size=c)
+        grid = draw(st.lists(row, min_size=r, max_size=r))
+        return IntMatrix(r, c, tuple(tuple(row) for row in grid))
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Entry (i, j) is the sum over t of a[i][t] * b[t][j], by definition."""
+    data = tuple(
+        tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+    return IntMatrix(a.rows, b.cols, data)
 
 
 def permutation_det(m: IntMatrix) -> int:
@@ -56,9 +82,21 @@ class TestIntMatrix:
         assert (a @ b).entries == ((7, 2), (3, 1))
         assert a.apply((5, 7)) == (19, 7)
 
+    @given(product_pairs())
+    def test_matmul_matches_definition(self, pair):
+        a, b = pair
+        assert a @ b == naive_product(a, b)
+
+    def test_matmul_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
+        for columns in ([[1, 2], [3, 4, 5]], [[1, 2, 9], [3, 4]]):
+            with pytest.raises(ValueError, match="column length mismatch"):
+                IntMatrix.from_columns(columns)
 
     @given(square_matrices())
     def test_det_matches_leibniz(self, m):
@@ -122,6 +160,24 @@ class TestHnf:
                 assert basis.solve(v) == (x, y)
                 assert basis.contains(v)
         assert basis.solve((1, 0)) is None
+
+    @given(square_matrices(entries=mixed_entries), st.data())
+    def test_solve_coordinates_or_none(self, m, data):
+        assume(m.det() != 0)
+        basis = hnf(m)
+        k = basis.dim
+        vectors = st.lists(mixed_entries, min_size=k, max_size=k)
+        x = data.draw(vectors)
+        assert basis.solve(basis.matrix.apply(x)) == tuple(x)
+        v = data.draw(vectors)
+        coords = basis.solve(v)
+        # v is a member exactly when adjoining it leaves the lattice unchanged
+        member = hnf(basis.matrix.hstack(IntMatrix.from_columns([v], rows=k))) == basis
+        if coords is None:
+            assert not member
+        else:
+            assert member
+            assert basis.matrix.apply(coords) == tuple(v)
 
     def test_contains_lattice(self):
         outer = hnf(IntMatrix.from_columns([[1, 0], [0, 1]], rows=2))

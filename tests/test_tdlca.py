@@ -127,7 +127,14 @@ class TestWorkingLevel:
 class TestFullShift:
     @pytest.mark.parametrize(
         "modulus,height,j,steps",
-        [(2, 5, 0, 5), (3, 4, 1, 3), (4, 6, 2, 4), (6, 8, 1, 7)],
+        [
+            (2, 5, 0, 5),
+            (3, 4, 1, 3),
+            (4, 6, 2, 4),
+            (6, 8, 1, 7),
+            (2, 28, 0, 28),
+            (3, 28, 0, 28),
+        ],
     )
     def test_index_sequences(self, modulus, height, j, steps):
         endo = full_shift_tower(modulus, height)
@@ -146,6 +153,37 @@ class TestFullShift:
             full_shift_tower(1, 4)
         with pytest.raises(ValueError, match="two levels"):
             full_shift_tower(2, 1)
+
+
+def reference_condition_maps(endo, j, steps):
+    """F_{j,t} . pi_{level -> j+t*lag}, each composite rebuilt from scratch."""
+    level = endo.working_level(j, steps)
+    return [
+        endo.iterate(j, t).compose(endo.tower.project(level, j + t * endo.lag))
+        for t in range(steps)
+    ]
+
+
+class TestConditionMaps:
+    @pytest.mark.parametrize("j,steps", [(0, 1), (0, 6), (1, 4), (2, 3), (5, 1)])
+    def test_full_shift(self, j, steps):
+        endo = full_shift_tower(3, 6)
+        assert endo._condition_maps(j, steps) == reference_condition_maps(endo, j, steps)
+
+    @pytest.mark.parametrize("j,steps", [(0, 1), (0, 5), (2, 4)])
+    def test_padic_lag_zero(self, j, steps):
+        endo = padic_tower(2, 3, [[3, 1], [2, 1]])
+        assert endo._condition_maps(j, steps) == reference_condition_maps(endo, j, steps)
+
+    @pytest.mark.parametrize("j,steps", [(0, 5), (1, 3), (3, 2)])
+    def test_conjugated(self, j, steps):
+        rng = random.Random(7 + j)
+        endo = full_shift_tower(2, 5)
+        unimodulars = [
+            random_unimodular(rng, level.rank, 6) for level in endo.tower.levels
+        ]
+        other = conjugate_tower_endo(endo, unimodulars)
+        assert other._condition_maps(j, steps) == reference_condition_maps(other, j, steps)
 
 
 class TestAnnihilatorIsTrajectory:
@@ -177,6 +215,10 @@ class TestPadicTower:
     def test_requires_prime(self, not_prime):
         with pytest.raises(ValueError, match="prime required"):
             padic_tower(not_prime, 2, [[1]])
+
+    @pytest.mark.parametrize("prime", [2, 3, 7919])
+    def test_accepts_prime(self, prime):
+        assert padic_tower(prime, 2, [[1]]).tower.levels[1].moduli == (prime**2,)
 
     def test_requires_square_matrix(self):
         with pytest.raises(ValueError, match="square"):
