@@ -8,10 +8,13 @@ verdict says "mismatch" only when two integers that duality says are
 equal came out different, and the report then carries a reproducible
 counterexample payload.
 
-The module also packages the individual duality laws as checkable
-units (LawCheck) and provides seeded random generators for groups,
-endomorphisms, subgroups and instances, so that large randomized suites
-are one loop away.
+The finite chains C_n and T_n come from :mod:`entbridge.fingroup` and
+are built once per report.  The module also packages the individual
+duality laws as checkable units (LawCheck): the two chain laws share
+one build of each chain in :func:`check_chain_laws`, and the quotient
+law wraps :func:`entbridge.duality.check_quotient_duality`.  Seeded
+random generators for groups, endomorphisms, subgroups and instances
+make large randomized suites one loop away.
 """
 
 from __future__ import annotations
@@ -24,32 +27,30 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import padic
-from .duality import annihilator, dual_hom, quotient_invariants
+from .duality import annihilator, check_quotient_duality, dual_hom
 from .entropyseq import EntropyEstimate, estimate_entropy
 from .exactlinalg import IntMatrix
 from .fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
+    cotrajectory_chain,
     image,
     index,
     preimage,
     subgroup_from_generators,
+    trajectory_chain,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
 from .tdlca import full_shift_tower
 
 __all__ = [
     "LawCheck",
-    "cotrajectory_chain",
-    "trajectory_chain",
     "check_preimage_annihilator",
-    "check_cotrajectory_annihilator",
-    "check_index_identity",
+    "check_chain_laws",
     "check_sum_intersection",
     "check_double_annihilator",
     "check_invariance_transport",
-    "check_quotient_invariants",
     "check_all_laws",
     "finite_bridge",
     "shift_bridge",
@@ -98,30 +99,6 @@ def _estimate_payload(e: EntropyEstimate) -> dict:
     }
 
 
-def cotrajectory_chain(
-    f: GroupHom, subgroup: SubgroupLattice, steps: int
-) -> list[SubgroupLattice]:
-    """[C_1, ..., C_steps] with C_1 = U and C_{k+1} = U ∩ f^-1(C_k)."""
-    if steps < 1:
-        raise ValueError("step count must be at least 1")
-    chain = [subgroup]
-    for _ in range(steps - 1):
-        chain.append(subgroup.intersect(preimage(f, chain[-1])))
-    return chain
-
-
-def trajectory_chain(
-    f: GroupHom, subgroup: SubgroupLattice, steps: int
-) -> list[SubgroupLattice]:
-    """[T_1, ..., T_steps] with T_1 = U and T_{k+1} = U + f(T_k)."""
-    if steps < 1:
-        raise ValueError("step count must be at least 1")
-    chain = [subgroup]
-    for _ in range(steps - 1):
-        chain.append(subgroup.sum(image(f, chain[-1])))
-    return chain
-
-
 @dataclass(frozen=True)
 class LawCheck:
     """Outcome of testing one duality law on one instance."""
@@ -158,48 +135,35 @@ def check_preimage_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> L
     return _law("annihilator-of-preimage-is-image-of-annihilator", True, {})
 
 
-def check_cotrajectory_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> LawCheck:
-    """perp(C_n(f, U)) == T_n(adjoint f, perp U) for n = 1..steps."""
-    fhat = dual_hom(f)
+def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawCheck]:
+    """perp(C_n(f, U)) == T_n(adjoint f, perp U) and [U : C_n] == [T_n : perp U]
+    for n = 1..steps, from one build of each chain.
+
+    Each law reports its own first failing step.
+    """
     co = cotrajectory_chain(f, u, steps)
-    tr = trajectory_chain(fhat, annihilator(u), steps)
-    for n, (c, t) in enumerate(zip(co, tr), start=1):
-        if annihilator(c) != t:
-            return _law(
-                "cotrajectory-annihilator-is-dual-trajectory",
-                False,
-                {
-                    "endomorphism": _hom_payload(f),
-                    "subgroup": _subgroup_payload(u),
-                    "step": n,
-                    "annihilator_of_cotrajectory": _subgroup_payload(annihilator(c)),
-                    "dual_trajectory": _subgroup_payload(t),
-                },
-            )
-    return _law("cotrajectory-annihilator-is-dual-trajectory", True, {})
-
-
-def check_index_identity(f: GroupHom, u: SubgroupLattice, steps: int) -> LawCheck:
-    """[U : C_n] == [T_n : perp U] for n = 1..steps."""
-    fhat = dual_hom(f)
     uperp = annihilator(u)
-    co = cotrajectory_chain(f, u, steps)
-    tr = trajectory_chain(fhat, uperp, steps)
+    tr = trajectory_chain(dual_hom(f), uperp, steps)
+    instance = {"endomorphism": _hom_payload(f), "subgroup": _subgroup_payload(u)}
+    perp_failure = index_failure = None
     for n, (c, t) in enumerate(zip(co, tr), start=1):
-        a, b = index(u, c), index(t, uperp)
-        if a != b:
-            return _law(
-                "per-step-index-identity",
-                False,
-                {
-                    "endomorphism": _hom_payload(f),
-                    "subgroup": _subgroup_payload(u),
+        if perp_failure is None:
+            cperp = annihilator(c)
+            if cperp != t:
+                perp_failure = {
+                    **instance,
                     "step": n,
-                    "primal_index": a,
-                    "dual_index": b,
-                },
-            )
-    return _law("per-step-index-identity", True, {})
+                    "annihilator_of_cotrajectory": _subgroup_payload(cperp),
+                    "dual_trajectory": _subgroup_payload(t),
+                }
+        if index_failure is None:
+            a, b = index(u, c), index(t, uperp)
+            if a != b:
+                index_failure = {**instance, "step": n, "primal_index": a, "dual_index": b}
+    return [
+        _law("cotrajectory-annihilator-is-dual-trajectory", perp_failure is None, perp_failure),
+        _law("per-step-index-identity", index_failure is None, index_failure),
+    ]
 
 
 def check_sum_intersection(u: SubgroupLattice, v: SubgroupLattice) -> LawCheck:
@@ -245,34 +209,28 @@ def check_invariance_transport(f: GroupHom, u: SubgroupLattice) -> LawCheck:
     )
 
 
-def check_quotient_invariants(outer: SubgroupLattice, inner: SubgroupLattice) -> LawCheck:
-    """Invariant factors of outer/inner match those of perp(inner)/perp(outer)."""
-    primal = quotient_invariants(outer, inner)
-    dual_side = quotient_invariants(annihilator(inner), annihilator(outer))
-    return _law(
-        "quotient-invariants-match",
-        primal == dual_side,
-        {
-            "outer": _subgroup_payload(outer),
-            "inner": _subgroup_payload(inner),
-            "primal_invariants": list(primal),
-            "dual_invariants": list(dual_side),
-        },
-    )
-
-
 def check_all_laws(
     f: GroupHom, u: SubgroupLattice, v: SubgroupLattice, steps: int
 ) -> list[LawCheck]:
     """All duality laws on one instance; the nested pair is (U + V, U ∩ V)."""
+    outer, inner = u.sum(v), u.intersect(v)
+    primal, dual_side = check_quotient_duality(outer, inner)
     return [
         check_preimage_annihilator(f, u, steps),
-        check_cotrajectory_annihilator(f, u, steps),
-        check_index_identity(f, u, steps),
+        *check_chain_laws(f, u, steps),
         check_sum_intersection(u, v),
         check_double_annihilator(u),
         check_invariance_transport(f, u),
-        check_quotient_invariants(u.sum(v), u.intersect(v)),
+        _law(
+            "quotient-invariants-match",
+            primal == dual_side,
+            {
+                "outer": _subgroup_payload(outer),
+                "inner": _subgroup_payload(inner),
+                "primal_invariants": list(primal),
+                "dual_invariants": list(dual_side),
+            },
+        ),
     ]
 
 
@@ -303,12 +261,9 @@ def _two_sided_report(
 
 def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
     """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
-    if not f.is_endo or f.domain != u.ambient:
-        raise ValueError("need an endomorphism of the subgroup's group")
-    fhat = dual_hom(f)
-    uperp = annihilator(u)
     co = cotrajectory_chain(f, u, steps)
-    tr = trajectory_chain(fhat, uperp, steps)
+    uperp = annihilator(u)
+    tr = trajectory_chain(dual_hom(f), uperp, steps)
     primal = [index(u, c) for c in co]
     dual_side = [index(t, uperp) for t in tr]
     counterexample = None

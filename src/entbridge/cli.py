@@ -64,31 +64,29 @@ def _estimate_lines(label: str, estimate: dict) -> list[str]:
     return lines
 
 
+def _index_table(report: dict) -> list[str]:
+    lines = ["step  primal-index  dual-index  equal"]
+    rows = zip(
+        report["indices"]["primal"],
+        report["indices"]["dual"],
+        report["per_step_equal"],
+    )
+    for n, (a, b, equal) in enumerate(rows, start=1):
+        lines.append(f"{n:>4}  {a:>12}  {b:>10}  {'yes' if equal else 'NO'}")
+    return lines
+
+
 def render_text(report: dict) -> str:
     """Human-readable rendering; a pure function of the report dict."""
     kind = report["kind"]
     lines = [f"kind: {kind}", f"verdict: {report['verdict']}"]
     if kind in ("finite", "shift"):
-        lines.append("step  primal-index  dual-index  equal")
-        rows = zip(
-            report["indices"]["primal"],
-            report["indices"]["dual"],
-            report["per_step_equal"],
-        )
-        for n, (a, b, equal) in enumerate(rows, start=1):
-            lines.append(f"{n:>4}  {a:>12}  {b:>10}  {'yes' if equal else 'NO'}")
+        lines += _index_table(report)
         lines += _estimate_lines("primal", report["estimates"]["primal"])
         lines += _estimate_lines("dual", report["estimates"]["dual"])
     elif kind == "qp":
         lines.append(f"prime: {report['prime']}")
-        lines.append("step  primal-index  dual-index  equal")
-        rows = zip(
-            report["indices"]["primal"],
-            report["indices"]["dual"],
-            report["per_step_equal"],
-        )
-        for n, (a, b, equal) in enumerate(rows, start=1):
-            lines.append(f"{n:>4}  {a:>12}  {b:>10}  {'yes' if equal else 'NO'}")
+        lines += _index_table(report)
         newton = report["routes"]["newton"]
         lines.append(
             f"closed form: {newton['multiple']} * log({newton['prime']})"

@@ -14,7 +14,9 @@ the three workhorses of the package:
   [j][i] = M[i][j] * d_j / e_i is integral precisely because of the
   homomorphism certificate; for homogeneous moduli it is the transpose;
 * ``check_quotient_duality``: invariant factors of outer/inner against
-  those of perp(inner)/perp(outer), which duality says agree.
+  those of perp(inner)/perp(outer), which duality says agree; the law
+  suite of :mod:`entbridge.bridge` reports this comparison and has no
+  copy of its own.
 
 Annihilators exchange sums with intersections, preimages with dual
 images, and reverse containments; the test suite exercises all of these

@@ -34,6 +34,7 @@ __all__ = [
     "snf",
     "kernel_basis",
     "preimage_lattice",
+    "rational_inverse",
     "inverse_unimodular",
     "random_unimodular",
 ]
@@ -397,30 +398,34 @@ def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
     return diag, IntMatrix.from_rows(left, cols=rows), IntMatrix.from_rows(right, cols=cols)
 
 
+def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact Gauss-Jordan inverse; entries must be Fractions (1 / int is a float)."""
+    n = len(rows)
+    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a determinant +-1 matrix."""
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     if m.det() not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    n = m.rows
-    work = [[Fraction(m.entries[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if work[i][c])
-        work[c], work[piv] = work[piv], work[c]
-        scale = work[c][c]
-        work[c] = [x / scale for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    out = []
-    for i in range(n):
-        row = work[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise AssertionError("inverse of a unimodular matrix must be integral")
-        out.append([int(x) for x in row])
-    return IntMatrix.from_rows(out, cols=n)
+    inverse = rational_inverse([[Fraction(x) for x in row] for row in m.entries])
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise AssertionError("inverse of a unimodular matrix must be integral")
+    return IntMatrix.from_rows([[int(x) for x in row] for row in inverse], cols=m.cols)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> IntMatrix:

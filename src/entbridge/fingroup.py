@@ -37,6 +37,8 @@ __all__ = [
     "preimage",
     "kernel",
     "is_surjective",
+    "cotrajectory_chain",
+    "trajectory_chain",
     "cotrajectory",
     "trajectory",
 ]
@@ -247,25 +249,33 @@ def _require_endo_on(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> None
         raise ValueError("step count must be at least 1")
 
 
-def cotrajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
-    """Intersection of the first `steps` preimages: U, U n f^-1(U), ...
-
-    Computed incrementally as C_1 = U, C_{k+1} = U n f^-1(C_k).
-    """
+def cotrajectory_chain(
+    f: GroupHom, subgroup: SubgroupLattice, steps: int
+) -> list[SubgroupLattice]:
+    """[C_1, ..., C_steps] with C_1 = U and C_{k+1} = U n f^-1(C_k)."""
     _require_endo_on(f, subgroup, steps)
-    current = subgroup
+    chain = [subgroup]
     for _ in range(steps - 1):
-        current = subgroup.intersect(preimage(f, current))
-    return current
+        chain.append(subgroup.intersect(preimage(f, chain[-1])))
+    return chain
+
+
+def trajectory_chain(
+    f: GroupHom, subgroup: SubgroupLattice, steps: int
+) -> list[SubgroupLattice]:
+    """[T_1, ..., T_steps] with T_1 = U and T_{k+1} = U + f(T_k)."""
+    _require_endo_on(f, subgroup, steps)
+    chain = [subgroup]
+    for _ in range(steps - 1):
+        chain.append(subgroup.sum(image(f, chain[-1])))
+    return chain
+
+
+def cotrajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
+    """Intersection of the first `steps` preimages U, f^-1(U), ...: the last C_n."""
+    return cotrajectory_chain(f, subgroup, steps)[-1]
 
 
 def trajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
-    """Sum of the first `steps` forward images: U, U + f(U), ...
-
-    Computed incrementally as T_1 = U, T_{k+1} = U + f(T_k).
-    """
-    _require_endo_on(f, subgroup, steps)
-    current = subgroup
-    for _ in range(steps - 1):
-        current = subgroup.sum(image(f, current))
-    return current
+    """Sum of the first `steps` forward images U, f(U), ...: the last T_n."""
+    return trajectory_chain(f, subgroup, steps)[-1]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlinalg import HnfBasis, IntMatrix, hnf
+from .exactlinalg import HnfBasis, IntMatrix, hnf, rational_inverse
 from .fingroup import FinAbGroup, GroupHom, kernel
 
 __all__ = [
@@ -106,23 +106,6 @@ def _clear_units(column: Sequence[Fraction], p: int) -> tuple[Fraction, ...]:
         return tuple(column)
     u = _unit_part(math.lcm(*dens), p)
     return tuple(x * u for x in column)
-
-
-def _rat_inverse(rows: RationalMatrix) -> RationalMatrix:
-    n = len(rows)
-    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 def _rat_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -222,7 +205,7 @@ def _check_pair(a: PadicLattice, b: PadicLattice) -> None:
 def _transition(outer: PadicLattice, inner: PadicLattice) -> RationalMatrix:
     """Coordinates of the inner basis in the outer basis."""
     _check_pair(outer, inner)
-    raw = _rat_matmul(_rat_inverse(outer.basis_rows()), inner.basis_rows())
+    raw = _rat_matmul(rational_inverse(outer.basis_rows()), inner.basis_rows())
     return raw
 
 
@@ -259,7 +242,7 @@ def sum_lattices(a: PadicLattice, b: PadicLattice) -> PadicLattice:
 
 def dual_lattice(a: PadicLattice) -> PadicLattice:
     """Annihilator under the self-pairing x . y mod Z_p: the transpose inverse basis."""
-    inv = _rat_inverse(_rat_transpose(a.basis_rows()))
+    inv = rational_inverse(_rat_transpose(a.basis_rows()))
     return lattice_from_columns(a.prime, _rat_transpose(inv))
 
 
@@ -276,7 +259,7 @@ def preimage(
     _check_pair(lattice, within)
     p = lattice.prime
     d = lattice.dim
-    c = _rat_matmul(_rat_inverse(lattice.basis_rows()), _rat_matmul(matrix, within.basis_rows()))
+    c = _rat_matmul(rational_inverse(lattice.basis_rows()), _rat_matmul(matrix, within.basis_rows()))
     cleared = [_clear_units(row, p) for row in c]
     depth = max((_vp(x.denominator, p) for row in cleared for x in row if x), default=0)
     if depth == 0:

@@ -3,9 +3,10 @@ import random
 import jsonschema
 import pytest
 
+import entbridge.bridge as bridge
 from entbridge.bridge import (
     check_all_laws,
-    cotrajectory_chain,
+    check_chain_laws,
     finite_bridge,
     qp_bridge,
     random_endomorphism,
@@ -15,13 +16,20 @@ from entbridge.bridge import (
     random_subgroup,
     real_bridge,
     shift_bridge,
-    trajectory_chain,
     verify_instance,
 )
-from entbridge.bridge import _law, _two_sided_report
+from entbridge.bridge import _hom_payload, _law, _subgroup_payload, _two_sided_report
 from entbridge.cli import load_schema
+from entbridge.duality import annihilator, dual_group, dual_hom
 from entbridge.exactlinalg import IntMatrix
-from entbridge.fingroup import FinAbGroup, GroupHom, subgroup_from_generators
+from entbridge.fingroup import (
+    FinAbGroup,
+    GroupHom,
+    cotrajectory_chain,
+    full_subgroup,
+    subgroup_from_generators,
+    trajectory_chain,
+)
 
 LAW_NAMES = [
     "annihilator-of-preimage-is-image-of-annihilator",
@@ -80,6 +88,70 @@ class TestLaws:
             u = random_subgroup(rng, group)
             v = random_subgroup(rng, group)
             assert all(c.passed for c in check_all_laws(f, u, v, 4))
+
+    def test_chain_laws_report_first_failing_index_step(self, monkeypatch):
+        # per step the law asks for index(U, C_n), then index(T_n, perp U)
+        # (calls 2n - 1 and 2n); every dual index from step 3 on is made wrong
+        g, f, u = frozen_instance()
+        real_index = bridge.index
+        calls = []
+
+        def faulty_index(outer, inner):
+            calls.append(None)
+            value = real_index(outer, inner)
+            return value + 1 if len(calls) >= 6 and len(calls) % 2 == 0 else value
+
+        monkeypatch.setattr(bridge, "index", faulty_index)
+        perp_law, index_law = check_chain_laws(f, u, 5)
+        assert perp_law.law == "cotrajectory-annihilator-is-dual-trajectory"
+        assert perp_law.passed and perp_law.payload is None
+        assert index_law.law == "per-step-index-identity" and not index_law.passed
+        assert index_law.payload == {
+            "endomorphism": _hom_payload(f),
+            "subgroup": _subgroup_payload(u),
+            "step": 3,
+            "primal_index": 4,
+            "dual_index": 5,
+        }
+
+    def test_chain_laws_report_first_failing_annihilator_step(self, monkeypatch):
+        # the first call is perp U; the annihilator of C_n is call n + 1
+        g, f, u = frozen_instance()
+        real_annihilator = bridge.annihilator
+        wrong = full_subgroup(dual_group(g))
+        calls = []
+
+        def faulty_annihilator(subgroup):
+            calls.append(None)
+            return wrong if len(calls) >= 3 else real_annihilator(subgroup)
+
+        monkeypatch.setattr(bridge, "annihilator", faulty_annihilator)
+        perp_law, index_law = check_chain_laws(f, u, 5)
+        assert index_law.passed and index_law.payload is None
+        assert not perp_law.passed
+        t2 = trajectory_chain(dual_hom(f), annihilator(u), 2)[1]
+        assert perp_law.payload == {
+            "endomorphism": _hom_payload(f),
+            "subgroup": _subgroup_payload(u),
+            "step": 2,
+            "annihilator_of_cotrajectory": _subgroup_payload(wrong),
+            "dual_trajectory": _subgroup_payload(t2),
+        }
+
+    def test_quotient_law_payload(self, monkeypatch):
+        g, f, u = frozen_instance()
+        v = subgroup_from_generators(g, [[2, 0, 0]])
+        monkeypatch.setattr(bridge, "check_quotient_duality", lambda outer, inner: ((2,), (4,)))
+        checks = check_all_laws(f, u, v, 4)
+        assert all(c.passed for c in checks[:-1])
+        quotient = checks[-1]
+        assert quotient.law == "quotient-invariants-match" and not quotient.passed
+        assert quotient.payload == {
+            "outer": _subgroup_payload(u.sum(v)),
+            "inner": _subgroup_payload(u.intersect(v)),
+            "primal_invariants": [2],
+            "dual_invariants": [4],
+        }
 
     def test_law_payload_plumbing(self):
         assert _law("x", True, {"detail": 1}).payload is None

@@ -16,6 +16,43 @@ FINITE_INSTANCE = {
     "steps": 6,
 }
 
+# `verify --format text` output of FINITE_INSTANCE and of the qp instance in
+# test_qp_text_format; a change to the text rendering must update these
+FINITE_TEXT = """\
+kind: finite
+verdict: pass
+step  primal-index  dual-index  equal
+   1             1           1  yes
+   2             2           2  yes
+   3             4           4  yes
+   4             4           4  yes
+   5             4           4  yes
+   6             4           4  yes
+primal estimate: stabilized, entropy = 0
+primal certified bound: log(4)/5 = 0.277258872224
+dual estimate: stabilized, entropy = 0
+dual certified bound: log(4)/5 = 0.277258872224
+"""
+
+QP_TEXT = """\
+kind: qp
+verdict: pass
+prime: 2
+step  primal-index  dual-index  equal
+   1             1           1  yes
+   2             2           2  yes
+   3             4           4  yes
+   4             8           8  yes
+   5            16          16  yes
+closed form: 1 * log(2) = 0.69314718056
+cotrajectory estimate: stabilized, entropy = 0.69314718056
+cotrajectory certified bound: log(2)/1 = 0.69314718056
+trajectory estimate: stabilized, entropy = 0.69314718056
+trajectory certified bound: log(2)/1 = 0.69314718056
+cotrajectory vs closed form (stabilized): consistent
+trajectory vs closed form (stabilized): consistent
+"""
+
 
 def write_instance(tmp_path, payload, name="instance.json"):
     path = tmp_path / name
@@ -67,10 +104,7 @@ class TestVerify:
     def test_text_format(self, tmp_path, capsys):
         path = write_instance(tmp_path, FINITE_INSTANCE)
         assert main(["verify", path, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: pass" in out
-        assert "step  primal-index  dual-index  equal" in out
-        assert "certified bound" in out
+        assert capsys.readouterr().out == FINITE_TEXT
 
     def test_real_text_format(self, tmp_path, capsys):
         instance = {"kind": "real", "matrix": [[2, 0], [0, "1/2"]]}
@@ -83,9 +117,7 @@ class TestVerify:
         instance = {"kind": "qp", "prime": 2, "matrix": [["1/2"]], "steps": 5}
         path = write_instance(tmp_path, instance)
         assert main(["verify", path, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert "closed form: 1 * log(2)" in out
-        assert "consistent" in out
+        assert capsys.readouterr().out == QP_TEXT
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/instance.json"]) == 2
@@ -97,10 +129,18 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
 
     def test_schema_rejection(self, tmp_path, capsys):
-        bad = dict(FINITE_INSTANCE, steps=0)
-        path = write_instance(tmp_path, bad)
-        assert main(["verify", path]) == 2
-        assert "invalid instance" in capsys.readouterr().err
+        # one step gives a single index, which no entropy bound can use
+        shift = {"kind": "shift", "modulus": 2, "height": 8, "level": 1}
+        qp = {"kind": "qp", "prime": 2, "matrix": [["1/2"]]}
+        for bad in [
+            dict(FINITE_INSTANCE, steps=0),
+            dict(FINITE_INSTANCE, steps=1),
+            dict(shift, steps=1),
+            dict(qp, steps=1),
+        ]:
+            path = write_instance(tmp_path, bad)
+            assert main(["verify", path]) == 2
+            assert "invalid instance" in capsys.readouterr().err
 
     def test_value_error_is_input_error(self, tmp_path, capsys):
         singular = {"kind": "qp", "prime": 2, "matrix": [["1", "1"], ["1", "1"]], "steps": 4}
