@@ -374,6 +374,8 @@ def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
 def verify_instance(instance: dict) -> dict:
     """Dispatch one parsed instance description to its bridge."""
     kind = instance.get("kind")
+    if kind in ("finite", "shift", "qp") and instance["steps"] < 2:
+        raise ValueError("step count must be at least 2")
     if kind == "finite":
         group = FinAbGroup(tuple(instance["moduli"]))
         f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))

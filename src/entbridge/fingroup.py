@@ -12,6 +12,13 @@ Homomorphisms carry an eagerly checked divisibility certificate:
 a matrix M induces a well-defined map between the presented groups
 exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j.
 
+Two more chain builders take a list of maps instead of an
+endomorphism: :func:`kernel_chain` intersects the kernels of maps out of
+one group, one map at a time, and :func:`image_chain` adds up the images
+of maps into one group.  The tower route (:mod:`entbridge.tdlca`) and
+the p-adic route (:mod:`entbridge.padic`) both read their index
+sequences off these two chains.
+
 Element enumeration is intentionally gated; it exists as a first-class
 brute-force oracle for the test suite, not as a computation path.
 """
@@ -41,6 +48,8 @@ __all__ = [
     "trajectory_chain",
     "cotrajectory",
     "trajectory",
+    "kernel_chain",
+    "image_chain",
 ]
 
 ENUMERATION_LIMIT = 100_000
@@ -279,3 +288,29 @@ def cotrajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> Subgroup
 def trajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
     """Sum of the first `steps` forward images U, f(U), ...: the last T_n."""
     return trajectory_chain(f, subgroup, steps)[-1]
+
+
+def kernel_chain(maps: Sequence[GroupHom]) -> list[SubgroupLattice]:
+    """[K_1, ..., K_n] with K_t = ker(maps[0]) n ... n ker(maps[t-1]).
+
+    The maps must share one domain; the chain lives in it.
+    """
+    if not maps:
+        raise ValueError("need at least one map")
+    chain = [kernel(maps[0])]
+    for f in maps[1:]:
+        chain.append(chain[-1].intersect(kernel(f)))
+    return chain
+
+
+def image_chain(maps: Sequence[GroupHom]) -> list[SubgroupLattice]:
+    """[S_1, ..., S_n] with S_t = maps[0](domain) + ... + maps[t-1](domain).
+
+    The maps must share one codomain; the chain lives in it.
+    """
+    if not maps:
+        raise ValueError("need at least one map")
+    chain = [image(maps[0], full_subgroup(maps[0].domain))]
+    for f in maps[1:]:
+        chain.append(chain[-1].sum(image(f, full_subgroup(f.domain))))
+    return chain

@@ -1,21 +1,31 @@
 """Exact entropy arithmetic on Q_p^d.
 
-A compact open subgroup of Q_p^d is a full-rank Z_p-lattice.  Every
-lattice has a canonical basis computed here over the rationals: clear
-unit denominators column by column, scale by p^e into the integers,
-take the column Hermite form, and saturate with p^v * I (v the p-part
-of the determinant) so that the stored integer matrix spans exactly
-(Z_p-span of the generators) intersect Z^d.  Two generating sets of the
-same lattice always produce the same stored pair (matrix, e), so
-lattice equality is plain structural equality.
+The index sequences of a matrix A on Q_p^d are read off one finite
+level, the reduction :mod:`entbridge.tdlca` uses for towers.  Write
+A = B / (u p^e) with B an integer matrix and u a unit at p, and let
+U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x = 0 mod p^(ke),
+k < n}, and it contains p^N U for N = (steps - 1) e.  So on
+G = (Z/p^N)^d the cotrajectory chain is the running intersection of the
+kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.kernel_chain`).
+Scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
+subgroup of G spanned by p^(N-ke) B^k G (:func:`entbridge.fingroup.image_chain`).
+Both sides are called with their own matrix, so the adjoint route
+powers the transpose that it is given and shares nothing with the
+primal route but the finite arithmetic.
 
-Indices of lattice pairs are powers of p read off determinant
-valuations.  Cotrajectories shrink via exact preimages (a congruence
-kernel at a finite level), trajectories grow via column sums, and the
-pairing x . y mod Z_p makes Q_p^d self-dual with adjoint = transpose,
-so both index sequences are available without leaving this module.
+A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
+lattice layer below models it directly over the rationals: clear unit
+denominators column by column, scale by p^e into the integers, take the
+column Hermite form, and saturate with p^v * I (v the p-part of the
+determinant) so that the stored integer matrix spans exactly (Z_p-span
+of the generators) intersect Z^d.  Two generating sets of the same
+lattice produce the same stored pair (matrix, e), so lattice equality is
+structural equality, and indices are read off determinant valuations.
+The pairing x . y mod Z_p makes Q_p^d self-dual with adjoint =
+transpose.  The index sequences do not use this layer; the tests
+compare them against its preimage and sum recursion.
 
-The third, closed-form route is the Newton polygon: the entropy of an
+The closed-form route is the Newton polygon: the entropy of an
 invertible matrix is log(p) times the sum of the positive slopes of the
 lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
 with multiplicity; that sum is a nonnegative integer, so the value is
@@ -27,10 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, rational_inverse
-from .fingroup import FinAbGroup, GroupHom, kernel
+from .fingroup import FinAbGroup, GroupHom, image_chain, index, kernel, kernel_chain
 
 __all__ = [
     "PadicLattice",
@@ -56,14 +66,40 @@ RationalLike = Union[int, str, Fraction]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
+# Miller-Rabin with these bases is exact below _MR_BOUND (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test.
+
+    Below 3 317 044 064 679 887 385 961 981 this is deterministic
+    Miller-Rabin with the prime bases 2..41.  Above that bound it falls
+    back to trial division up to sqrt(n), which is exact but slow.
+    """
     if n < 2:
         return False
-    q = 2
-    while q * q <= n:
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        return all(n % q for q in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 1
     return True
 
 
@@ -273,41 +309,56 @@ def preimage(
     return lattice_from_columns(p, _rat_transpose(basis))
 
 
-def cotrajectory_indices(
-    prime: int,
-    matrix: RationalMatrix,
-    steps: int,
-    base: Optional[PadicLattice] = None,
-) -> tuple[int, ...]:
-    """a_n = [U : U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U] for n = 1..steps."""
+def _finite_level(
+    prime: int, matrix: RationalMatrix, steps: int
+) -> tuple[int, list[FinAbGroup], list[GroupHom]]:
+    """(e, [G_0, ..., G_{steps-1}], [B^0, ..., B^{steps-1}]) for matrix = B / (u p^e).
+
+    B is integral and u is a unit at p; G_k = (Z/p^(ke))^d, and the
+    powers of B act on the working level G = G_{steps-1}.
+    """
+    if not is_prime(prime):
+        raise ValueError("prime required")
     if steps < 1:
         raise ValueError("step count must be at least 1")
-    u = base if base is not None else standard_lattice(prime, len(matrix))
-    current = u
-    out = []
-    for _ in range(steps):
-        out.append(lattice_index(u, current))
-        current = preimage(matrix, current, u)
-    return tuple(out)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    b = IntMatrix.from_rows([[_as_int(x * den) for x in row] for row in matrix])
+    e = _vp(den, prime)
+    levels = [FinAbGroup((prime ** (k * e),) * b.rows) for k in range(steps)]
+    f = GroupHom(levels[-1], levels[-1], b)
+    powers = [GroupHom.identity(levels[-1])]
+    for _ in range(steps - 1):
+        powers.append(f.compose(powers[-1]))
+    return e, levels, powers
 
 
-def trajectory_indices(
-    prime: int,
-    matrix: RationalMatrix,
-    steps: int,
-    base: Optional[PadicLattice] = None,
-) -> tuple[int, ...]:
-    """b_n = [U + φU + ... + φ^(n-1)U : U] for n = 1..steps."""
-    if steps < 1:
-        raise ValueError("step count must be at least 1")
-    u = base if base is not None else standard_lattice(prime, len(matrix))
-    current = u
-    out = []
-    for _ in range(steps):
-        out.append(lattice_index(current, u))
-        pushed = _rat_transpose(_rat_matmul(matrix, current.basis_rows()))
-        current = lattice_from_columns(prime, u.basis_columns() + list(pushed))
-    return tuple(out)
+def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
+    """a_n = [U : U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U] for n = 1..steps, U = Z_p^d.
+
+    x lies in that intersection exactly when B^k x = 0 mod p^(ke) for
+    k < n, so a_n is the index in G of the kernels of G -> G_k, x -> B^k x.
+    """
+    _, levels, powers = _finite_level(prime, matrix, steps)
+    chain = kernel_chain(
+        [GroupHom(levels[-1], g, power.matrix) for g, power in zip(levels, powers)]
+    )
+    return tuple(index(chain[0], c) for c in chain)
+
+
+def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
+    """b_n = [U + φU + ... + φ^(n-1)U : U] for n = 1..steps, U = Z_p^d.
+
+    Scaled by p^N, the sum is the subgroup of G spanned by the images of
+    G_k -> G, y -> p^(N-ke) B^k y, and U becomes the trivial subgroup.
+    """
+    e, levels, powers = _finite_level(prime, matrix, steps)
+    chain = image_chain(
+        [
+            GroupHom(g, levels[-1], power.matrix.scaled(prime ** (e * (steps - 1 - k))))
+            for k, (g, power) in enumerate(zip(levels, powers))
+        ]
+    )
+    return tuple(index(c, chain[0]) for c in chain)
 
 
 def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:

@@ -23,7 +23,10 @@ out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
-t = 0..n-1, which are built incrementally rather than from scratch at
+t = 0..n-1: the cotrajectory is :func:`entbridge.fingroup.kernel_chain`
+of these maps, and the trajectory is :func:`entbridge.fingroup.image_chain`
+of their adjoints, the same two builders the p-adic route uses.  The
+condition maps are built incrementally rather than from scratch at
 each step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the
 tower, and F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One
 chain therefore costs O(n + l - j) compositions of bonding and
@@ -37,17 +40,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .duality import dual_group, dual_hom
+from .duality import dual_hom
 from .exactlinalg import IntMatrix, inverse_unimodular
 from .fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
-    full_subgroup,
-    image,
+    image_chain,
     index,
     is_surjective,
     kernel,
+    kernel_chain,
 )
 from .padic import is_prime
 
@@ -174,28 +177,15 @@ class TowerEndo:
         self, j: int, steps: int
     ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
         """(U_j, [W_1, ..., W_steps]) as lattices at the working level."""
-        conditions = self._condition_maps(j, steps)
-        base = kernel(conditions[0])
-        current = base
-        out = [current]
-        for condition in conditions[1:]:
-            current = current.intersect(kernel(condition))
-            out.append(current)
-        return base, out
+        chain = kernel_chain(self._condition_maps(j, steps))
+        return chain[0], chain
 
     def trajectory_lattices(
         self, j: int, steps: int
     ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
         """(perp of U_j, [T_1, ..., T_steps]) in the character group of the working level."""
-        conditions = self._condition_maps(j, steps)
-        source = full_subgroup(dual_group(self.tower.levels[j]))
-        base = image(dual_hom(conditions[0]), source)
-        current = base
-        out = [current]
-        for condition in conditions[1:]:
-            current = current.sum(image(dual_hom(condition), source))
-            out.append(current)
-        return base, out
+        chain = image_chain([dual_hom(c) for c in self._condition_maps(j, steps)])
+        return chain[0], chain
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """a_n = [U_j : C_n] for n = 1..steps."""

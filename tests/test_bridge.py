@@ -247,12 +247,23 @@ class TestRealBridge:
 
 
 class TestVerifyDispatch:
-    def test_each_kind(self):
+    def test_each_kind(self, monkeypatch):
         rng = random.Random(3)
-        for kind in ["finite", "shift", "qp", "real"]:
-            report = verify_instance(random_instance(rng, kind))
+        instances = {kind: random_instance(rng, kind) for kind in ["finite", "shift", "qp", "real"]}
+        for kind, instance in instances.items():
+            report = verify_instance(instance)
             assert report["kind"] == kind
             assert report["verdict"] == "pass"
+
+        # steps: 1 is refused before any bridge builds a chain
+        def no_chain(*args):
+            raise AssertionError("bridge called")
+
+        for name in ["finite_bridge", "shift_bridge", "qp_bridge"]:
+            monkeypatch.setattr(bridge, name, no_chain)
+        for kind in ["finite", "shift", "qp"]:
+            with pytest.raises(ValueError, match="step count must be at least 2"):
+                verify_instance({**instances[kind], "steps": 1})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown instance kind"):

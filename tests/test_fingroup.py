@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,8 +22,10 @@ from entbridge.fingroup import (
     cotrajectory,
     full_subgroup,
     image,
+    image_chain,
     index,
     kernel,
+    kernel_chain,
     preimage,
     subgroup_from_generators,
     trajectory,
@@ -30,6 +33,16 @@ from entbridge.fingroup import (
 )
 
 SMALL_MODULI = [(2,), (6,), (2, 2), (4, 2), (2, 4, 2), (8, 3), (9, 3), (4, 4)]
+
+
+def random_hom(rng, domain, codomain):
+    """Uniform over Hom(domain, codomain): entry (i, j) runs over the
+    multiples of c_i / gcd(c_i, d_j)."""
+    rows = [
+        [(c // math.gcd(c, d)) * rng.randrange(math.gcd(c, d)) for d in domain.moduli]
+        for c in codomain.moduli
+    ]
+    return GroupHom(domain, codomain, IntMatrix.from_rows(rows, cols=domain.rank))
 
 
 def random_cases(seed, count):
@@ -199,3 +212,41 @@ class TestTrajectories:
         u = subgroup_from_generators(g, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         got = [index(u, cotrajectory(f, u, n)) for n in range(1, 6)]
         assert got == [1, 2, 4, 8, 8]
+
+
+class TestChainBuilders:
+    def test_kernel_chain_matches_enumeration(self):
+        for rng, group in random_cases(16, 40):
+            targets = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
+            maps = [random_hom(rng, group, t) for t in targets]
+            chain = kernel_chain(maps)
+            assert len(chain) == len(maps)
+            for t, sub in enumerate(chain):
+                expected = {
+                    x
+                    for x in group.elements()
+                    if all(m.apply(x) == m.codomain.zero() for m in maps[: t + 1])
+                }
+                assert set(sub.elements()) == expected
+
+    def test_image_chain_matches_enumeration(self):
+        for rng, group in random_cases(17, 40):
+            sources = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
+            maps = [random_hom(rng, s, group) for s in sources]
+            chain = image_chain(maps)
+            assert len(chain) == len(maps)
+            for t, sub in enumerate(chain):
+                images = [m.apply(x) for m in maps[: t + 1] for x in m.domain.elements()]
+                assert set(sub.elements()) == closure(group, images)
+
+    def test_needs_maps_on_one_group(self):
+        g = FinAbGroup((4, 2))
+        h = FinAbGroup((2,))
+        with pytest.raises(ValueError, match="at least one map"):
+            kernel_chain([])
+        with pytest.raises(ValueError, match="at least one map"):
+            image_chain([])
+        with pytest.raises(ValueError, match="different groups"):
+            kernel_chain([random_hom(random.Random(0), g, h), GroupHom.identity(h)])
+        with pytest.raises(ValueError, match="different groups"):
+            image_chain([random_hom(random.Random(0), g, h), GroupHom.identity(g)])

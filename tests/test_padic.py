@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import closure
 from entbridge.exactlinalg import IntMatrix
+from entbridge.fingroup import ENUMERATION_LIMIT, FinAbGroup
 from entbridge.padic import (
     PadicEntropy,
     PadicLattice,
@@ -54,6 +56,34 @@ def random_invertible(rng, prime, dim):
             return m
 
 
+def lattice_cotrajectory(prime, m, steps):
+    """a_n on canonical Z_p-lattices: C_{n+1} = {x in U : m x in C_n}."""
+    u = standard_lattice(prime, len(m))
+    current, out = u, []
+    for _ in range(steps):
+        out.append(lattice_index(u, current))
+        current = preimage(m, current, u)
+    return tuple(out)
+
+
+def lattice_trajectory(prime, m, steps):
+    """b_n on canonical Z_p-lattices: T_{n+1} = U + m T_n."""
+    u = standard_lattice(prime, len(m))
+    current, out = u, []
+    for _ in range(steps):
+        out.append(lattice_index(current, u))
+        pushed = [
+            [sum((x * y for x, y in zip(row, col)), Fraction(0)) for row in m]
+            for col in current.basis_columns()
+        ]
+        current = lattice_from_columns(prime, u.basis_columns() + pushed)
+    return tuple(out)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def intersect(a, b):
     # lattice intersection through the annihilator: (A + B)^* = A* ∩ B*
     return dual_lattice(sum_lattices(dual_lattice(a), dual_lattice(b)))
@@ -63,6 +93,21 @@ class TestHelpers:
     def test_is_prime(self):
         assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
         assert not is_prime(1)
+
+    def test_is_prime_matches_trial_division(self):
+        assert all(is_prime(n) == trial_division_is_prime(n) for n in range(2, 20000))
+
+    @pytest.mark.parametrize(
+        "n", [561, 3215031751, 3825123056546413051, 318665857834031151167461]
+    )
+    def test_is_prime_rejects_pseudoprimes(self, n):
+        # a Carmichael number, then the least strong pseudoprimes to the
+        # prime bases up to 7, 23 and 37
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 1125899906842597])
+    def test_is_prime_accepts_large_primes(self, n):
+        assert is_prime(n)
 
     def test_rational_matrix_parsing(self):
         m = rational_matrix([[1, "3/4"], [Fraction(-2, 5), 0]])
@@ -251,6 +296,81 @@ class TestIndexSequences:
             m = random_invertible(rng, prime, dim)
             mt = tuple(zip(*m))
             assert cotrajectory_indices(prime, m, 5) == trajectory_indices(prime, mt, 5)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    def test_matches_lattice_recursion(self, prime):
+        # unit denominators and p-adic depth e >= 2 in every matrix
+        rng = random.Random(2000 + prime)
+        unit = 3 if prime != 3 else 7
+        dens = [1, unit, prime, unit * prime, prime**2, unit * prime**2, prime**3]
+        for dim in range(1, 5):
+            for _ in range(3):
+                while True:
+                    m = [
+                        [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(dim)]
+                        for _ in range(dim)
+                    ]
+                    m[rng.randrange(dim)][rng.randrange(dim)] = Fraction(
+                        rng.randint(1, prime - 1), unit * prime**2
+                    )
+                    m = rational_matrix(m)
+                    if char_poly(m)[0] != 0:
+                        break
+                mt = tuple(zip(*m))
+                assert cotrajectory_indices(prime, m, 6) == lattice_cotrajectory(prime, m, 6)
+                assert trajectory_indices(prime, mt, 6) == lattice_trajectory(prime, mt, 6)
+
+    def test_matches_enumeration_on_tiny_levels(self):
+        # On G = (Z/p^N)^d with N = (steps - 1) e, element by element:
+        # a_n = [G : {x : B^k x = 0 mod p^(ke) for k < n}] and b_n is the
+        # order of the subgroup spanned by the columns of p^(N-ke) (B^T)^k.
+        rng = random.Random(41)
+        cases = [(2, 2, 1, 5), (2, 3, 2, 3), (3, 2, 1, 4), (5, 2, 1, 3), (7, 1, 2, 3), (2, 1, 3, 5)]
+        for prime, dim, e, steps in cases:
+            top = (steps - 1) * e
+            group = FinAbGroup((prime**top,) * dim)
+            assert group.order <= ENUMERATION_LIMIT
+            for _ in range(4):
+                den = prime**e * rng.choice([1, 3 if prime != 3 else 5])
+                b = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+                if b[0][0] % prime == 0:
+                    b[0][0] += 1
+                m = rational_matrix([[Fraction(x, den) for x in row] for row in b])
+                powers = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
+                for _ in range(steps - 1):
+                    last = powers[-1]
+                    powers.append(
+                        [
+                            [sum(b[i][k] * last[k][j] for k in range(dim)) for j in range(dim)]
+                            for i in range(dim)
+                        ]
+                    )
+                # first k at which x fails its condition (steps if never)
+                depths = [
+                    next(
+                        (
+                            k
+                            for k in range(steps)
+                            if any(
+                                sum(a * y for a, y in zip(row, x)) % prime ** (k * e)
+                                for row in powers[k]
+                            )
+                        ),
+                        steps,
+                    )
+                    for x in group.elements()
+                ]
+                primal, dual = [], []
+                for n in range(1, steps + 1):
+                    primal.append(group.order // sum(1 for k in depths if k >= n))
+                    gens = [
+                        [prime ** (top - k * e) * x for x in row]
+                        for k in range(n)
+                        for row in powers[k]
+                    ]
+                    dual.append(len(closure(group, gens)))
+                assert cotrajectory_indices(prime, m, steps) == tuple(primal)
+                assert trajectory_indices(prime, tuple(zip(*m)), steps) == tuple(dual)
 
     def test_step_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
