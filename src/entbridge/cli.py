@@ -12,7 +12,8 @@ Three subcommands:
 * ``schema``: print one of the shipped schemas.
 
 Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
-2 the input was unusable, 3 the computation itself failed.
+2 the input was unusable (also bytes that are not UTF-8, or JSON nested
+too deeply to parse), 3 the computation itself failed.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _read_instance(source: str) -> dict:
 def _run_verify(args: argparse.Namespace) -> int:
     try:
         instance = _read_instance(args.instance)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

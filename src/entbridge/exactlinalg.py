@@ -9,6 +9,11 @@ modulo the diagonal entry of its own row.  Canonicality turns lattice
 equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
+One column echelon by Euclid (Cohen, GTM 138, section 2.4) computes
+:func:`hnf`, :func:`kernel_basis` (m stacked on the identity) and
+:func:`preimage_lattice` ([m | -target] stacked on [I | 0]); :func:`snf`
+keeps its own two-sided elimination.
+
 Matrix products accumulate row by row and skip zero entries, and
 :meth:`HnfBasis.solve` skips rows whose residual is already zero.  The
 tower maps of :mod:`entbridge.tdlca` are mostly 0/1 matrices, and these
@@ -108,11 +113,6 @@ class IntMatrix:
             self.cols + other.cols,
             tuple(self.entries[i] + other.entries[i] for i in range(self.rows)),
         )
-
-    def top_rows(self, k: int) -> "IntMatrix":
-        if not 0 <= k <= self.rows:
-            raise ValueError("row slice out of range")
-        return IntMatrix(k, self.cols, self.entries[:k])
 
     def scaled(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
@@ -232,6 +232,40 @@ class HnfBasis:
         return all(self.contains(other.matrix.column(j)) for j in range(self.dim))
 
 
+def _echelon(m: IntMatrix, tracked: int) -> tuple[list[list[int] | None], IntMatrix]:
+    """Column echelon of `m` stacked on [I | 0], where I is tracked x tracked.
+
+    Row i is shrunk by Euclid across the columns not yet used as pivots
+    until at most one is nonzero there: the pivot of row i, or None.  The
+    other columns are zero above row i, so updates start at row i.
+    Returns the pivots, and the I-block of the columns left zero on every
+    row of `m`.
+    """
+    k = m.rows
+    height = k + tracked
+    unit_rows = tuple(tuple(int(j == t) for j in range(m.cols)) for t in range(tracked))
+    # the columns of the stacked matrix (none when it has no rows, and then
+    # nothing is left to reduce or to record)
+    pending = [list(c) for c in zip(*m.entries, *unit_rows)]
+    pivots: list[list[int] | None] = []
+    for i in range(k):
+        # shrink row i across the pending columns down to a single pivot
+        while True:
+            live = [c for c in pending if c[i]]
+            if len(live) <= 1:
+                break
+            piv = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                q = c[i] // piv[i]
+                if q and c is not piv:
+                    for t in range(i, height):
+                        c[t] -= q * piv[t]
+        if live:
+            pending.remove(live[0])  # the only pending column nonzero on row i
+        pivots.append(live[0] if live else None)
+    return pivots, IntMatrix.from_columns([c[k:] for c in pending], rows=tracked)
+
+
 def hnf(gens: IntMatrix) -> HnfBasis:
     """Canonical column Hermite form of the lattice spanned by the columns.
 
@@ -240,79 +274,43 @@ def hnf(gens: IntMatrix) -> HnfBasis:
     ValueError("lattice not full rank") when the column span has rank
     below the ambient dimension.
     """
-    k = gens.rows
-    pending = gens.column_list()
-    basis: list[list[int]] = []
-    for i in range(k):
-        # shrink row i across the pending columns down to a single pivot
-        while True:
-            live = [c for c in pending if c[i] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda c: abs(c[i]))
-            piv = live[0]
-            for c in live[1:]:
-                q = c[i] // piv[i]
-                if q:
-                    for t in range(i, k):
-                        c[t] -= q * piv[t]
-        piv = next((c for c in pending if c[i] != 0), None)
-        if piv is None:
-            raise ValueError("lattice not full rank")
-        pending.remove(piv)
+    basis, _ = _echelon(gens, 0)
+    if any(piv is None for piv in basis):
+        raise ValueError("lattice not full rank")
+    for i, piv in enumerate(basis):
         if piv[i] < 0:
             piv[:] = [-x for x in piv]
-        # normalize row i of the columns fixed earlier
-        for b in basis:
+        # reduce row i of the earlier pivots modulo this one
+        for b in basis[:i]:
             q = b[i] // piv[i]
             if q:
-                for t in range(i, k):
+                for t in range(i, gens.rows):
                     b[t] -= q * piv[t]
-        basis.append(piv)
-    return HnfBasis(IntMatrix.from_columns(basis, rows=k))
+    return HnfBasis(IntMatrix(gens.rows, gens.rows, tuple(zip(*basis))))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns spanning the whole integer kernel {x : m @ x = 0}.
 
-    Column reduction with a tracked unimodular transform; the returned
-    basis is saturated (it generates the kernel exactly, not a finite-index
+    Read off the identity block of the echelon of m stacked on the
+    identity.  The column operations are unimodular, so the basis is
+    saturated (it generates the kernel exactly, not a finite-index
     sublattice of it).
     """
-    n = m.cols
-    cols = [[m.entries[i][j] for i in range(m.rows)] for j in range(n)]
-    trans = [[1 if r == j else 0 for r in range(n)] for j in range(n)]
-    pending = list(range(n))
-    for i in range(m.rows):
-        while True:
-            live = [c for c in pending if cols[c][i] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda c: abs(cols[c][i]))
-            piv = live[0]
-            for c in live[1:]:
-                q = cols[c][i] // cols[piv][i]
-                if q:
-                    cols[c] = [x - q * y for x, y in zip(cols[c], cols[piv])]
-                    trans[c] = [x - q * y for x, y in zip(trans[c], trans[piv])]
-        live = [c for c in pending if cols[c][i] != 0]
-        if live:
-            pending.remove(live[0])
-    return IntMatrix.from_columns([trans[c] for c in pending], rows=n)
+    return _echelon(m, m.cols)[1]
 
 
 def preimage_lattice(m: IntMatrix, target: HnfBasis) -> HnfBasis:
     """HNF basis of {x in Z^k : m @ x lies in the target lattice}.
 
-    Solved as the projection onto the x-block of the integer kernel of
-    [m | -target]; full rank of the target guarantees full rank of the
-    preimage (det(target) * Z^k is always contained in it).
+    x is in it exactly when (x, y) is in the kernel of [m | -target] for
+    some y; the echelon of [m | -target] stacked on [I | 0] records x alone.
+    Full rank of the target guarantees full rank of the preimage
+    (det(target) * Z^k is always contained in it).
     """
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
-    stacked = m.hstack(target.matrix.scaled(-1))
-    ker = kernel_basis(stacked)
-    return hnf(ker.top_rows(m.cols))
+    return hnf(_echelon(m.hstack(target.matrix.scaled(-1)), m.cols)[1])
 
 
 def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:

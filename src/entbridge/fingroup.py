@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, preimage_lattice
+from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -146,12 +146,10 @@ class SubgroupLattice:
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        # x = B1 a = B2 b: read the B1-part of the kernel of [B1 | -B2]
+        # B1 a lies in the other lattice exactly when a lies in its B1-preimage
         b1 = self.basis.matrix
-        stacked = b1.hstack(other.basis.matrix.scaled(-1))
-        ker = kernel_basis(stacked)
-        xs = b1 @ ker.top_rows(b1.cols)
-        return SubgroupLattice(self.ambient, hnf(xs))
+        coords = preimage_lattice(b1, other.basis)
+        return SubgroupLattice(self.ambient, hnf(b1 @ coords.matrix))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All subgroup elements; gated brute-force oracle."""

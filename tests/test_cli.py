@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import entbridge.cli as cli
+from entbridge import padic
 from entbridge.bridge import _two_sided_report
 from entbridge.cli import canonical_json, load_schema, main, render_text
 
@@ -52,6 +53,16 @@ trajectory certified bound: log(2)/1 = 0.69314718056
 cotrajectory vs closed form (stabilized): consistent
 trajectory vs closed form (stabilized): consistent
 """
+
+
+# bytes that are not UTF-8, and arrays nested past the JSON parser's
+# recursion limit
+UNREADABLE = pytest.mark.parametrize(
+    "payload", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "too-deep"]
+)
+
+# the largest prime below padic._MR_BOUND, the top of the schema's range
+LARGEST_PRIME = 3317044064679887385961813
 
 
 def write_instance(tmp_path, payload, name="instance.json"):
@@ -128,6 +139,25 @@ class TestVerify:
         path.write_text("{not json", encoding="utf-8")
         assert main(["verify", str(path)]) == 2
 
+    @UNREADABLE
+    def test_unreadable_file_is_input_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "instance.json"
+        path.write_bytes(payload)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @UNREADABLE
+    def test_unreadable_stdin_is_input_error(self, capsys, monkeypatch, payload):
+        # a strict UTF-8 stdin, as under a UTF-8 locale
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
+        assert main(["verify", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_largest_accepted_prime(self, tmp_path, capsys):
+        assert padic.is_prime(LARGEST_PRIME)
+        instance = {"kind": "qp", "prime": LARGEST_PRIME, "matrix": [["2"]], "steps": 3}
+        assert main(["verify", write_instance(tmp_path, instance)]) == 0
+
     def test_schema_rejection(self, tmp_path, capsys):
         # one step gives a single index, which no entropy bound can use
         shift = {"kind": "shift", "modulus": 2, "height": 8, "level": 1}
@@ -137,6 +167,8 @@ class TestVerify:
             dict(FINITE_INSTANCE, steps=1),
             dict(shift, steps=1),
             dict(qp, steps=1),
+            # past the schema's cap, where is_prime would fall back to trial division
+            dict(qp, steps=2, prime=padic._MR_BOUND),
         ]:
             path = write_instance(tmp_path, bad)
             assert main(["verify", path]) == 2
@@ -193,6 +225,12 @@ class TestVerify:
 
 
 class TestSchemaCommand:
+    def test_prime_cap_is_below_the_miller_rabin_bound(self):
+        # every prime the schema accepts is decided by Miller-Rabin, not by
+        # trial division
+        prime = load_schema("instance")["$defs"]["qp"]["properties"]["prime"]
+        assert prime["maximum"] == padic._MR_BOUND - 1
+
     @pytest.mark.parametrize("which", ["instance", "report"])
     def test_prints_schema(self, which, capsys):
         assert main(["schema", which]) == 0

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -189,6 +189,63 @@ class TestHnf:
         assert not inner.contains_lattice(outer)
 
 
+def rational_rank(m: IntMatrix) -> int:
+    """Rank over Q, by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    rank = 0
+    for c in range(m.cols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def maximal_minor_gcd(m: IntMatrix) -> int:
+    """gcd of the m.cols x m.cols minors of a tall matrix.
+
+    It is 1 exactly when the columns are independent and span a saturated
+    lattice, one that contains every integer vector of its rational span.
+    """
+    g = 0
+    for rows in combinations(range(m.rows), m.cols):
+        g = math.gcd(g, IntMatrix.from_rows([m.entries[r] for r in rows], cols=m.cols).det())
+    return g
+
+
+@st.composite
+def kernel_cases(draw):
+    """Any shape up to 3 x 5; tiny entries make rank deficiency common."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.integers(-2, 2), mixed_entries]))
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(grid, cols=cols)
+
+
+@st.composite
+def preimage_cases(draw):
+    """(m, target): m square of size 2 or 3, target any full-rank lattice of
+    determinant at most 12, drawn directly in Hermite form."""
+    k = draw(st.sampled_from([2, 3]))
+    m = IntMatrix.from_rows(
+        draw(st.lists(st.lists(small_entries, min_size=k, max_size=k), min_size=k, max_size=k)),
+        cols=k,
+    )
+    diag = draw(
+        st.lists(st.integers(1, 4), min_size=k, max_size=k).filter(lambda d: math.prod(d) <= 12)
+    )
+    rows = [
+        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] if j == i else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    return m, HnfBasis(IntMatrix.from_rows(rows, cols=k))
+
+
 class TestKernel:
     @given(
         st.lists(
@@ -200,6 +257,17 @@ class TestKernel:
         k = kernel_basis(m)
         if k.cols:
             assert (m @ k).entries == tuple((0,) * k.cols for _ in range(2))
+
+    @given(kernel_cases())
+    @settings(max_examples=100)
+    def test_kernel_is_a_saturated_basis(self, m):
+        # inside the kernel, of the kernel's dimension, and saturated: so it
+        # spans every integer kernel vector
+        k = kernel_basis(m)
+        assert k.rows == m.cols
+        assert (m @ k).entries == tuple((0,) * k.cols for _ in range(m.rows))
+        assert k.cols == m.cols - rational_rank(m)
+        assert maximal_minor_gcd(k) == 1
 
     def test_kernel_saturated(self):
         # kernel of [2 -2] over Z is spanned by (1, 1), not (2, 2)
@@ -220,6 +288,18 @@ class TestPreimageLattice:
             for y in range(-8, 9):
                 expected = target.contains(m.apply((x, y)))
                 assert lattice.contains((x, y)) == expected
+
+    @given(preimage_cases())
+    @settings(max_examples=100)
+    def test_membership_matches_definition(self, case):
+        # both lattices contain det(target) * Z^k, so agreeing on every
+        # residue mod det(target) means they are equal
+        m, target = case
+        k, det = m.cols, target.det()
+        lattice = preimage_lattice(m, target)
+        assert lattice.contains_lattice(HnfBasis(IntMatrix.diagonal([det] * k)))
+        for x in product(range(det), repeat=k):
+            assert lattice.contains(x) == target.contains(m.apply(x))
 
     def test_always_full_rank(self):
         # even a singular map has a full-rank preimage lattice
