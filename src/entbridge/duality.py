@@ -140,8 +140,7 @@ def quotient_invariants(outer: SubgroupLattice, inner: SubgroupLattice) -> tuple
             raise AssertionError("containment was just checked")
         cols.append(coords)
     rel = IntMatrix.from_columns(cols, rows=outer.basis.dim)
-    diag, _, _ = snf(rel)
-    return tuple(d for d in diag if d > 1)
+    return tuple(d for d in snf(rel) if d > 1)
 
 
 def check_quotient_duality(

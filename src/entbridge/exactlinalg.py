@@ -9,10 +9,12 @@ modulo the diagonal entry of its own row.  Canonicality turns lattice
 equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
-One column echelon by Euclid (Cohen, GTM 138, section 2.4) computes
-:func:`hnf`, :func:`kernel_basis` (m stacked on the identity) and
-:func:`preimage_lattice` ([m | -target] stacked on [I | 0]); :func:`snf`
-keeps its own two-sided elimination.
+One column echelon by Euclid (Cohen, GTM 138, section 2.4) is the only
+integer elimination here.  It computes :func:`hnf`, :func:`kernel_basis`
+(m stacked on the identity) and :func:`preimage_lattice` ([m | -target]
+stacked on [I | 0]).  :func:`snf` runs it on a matrix and then on the
+transpose of its pivot columns, alternately, until every pivot column
+has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
 Matrix products accumulate row by row and skip zero entries, and
 :meth:`HnfBasis.solve` skips rows whose residual is already zero.  The
@@ -27,6 +29,7 @@ rank (up to a dozen or so) with possibly huge entries.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,87 +316,25 @@ def preimage_lattice(m: IntMatrix, target: HnfBasis) -> HnfBasis:
     return hnf(_echelon(m.hstack(target.matrix.scaled(-1)), m.cols)[1])
 
 
-def snf(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def snf(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of `m`: the diagonal of its Smith normal form.
 
-    Returns (diag, left, right) where left @ m @ right is diagonal, the
-    diagonal is non-negative with each entry dividing the next (zeros
-    trailing), and both transforms are unimodular.  Pivots are chosen by
-    smallest absolute value, which keeps intermediate growth tame at this
-    scale.
+    The tuple has min(rows, cols) entries, non-negative, each dividing
+    the next, zeros trailing.  The echelons alternate between the pivot
+    columns and their transpose until each pivot column has a single
+    nonzero entry; those columns are a diagonal matrix up to order.  A
+    gcd/lcm exchange over every pair i < j then sorts the exponent of
+    each prime, so each entry divides the next.
     """
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        if q:
-            for r in range(rows):
-                a[r][i] -= q * a[r][j]
-            for r in range(cols):
-                right[r][i] -= q * right[r][j]
-
-    def smallest_nonzero(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        if smallest_nonzero(t) is None:
-            break
-        while True:
-            pi, pj = smallest_nonzero(t)
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                left[t], left[pi] = left[pi], left[t]
-            if pj != t:
-                for r in range(rows):
-                    a[r][t], a[r][pj] = a[r][pj], a[r][t]
-                for r in range(cols):
-                    right[r][t], right[r][pj] = right[r][pj], right[r][t]
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                row_sub(i, t, a[i][t] // p)
-            for j in range(t + 1, cols):
-                col_sub(j, t, a[t][j] // p)
-            if any(a[i][t] for i in range(t + 1, rows)) or any(
-                a[t][j] for j in range(t + 1, cols)
-            ):
-                continue  # remainders shrank the candidate pivots; go again
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    for j in range(t + 1, cols)
-                    if a[i][j] % p
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            # fold the offending row into row t so the next pass picks a
-            # strictly smaller pivot; this is what enforces divisibility
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            left[t] = [x + y for x, y in zip(left[t], left[bad])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(limit))
-    return diag, IntMatrix.from_rows(left, cols=rows), IntMatrix.from_rows(right, cols=cols)
+    pivots = [c for c in _echelon(m, 0)[0] if c is not None]
+    while any(sum(map(bool, c)) > 1 for c in pivots):
+        pivots = [c for c in _echelon(IntMatrix.from_rows(pivots), 0)[0] if c is not None]
+    diag = [abs(next(x for x in c if x)) for c in pivots]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

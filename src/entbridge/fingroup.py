@@ -129,9 +129,6 @@ class SubgroupLattice:
     def order(self) -> int:
         return self.ambient.order // self.basis.det()
 
-    def contains_element(self, vector: Sequence[int]) -> bool:
-        return self.basis.contains(self.ambient.reduce(vector))
-
     def contains(self, other: "SubgroupLattice") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")

@@ -73,19 +73,18 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test.
+    """Exact primality test: deterministic Miller-Rabin with the prime bases 2..41.
 
-    Below 3 317 044 064 679 887 385 961 981 this is deterministic
-    Miller-Rabin with the prime bases 2..41.  Above that bound it falls
-    back to trial division up to sqrt(n), which is exact but slow.
+    It is exact only below 3 317 044 064 679 887 385 961 981, so any n at
+    or above that bound raises ValueError.
     """
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_BOUND:
-        return all(n % q for q in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -167,7 +167,7 @@ class TestVerify:
             dict(FINITE_INSTANCE, steps=1),
             dict(shift, steps=1),
             dict(qp, steps=1),
-            # past the schema's cap, where is_prime would fall back to trial division
+            # past the schema's cap, where is_prime raises ValueError
             dict(qp, steps=2, prime=padic._MR_BOUND),
         ]:
             path = write_instance(tmp_path, bad)

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_elements, oracle_annihilator, oracle_pairing, subgroup_elements
-from entbridge.bridge import random_endomorphism, random_subgroup
+from entbridge.bridge import random_endomorphism, random_finite_group, random_subgroup
 from entbridge.duality import (
     PairingValue,
     annihilator,
@@ -188,6 +189,31 @@ class TestQuotientInvariants:
         b = subgroup_from_generators(g, [[0, 1]])
         with pytest.raises(ValueError, match="not a subgroup pair"):
             quotient_invariants(a, b)
+
+    def test_counts_elements_killed_by_each_divisor(self):
+        # Q = outer/inner with invariant factors d_i has prod gcd(n, d_i)
+        # elements killed by n, for every n; these counts fix Q up to
+        # isomorphism, so a merged answer such as (4) for (2, 2) fails here
+        # although it has the right product
+        rng = random.Random(33)
+        for _ in range(200):
+            group = random_finite_group(rng, max_order=512)
+            u = random_subgroup(rng, group)
+            v = random_subgroup(rng, group)
+            outer, inner = u.sum(v), u.intersect(v)
+            inv = quotient_invariants(outer, inner)
+            assert all(d > 1 for d in inv)
+            assert all(b % a == 0 for a, b in zip(inv, inv[1:]))
+            outer_elements = subgroup_elements(outer)
+            inner_elements = subgroup_elements(inner)
+            index = len(outer_elements) // len(inner_elements)
+            for n in range(1, index + 1):
+                if index % n:
+                    continue
+                killed = sum(
+                    group.reduce([n * a for a in x]) in inner_elements for x in outer_elements
+                )
+                assert killed == len(inner_elements) * math.prod(math.gcd(n, d) for d in inv)
 
     def test_duality_identifies_quotients(self):
         for rng, group in random_cases(32, 60):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import closure
+from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import ENUMERATION_LIMIT, FinAbGroup
 from entbridge.padic import (
+    _MR_BOUND,
     PadicEntropy,
     PadicLattice,
     apply_matrix,
@@ -108,6 +110,17 @@ class TestHelpers:
     @pytest.mark.parametrize("n", [2**61 - 1, 1125899906842597])
     def test_is_prime_accepts_large_primes(self, n):
         assert is_prime(n)
+
+    def test_is_prime_refuses_the_miller_rabin_bound(self):
+        # the bases are proven exact only below the bound
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            is_prime(_MR_BOUND)
+
+    def test_verify_instance_refuses_a_prime_past_the_bound(self):
+        # 2**89 - 1 is prime; the schema would reject it, a direct call raises
+        instance = {"kind": "qp", "prime": 2**89 - 1, "matrix": [["2"]], "steps": 3}
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            verify_instance(instance)
 
     def test_rational_matrix_parsing(self):
         m = rational_matrix([[1, "3/4"], [Fraction(-2, 5), 0]])
