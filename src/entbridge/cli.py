@@ -6,14 +6,21 @@ Three subcommands:
   the shipped instance schema, run the matching bridge, self-check the
   report against the report schema and print it.  Output is canonical
   (sorted keys, fixed indentation), so identical inputs produce
-  byte-identical reports.
+  byte-identical reports.  Both schemas are loaded into one registry when
+  this module is imported; each check validates against a ``$ref`` into
+  that registry, so the full schemas are not re-checked against the
+  2020-12 meta-schema on every verify (the test suite checks them once).
+  The instance schema caps ``steps`` and ``height`` at 64 and the
+  matrices, ``moduli`` and ``subgroup`` at 16 items a side; it does not
+  cap the size of moduli or entries.
 * ``generate``: emit a random instance for a given kind, deterministic
   in the seed.
 * ``schema``: print one of the shipped schemas.
 
 Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
-2 the input was unusable (also bytes that are not UTF-8, or JSON nested
-too deeply to parse), 3 the computation itself failed.
+2 the input was unusable (also bytes that are not UTF-8, JSON nested
+too deeply to parse, or a value past a schema cap), 3 the computation
+itself failed.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+from referencing import Registry
+from referencing.jsonschema import DRAFT202012
 
 from .bridge import random_instance, verify_instance
 
@@ -40,6 +49,22 @@ EXIT_COMPUTATION_ERROR = 3
 def load_schema(name: str) -> dict:
     path = resources.files("entbridge.schemas").joinpath(f"{name}.schema.json")
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+_SCHEMA_NAMES = ("instance", "report")
+
+_SCHEMAS = Registry().with_resources(
+    (f"urn:entbridge:{name}", DRAFT202012.create_resource(load_schema(name))) for name in _SCHEMA_NAMES
+)
+
+
+def _validate(payload: object, name: str) -> None:
+    """``jsonschema.validate`` against the shipped schema ``name``.
+
+    Raises ``jsonschema.ValidationError`` with the same message as
+    validating against ``load_schema(name)`` itself.
+    """
+    jsonschema.validate(payload, {"$ref": f"urn:entbridge:{name}"}, registry=_SCHEMAS)
 
 
 def canonical_json(payload: dict) -> str:
@@ -122,7 +147,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        jsonschema.validate(instance, load_schema("instance"))
+        _validate(instance, "instance")
     except jsonschema.ValidationError as exc:
         print(f"error: invalid instance: {exc.message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -135,7 +160,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION_ERROR
     try:
-        jsonschema.validate(report, load_schema("report"))
+        _validate(report, "report")
     except jsonschema.ValidationError as exc:
         print(f"error: malformed report: {exc.message}", file=sys.stderr)
         return EXIT_COMPUTATION_ERROR
@@ -176,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     generate.set_defaults(run=_run_generate)
 
     schema = sub.add_parser("schema", help="print a shipped JSON schema")
-    schema.add_argument("which", choices=("instance", "report"))
+    schema.add_argument("which", choices=_SCHEMA_NAMES)
     schema.set_defaults(run=_run_schema)
 
     args = parser.parse_args(argv)

@@ -1,12 +1,13 @@
 import io
 import json
+import random
 
 import jsonschema
 import pytest
 
 import entbridge.cli as cli
 from entbridge import padic
-from entbridge.bridge import _two_sided_report
+from entbridge.bridge import _two_sided_report, random_instance
 from entbridge.cli import canonical_json, load_schema, main, render_text
 
 FINITE_INSTANCE = {
@@ -63,6 +64,49 @@ UNREADABLE = pytest.mark.parametrize(
 
 # the largest prime below padic._MR_BOUND, the top of the schema's range
 LARGEST_PRIME = 3317044064679887385961813
+
+
+SHIFT_INSTANCE = {"kind": "shift", "modulus": 2, "height": 8, "level": 1, "steps": 7}
+QP_INSTANCE = {"kind": "qp", "prime": 2, "matrix": [["1/2"]], "steps": 5}
+
+# (the cap, a function from a size to an instance of that size) for every
+# cap of the instance schema
+CAPS = {
+    "finite steps": (64, lambda n: dict(FINITE_INSTANCE, steps=n)),
+    "shift steps": (64, lambda n: dict(SHIFT_INSTANCE, steps=n)),
+    "qp steps": (64, lambda n: dict(QP_INSTANCE, steps=n)),
+    "shift height": (64, lambda n: dict(SHIFT_INSTANCE, height=n)),
+    "moduli": (16, lambda n: dict(FINITE_INSTANCE, moduli=[2] * n)),
+    "endomorphism rows": (16, lambda n: dict(FINITE_INSTANCE, endomorphism=[[0, 0, 0]] * n)),
+    "endomorphism columns": (16, lambda n: dict(FINITE_INSTANCE, endomorphism=[[0] * n] * 3)),
+    "subgroup generators": (16, lambda n: dict(FINITE_INSTANCE, subgroup=[[0, 0, 0]] * n)),
+    "subgroup entries": (16, lambda n: dict(FINITE_INSTANCE, subgroup=[[0] * n])),
+    "qp rows": (16, lambda n: dict(QP_INSTANCE, matrix=[["1"]] * n)),
+    "qp columns": (16, lambda n: dict(QP_INSTANCE, matrix=[["1"] * n])),
+    "real rows": (16, lambda n: {"kind": "real", "matrix": [[1]] * n}),
+    "real columns": (16, lambda n: {"kind": "real", "matrix": [[1] * n]}),
+}
+
+
+def mutate(rng, instance, mutation):
+    """A copy of ``instance`` with one mutation: a key dropped, a value of
+    the wrong type, an extra key, a wrong kind or a value past a cap.  A
+    copy that stays schema-valid (an optional key dropped, an empty
+    subgroup) is as cheap to verify as the instance itself."""
+    bad = json.loads(json.dumps(instance))
+    key = rng.choice(sorted(bad))
+    if mutation == "drop":
+        del bad[key]
+    elif mutation == "type":
+        bad[key] = rng.choice(["x", None, 1.5, [], {}])
+    elif mutation == "extra":
+        bad[rng.choice(["extra", "level", "prime", "steps"])] = 1
+    elif mutation == "kind":
+        bad["kind"] = rng.choice([k for k in ("finite", "shift", "qp", "real", "torus") if k != bad["kind"]])
+    else:  # past a cap
+        key = rng.choice([k for k in ("steps", "height", "moduli", "endomorphism", "matrix") if k in bad])
+        bad[key] = 65 if key in ("steps", "height") else bad[key] * 17
+    return bad
 
 
 def write_instance(tmp_path, payload, name="instance.json"):
@@ -169,10 +213,36 @@ class TestVerify:
             dict(qp, steps=1),
             # past the schema's cap, where is_prime raises ValueError
             dict(qp, steps=2, prime=padic._MR_BOUND),
-        ]:
+        ] + [make(cap + 1) for cap, make in CAPS.values()]:
             path = write_instance(tmp_path, bad)
             assert main(["verify", path]) == 2
             assert "invalid instance" in capsys.readouterr().err
+        # a value at each cap is accepted; only validated, since verifying
+        # it takes seconds
+        schema = load_schema("instance")
+        for cap, make in CAPS.values():
+            jsonschema.validate(make(cap), schema)
+
+    def test_exit_code_and_message_follow_the_schema(self, tmp_path, capsys):
+        # boundary oracle: exit 2 with the message of validating against the
+        # full shipped schema exactly when that validation fails
+        schema = load_schema("instance")
+        for kind in ["finite", "shift", "qp", "real"]:
+            for seed in range(5):
+                instance = random_instance(random.Random(seed), kind)
+                rng = random.Random(f"{kind}/{seed}")
+                mutations = ["drop", "type", "extra", "kind", "cap"]
+                for candidate in [instance] + [mutate(rng, instance, m) for m in mutations]:
+                    code = main(["verify", write_instance(tmp_path, candidate)])
+                    captured = capsys.readouterr()
+                    try:
+                        jsonschema.validate(candidate, schema)
+                    except jsonschema.ValidationError as exc:
+                        assert code == 2, candidate
+                        assert captured.out == ""
+                        assert captured.err == f"error: invalid instance: {exc.message}\n", candidate
+                    else:
+                        assert code in (0, 1), candidate
 
     def test_value_error_is_input_error(self, tmp_path, capsys):
         singular = {"kind": "qp", "prime": 2, "matrix": [["1", "1"], ["1", "1"]], "steps": 4}
@@ -225,6 +295,12 @@ class TestVerify:
 
 
 class TestSchemaCommand:
+    @pytest.mark.parametrize("which", ["instance", "report"])
+    def test_shipped_schema_is_valid(self, which):
+        # verify checks only a $ref into the schema registry on each call,
+        # so the full schemas are checked against the meta-schema here
+        jsonschema.Draft202012Validator.check_schema(load_schema(which))
+
     def test_prime_cap_is_below_the_miller_rabin_bound(self):
         # every prime the schema accepts is decided by Miller-Rabin, not by
         # trial division
