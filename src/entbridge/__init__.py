@@ -8,7 +8,6 @@ groups, profinite towers, p-adic vector spaces and R^n.
 """
 
 from .duality import (
-    PairingValue,
     annihilator,
     check_quotient_duality,
     dual_group,
@@ -79,7 +78,6 @@ __all__ = [
     "kernel",
     "cotrajectory",
     "trajectory",
-    "PairingValue",
     "dual_group",
     "pairing",
     "annihilator",

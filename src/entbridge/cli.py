@@ -10,17 +10,20 @@ Three subcommands:
   this module is imported; each check validates against a ``$ref`` into
   that registry, so the full schemas are not re-checked against the
   2020-12 meta-schema on every verify (the test suite checks them once).
-  The instance schema caps ``steps`` and ``height`` at 64 and the
-  matrices, ``moduli`` and ``subgroup`` at 16 items a side; it does not
-  cap the size of moduli or entries.
+  The instance schema caps ``steps`` and ``height`` at 64, the
+  matrices, ``moduli`` and ``subgroup`` at 16 items a side, moduli and
+  qp integer entries at 2^128 in absolute value, and string entries at
+  16 (qp) or 32 (real) characters with an exponent of at most one (qp)
+  or three (real) digits.
 * ``generate``: emit a random instance for a given kind, deterministic
   in the seed.
 * ``schema``: print one of the shipped schemas.
 
 Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
 2 the input was unusable (also bytes that are not UTF-8, JSON nested
-too deeply to parse, or a value past a schema cap), 3 the computation
-itself failed.
+too deeply to parse, an integer past the interpreter's 4300-digit limit,
+a value past a schema cap, or a qp working modulus past 2^128), 3 the
+computation itself failed.
 """
 
 from __future__ import annotations
@@ -143,7 +146,9 @@ def _read_instance(source: str) -> dict:
 def _run_verify(args: argparse.Namespace) -> int:
     try:
         instance = _read_instance(args.instance)
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and an
+    # integer past the interpreter's digit limit for int-string conversion
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

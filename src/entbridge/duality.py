@@ -5,8 +5,8 @@ moduli ("self-dual presentation") through the pairing
 
     <x, y> = sum_i x_i * y_i / d_i   (mod 1),
 
-carried as a reduced fraction, never a float.  On top of the pairing sit
-the three workhorses of the package:
+returned as a ``fractions.Fraction`` in [0, 1), never a float.  On top
+of the pairing sit the three workhorses of the package:
 
 * ``annihilator``: the exact perp of a subgroup, computed via an integer
   kernel after clearing denominators by lcm(moduli);
@@ -26,7 +26,6 @@ as exact identities of canonical lattices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,7 +33,6 @@ from .exactlinalg import HnfBasis, IntMatrix, preimage_lattice, snf
 from .fingroup import FinAbGroup, GroupHom, SubgroupLattice
 
 __all__ = [
-    "PairingValue",
     "dual_group",
     "pairing",
     "annihilator",
@@ -44,47 +42,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    """A rational number modulo 1, stored reduced with 0 <= num < den."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
-            raise ValueError("denominator must be positive")
-        num = self.numerator % self.denominator
-        g = math.gcd(num, self.denominator)
-        object.__setattr__(self, "numerator", num // g)
-        object.__setattr__(self, "denominator", self.denominator // g)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other: "PairingValue") -> "PairingValue":
-        return PairingValue(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-
 def dual_group(group: FinAbGroup) -> FinAbGroup:
     """Character group in the self-dual presentation; involutive on the tag."""
     return FinAbGroup(group.moduli, not group.dual)
 
 
-def pairing(group: FinAbGroup, x: Sequence[int], y: Sequence[int]) -> PairingValue:
-    """Evaluate <x, y> = sum x_i y_i / d_i mod 1 exactly."""
+def pairing(group: FinAbGroup, x: Sequence[int], y: Sequence[int]) -> Fraction:
+    """Evaluate <x, y> = sum x_i y_i / d_i mod 1 exactly, as a Fraction in [0, 1)."""
     xs = group.reduce(x)
     ys = group.reduce(y)
     n = math.lcm(*group.moduli) if group.moduli else 1
     num = sum(a * b * (n // d) for a, b, d in zip(xs, ys, group.moduli))
-    return PairingValue(num, n)
+    return Fraction(num, n) % 1
 
 
 def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:

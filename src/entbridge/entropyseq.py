@@ -11,7 +11,7 @@ The inputs are the integers a_n = [U : C_n] for n = 1..N (equivalently
   pairs and compared through integer cross powers, never floats.
 
 * a stabilization estimate.  The ratio [C_n : C_{n+1}] = a_{n+1}/a_n is
-  a nonincreasing positive integer, so once it repeats across a window
+  a nonincreasing positive integer, so once its last three values agree
   it has very likely reached its limit r, and the entropy is log r.
   A stabilized value that exceeds the certified bound is demoted to
   bounded-only rather than reported.
@@ -35,7 +35,9 @@ __all__ = [
     "estimate_entropy",
 ]
 
-DEFAULT_WINDOW = 3
+# the stabilization estimate needs this many equal trailing ratios; the
+# report records it as "window"
+_WINDOW = 3
 
 
 @total_ordering
@@ -151,25 +153,21 @@ def certified_upper_bound(indices: Sequence[int]) -> LogIndexBound:
     return min(candidates)
 
 
-def estimate_entropy(
-    indices: Sequence[int], window: int = DEFAULT_WINDOW
-) -> EntropyEstimate:
+def estimate_entropy(indices: Sequence[int]) -> EntropyEstimate:
     """Certified bound plus ratio-stabilization estimate for one sequence.
 
     Stabilization requires integer ratios throughout and the last
-    ``window`` of them equal; a stabilized log(ratio) strictly above the
+    three of them equal; a stabilized log(ratio) strictly above the
     certified bound cannot be the entropy, so the estimate is demoted
     and only the bound stands.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
     seq = validate_indices(indices)
     bound = certified_upper_bound(seq)
     r = _integer_ratios(seq) or ()
     ratio: Optional[int] = None
     stabilized = False
     demoted = False
-    if len(r) >= window and len(set(r[-window:])) == 1:
+    if len(r) >= _WINDOW and len(set(r[-_WINDOW:])) == 1:
         ratio = r[-1]
         stabilized = True
         if bound.exceeded_by_ratio(ratio):
@@ -181,5 +179,5 @@ def estimate_entropy(
         ratio=ratio,
         stabilized=stabilized,
         demoted=demoted,
-        window=window,
+        window=_WINDOW,
     )

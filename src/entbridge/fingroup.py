@@ -18,21 +18,16 @@ one group, one map at a time, and :func:`image_chain` adds up the images
 of maps into one group.  The tower route (:mod:`entbridge.tdlca`) and
 the p-adic route (:mod:`entbridge.padic`) both read their index
 sequences off these two chains.
-
-Element enumeration is intentionally gated; it exists as a first-class
-brute-force oracle for the test suite, not as a computation path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
 
 __all__ = [
-    "ENUMERATION_LIMIT",
     "FinAbGroup",
     "SubgroupLattice",
     "GroupHom",
@@ -51,8 +46,6 @@ __all__ = [
     "kernel_chain",
     "image_chain",
 ]
-
-ENUMERATION_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -98,12 +91,6 @@ class FinAbGroup:
     def relation_basis(self) -> HnfBasis:
         return HnfBasis(IntMatrix.diagonal(self.moduli))
 
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All elements; brute-force oracle, refuses large groups."""
-        if self.order > ENUMERATION_LIMIT:
-            raise ValueError("group too large to enumerate")
-        return itertools.product(*(range(d) for d in self.moduli))
-
 
 @dataclass(frozen=True)
 class SubgroupLattice:
@@ -147,12 +134,6 @@ class SubgroupLattice:
         b1 = self.basis.matrix
         coords = preimage_lattice(b1, other.basis)
         return SubgroupLattice(self.ambient, hnf(b1 @ coords.matrix))
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All subgroup elements; gated brute-force oracle."""
-        for v in self.ambient.elements():
-            if self.basis.contains(v):
-                yield v
 
 
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:

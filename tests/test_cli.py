@@ -56,10 +56,18 @@ trajectory vs closed form (stabilized): consistent
 """
 
 
-# bytes that are not UTF-8, and arrays nested past the JSON parser's
-# recursion limit
+# bytes that are not UTF-8, arrays nested past the JSON parser's recursion
+# limit, and an integer past the interpreter's 4300-digit limit for
+# converting a string to an int
 UNREADABLE = pytest.mark.parametrize(
-    "payload", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "too-deep"]
+    "payload",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+        b'{"kind": "finite", "moduli": [%s], "endomorphism": [[0]], "subgroup": [], "steps": 2}'
+        % (b"9" * 5000),
+    ],
+    ids=["not-utf8", "too-deep", "too-many-digits"],
 )
 
 # the largest prime below padic._MR_BOUND, the top of the schema's range
@@ -85,6 +93,14 @@ CAPS = {
     "qp columns": (16, lambda n: dict(QP_INSTANCE, matrix=[["1"] * n])),
     "real rows": (16, lambda n: {"kind": "real", "matrix": [[1]] * n}),
     "real columns": (16, lambda n: {"kind": "real", "matrix": [[1] * n]}),
+    "finite modulus": (2**128, lambda n: dict(FINITE_INSTANCE, moduli=[n, 2, 2])),
+    "shift modulus": (2**128, lambda n: dict(SHIFT_INSTANCE, modulus=n)),
+    "qp integer entry": (2**128, lambda n: dict(QP_INSTANCE, matrix=[[n]])),
+    "qp negative integer entry": (2**128, lambda n: dict(QP_INSTANCE, matrix=[[-n]])),
+    "qp string length": (16, lambda n: dict(QP_INSTANCE, matrix=[["1/" + "1" * (n - 2)]])),
+    "qp exponent digits": (1, lambda n: dict(QP_INSTANCE, matrix=[["1e-" + "1" * n]])),
+    "real string length": (32, lambda n: {"kind": "real", "matrix": [["1/" + "1" * (n - 2)]]}),
+    "real exponent digits": (3, lambda n: {"kind": "real", "matrix": [["1e" + "1" * n]]}),
 }
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import closure
+from conftest import all_elements, closure
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import IntMatrix
-from entbridge.fingroup import ENUMERATION_LIMIT, FinAbGroup
+from entbridge.fingroup import FinAbGroup
 from entbridge.padic import (
     _MR_BOUND,
     PadicEntropy,
@@ -292,6 +292,19 @@ class TestIndexSequences:
         assert cotrajectory_indices(2, m, 6) == (1, 2, 4, 8, 16, 32)
         assert trajectory_indices(2, m, 6) == (1, 2, 4, 8, 16, 32)
 
+    def test_working_modulus_cap(self):
+        # the sequences work modulo p^((steps - 1) e), accepted up to 2^128
+        for prime, steps in [(2, 129), (3, 81)]:  # 2^128, and 3^80 < 2^128 < 3^81
+            m = rational_matrix([[Fraction(1, prime)]])
+            expected = tuple(prime**n for n in range(steps))
+            assert cotrajectory_indices(prime, m, steps) == expected
+            assert trajectory_indices(prime, m, steps) == expected
+            for route in (cotrajectory_indices, trajectory_indices):
+                with pytest.raises(ValueError, match="working modulus"):
+                    route(prime, m, steps + 1)
+        with pytest.raises(ValueError, match=r"working modulus 1000003\^63 exceeds 2\^128"):
+            cotrajectory_indices(1000003, rational_matrix([["1/1000003"]]), 64)
+
     def test_integral_direction_is_silent(self):
         m = rational_matrix([[2]])
         assert cotrajectory_indices(2, m, 6) == (1, 1, 1, 1, 1, 1)
@@ -342,7 +355,7 @@ class TestIndexSequences:
         for prime, dim, e, steps in cases:
             top = (steps - 1) * e
             group = FinAbGroup((prime**top,) * dim)
-            assert group.order <= ENUMERATION_LIMIT
+            assert group.order <= 4096  # small enough to enumerate
             for _ in range(4):
                 den = prime**e * rng.choice([1, 3 if prime != 3 else 5])
                 b = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
@@ -371,7 +384,7 @@ class TestIndexSequences:
                         ),
                         steps,
                     )
-                    for x in group.elements()
+                    for x in all_elements(group)
                 ]
                 primal, dual = [], []
                 for n in range(1, steps + 1):
