@@ -26,14 +26,15 @@ from .fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
-    cotrajectory,
     full_subgroup,
     image,
     index,
+    join_chain,
     kernel,
+    meet_chain,
+    powers,
     preimage,
     subgroup_from_generators,
-    trajectory,
     trivial_subgroup,
 )
 from .padic import (
@@ -76,8 +77,9 @@ __all__ = [
     "image",
     "preimage",
     "kernel",
-    "cotrajectory",
-    "trajectory",
+    "powers",
+    "meet_chain",
+    "join_chain",
     "dual_group",
     "pairing",
     "annihilator",

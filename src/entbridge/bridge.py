@@ -8,11 +8,15 @@ verdict says "mismatch" only when two integers that duality says are
 equal came out different, and the report then carries a reproducible
 counterexample payload.
 
-The finite chains C_n and T_n come from :mod:`entbridge.fingroup` and
-are built once per report.  The module also packages the individual
-duality laws as checkable units (LawCheck): the two chain laws share
-one build of each chain in :func:`check_chain_laws`, and the quotient
-law wraps :func:`entbridge.duality.check_quotient_duality`.  Seeded
+The finite chains are built once per report by the two builders of
+:mod:`entbridge.fingroup`: C_n is the running intersection of the
+preimages f^-k(U), and T_n the running sum of the images of perp U
+under the powers of the adjoint, k < n; the indices are
+a_n = [C_1 : C_n] and b_n = [T_n : T_1].  Neither side is derived from
+the other.  The module also packages the individual duality laws as
+checkable units (LawCheck): the two chain laws share one build of each
+chain in :func:`check_chain_laws`, and the quotient law wraps
+:func:`entbridge.duality.check_quotient_duality`.  Seeded
 random generators for groups, endomorphisms, subgroups and instances
 make large randomized suites one loop away.
 """
@@ -34,12 +38,13 @@ from .fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
-    cotrajectory_chain,
     image,
     index,
+    join_chain,
+    meet_chain,
+    powers,
     preimage,
     subgroup_from_generators,
-    trajectory_chain,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
 from .tdlca import full_shift_tower
@@ -135,15 +140,27 @@ def check_preimage_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> L
     return _law("annihilator-of-preimage-is-image-of-annihilator", True, {})
 
 
+def _finite_chains(
+    f: GroupHom, u: SubgroupLattice, steps: int
+) -> tuple[list[SubgroupLattice], list[SubgroupLattice]]:
+    """([C_1, ..., C_steps], [T_1, ..., T_steps]) with C_n = U ∩ f^-1 U ∩ ... ∩ f^-(n-1) U
+    and T_n = perp U + g(perp U) + ... + g^(n-1)(perp U), g the adjoint of f.
+    """
+    if u.ambient != f.domain:
+        raise ValueError("need an endomorphism of the subgroup's group")
+    co = meet_chain([preimage(h, u) for h in powers(f, steps)])
+    uperp = annihilator(u)
+    tr = join_chain([image(h, uperp) for h in powers(dual_hom(f), steps)])
+    return co, tr
+
+
 def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawCheck]:
     """perp(C_n(f, U)) == T_n(adjoint f, perp U) and [U : C_n] == [T_n : perp U]
     for n = 1..steps, from one build of each chain.
 
     Each law reports its own first failing step.
     """
-    co = cotrajectory_chain(f, u, steps)
-    uperp = annihilator(u)
-    tr = trajectory_chain(dual_hom(f), uperp, steps)
+    co, tr = _finite_chains(f, u, steps)
     instance = {"endomorphism": _hom_payload(f), "subgroup": _subgroup_payload(u)}
     perp_failure = index_failure = None
     for n, (c, t) in enumerate(zip(co, tr), start=1):
@@ -157,7 +174,7 @@ def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawChe
                     "dual_trajectory": _subgroup_payload(t),
                 }
         if index_failure is None:
-            a, b = index(u, c), index(t, uperp)
+            a, b = index(co[0], c), index(t, tr[0])
             if a != b:
                 index_failure = {**instance, "step": n, "primal_index": a, "dual_index": b}
     return [
@@ -261,11 +278,9 @@ def _two_sided_report(
 
 def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
     """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
-    co = cotrajectory_chain(f, u, steps)
-    uperp = annihilator(u)
-    tr = trajectory_chain(dual_hom(f), uperp, steps)
-    primal = [index(u, c) for c in co]
-    dual_side = [index(t, uperp) for t in tr]
+    co, tr = _finite_chains(f, u, steps)
+    primal = [index(co[0], c) for c in co]
+    dual_side = [index(t, tr[0]) for t in tr]
     counterexample = None
     for n, (a, b) in enumerate(zip(primal, dual_side), start=1):
         if a != b:
@@ -307,12 +322,14 @@ def _route_agreement(est: EntropyEstimate, value: padic.PadicEntropy) -> dict:
 def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
     """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
     m = padic.rational_matrix(entries)
+    # the index routes refuse an oversized working modulus cheaply, so they
+    # run before char_poly, whose Fraction arithmetic can take seconds
+    co = padic.cotrajectory_indices(prime, m, steps)
+    tr = padic.trajectory_indices(prime, tuple(zip(*m)), steps)
     coeffs = padic.char_poly(m)
     if coeffs[0] == 0:
         raise ValueError("v1 requires invertible endomorphism")
     newton = padic.newton_entropy(prime, coeffs)
-    co = padic.cotrajectory_indices(prime, m, steps)
-    tr = padic.trajectory_indices(prime, tuple(zip(*m)), steps)
     est_co = estimate_entropy(co)
     est_tr = estimate_entropy(tr)
     per_step = [a == b for a, b in zip(co, tr)]

@@ -4,25 +4,27 @@ A subgroup is held as the integer lattice of its representatives, an
 :class:`~entbridge.exactlinalg.HnfBasis` squeezed between the relation
 lattice diag(d) Z^k and Z^k.  Because the basis is canonical, subgroup
 equality is structural equality, indices are determinant quotients, and
-all operations (sum, intersection, image, preimage, iterated forward and
-backward orbits of a subgroup under an endomorphism) reduce to exact
-integer lattice computations.
+all operations (sum, intersection, image, preimage, kernel) reduce to
+exact integer lattice computations.
 
 Homomorphisms carry an eagerly checked divisibility certificate:
 a matrix M induces a well-defined map between the presented groups
 exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j.
 
-Two more chain builders take a list of maps instead of an
-endomorphism: :func:`kernel_chain` intersects the kernels of maps out of
-one group, one map at a time, and :func:`image_chain` adds up the images
-of maps into one group.  The tower route (:mod:`entbridge.tdlca`) and
-the p-adic route (:mod:`entbridge.padic`) both read their index
-sequences off these two chains.
+Every index chain in the package is built by one of two builders over a
+list of subgroups of one group: :func:`meet_chain` (running
+intersections, the cotrajectories) and :func:`join_chain` (running
+sums, the trajectories).  The finite route feeds them the preimages
+f^-k(U) and, on the dual side, the images of perp U under the powers of
+the adjoint of f, both for k < n (:func:`powers`).  The tower route
+(:mod:`entbridge.tdlca`) and the p-adic route (:mod:`entbridge.padic`)
+feed them the kernels and the images of their condition maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
@@ -39,12 +41,9 @@ __all__ = [
     "preimage",
     "kernel",
     "is_surjective",
-    "cotrajectory_chain",
-    "trajectory_chain",
-    "cotrajectory",
-    "trajectory",
-    "kernel_chain",
-    "image_chain",
+    "powers",
+    "meet_chain",
+    "join_chain",
 ]
 
 
@@ -227,66 +226,27 @@ def is_surjective(f: GroupHom) -> bool:
     return image(f, full_subgroup(f.domain)) == full_subgroup(f.codomain)
 
 
-def _require_endo_on(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> None:
-    if not f.is_endo or f.domain != subgroup.ambient:
-        raise ValueError("need an endomorphism of the subgroup's group")
-    if steps < 1:
-        raise ValueError("step count must be at least 1")
+def powers(f: GroupHom, n: int) -> list[GroupHom]:
+    """[1, f, f^2, ..., f^(n-1)] for an endomorphism f and n >= 1."""
+    if not f.is_endo:
+        raise ValueError("need an endomorphism")
+    if n < 1:
+        raise ValueError("power count must be at least 1")
+    out = [GroupHom.identity(f.domain)]
+    for _ in range(n - 1):
+        out.append(f.compose(out[-1]))
+    return out
 
 
-def cotrajectory_chain(
-    f: GroupHom, subgroup: SubgroupLattice, steps: int
-) -> list[SubgroupLattice]:
-    """[C_1, ..., C_steps] with C_1 = U and C_{k+1} = U n f^-1(C_k)."""
-    _require_endo_on(f, subgroup, steps)
-    chain = [subgroup]
-    for _ in range(steps - 1):
-        chain.append(subgroup.intersect(preimage(f, chain[-1])))
-    return chain
+def meet_chain(subgroups: Sequence[SubgroupLattice]) -> list[SubgroupLattice]:
+    """[S_1, S_1 n S_2, ..., S_1 n ... n S_n] for subgroups of one group."""
+    if not subgroups:
+        raise ValueError("need at least one subgroup")
+    return list(accumulate(subgroups, SubgroupLattice.intersect))
 
 
-def trajectory_chain(
-    f: GroupHom, subgroup: SubgroupLattice, steps: int
-) -> list[SubgroupLattice]:
-    """[T_1, ..., T_steps] with T_1 = U and T_{k+1} = U + f(T_k)."""
-    _require_endo_on(f, subgroup, steps)
-    chain = [subgroup]
-    for _ in range(steps - 1):
-        chain.append(subgroup.sum(image(f, chain[-1])))
-    return chain
-
-
-def cotrajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
-    """Intersection of the first `steps` preimages U, f^-1(U), ...: the last C_n."""
-    return cotrajectory_chain(f, subgroup, steps)[-1]
-
-
-def trajectory(f: GroupHom, subgroup: SubgroupLattice, steps: int) -> SubgroupLattice:
-    """Sum of the first `steps` forward images U, f(U), ...: the last T_n."""
-    return trajectory_chain(f, subgroup, steps)[-1]
-
-
-def kernel_chain(maps: Sequence[GroupHom]) -> list[SubgroupLattice]:
-    """[K_1, ..., K_n] with K_t = ker(maps[0]) n ... n ker(maps[t-1]).
-
-    The maps must share one domain; the chain lives in it.
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    chain = [kernel(maps[0])]
-    for f in maps[1:]:
-        chain.append(chain[-1].intersect(kernel(f)))
-    return chain
-
-
-def image_chain(maps: Sequence[GroupHom]) -> list[SubgroupLattice]:
-    """[S_1, ..., S_n] with S_t = maps[0](domain) + ... + maps[t-1](domain).
-
-    The maps must share one codomain; the chain lives in it.
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    chain = [image(maps[0], full_subgroup(maps[0].domain))]
-    for f in maps[1:]:
-        chain.append(chain[-1].sum(image(f, full_subgroup(f.domain))))
-    return chain
+def join_chain(subgroups: Sequence[SubgroupLattice]) -> list[SubgroupLattice]:
+    """[S_1, S_1 + S_2, ..., S_1 + ... + S_n] for subgroups of one group."""
+    if not subgroups:
+        raise ValueError("need at least one subgroup")
+    return list(accumulate(subgroups, SubgroupLattice.sum))

@@ -6,12 +6,13 @@ A = B / (u p^e) with B an integer matrix and u a unit at p, and let
 U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x = 0 mod p^(ke),
 k < n}, and it contains p^N U for N = (steps - 1) e.  So on
 G = (Z/p^N)^d the cotrajectory chain is the running intersection of the
-kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.kernel_chain`).
+kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.meet_chain`).
 Scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
-subgroup of G spanned by p^(N-ke) B^k G (:func:`entbridge.fingroup.image_chain`).
-Both sides are called with their own matrix, so the adjoint route
-powers the transpose that it is given and shares nothing with the
-primal route but the finite arithmetic.
+running sum of the subgroups p^(N-ke) B^k G
+(:func:`entbridge.fingroup.join_chain`).  The powers B^k come from
+:func:`entbridge.fingroup.powers`.  Both sides are called with their own
+matrix, so the adjoint route powers the transpose that it is given and
+shares nothing with the primal route but the finite arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -40,7 +41,17 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, rational_inverse
-from .fingroup import FinAbGroup, GroupHom, image_chain, index, kernel, kernel_chain
+from .fingroup import (
+    FinAbGroup,
+    GroupHom,
+    full_subgroup,
+    image,
+    index,
+    join_chain,
+    kernel,
+    meet_chain,
+    powers,
+)
 
 __all__ = [
     "PadicLattice",
@@ -337,11 +348,7 @@ def _finite_level(
         )
     b = IntMatrix.from_rows([[_as_int(x * den) for x in row] for row in matrix])
     levels = [FinAbGroup((prime ** (k * e),) * b.rows) for k in range(steps)]
-    f = GroupHom(levels[-1], levels[-1], b)
-    powers = [GroupHom.identity(levels[-1])]
-    for _ in range(steps - 1):
-        powers.append(f.compose(powers[-1]))
-    return e, levels, powers
+    return e, levels, powers(GroupHom(levels[-1], levels[-1], b), steps)
 
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
@@ -350,9 +357,9 @@ def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tupl
     x lies in that intersection exactly when B^k x = 0 mod p^(ke) for
     k < n, so a_n is the index in G of the kernels of G -> G_k, x -> B^k x.
     """
-    _, levels, powers = _finite_level(prime, matrix, steps)
-    chain = kernel_chain(
-        [GroupHom(levels[-1], g, power.matrix) for g, power in zip(levels, powers)]
+    _, levels, b_powers = _finite_level(prime, matrix, steps)
+    chain = meet_chain(
+        [kernel(GroupHom(levels[-1], g, h.matrix)) for g, h in zip(levels, b_powers)]
     )
     return tuple(index(chain[0], c) for c in chain)
 
@@ -363,11 +370,14 @@ def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[
     Scaled by p^N, the sum is the subgroup of G spanned by the images of
     G_k -> G, y -> p^(N-ke) B^k y, and U becomes the trivial subgroup.
     """
-    e, levels, powers = _finite_level(prime, matrix, steps)
-    chain = image_chain(
+    e, levels, b_powers = _finite_level(prime, matrix, steps)
+    chain = join_chain(
         [
-            GroupHom(g, levels[-1], power.matrix.scaled(prime ** (e * (steps - 1 - k))))
-            for k, (g, power) in enumerate(zip(levels, powers))
+            image(
+                GroupHom(g, levels[-1], h.matrix.scaled(prime ** (e * (steps - 1 - k)))),
+                full_subgroup(g),
+            )
+            for k, (g, h) in enumerate(zip(levels, b_powers))
         ]
     )
     return tuple(index(c, chain[0]) for c in chain)

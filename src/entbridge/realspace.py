@@ -57,9 +57,12 @@ def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
 
 
 def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
-    """Moduli of the eigenvalues, descending."""
-    values = np.linalg.eigvals(_as_array(entries))
-    return sorted((abs(v) for v in values), reverse=True)
+    """Moduli of the eigenvalues, descending; a modulus that overflows to
+    inf or NaN in floating point is an input error (ValueError)."""
+    moduli = [abs(v) for v in np.linalg.eigvals(_as_array(entries))]
+    if not all(math.isfinite(m) for m in moduli):
+        raise ValueError("an eigenvalue modulus is not finite in floating point")
+    return sorted(moduli, reverse=True)
 
 
 def _expanding_sum(moduli: Sequence[float], tol: float) -> float:

@@ -23,14 +23,16 @@ out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
-t = 0..n-1: the cotrajectory is :func:`entbridge.fingroup.kernel_chain`
-of these maps, and the trajectory is :func:`entbridge.fingroup.image_chain`
-of their adjoints, the same two builders the p-adic route uses.  The
-condition maps are built incrementally rather than from scratch at
-each step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the
-tower, and F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One
-chain therefore costs O(n + l - j) compositions of bonding and
-component maps.  Every composite is still an ordinary, fully checked
+t = 0..n-1: the cotrajectory is the running intersection of their
+kernels (:func:`entbridge.fingroup.meet_chain`), and the trajectory is
+the running sum of the images of their adjoints
+(:func:`entbridge.fingroup.join_chain`), the same two builders the
+finite and p-adic routes use.  The condition maps are built
+incrementally rather than from scratch at each step:
+pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
+F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One chain
+therefore costs O(n + l - j) compositions of bonding and component
+maps.  Every composite is still an ordinary, fully checked
 GroupHom, and the tower and endomorphism data are validated in full at
 construction.
 """
@@ -46,11 +48,13 @@ from .fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
-    image_chain,
+    full_subgroup,
+    image,
     index,
     is_surjective,
+    join_chain,
     kernel,
-    kernel_chain,
+    meet_chain,
 )
 from .padic import is_prime
 
@@ -173,29 +177,24 @@ class TowerEndo:
             out.append(f.compose(down[level - j - t * self.lag]))
         return out
 
-    def cotrajectory_lattices(
-        self, j: int, steps: int
-    ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
-        """(U_j, [W_1, ..., W_steps]) as lattices at the working level."""
-        chain = kernel_chain(self._condition_maps(j, steps))
-        return chain[0], chain
+    def cotrajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
+        """[W_1, ..., W_steps] at the working level; W_1 is U_j."""
+        return meet_chain([kernel(c) for c in self._condition_maps(j, steps)])
 
-    def trajectory_lattices(
-        self, j: int, steps: int
-    ) -> tuple[SubgroupLattice, list[SubgroupLattice]]:
-        """(perp of U_j, [T_1, ..., T_steps]) in the character group of the working level."""
-        chain = image_chain([dual_hom(c) for c in self._condition_maps(j, steps)])
-        return chain[0], chain
+    def trajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
+        """[T_1, ..., T_steps] in the character group of the working level; T_1 is perp U_j."""
+        duals = [dual_hom(c) for c in self._condition_maps(j, steps)]
+        return join_chain([image(c, full_subgroup(c.domain)) for c in duals])
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """a_n = [U_j : C_n] for n = 1..steps."""
-        base, chain = self.cotrajectory_lattices(j, steps)
-        return tuple(index(base, w) for w in chain)
+        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps."""
+        chain = self.cotrajectory_lattices(j, steps)
+        return tuple(index(chain[0], w) for w in chain)
 
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """b_n = [T_n : perp of U_j] for n = 1..steps, on the dual side."""
-        base, chain = self.trajectory_lattices(j, steps)
-        return tuple(index(t, base) for t in chain)
+        """b_n = [T_n : T_1] for n = 1..steps, on the dual side."""
+        chain = self.trajectory_lattices(j, steps)
+        return tuple(index(t, chain[0]) for t in chain)
 
 
 def full_shift_tower(modulus: int, height: int) -> TowerEndo:

@@ -18,17 +18,26 @@ from entbridge.bridge import (
     shift_bridge,
     verify_instance,
 )
-from entbridge.bridge import _hom_payload, _law, _subgroup_payload, _two_sided_report
+from entbridge.bridge import (
+    _finite_chains,
+    _hom_payload,
+    _law,
+    _subgroup_payload,
+    _two_sided_report,
+)
 from entbridge.cli import load_schema
 from entbridge.duality import annihilator, dual_group, dual_hom
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
-    cotrajectory_chain,
     full_subgroup,
+    image,
+    join_chain,
+    meet_chain,
+    powers,
+    preimage,
     subgroup_from_generators,
-    trajectory_chain,
 )
 
 LAW_NAMES = [
@@ -49,27 +58,58 @@ def frozen_instance():
     return g, f, u
 
 
+def recursive_cotrajectory(f, u, steps):
+    """Reference: C_1 = U and C_{k+1} = U ∩ f^-1(C_k)."""
+    chain = [u]
+    for _ in range(steps - 1):
+        chain.append(u.intersect(preimage(f, chain[-1])))
+    return chain
+
+
+def recursive_trajectory(f, u, steps):
+    """Reference: T_1 = U and T_{k+1} = U + f(T_k)."""
+    chain = [u]
+    for _ in range(steps - 1):
+        chain.append(u.sum(image(f, chain[-1])))
+    return chain
+
+
 class TestChains:
     def test_lengths_and_first_entry(self):
         g, f, u = frozen_instance()
-        co = cotrajectory_chain(f, u, 4)
+        co = meet_chain([preimage(h, u) for h in powers(f, 4)])
         assert len(co) == 4 and co[0] == u
-        tr = trajectory_chain(f, u, 4)
+        tr = join_chain([image(h, u) for h in powers(f, 4)])
         assert len(tr) == 4 and tr[0] == u
 
     def test_chains_shrink_and_grow(self):
         g, f, u = frozen_instance()
-        co = cotrajectory_chain(f, u, 5)
+        co, tr = _finite_chains(f, u, 5)
         assert all(a.contains(b) for a, b in zip(co, co[1:]))
-        tr = trajectory_chain(f, u, 5)
         assert all(b.contains(a) for a, b in zip(tr, tr[1:]))
 
     def test_step_validation(self):
         g, f, u = frozen_instance()
         with pytest.raises(ValueError, match="at least 1"):
-            cotrajectory_chain(f, u, 0)
+            _finite_chains(f, u, 0)
         with pytest.raises(ValueError, match="at least 1"):
-            trajectory_chain(f, u, 0)
+            powers(dual_hom(f), 0)
+
+    def test_match_the_recursion(self):
+        # rank 1-4, steps 1-8; U is cyclic on a random generator, drawn
+        # independently of the endomorphism, so many draws are not invariant
+        rng = random.Random(43)
+        non_invariant = 0
+        for _ in range(80):
+            group = FinAbGroup(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 4))))
+            f = random_endomorphism(rng, group)
+            u = subgroup_from_generators(group, [[rng.randrange(d) for d in group.moduli]])
+            steps = rng.randint(1, 8)
+            non_invariant += not u.contains(image(f, u))
+            co, tr = _finite_chains(f, u, steps)
+            assert co == recursive_cotrajectory(f, u, steps)
+            assert tr == recursive_trajectory(dual_hom(f), annihilator(u), steps)
+        assert non_invariant >= 20
 
 
 class TestLaws:
@@ -129,7 +169,7 @@ class TestLaws:
         perp_law, index_law = check_chain_laws(f, u, 5)
         assert index_law.passed and index_law.payload is None
         assert not perp_law.passed
-        t2 = trajectory_chain(dual_hom(f), annihilator(u), 2)[1]
+        t2 = recursive_trajectory(dual_hom(f), annihilator(u), 2)[1]
         assert perp_law.payload == {
             "endomorphism": _hom_payload(f),
             "subgroup": _subgroup_payload(u),
@@ -230,6 +270,20 @@ class TestQpBridge:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="v1 requires invertible endomorphism"):
             qp_bridge(2, [[1, 1], [1, 1]], 4)
+
+    def test_working_modulus_refused_before_char_poly(self, monkeypatch):
+        # entries 1/(8 b) with 256 distinct odd b: char_poly would spend
+        # seconds on Fraction sums, but 64 steps need 2^(63 * 3) = 2^189
+        entries = [[f"1/{8 * (32 * i + 2 * j + 1)}" for j in range(16)] for i in range(16)]
+        instance = {"kind": "qp", "prime": 2, "matrix": entries, "steps": 64}
+        jsonschema.validate(instance, load_schema("instance"))
+
+        def unreachable(matrix):
+            raise AssertionError("char_poly reached")
+
+        monkeypatch.setattr(bridge.padic, "char_poly", unreachable)
+        with pytest.raises(ValueError, match=r"working modulus 2\^189 exceeds 2\^128"):
+            verify_instance(instance)
 
 
 class TestRealBridge:

@@ -286,6 +286,18 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_eigenvalue_overflow_is_input_error(self, tmp_path, capsys):
+        # schema-valid entries near 1e307: the eigenvalue moduli overflow to
+        # inf, which must not reach stdout as a non-JSON Infinity or NaN
+        rng = random.Random(0)
+        matrix = [[f"{rng.randrange(10**25, 10**26)}e282" for _ in range(16)] for _ in range(16)]
+        instance = {"kind": "real", "matrix": matrix}
+        jsonschema.validate(instance, load_schema("instance"))
+        assert main(["verify", write_instance(tmp_path, instance)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eigenvalue modulus is not finite" in captured.err
+
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         report = mismatch_report()
         jsonschema.validate(report, load_schema("report"))

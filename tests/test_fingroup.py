@@ -19,16 +19,15 @@ from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
     SubgroupLattice,
-    cotrajectory,
     full_subgroup,
     image,
-    image_chain,
     index,
+    join_chain,
     kernel,
-    kernel_chain,
+    meet_chain,
+    powers,
     preimage,
     subgroup_from_generators,
-    trajectory,
     trivial_subgroup,
 )
 
@@ -164,6 +163,16 @@ class TestHomLattices:
             preimage(f, full_subgroup(g))
 
 
+def cotrajectory(f, u, steps):
+    """C_steps = U ∩ f^-1 U ∩ ... ∩ f^-(steps-1) U."""
+    return meet_chain([preimage(h, u) for h in powers(f, steps)])[-1]
+
+
+def trajectory(f, u, steps):
+    """T_steps = U + f U + ... + f^(steps-1) U."""
+    return join_chain([image(h, u) for h in powers(f, steps)])[-1]
+
+
 class TestTrajectories:
     def test_match_oracle(self):
         for rng, group in random_cases(15, 50):
@@ -182,16 +191,16 @@ class TestTrajectories:
         g = FinAbGroup((2, 2))
         f = GroupHom.identity(g)
         with pytest.raises(ValueError, match="at least 1"):
-            cotrajectory(f, full_subgroup(g), 0)
+            powers(f, 0)
         with pytest.raises(ValueError, match="at least 1"):
-            trajectory(f, full_subgroup(g), 0)
+            powers(f, -1)
 
     def test_needs_endomorphism(self):
         g = FinAbGroup((2, 2))
         h = FinAbGroup((2,))
         f = GroupHom(g, h, IntMatrix.from_rows([[1, 0]], cols=2))
         with pytest.raises(ValueError, match="endomorphism"):
-            cotrajectory(f, full_subgroup(g), 2)
+            powers(f, 2)
 
     def test_frozen_left_shift(self):
         # left shift on (Z/2)^4 with U = {x : x_1 = 0}; oracle-derived
@@ -207,13 +216,26 @@ class TestTrajectories:
         got = [index(u, cotrajectory(f, u, n)) for n in range(1, 6)]
         assert got == [1, 2, 4, 8, 8]
 
+    def test_powers(self):
+        for rng, group in random_cases(18, 30):
+            f = random_endomorphism(rng, group)
+            n = rng.randint(1, 5)
+            fs = powers(f, n)
+            assert len(fs) == n and fs[0] == GroupHom.identity(group)
+            for k, h in enumerate(fs):
+                for x in all_elements(group):
+                    y = x
+                    for _ in range(k):
+                        y = f.apply(y)
+                    assert h.apply(x) == y
+
 
 class TestChainBuilders:
     def test_kernel_chain_matches_enumeration(self):
         for rng, group in random_cases(16, 40):
             targets = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
             maps = [random_hom(rng, group, t) for t in targets]
-            chain = kernel_chain(maps)
+            chain = meet_chain([kernel(m) for m in maps])
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
                 expected = {
@@ -227,20 +249,32 @@ class TestChainBuilders:
         for rng, group in random_cases(17, 40):
             sources = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
             maps = [random_hom(rng, s, group) for s in sources]
-            chain = image_chain(maps)
+            chain = join_chain([image(m, full_subgroup(m.domain)) for m in maps])
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
                 images = [m.apply(x) for m in maps[: t + 1] for x in all_elements(m.domain)]
                 assert subgroup_elements(sub) == closure(group, images)
 
+    def test_running_meet_and_join_match_enumeration(self):
+        for rng, group in random_cases(19, 40):
+            subs = [random_subgroup(rng, group) for _ in range(rng.randint(1, 4))]
+            elements = [subgroup_elements(s) for s in subs]
+            meets, joins = meet_chain(subs), join_chain(subs)
+            assert len(meets) == len(joins) == len(subs)
+            for t in range(len(subs)):
+                assert subgroup_elements(meets[t]) == frozenset.intersection(*elements[: t + 1])
+                union = [x for e in elements[: t + 1] for x in e]
+                assert subgroup_elements(joins[t]) == closure(group, union)
+
     def test_needs_maps_on_one_group(self):
         g = FinAbGroup((4, 2))
         h = FinAbGroup((2,))
-        with pytest.raises(ValueError, match="at least one map"):
-            kernel_chain([])
-        with pytest.raises(ValueError, match="at least one map"):
-            image_chain([])
+        with pytest.raises(ValueError, match="at least one subgroup"):
+            meet_chain([])
+        with pytest.raises(ValueError, match="at least one subgroup"):
+            join_chain([])
         with pytest.raises(ValueError, match="different groups"):
-            kernel_chain([random_hom(random.Random(0), g, h), GroupHom.identity(h)])
+            meet_chain([kernel(random_hom(random.Random(0), g, h)), full_subgroup(h)])
         with pytest.raises(ValueError, match="different groups"):
-            image_chain([random_hom(random.Random(0), g, h), GroupHom.identity(g)])
+            to_h = random_hom(random.Random(0), g, h)
+            join_chain([image(to_h, full_subgroup(g)), full_subgroup(g)])
