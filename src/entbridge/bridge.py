@@ -10,8 +10,9 @@ counterexample payload.
 
 The finite chains are built once per report by the two builders of
 :mod:`entbridge.fingroup`: C_n is the running intersection of the
-preimages f^-k(U), and T_n the running sum of the images of perp U
-under the powers of the adjoint, k < n; the indices are
+preimages f^-k(U), built from the pairs (f^k, U), and T_n the running
+sum of the images of perp U under the powers g^k of the adjoint, built
+from the pairs (g^k, perp U), k < n; the indices are
 a_n = [C_1 : C_n] and b_n = [T_n : T_1].  Neither side is derived from
 the other.  The module also packages the individual duality laws as
 checkable units (LawCheck): the two chain laws share one build of each
@@ -148,9 +149,9 @@ def _finite_chains(
     """
     if u.ambient != f.domain:
         raise ValueError("need an endomorphism of the subgroup's group")
-    co = meet_chain([preimage(h, u) for h in powers(f, steps)])
+    co = meet_chain([(h, u) for h in powers(f, steps)])
     uperp = annihilator(u)
-    tr = join_chain([image(h, uperp) for h in powers(dual_hom(f), steps)])
+    tr = join_chain([(h, uperp) for h in powers(dual_hom(f), steps)])
     return co, tr
 
 

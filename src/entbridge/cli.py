@@ -71,7 +71,8 @@ def _validate(payload: object, name: str) -> None:
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Sorted keys, fixed indentation; NaN or an infinity raises ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -166,13 +167,15 @@ def _run_verify(args: argparse.Namespace) -> int:
         return EXIT_COMPUTATION_ERROR
     try:
         _validate(report, "report")
+        text = canonical_json(report)
     except jsonschema.ValidationError as exc:
         print(f"error: malformed report: {exc.message}", file=sys.stderr)
         return EXIT_COMPUTATION_ERROR
-    if args.format == "json":
-        sys.stdout.write(canonical_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    # the report schema admits NaN and infinities, which are not JSON
+    except ValueError as exc:
+        print(f"error: malformed report: {exc}", file=sys.stderr)
+        return EXIT_COMPUTATION_ERROR
+    sys.stdout.write(text if args.format == "json" else render_text(report))
     return EXIT_PASS if report["verdict"] == "pass" else EXIT_MISMATCH
 
 

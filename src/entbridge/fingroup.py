@@ -12,19 +12,23 @@ a matrix M induces a well-defined map between the presented groups
 exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j.
 
 Every index chain in the package is built by one of two builders over a
-list of subgroups of one group: :func:`meet_chain` (running
-intersections, the cotrajectories) and :func:`join_chain` (running
-sums, the trajectories).  The finite route feeds them the preimages
-f^-k(U) and, on the dual side, the images of perp U under the powers of
-the adjoint of f, both for k < n (:func:`powers`).  The tower route
-(:mod:`entbridge.tdlca`) and the p-adic route (:mod:`entbridge.padic`)
-feed them the kernels and the images of their condition maps.
+list of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t out of
+one group and returns the running intersections of the preimages
+f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
+into one group and returns the running sums of the images g_t(S_t) (the
+trajectories).  Each step is one elimination: a meet step takes the
+preimage of V_t restricted to the previous term, and a join step takes
+one Hermite form of the previous term next to g_t(S_t).  The finite
+route pairs the powers f^k with U and, on the dual side, the powers of
+the adjoint of f with perp U, both for k < n (:func:`powers`).  The
+tower route (:mod:`entbridge.tdlca`) and the p-adic route
+(:mod:`entbridge.padic`) pair their condition maps with the trivial
+subgroup (kernels) and their adjoints with the full group (images).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
@@ -238,15 +242,45 @@ def powers(f: GroupHom, n: int) -> list[GroupHom]:
     return out
 
 
-def meet_chain(subgroups: Sequence[SubgroupLattice]) -> list[SubgroupLattice]:
-    """[S_1, S_1 n S_2, ..., S_1 n ... n S_n] for subgroups of one group."""
-    if not subgroups:
-        raise ValueError("need at least one subgroup")
-    return list(accumulate(subgroups, SubgroupLattice.intersect))
+def meet_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[SubgroupLattice]:
+    """[C_1, ..., C_n] with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
+
+    Each step is one preimage restricted to the previous term: with B the
+    basis of C_(n-1) (the identity before the first step),
+    C_n = B {y : f_n(B y) in V_n}.
+    """
+    if not pairs:
+        raise ValueError("need at least one (map, subgroup) pair")
+    group = pairs[0][0].domain
+    basis = IntMatrix.identity(group.rank)
+    chain = []
+    for f, v in pairs:
+        if f.domain != group:
+            raise ValueError("maps out of different groups")
+        if v.ambient != f.codomain:
+            raise ValueError("subgroup not in the codomain")
+        coords = preimage_lattice(f.matrix @ basis, v.basis)
+        chain.append(SubgroupLattice(group, hnf(basis @ coords.matrix)))
+        basis = chain[-1].basis.matrix
+    return chain
 
 
-def join_chain(subgroups: Sequence[SubgroupLattice]) -> list[SubgroupLattice]:
-    """[S_1, S_1 + S_2, ..., S_1 + ... + S_n] for subgroups of one group."""
-    if not subgroups:
-        raise ValueError("need at least one subgroup")
-    return list(accumulate(subgroups, SubgroupLattice.sum))
+def join_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[SubgroupLattice]:
+    """[T_1, ..., T_n] with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
+
+    Each step is one Hermite form of the previous term next to the
+    generators of g_n(S_n), starting from the relation lattice.
+    """
+    if not pairs:
+        raise ValueError("need at least one (map, subgroup) pair")
+    group = pairs[0][0].codomain
+    basis = IntMatrix.diagonal(group.moduli)
+    chain = []
+    for g, s in pairs:
+        if g.codomain != group:
+            raise ValueError("maps into different groups")
+        if s.ambient != g.domain:
+            raise ValueError("subgroup not in the domain")
+        chain.append(SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix))))
+        basis = chain[-1].basis.matrix
+    return chain

@@ -6,10 +6,12 @@ A = B / (u p^e) with B an integer matrix and u a unit at p, and let
 U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x = 0 mod p^(ke),
 k < n}, and it contains p^N U for N = (steps - 1) e.  So on
 G = (Z/p^N)^d the cotrajectory chain is the running intersection of the
-kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.meet_chain`).
+kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.meet_chain`
+over each map paired with the trivial subgroup of its codomain).
 Scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
 running sum of the subgroups p^(N-ke) B^k G
-(:func:`entbridge.fingroup.join_chain`).  The powers B^k come from
+(:func:`entbridge.fingroup.join_chain` over each map paired with the
+full group of its domain).  The powers B^k come from
 :func:`entbridge.fingroup.powers`.  Both sides are called with their own
 matrix, so the adjoint route powers the transpose that it is given and
 shares nothing with the primal route but the finite arithmetic.
@@ -45,12 +47,12 @@ from .fingroup import (
     FinAbGroup,
     GroupHom,
     full_subgroup,
-    image,
     index,
     join_chain,
     kernel,
     meet_chain,
     powers,
+    trivial_subgroup,
 )
 
 __all__ = [
@@ -359,7 +361,10 @@ def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tupl
     """
     _, levels, b_powers = _finite_level(prime, matrix, steps)
     chain = meet_chain(
-        [kernel(GroupHom(levels[-1], g, h.matrix)) for g, h in zip(levels, b_powers)]
+        [
+            (GroupHom(levels[-1], g, h.matrix), trivial_subgroup(g))
+            for g, h in zip(levels, b_powers)
+        ]
     )
     return tuple(index(chain[0], c) for c in chain)
 
@@ -373,7 +378,7 @@ def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[
     e, levels, b_powers = _finite_level(prime, matrix, steps)
     chain = join_chain(
         [
-            image(
+            (
                 GroupHom(g, levels[-1], h.matrix.scaled(prime ** (e * (steps - 1 - k)))),
                 full_subgroup(g),
             )

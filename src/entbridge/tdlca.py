@@ -24,11 +24,13 @@ literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
 t = 0..n-1: the cotrajectory is the running intersection of their
-kernels (:func:`entbridge.fingroup.meet_chain`), and the trajectory is
-the running sum of the images of their adjoints
-(:func:`entbridge.fingroup.join_chain`), the same two builders the
-finite and p-adic routes use.  The condition maps are built
-incrementally rather than from scratch at each step:
+kernels (:func:`entbridge.fingroup.meet_chain` over the pairs
+(condition map, trivial subgroup)), and the trajectory is the running
+sum of the images of their adjoints
+(:func:`entbridge.fingroup.join_chain` over the pairs (adjoint, full
+group)), the same two builders the finite and p-adic routes use.  The
+condition maps are built incrementally rather than from scratch at each
+step:
 pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
 F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One chain
 therefore costs O(n + l - j) compositions of bonding and component
@@ -49,12 +51,12 @@ from .fingroup import (
     GroupHom,
     SubgroupLattice,
     full_subgroup,
-    image,
     index,
     is_surjective,
     join_chain,
     kernel,
     meet_chain,
+    trivial_subgroup,
 )
 from .padic import is_prime
 
@@ -179,12 +181,13 @@ class TowerEndo:
 
     def cotrajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
         """[W_1, ..., W_steps] at the working level; W_1 is U_j."""
-        return meet_chain([kernel(c) for c in self._condition_maps(j, steps)])
+        conditions = self._condition_maps(j, steps)
+        return meet_chain([(c, trivial_subgroup(c.codomain)) for c in conditions])
 
     def trajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
         """[T_1, ..., T_steps] in the character group of the working level; T_1 is perp U_j."""
         duals = [dual_hom(c) for c in self._condition_maps(j, steps)]
-        return join_chain([image(c, full_subgroup(c.domain)) for c in duals])
+        return join_chain([(c, full_subgroup(c.domain)) for c in duals])
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps."""

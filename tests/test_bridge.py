@@ -77,9 +77,9 @@ def recursive_trajectory(f, u, steps):
 class TestChains:
     def test_lengths_and_first_entry(self):
         g, f, u = frozen_instance()
-        co = meet_chain([preimage(h, u) for h in powers(f, 4)])
+        co = meet_chain([(h, u) for h in powers(f, 4)])
         assert len(co) == 4 and co[0] == u
-        tr = join_chain([image(h, u) for h in powers(f, 4)])
+        tr = join_chain([(h, u) for h in powers(f, 4)])
         assert len(tr) == 4 and tr[0] == u
 
     def test_chains_shrink_and_grow(self):

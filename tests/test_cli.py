@@ -7,7 +7,7 @@ import pytest
 
 import entbridge.cli as cli
 from entbridge import padic
-from entbridge.bridge import _two_sided_report, random_instance
+from entbridge.bridge import _two_sided_report, random_instance, verify_instance
 from entbridge.cli import canonical_json, load_schema, main, render_text
 
 FINITE_INSTANCE = {
@@ -320,6 +320,26 @@ class TestVerify:
         path = write_instance(tmp_path, FINITE_INSTANCE)
         assert main(["verify", path]) == 3
         assert "malformed report" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_report_is_computation_error(self, tmp_path, capsys, monkeypatch, fmt):
+        # the report schema admits an infinite difference, but the canonical
+        # report is strict JSON, so nothing reaches stdout
+        instance = {"kind": "real", "matrix": [[2, 0], [0, 1]]}
+        report = dict(verify_instance(instance), difference=float("inf"))
+        jsonschema.validate(report, load_schema("report"))
+        monkeypatch.setattr(cli, "verify_instance", lambda instance: report)
+        path = write_instance(tmp_path, instance)
+        assert main(["verify", path, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed report" in captured.err
+
+    def test_canonical_json_refuses_non_finite_numbers(self):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                canonical_json({"difference": value})
 
 
 class TestSchemaCommand:

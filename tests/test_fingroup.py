@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -14,7 +15,8 @@ from conftest import (
     subgroup_elements,
 )
 from entbridge.bridge import random_endomorphism, random_subgroup
-from entbridge.exactlinalg import IntMatrix
+from entbridge.duality import dual_hom
+from entbridge.exactlinalg import IntMatrix, random_unimodular
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -30,6 +32,7 @@ from entbridge.fingroup import (
     subgroup_from_generators,
     trivial_subgroup,
 )
+from entbridge.tdlca import conjugate_tower_endo, full_shift_tower, padic_tower
 
 SMALL_MODULI = [(2,), (6,), (2, 2), (4, 2), (2, 4, 2), (8, 3), (9, 3), (4, 4)]
 
@@ -165,12 +168,22 @@ class TestHomLattices:
 
 def cotrajectory(f, u, steps):
     """C_steps = U ∩ f^-1 U ∩ ... ∩ f^-(steps-1) U."""
-    return meet_chain([preimage(h, u) for h in powers(f, steps)])[-1]
+    return meet_chain([(h, u) for h in powers(f, steps)])[-1]
 
 
 def trajectory(f, u, steps):
     """T_steps = U + f U + ... + f^(steps-1) U."""
-    return join_chain([image(h, u) for h in powers(f, steps)])[-1]
+    return join_chain([(h, u) for h in powers(f, steps)])[-1]
+
+
+def two_builder_meet(pairs):
+    """Reference: the running intersection of the whole preimages f_t^-1(V_t)."""
+    return list(accumulate((preimage(f, v) for f, v in pairs), SubgroupLattice.intersect))
+
+
+def two_builder_join(pairs):
+    """Reference: the running sum of the whole images g_t(S_t)."""
+    return list(accumulate((image(g, s) for g, s in pairs), SubgroupLattice.sum))
 
 
 class TestTrajectories:
@@ -235,7 +248,7 @@ class TestChainBuilders:
         for rng, group in random_cases(16, 40):
             targets = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
             maps = [random_hom(rng, group, t) for t in targets]
-            chain = meet_chain([kernel(m) for m in maps])
+            chain = meet_chain([(m, trivial_subgroup(m.codomain)) for m in maps])
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
                 expected = {
@@ -249,7 +262,7 @@ class TestChainBuilders:
         for rng, group in random_cases(17, 40):
             sources = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
             maps = [random_hom(rng, s, group) for s in sources]
-            chain = join_chain([image(m, full_subgroup(m.domain)) for m in maps])
+            chain = join_chain([(m, full_subgroup(m.domain)) for m in maps])
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
                 images = [m.apply(x) for m in maps[: t + 1] for x in all_elements(m.domain)]
@@ -259,22 +272,70 @@ class TestChainBuilders:
         for rng, group in random_cases(19, 40):
             subs = [random_subgroup(rng, group) for _ in range(rng.randint(1, 4))]
             elements = [subgroup_elements(s) for s in subs]
-            meets, joins = meet_chain(subs), join_chain(subs)
+            pairs = [(GroupHom.identity(group), s) for s in subs]
+            meets, joins = meet_chain(pairs), join_chain(pairs)
             assert len(meets) == len(joins) == len(subs)
             for t in range(len(subs)):
                 assert subgroup_elements(meets[t]) == frozenset.intersection(*elements[: t + 1])
                 union = [x for e in elements[: t + 1] for x in e]
                 assert subgroup_elements(joins[t]) == closure(group, union)
 
+    def test_pairs_match_two_builder_oracle(self):
+        # meet: maps out of one group into mixed codomains, each paired with
+        # a random subgroup of its codomain; join: maps from mixed domains
+        # into one group, each paired with a random subgroup of its domain
+        for rng, group in random_cases(20, 60):
+            meet_pairs, join_pairs = [], []
+            for _ in range(rng.randint(1, 5)):
+                other = FinAbGroup(rng.choice(SMALL_MODULI))
+                meet_pairs.append((random_hom(rng, group, other), random_subgroup(rng, other)))
+                join_pairs.append((random_hom(rng, other, group), random_subgroup(rng, other)))
+            assert meet_chain(meet_pairs) == two_builder_meet(meet_pairs)
+            assert join_chain(join_pairs) == two_builder_join(join_pairs)
+
+    @pytest.mark.parametrize(
+        "endo, j, steps",
+        [
+            (full_shift_tower(2, 6), 0, 6),
+            (full_shift_tower(3, 5), 1, 4),
+            (padic_tower(2, 4, [[2, 1], [0, 2]]), 0, 4),
+            (padic_tower(3, 3, [[0, 1, 0], [0, 0, 1], [3, 0, 1]]), 1, 2),
+            (
+                conjugate_tower_endo(
+                    full_shift_tower(2, 5),
+                    [random_unimodular(random.Random(5), k + 1, 6) for k in range(5)],
+                ),
+                0,
+                5,
+            ),
+        ],
+    )
+    def test_tower_pairs_match_two_builder_oracle(self, endo, j, steps):
+        conditions = endo._condition_maps(j, steps)
+        kernels = [(c, trivial_subgroup(c.codomain)) for c in conditions]
+        duals = [dual_hom(c) for c in conditions]
+        images = [(d, full_subgroup(d.domain)) for d in duals]
+        assert endo.cotrajectory_lattices(j, steps) == two_builder_meet(kernels)
+        assert endo.trajectory_lattices(j, steps) == two_builder_join(images)
+
     def test_needs_maps_on_one_group(self):
         g = FinAbGroup((4, 2))
         h = FinAbGroup((2,))
-        with pytest.raises(ValueError, match="at least one subgroup"):
-            meet_chain([])
-        with pytest.raises(ValueError, match="at least one subgroup"):
-            join_chain([])
-        with pytest.raises(ValueError, match="different groups"):
-            meet_chain([kernel(random_hom(random.Random(0), g, h)), full_subgroup(h)])
-        with pytest.raises(ValueError, match="different groups"):
-            to_h = random_hom(random.Random(0), g, h)
-            join_chain([image(to_h, full_subgroup(g)), full_subgroup(g)])
+        to_h = random_hom(random.Random(0), g, h)
+        to_g = random_hom(random.Random(0), h, g)
+        for build in (meet_chain, join_chain):
+            with pytest.raises(ValueError, match="at least one"):
+                build([])
+        with pytest.raises(ValueError, match="out of different groups"):
+            meet_chain([(to_h, full_subgroup(h)), (to_g, full_subgroup(g))])
+        with pytest.raises(ValueError, match="into different groups"):
+            join_chain([(to_h, full_subgroup(g)), (to_g, full_subgroup(h))])
+
+    def test_subgroup_on_the_wrong_side(self):
+        g = FinAbGroup((4, 2))
+        h = FinAbGroup((2,))
+        to_h = random_hom(random.Random(0), g, h)
+        with pytest.raises(ValueError, match="not in the codomain"):
+            meet_chain([(to_h, full_subgroup(g))])
+        with pytest.raises(ValueError, match="not in the domain"):
+            join_chain([(to_h, full_subgroup(h))])
