@@ -48,7 +48,7 @@ from .fingroup import (
     subgroup_from_generators,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
-from .tdlca import full_shift_tower
+from .tdlca import full_shift_tower, working_level
 
 __all__ = [
     "LawCheck",
@@ -302,10 +302,18 @@ def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
 
 
 def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
-    """Both index sequences for the truncated full shift at a base level."""
-    endo = full_shift_tower(modulus, height)
-    primal = endo.cotrajectory_indices(level, steps)
-    dual_side = endo.trajectory_indices(level, steps)
+    """Both index sequences for the truncated full shift at a base level.
+
+    (level, steps) is checked against the height before any level is
+    built, and only levels 0..level+steps-1 are built: no deeper level
+    enters either chain.  A height below 2 is still refused by
+    :func:`~entbridge.tdlca.full_shift_tower`.
+    """
+    top = working_level(height, 1, level, steps)
+    endo = full_shift_tower(modulus, min(height, max(top + 1, 2)))
+    co, tr = endo.chains(level, steps)
+    primal = [index(co[0], c) for c in co]
+    dual_side = [index(t, tr[0]) for t in tr]
     extra = {"modulus": modulus, "height": height, "level": level}
     counterexample = {"modulus": modulus, "height": height, "level": level}
     return _two_sided_report("shift", primal, dual_side, extra, counterexample)

@@ -72,7 +72,8 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
         [[(n // g.moduli[i]) * b.entries[i][r] for i in range(k)] for r in range(k)],
         cols=k,
     )
-    lattice = preimage_lattice(constraints, HnfBasis(IntMatrix.diagonal([n] * k)))
+    target = HnfBasis(IntMatrix.diagonal([n] * k))
+    lattice = preimage_lattice(constraints, target, IntMatrix.identity(k))
     return SubgroupLattice(dual_group(g), lattice)
 
 

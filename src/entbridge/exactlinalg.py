@@ -10,17 +10,24 @@ equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
 One column echelon by Euclid (Cohen, GTM 138, section 2.4) is the only
-integer elimination here.  It computes :func:`hnf`, :func:`kernel_basis`
-(m stacked on the identity) and :func:`preimage_lattice` ([m | -target]
-stacked on [I | 0]).  :func:`snf` runs it on a matrix and then on the
-transpose of its pivot columns, alternately, until every pivot column
-has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+integer elimination here.  It reduces a matrix m stacked on a *tracked
+block*, a matrix whose rows follow the column operations, and returns
+the pivots together with the tracked block of the columns that end up
+zero on every row of m.  :func:`hnf` and :func:`snf` track nothing (an
+empty block), :func:`kernel_basis` tracks the identity, and
+:func:`preimage_lattice` reduces [m | -target] over [basis | 0], so that
+one elimination yields basis . {y : m y in target} directly.
+:func:`snf` runs the echelon on a matrix and then on the transpose of
+its pivot columns, alternately, until every pivot column has a single
+nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
 Matrix products accumulate row by row and skip zero entries, and
-:meth:`HnfBasis.solve` skips rows whose residual is already zero.  The
-tower maps of :mod:`entbridge.tdlca` are mostly 0/1 matrices, and these
-two shortcuts are all the sparsity support there is: every matrix stays
-a dense tuple of rows.
+forward substitution (:meth:`HnfBasis.solve`, and
+:meth:`HnfBasis.contains_lattice` for all columns of a basis in one
+pass) skips rows whose residual is already zero.  The tower maps of
+:mod:`entbridge.tdlca` are mostly 0/1 matrices, and these shortcuts are
+all the sparsity support there is: every matrix stays a dense tuple of
+rows.
 
 Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
 sparse formats, and basis reduction.  The intended scale is small ambient
@@ -83,14 +90,17 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix.diagonal((1,) * n)
 
     @staticmethod
     def diagonal(values: Sequence[int]) -> "IntMatrix":
         n = len(values)
-        return IntMatrix(
-            n, n, tuple(tuple(int(values[i]) if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        data = []
+        for i, v in enumerate(values):
+            row = [0] * n
+            row[i] = int(v)
+            data.append(tuple(row))
+        return IntMatrix(n, n, tuple(data))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -183,14 +193,14 @@ class HnfBasis:
         m = self.matrix
         if m.rows != m.cols:
             raise ValueError("basis matrix must be square")
-        for i in range(m.rows):
-            if m.entries[i][i] <= 0:
+        for i, row in enumerate(m.entries):
+            d = row[i]
+            if d <= 0:
                 raise ValueError("diagonal entries must be positive")
-            for j in range(m.cols):
-                if j > i and m.entries[i][j] != 0:
-                    raise ValueError("basis matrix must be lower triangular")
-                if j < i and not 0 <= m.entries[i][j] < m.entries[i][i]:
-                    raise ValueError("off-diagonal entries must be reduced")
+            if not all(0 <= x < d for x in row[:i]):
+                raise ValueError("off-diagonal entries must be reduced")
+            if any(row[i + 1 :]):
+                raise ValueError("basis matrix must be lower triangular")
 
     @property
     def dim(self) -> int:
@@ -230,26 +240,44 @@ class HnfBasis:
         return self.solve(vector) is not None
 
     def contains_lattice(self, other: "HnfBasis") -> bool:
-        if other.dim != self.dim:
+        """Whether every column of `other` lies in this lattice.
+
+        One forward substitution per column, as in :meth:`solve`, all in
+        this call.  Column c of `other` is zero above row c (it is lower
+        triangular), so its substitution starts at row c.
+        """
+        k = self.dim
+        if other.dim != k:
             raise ValueError("dimension mismatch")
-        return all(self.contains(other.matrix.column(j)) for j in range(self.dim))
+        entries = self.matrix.entries
+        for c, column in enumerate(zip(*other.matrix.entries)):
+            v = list(column)
+            for j in range(c, k):
+                if v[j]:
+                    q, r = divmod(v[j], entries[j][j])
+                    if r:
+                        return False
+                    for i in range(j + 1, k):
+                        v[i] -= q * entries[i][j]
+        return True
 
 
-def _echelon(m: IntMatrix, tracked: int) -> tuple[list[list[int] | None], IntMatrix]:
-    """Column echelon of `m` stacked on [I | 0], where I is tracked x tracked.
+def _echelon(m: IntMatrix, tracked: IntMatrix) -> tuple[list[list[int] | None], IntMatrix]:
+    """Column echelon of `m` stacked on [tracked | 0].
 
-    Row i is shrunk by Euclid across the columns not yet used as pivots
-    until at most one is nonzero there: the pivot of row i, or None.  The
-    other columns are zero above row i, so updates start at row i.
-    Returns the pivots, and the I-block of the columns left zero on every
-    row of `m`.
+    The tracked block has at most m.cols columns, padded with zero
+    columns on the right.  Row i of `m` is shrunk by Euclid across the
+    columns not yet used as pivots until at most one is nonzero there:
+    the pivot of row i, or None.  The other columns are zero above row
+    i, so updates start at row i.  Returns the pivots, and the tracked
+    block of the columns left zero on every row of `m`.
     """
     k = m.rows
-    height = k + tracked
-    unit_rows = tuple(tuple(int(j == t) for j in range(m.cols)) for t in range(tracked))
+    height = k + tracked.rows
+    pad = (0,) * (m.cols - tracked.cols)
     # the columns of the stacked matrix (none when it has no rows, and then
     # nothing is left to reduce or to record)
-    pending = [list(c) for c in zip(*m.entries, *unit_rows)]
+    pending = [list(c) for c in zip(*m.entries, *(row + pad for row in tracked.entries))]
     pivots: list[list[int] | None] = []
     for i in range(k):
         # shrink row i across the pending columns down to a single pivot
@@ -266,7 +294,10 @@ def _echelon(m: IntMatrix, tracked: int) -> tuple[list[list[int] | None], IntMat
         if live:
             pending.remove(live[0])  # the only pending column nonzero on row i
         pivots.append(live[0] if live else None)
-    return pivots, IntMatrix.from_columns([c[k:] for c in pending], rows=tracked)
+    return pivots, IntMatrix.from_columns([c[k:] for c in pending], rows=tracked.rows)
+
+
+_UNTRACKED = IntMatrix(0, 0, ())
 
 
 def hnf(gens: IntMatrix) -> HnfBasis:
@@ -277,7 +308,7 @@ def hnf(gens: IntMatrix) -> HnfBasis:
     ValueError("lattice not full rank") when the column span has rank
     below the ambient dimension.
     """
-    basis, _ = _echelon(gens, 0)
+    basis, _ = _echelon(gens, _UNTRACKED)
     if any(piv is None for piv in basis):
         raise ValueError("lattice not full rank")
     for i, piv in enumerate(basis):
@@ -300,20 +331,24 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     saturated (it generates the kernel exactly, not a finite-index
     sublattice of it).
     """
-    return _echelon(m, m.cols)[1]
+    return _echelon(m, IntMatrix.identity(m.cols))[1]
 
 
-def preimage_lattice(m: IntMatrix, target: HnfBasis) -> HnfBasis:
-    """HNF basis of {x in Z^k : m @ x lies in the target lattice}.
+def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBasis:
+    """HNF basis of {basis @ y : m @ y lies in the target lattice}.
 
-    x is in it exactly when (x, y) is in the kernel of [m | -target] for
-    some y; the echelon of [m | -target] stacked on [I | 0] records x alone.
-    Full rank of the target guarantees full rank of the preimage
-    (det(target) * Z^k is always contained in it).
+    y is in the preimage exactly when (y, z) is in the kernel of
+    [m | -target] for some z; the echelon of [m | -target] stacked on
+    [basis | 0] records basis @ y alone, so the preimage is never formed
+    on its own.  Pass the identity for the plain preimage.  The preimage
+    always has full rank (it contains det(target) * Z^k), so the result
+    has full rank whenever `basis` is square and nonsingular.
     """
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
-    return hnf(_echelon(m.hstack(target.matrix.scaled(-1)), m.cols)[1])
+    if basis.cols != m.cols:
+        raise ValueError("basis and map take different domains")
+    return hnf(_echelon(m.hstack(target.matrix.scaled(-1)), basis)[1])
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:
@@ -326,9 +361,9 @@ def snf(m: IntMatrix) -> tuple[int, ...]:
     gcd/lcm exchange over every pair i < j then sorts the exponent of
     each prime, so each entry divides the next.
     """
-    pivots = [c for c in _echelon(m, 0)[0] if c is not None]
+    pivots = [c for c in _echelon(m, _UNTRACKED)[0] if c is not None]
     while any(sum(map(bool, c)) > 1 for c in pivots):
-        pivots = [c for c in _echelon(IntMatrix.from_rows(pivots), 0)[0] if c is not None]
+        pivots = [c for c in _echelon(IntMatrix.from_rows(pivots), _UNTRACKED)[0] if c is not None]
     diag = [abs(next(x for x in c if x)) for c in pivots]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

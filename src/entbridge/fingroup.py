@@ -16,9 +16,10 @@ list of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t out of
 one group and returns the running intersections of the preimages
 f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
 into one group and returns the running sums of the images g_t(S_t) (the
-trajectories).  Each step is one elimination: a meet step takes the
-preimage of V_t restricted to the previous term, and a join step takes
-one Hermite form of the previous term next to g_t(S_t).  The finite
+trajectories).  Each step is one elimination: a meet step is one
+:func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
+previous term, whose basis it tracks, and a join step is one Hermite
+form of the previous term next to g_t(S_t).  The finite
 route pairs the powers f^k with U and, on the dual side, the powers of
 the adjoint of f with perp U, both for k < n (:func:`powers`).  The
 tower route (:mod:`entbridge.tdlca`) and the p-adic route
@@ -110,10 +111,8 @@ class SubgroupLattice:
     def __post_init__(self) -> None:
         if self.basis.dim != self.ambient.rank:
             raise ValueError("basis dimension mismatch")
-        for i, d in enumerate(self.ambient.moduli):
-            rel = [d if j == i else 0 for j in range(self.ambient.rank)]
-            if not self.basis.contains(rel):
-                raise ValueError("basis does not contain the relation lattice")
+        if not self.basis.contains_lattice(self.ambient.relation_basis()):
+            raise ValueError("basis does not contain the relation lattice")
 
     @property
     def order(self) -> int:
@@ -131,12 +130,12 @@ class SubgroupLattice:
         return SubgroupLattice(self.ambient, hnf(gens))
 
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
+        """The intersection, as B1 {a : B1 a in B2 Z^k}: one elimination
+        that tracks B1, the basis of this subgroup."""
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        # B1 a lies in the other lattice exactly when a lies in its B1-preimage
         b1 = self.basis.matrix
-        coords = preimage_lattice(b1, other.basis)
-        return SubgroupLattice(self.ambient, hnf(b1 @ coords.matrix))
+        return SubgroupLattice(self.ambient, preimage_lattice(b1, other.basis, b1))
 
 
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:
@@ -186,10 +185,9 @@ class GroupHom:
             tuple(x % d for x in row) for row, d in zip(m.entries, self.codomain.moduli)
         )
         object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, reduced))
-        for i, di in enumerate(self.codomain.moduli):
-            for j, dj in enumerate(self.domain.moduli):
-                if (dj * self.matrix.entries[i][j]) % di:
-                    raise ValueError("matrix does not define a homomorphism for these moduli")
+        for row, di in zip(reduced, self.codomain.moduli):
+            if any(dj * x % di for dj, x in zip(self.domain.moduli, row)):
+                raise ValueError("matrix does not define a homomorphism for these moduli")
 
     @staticmethod
     def identity(group: FinAbGroup) -> "GroupHom":
@@ -219,7 +217,8 @@ def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
 def preimage(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.codomain:
         raise ValueError("subgroup not in the codomain")
-    return SubgroupLattice(f.domain, preimage_lattice(f.matrix, subgroup.basis))
+    identity = IntMatrix.identity(f.domain.rank)
+    return SubgroupLattice(f.domain, preimage_lattice(f.matrix, subgroup.basis, identity))
 
 
 def kernel(f: GroupHom) -> SubgroupLattice:
@@ -227,7 +226,9 @@ def kernel(f: GroupHom) -> SubgroupLattice:
 
 
 def is_surjective(f: GroupHom) -> bool:
-    return image(f, full_subgroup(f.domain)) == full_subgroup(f.codomain)
+    """Whether the columns of M and the codomain relations span Z^k: their
+    Hermite form is the identity, which is the only one of determinant 1."""
+    return hnf(f.matrix.hstack(IntMatrix.diagonal(f.codomain.moduli))).det() == 1
 
 
 def powers(f: GroupHom, n: int) -> list[GroupHom]:
@@ -247,7 +248,9 @@ def meet_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[Subgro
 
     Each step is one preimage restricted to the previous term: with B the
     basis of C_(n-1) (the identity before the first step),
-    C_n = B {y : f_n(B y) in V_n}.
+    C_n = B {y : f_n(B y) in V_n}, which one
+    :func:`~entbridge.exactlinalg.preimage_lattice` that tracks B returns
+    in Hermite form.
     """
     if not pairs:
         raise ValueError("need at least one (map, subgroup) pair")
@@ -259,8 +262,7 @@ def meet_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[Subgro
             raise ValueError("maps out of different groups")
         if v.ambient != f.codomain:
             raise ValueError("subgroup not in the codomain")
-        coords = preimage_lattice(f.matrix @ basis, v.basis)
-        chain.append(SubgroupLattice(group, hnf(basis @ coords.matrix)))
+        chain.append(SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis)))
         basis = chain[-1].basis.matrix
     return chain
 

@@ -23,20 +23,23 @@ out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
-t = 0..n-1: the cotrajectory is the running intersection of their
-kernels (:func:`entbridge.fingroup.meet_chain` over the pairs
-(condition map, trivial subgroup)), and the trajectory is the running
-sum of the images of their adjoints
-(:func:`entbridge.fingroup.join_chain` over the pairs (adjoint, full
-group)), the same two builders the finite and p-adic routes use.  The
-condition maps are built incrementally rather than from scratch at each
-step:
-pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
-F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit.  One chain
-therefore costs O(n + l - j) compositions of bonding and component
-maps.  Every composite is still an ordinary, fully checked
-GroupHom, and the tower and endomorphism data are validated in full at
-construction.
+t = 0..n-1, which :meth:`TowerEndo.chains` builds once and hands to
+both: the cotrajectory is the running intersection of their kernels
+(:func:`entbridge.fingroup.meet_chain` over the pairs (condition map,
+trivial subgroup)), and the trajectory is the running sum of the images
+of their adjoints (:func:`entbridge.fingroup.join_chain` over the pairs
+(adjoint, full group)), the same two builders the finite and p-adic
+routes use.  The two chains share only these input maps; neither is
+computed from the other.  The condition maps are built incrementally
+rather than from scratch at each step: pi_{l->k} = projections[k]
+pi_{l->k+1} walking down the tower, and F_{j,t+1} = F_{j,t} f_{j+ts}
+walking along the orbit, so one instance costs O(n + l - j)
+compositions of bonding and component maps.  Every composite is still
+an ordinary, fully checked GroupHom, and the tower and endomorphism
+data are validated in full at construction.  :func:`working_level`
+checks (j, n) against a height before any tower exists, so a caller
+can refuse an out-of-range request, or build only the levels it needs,
+without constructing the rest.
 """
 
 from __future__ import annotations
@@ -63,10 +66,24 @@ from .padic import is_prime
 __all__ = [
     "Tower",
     "TowerEndo",
+    "working_level",
     "full_shift_tower",
     "padic_tower",
     "conjugate_tower_endo",
 ]
+
+
+def working_level(height: int, lag: int, j: int, steps: int) -> int:
+    """Deepest level entering the n-step computation at base level j,
+    j + (steps-1) * lag, checked against a tower of the given height."""
+    if not 0 <= j < height:
+        raise ValueError(f"tower has no level {j}")
+    if steps < 1:
+        raise ValueError("step count must be at least 1")
+    level = j + (steps - 1) * lag
+    if level >= height:
+        raise ValueError(f"tower too short for (j, n) = ({j}, {steps}); need level {level}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -142,14 +159,7 @@ class TowerEndo:
 
     def working_level(self, j: int, steps: int) -> int:
         """Deepest level entering the n-step computation at base level j."""
-        if not 0 <= j < self.tower.height:
-            raise ValueError(f"tower has no level {j}")
-        if steps < 1:
-            raise ValueError("step count must be at least 1")
-        level = j + (steps - 1) * self.lag
-        if level >= self.tower.height:
-            raise ValueError(f"tower too short for (j, n) = ({j}, {steps}); need level {level}")
-        return level
+        return working_level(self.tower.height, self.lag, j, steps)
 
     def iterate(self, j: int, t: int) -> GroupHom:
         """F_{j,t} = maps[j] . maps[j+lag] ... : levels[j + t*lag] -> levels[j]."""
@@ -161,7 +171,7 @@ class TowerEndo:
     def _condition_maps(self, j: int, steps: int) -> list[GroupHom]:
         """[F_{j,t} . pi_{level -> j+t*lag} for t = 0..steps-1], at the working level.
 
-        Built incrementally, so one chain costs O(steps + level - j)
+        Built incrementally, so the list costs O(steps + level - j)
         compositions: pi_{level->k} = projections[k] . pi_{level->k+1}
         and F_{j,t+1} = F_{j,t} . maps[j + t*lag].  Entry t equals
         ``iterate(j, t).compose(tower.project(level, j + t*lag))``.
@@ -179,24 +189,29 @@ class TowerEndo:
             out.append(f.compose(down[level - j - t * self.lag]))
         return out
 
-    def cotrajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
-        """[W_1, ..., W_steps] at the working level; W_1 is U_j."""
-        conditions = self._condition_maps(j, steps)
-        return meet_chain([(c, trivial_subgroup(c.codomain)) for c in conditions])
+    def chains(
+        self, j: int, steps: int
+    ) -> tuple[list[SubgroupLattice], list[SubgroupLattice]]:
+        """([W_1, ..., W_steps], [T_1, ..., T_steps]) from one build of the condition maps.
 
-    def trajectory_lattices(self, j: int, steps: int) -> list[SubgroupLattice]:
-        """[T_1, ..., T_steps] in the character group of the working level; T_1 is perp U_j."""
-        duals = [dual_hom(c) for c in self._condition_maps(j, steps)]
-        return join_chain([(c, full_subgroup(c.domain)) for c in duals])
+        W_n lives at the working level and W_1 is U_j; T_n lives in its
+        character group and T_1 is perp U_j.  The meet chain runs on the
+        condition maps and the join chain on their adjoints.
+        """
+        conditions = self._condition_maps(j, steps)
+        cotrajectory = meet_chain([(c, trivial_subgroup(c.codomain)) for c in conditions])
+        duals = [dual_hom(c) for c in conditions]
+        trajectory = join_chain([(d, full_subgroup(d.domain)) for d in duals])
+        return cotrajectory, trajectory
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps."""
-        chain = self.cotrajectory_lattices(j, steps)
+        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps (builds both chains)."""
+        chain = self.chains(j, steps)[0]
         return tuple(index(chain[0], w) for w in chain)
 
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """b_n = [T_n : T_1] for n = 1..steps, on the dual side."""
-        chain = self.trajectory_lattices(j, steps)
+        """b_n = [T_n : T_1] for n = 1..steps, on the dual side (builds both chains)."""
+        chain = self.chains(j, steps)[1]
         return tuple(index(t, chain[0]) for t in chain)
 
 

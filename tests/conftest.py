@@ -3,12 +3,14 @@
 Everything here works by enumerating group elements and applying
 definitions literally, with no lattice arithmetic, so the fast exact
 code paths can be checked against first principles on small groups.
+The one exception is :func:`tower_index_sequences`, a shared helper
+that reads both index sequences off one build of a tower's chains.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice
+from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index
 
 
 def all_elements(group: FinAbGroup) -> list[tuple[int, ...]]:
@@ -80,3 +82,11 @@ def oracle_trajectory(f: GroupHom, elements: frozenset, steps: int) -> frozenset
         pushed = oracle_image(f, current)
         current = oracle_sum(elements, pushed, f.domain)
     return current
+
+
+def tower_index_sequences(endo, j, steps):
+    """(a_n = [W_1 : W_n], b_n = [T_n : T_1]) from one call of TowerEndo.chains."""
+    cotrajectory, trajectory = endo.chains(j, steps)
+    primal = tuple(index(cotrajectory[0], w) for w in cotrajectory)
+    dual_side = tuple(index(t, trajectory[0]) for t in trajectory)
+    return primal, dual_side

@@ -9,6 +9,7 @@ import random
 import time
 import warnings
 
+from conftest import tower_index_sequences
 from entbridge.bridge import (
     check_all_laws,
     finite_bridge,
@@ -75,8 +76,7 @@ def test_criterion_3_full_shift_towers():
     for modulus in (2, 3, 4, 6):
         start = time.monotonic()
         endo = full_shift_tower(modulus, 8)
-        co = endo.cotrajectory_indices(1, 7)
-        tr = endo.trajectory_indices(1, 7)
+        co, tr = tower_index_sequences(endo, 1, 7)
         elapsed = time.monotonic() - start
         expected = tuple(modulus**t for t in range(7))
         est = estimate_entropy(co)
@@ -179,10 +179,8 @@ def test_criterion_6_representation_invariance():
             random_unimodular(rng, g.rank, 5) for g in endo.tower.levels
         ]
         other = conjugate_tower_endo(endo, unimodulars)
-        if other.cotrajectory_indices(level, steps) != endo.cotrajectory_indices(level, steps):
-            problems += 1
-        if other.trajectory_indices(level, steps) != endo.trajectory_indices(level, steps):
-            problems += 1
+        mine = tower_index_sequences(other, level, steps)
+        problems += sum(a != b for a, b in zip(mine, tower_index_sequences(endo, level, steps)))
     report(6, problems == 0, f"50 towers re-presented, sequence mismatches: {problems}")
 
 

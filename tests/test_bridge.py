@@ -1,3 +1,4 @@
+import math
 import random
 
 import jsonschema
@@ -39,6 +40,7 @@ from entbridge.fingroup import (
     preimage,
     subgroup_from_generators,
 )
+from entbridge.tdlca import TowerEndo, full_shift_tower
 
 LAW_NAMES = [
     "annihilator-of-preimage-is-image-of-annihilator",
@@ -250,6 +252,67 @@ class TestShiftBridge:
         assert report["estimates"]["primal"]["ratio"] == 2
         assert report["estimates"]["primal"]["status"] == "stabilized"
         assert report["modulus"] == 2 and report["level"] == 1
+
+    def test_range_refused_before_any_level_is_built(self, monkeypatch):
+        def unreachable(modulus, height):
+            raise AssertionError("full_shift_tower reached")
+
+        monkeypatch.setattr(bridge, "full_shift_tower", unreachable)
+        with pytest.raises(ValueError, match="tower has no level 70"):
+            shift_bridge(2, 64, 70, 2)
+        instance = {"kind": "shift", "modulus": 2, "height": 64, "level": 63, "steps": 2}
+        with pytest.raises(ValueError, match=r"\(j, n\) = \(63, 2\); need level 64"):
+            verify_instance(instance)
+
+    def test_only_the_working_levels_are_built(self, monkeypatch):
+        heights = []
+
+        def recording(modulus, height):
+            heights.append(height)
+            return full_shift_tower(modulus, height)
+
+        monkeypatch.setattr(bridge, "full_shift_tower", recording)
+        report = shift_bridge(2, 64, 0, 2)
+        shorter = shift_bridge(3, 64, 5, 4)
+        assert heights == [2, 9]
+        # the report carries the given height, and the indices of a
+        # 64-level tower
+        bound = {"index": 2, "steps": 1, "value": math.log(2)}
+        estimate = {
+            "bound": bound,
+            "demoted": False,
+            "ratio": None,
+            "status": "bounded-only",
+            "value": None,
+            "window": 3,
+        }
+        assert report == {
+            "counterexample": None,
+            "estimates": {"dual": estimate, "primal": estimate},
+            "height": 64,
+            "indices": {"dual": [1, 2], "primal": [1, 2]},
+            "kind": "shift",
+            "level": 0,
+            "modulus": 2,
+            "per_step_equal": [True, True],
+            "steps": 2,
+            "verdict": "pass",
+        }
+        assert shorter["height"] == 64
+        assert shorter["indices"]["primal"] == shorter["indices"]["dual"] == [1, 3, 9, 27]
+
+    def test_condition_maps_built_once_per_verify(self, monkeypatch):
+        calls = []
+        original = TowerEndo._condition_maps
+
+        def counting(self, j, steps):
+            calls.append((j, steps))
+            return original(self, j, steps)
+
+        monkeypatch.setattr(TowerEndo, "_condition_maps", counting)
+        instance = {"kind": "shift", "modulus": 3, "height": 10, "level": 2, "steps": 6}
+        assert verify_instance(instance)["verdict"] == "pass"
+        assert calls == [(2, 6)]
 
 
 class TestQpBridge:

@@ -187,6 +187,34 @@ class TestHnf:
         inner = hnf(IntMatrix.from_columns([[2, 0], [0, 3]], rows=2))
         assert outer.contains_lattice(inner)
         assert not inner.contains_lattice(outer)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            outer.contains_lattice(hnf(IntMatrix.identity(3)))
+
+    def test_contains_lattice_matches_solve_per_column(self):
+        # random Hermite pairs, half of them contained by construction
+        # (other = self . R) and half drawn independently
+        rng = random.Random(31)
+
+        def full_rank(k, scale):
+            while True:
+                rows = [[rng.randint(-scale, scale) for _ in range(k)] for _ in range(k)]
+                m = IntMatrix.from_rows(rows, cols=k)
+                if m.det():
+                    return m
+
+        seen = set()
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            outer = hnf(full_rank(k, 6))
+            if rng.random() < 0.5:
+                inner = hnf(outer.matrix @ full_rank(k, 3))
+            else:
+                inner = hnf(full_rank(k, 6))
+            columns = inner.matrix.column_list()
+            expected = all(outer.solve(c) is not None for c in columns)
+            assert outer.contains_lattice(inner) == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 def rational_rank(m: IntMatrix) -> int:
@@ -283,7 +311,7 @@ class TestPreimageLattice:
     def test_against_enumeration(self):
         m = IntMatrix.from_rows([[1, 2], [0, 2]])
         target = hnf(IntMatrix.from_columns([[2, 0], [0, 4]], rows=2))
-        lattice = preimage_lattice(m, target)
+        lattice = preimage_lattice(m, target, IntMatrix.identity(2))
         for x in range(-8, 9):
             for y in range(-8, 9):
                 expected = target.contains(m.apply((x, y)))
@@ -296,16 +324,35 @@ class TestPreimageLattice:
         # residue mod det(target) means they are equal
         m, target = case
         k, det = m.cols, target.det()
-        lattice = preimage_lattice(m, target)
+        lattice = preimage_lattice(m, target, IntMatrix.identity(k))
         assert lattice.contains_lattice(HnfBasis(IntMatrix.diagonal([det] * k)))
         for x in product(range(det), repeat=k):
             assert lattice.contains(x) == target.contains(m.apply(x))
+
+    @given(preimage_cases(), st.data())
+    @settings(max_examples=100)
+    def test_tracked_basis_matches_two_steps(self, case, data):
+        # basis . {y : m y in target} in one elimination equals the plain
+        # preimage multiplied by the basis and put in Hermite form
+        m, target = case
+        k = m.cols
+        row = st.lists(st.integers(-6, 6), min_size=k, max_size=k)
+        basis = IntMatrix.from_rows(data.draw(st.lists(row, min_size=k, max_size=k)), cols=k)
+        assume(basis.det() != 0)
+        plain = preimage_lattice(m, target, IntMatrix.identity(k))
+        assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+    def test_basis_shape_checked(self):
+        m = IntMatrix.identity(2)
+        target = hnf(IntMatrix.identity(2))
+        with pytest.raises(ValueError, match="different domains"):
+            preimage_lattice(m, target, IntMatrix.identity(3))
 
     def test_always_full_rank(self):
         # even a singular map has a full-rank preimage lattice
         m = IntMatrix.from_rows([[1, 1], [1, 1]])
         target = hnf(IntMatrix.from_columns([[5, 0], [0, 5]], rows=2))
-        lattice = preimage_lattice(m, target)
+        lattice = preimage_lattice(m, target, IntMatrix.identity(2))
         assert lattice.det() > 0
         assert lattice.contains((1, -1))
 

@@ -16,7 +16,7 @@ from conftest import (
 )
 from entbridge.bridge import random_endomorphism, random_subgroup
 from entbridge.duality import dual_hom
-from entbridge.exactlinalg import IntMatrix, random_unimodular
+from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, random_unimodular
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -24,6 +24,7 @@ from entbridge.fingroup import (
     full_subgroup,
     image,
     index,
+    is_surjective,
     join_chain,
     kernel,
     meet_chain,
@@ -47,11 +48,59 @@ def random_hom(rng, domain, codomain):
     return GroupHom(domain, codomain, IntMatrix.from_rows(rows, cols=domain.rank))
 
 
-def random_cases(seed, count):
+def small_group(rng):
+    return FinAbGroup(rng.choice(SMALL_MODULI))
+
+
+def wide_group(rng):
+    """A group too large to enumerate: rank 1-5, moduli 2-60."""
+    return FinAbGroup(tuple(rng.randint(2, 60) for _ in range(rng.randint(1, 5))))
+
+
+def random_cases(seed, count, make_group=small_group):
     rng = random.Random(seed)
     for _ in range(count):
-        group = FinAbGroup(rng.choice(SMALL_MODULI))
-        yield rng, group
+        yield rng, make_group(rng)
+
+
+# Reference lattice routes in two steps: the preimage is read off a
+# saturated kernel (an echelon that tracks only the identity), then
+# multiplied by the basis and put in Hermite form.  preimage_lattice does
+# both in one elimination that tracks the basis; these oracles never
+# track anything but the identity.
+
+
+def reference_preimage(m, target):
+    """HnfBasis of {y : m y in target}: the y-block of the kernel of [m | -target]."""
+    gens = kernel_basis(m.hstack(target.matrix.scaled(-1)))
+    return hnf(IntMatrix(m.cols, gens.cols, gens.entries[: m.cols]))
+
+
+def reference_intersect(a, b):
+    """a n b = B1 {y : B1 y in B2 Z^k}, as hnf(B1 @ preimage)."""
+    b1 = a.basis.matrix
+    return SubgroupLattice(a.ambient, hnf(b1 @ reference_preimage(b1, b.basis).matrix))
+
+
+def reference_meet_chain(pairs):
+    """C_n = hnf(B @ {y : f_n(B y) in V_n}), B the basis of C_(n-1)."""
+    group = pairs[0][0].domain
+    basis = IntMatrix.identity(group.rank)
+    chain = []
+    for f, v in pairs:
+        coords = reference_preimage(f.matrix @ basis, v.basis)
+        chain.append(SubgroupLattice(group, hnf(basis @ coords.matrix)))
+        basis = chain[-1].basis.matrix
+    return chain
+
+
+def random_meet_pairs(rng, group, other_group):
+    """1-5 maps out of `group`, each paired with a random subgroup of its codomain."""
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        other = other_group(rng)
+        pairs.append((random_hom(rng, group, other), random_subgroup(rng, other)))
+    return pairs
 
 
 class TestFinAbGroup:
@@ -110,10 +159,23 @@ class TestSubgroups:
 
     def test_basis_must_contain_relations(self):
         g = FinAbGroup((4, 4))
-        from entbridge.exactlinalg import HnfBasis
-
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="basis does not contain the relation lattice"):
             SubgroupLattice(g, HnfBasis(IntMatrix.from_rows([[8, 0], [0, 1]])))
+
+    def test_relation_missed_off_the_diagonal(self):
+        # every diagonal entry divides its modulus, yet (2, 0) is not in the
+        # lattice spanned by (2, 1) and (0, 3)
+        g = FinAbGroup((2, 3))
+        basis = HnfBasis(IntMatrix.from_rows([[2, 0], [1, 3]]))
+        with pytest.raises(ValueError, match="basis does not contain the relation lattice"):
+            SubgroupLattice(g, basis)
+        assert SubgroupLattice(FinAbGroup((6, 3)), basis).order == 3
+
+    def test_intersect_matches_reference(self):
+        for rng, group in random_cases(21, 60, wide_group):
+            a = random_subgroup(rng, group)
+            b = random_subgroup(rng, group)
+            assert a.intersect(b) == reference_intersect(a, b)
 
 
 class TestGroupHom:
@@ -158,6 +220,24 @@ class TestHomLattices:
             assert subgroup_elements(preimage(f, u)) == oracle_preimage(f, ue)
             assert subgroup_elements(kernel(f)) == oracle_kernel(f)
 
+    def test_is_surjective_matches_image_oracle(self):
+        # the whole image compared with the whole codomain, and on small
+        # groups the image counted element by element
+        seen = set()
+        for rng, group in random_cases(22, 60):
+            for other in (small_group(rng), small_group(rng)):
+                f = random_hom(rng, other, group)
+                expected = image(f, full_subgroup(other)) == full_subgroup(group)
+                assert is_surjective(f) == expected
+                assert expected == (len(oracle_image(f, all_elements(other))) == group.order)
+                seen.add(expected)
+        for rng, group in random_cases(23, 60, wide_group):
+            f = random_hom(rng, wide_group(rng), group)
+            expected = image(f, full_subgroup(f.domain)) == full_subgroup(group)
+            assert is_surjective(f) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
     def test_preimage_wrong_side(self):
         g = FinAbGroup((2, 2))
         h = FinAbGroup((2,))
@@ -178,7 +258,8 @@ def trajectory(f, u, steps):
 
 def two_builder_meet(pairs):
     """Reference: the running intersection of the whole preimages f_t^-1(V_t)."""
-    return list(accumulate((preimage(f, v) for f, v in pairs), SubgroupLattice.intersect))
+    preimages = (SubgroupLattice(f.domain, reference_preimage(f.matrix, v.basis)) for f, v in pairs)
+    return list(accumulate(preimages, reference_intersect))
 
 
 def two_builder_join(pairs):
@@ -280,6 +361,21 @@ class TestChainBuilders:
                 union = [x for e in elements[: t + 1] for x in e]
                 assert subgroup_elements(joins[t]) == closure(group, union)
 
+    def test_meet_chain_matches_reference(self):
+        for rng, group in random_cases(24, 60, wide_group):
+            pairs = random_meet_pairs(rng, group, wide_group)
+            assert meet_chain(pairs) == reference_meet_chain(pairs)
+
+    def test_meet_chain_pairs_match_enumeration(self):
+        for rng, group in random_cases(25, 40):
+            pairs = random_meet_pairs(rng, group, small_group)
+            chain = meet_chain(pairs)
+            assert chain == reference_meet_chain(pairs)
+            members = frozenset(all_elements(group))
+            for (f, v), sub in zip(pairs, chain):
+                members &= oracle_preimage(f, subgroup_elements(v))
+                assert subgroup_elements(sub) == members
+
     def test_pairs_match_two_builder_oracle(self):
         # meet: maps out of one group into mixed codomains, each paired with
         # a random subgroup of its codomain; join: maps from mixed domains
@@ -315,8 +411,9 @@ class TestChainBuilders:
         kernels = [(c, trivial_subgroup(c.codomain)) for c in conditions]
         duals = [dual_hom(c) for c in conditions]
         images = [(d, full_subgroup(d.domain)) for d in duals]
-        assert endo.cotrajectory_lattices(j, steps) == two_builder_meet(kernels)
-        assert endo.trajectory_lattices(j, steps) == two_builder_join(images)
+        cotrajectory, trajectory = endo.chains(j, steps)
+        assert cotrajectory == two_builder_meet(kernels) == reference_meet_chain(kernels)
+        assert trajectory == two_builder_join(images)
 
     def test_needs_maps_on_one_group(self):
         g = FinAbGroup((4, 2))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import tower_index_sequences
 from entbridge.duality import annihilator
 from entbridge.exactlinalg import IntMatrix, random_unimodular
 from entbridge.fingroup import FinAbGroup, GroupHom
@@ -11,6 +12,7 @@ from entbridge.tdlca import (
     conjugate_tower_endo,
     full_shift_tower,
     padic_tower,
+    working_level,
 )
 
 
@@ -123,6 +125,16 @@ class TestWorkingLevel:
         endo = padic_tower(3, 1, [[2]])
         assert endo.working_level(0, 50) == 0
 
+    def test_checked_against_a_height_alone(self):
+        # the same checks and messages, before any tower exists
+        assert working_level(64, 1, 0, 64) == 63
+        with pytest.raises(ValueError, match="tower has no level 70"):
+            working_level(64, 1, 70, 2)
+        with pytest.raises(ValueError, match=r"\(j, n\) = \(63, 2\); need level 64"):
+            working_level(64, 1, 63, 2)
+        with pytest.raises(ValueError, match="step count must be at least 1"):
+            working_level(64, 1, 0, 0)
+
 
 class TestFullShift:
     @pytest.mark.parametrize(
@@ -139,14 +151,19 @@ class TestFullShift:
     def test_index_sequences(self, modulus, height, j, steps):
         endo = full_shift_tower(modulus, height)
         expected = tuple(modulus**t for t in range(steps))
-        assert endo.cotrajectory_indices(j, steps) == expected
-        assert endo.trajectory_indices(j, steps) == expected
+        assert tower_index_sequences(endo, j, steps) == (expected, expected)
 
     def test_prefix_consistency(self):
         endo = full_shift_tower(3, 6)
-        full = endo.cotrajectory_indices(0, 6)
+        full = tower_index_sequences(endo, 0, 6)
         for n in range(1, 6):
-            assert endo.cotrajectory_indices(0, n) == full[:n]
+            assert tower_index_sequences(endo, 0, n) == (full[0][:n], full[1][:n])
+
+    def test_per_route_methods_read_the_chains(self):
+        endo = full_shift_tower(2, 6)
+        primal, dual_side = tower_index_sequences(endo, 1, 5)
+        assert endo.cotrajectory_indices(1, 5) == primal
+        assert endo.trajectory_indices(1, 5) == dual_side
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="modulus"):
@@ -189,16 +206,14 @@ class TestConditionMaps:
 class TestAnnihilatorIsTrajectory:
     def test_shift_lattices_match(self):
         endo = full_shift_tower(2, 4)
-        cochain = endo.cotrajectory_lattices(0, 4)
-        trchain = endo.trajectory_lattices(0, 4)
+        cochain, trchain = endo.chains(0, 4)
         assert cochain[0] == endo.tower.open_subgroup(3, 0)
         for w, t in zip(cochain, trchain):
             assert annihilator(w) == t
 
     def test_lag_zero_lattices_match(self):
         endo = padic_tower(2, 3, [[3, 1], [0, 1]])
-        cochain = endo.cotrajectory_lattices(1, 3)
-        trchain = endo.trajectory_lattices(1, 3)
+        cochain, trchain = endo.chains(1, 3)
         assert cochain[0] == endo.tower.open_subgroup(1, 1)
         for w, t in zip(cochain, trchain):
             assert annihilator(w) == t
@@ -208,8 +223,7 @@ class TestPadicTower:
     def test_lag_zero_is_degenerate(self):
         # an integral matrix preserves every level, so all indices collapse
         endo = padic_tower(2, 3, [[3, 1], [0, 1]])
-        assert endo.cotrajectory_indices(1, 3) == (1, 1, 1)
-        assert endo.trajectory_indices(1, 3) == (1, 1, 1)
+        assert tower_index_sequences(endo, 1, 3) == ((1, 1, 1), (1, 1, 1))
 
     @pytest.mark.parametrize("not_prime", [1, 4, 9, 15])
     def test_requires_prime(self, not_prime):
@@ -234,8 +248,7 @@ class TestConjugation:
             random_unimodular(rng, level.rank, 6) for level in endo.tower.levels
         ]
         other = conjugate_tower_endo(endo, unimodulars)
-        assert other.cotrajectory_indices(j, steps) == endo.cotrajectory_indices(j, steps)
-        assert other.trajectory_indices(j, steps) == endo.trajectory_indices(j, steps)
+        assert tower_index_sequences(other, j, steps) == tower_index_sequences(endo, j, steps)
 
     def test_lag_zero_invariant(self):
         rng = random.Random(11)
@@ -244,7 +257,7 @@ class TestConjugation:
             random_unimodular(rng, level.rank, 5) for level in endo.tower.levels
         ]
         other = conjugate_tower_endo(endo, unimodulars)
-        assert other.cotrajectory_indices(0, 4) == endo.cotrajectory_indices(0, 4)
+        assert tower_index_sequences(other, 0, 4) == tower_index_sequences(endo, 0, 4)
 
     def test_needs_one_matrix_per_level(self):
         endo = full_shift_tower(2, 3)
