@@ -101,14 +101,11 @@ def quotient_invariants(outer: SubgroupLattice, inner: SubgroupLattice) -> tuple
     """Invariant factors (> 1) of the finite quotient outer/inner."""
     if outer.ambient != inner.ambient:
         raise ValueError("subgroups live in different groups")
-    if not outer.contains(inner):
+    # the coordinates of each inner basis column in the outer basis; one
+    # that has none means inner is not inside outer
+    cols = [outer.basis.solve(c) for c in zip(*inner.basis.matrix.entries)]
+    if any(c is None for c in cols):
         raise ValueError("not a subgroup pair")
-    cols = []
-    for j in range(inner.basis.dim):
-        coords = outer.basis.solve(inner.basis.matrix.column(j))
-        if coords is None:
-            raise AssertionError("containment was just checked")
-        cols.append(coords)
     rel = IntMatrix.from_columns(cols, rows=outer.basis.dim)
     return tuple(d for d in snf(rel) if d > 1)
 

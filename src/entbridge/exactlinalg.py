@@ -37,7 +37,6 @@ rank (up to a dozen or so) with possibly huge entries.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,8 +49,6 @@ __all__ = [
     "kernel_basis",
     "preimage_lattice",
     "rational_inverse",
-    "inverse_unimodular",
-    "random_unimodular",
 ]
 
 
@@ -388,42 +385,3 @@ def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
     return tuple(tuple(row[n:]) for row in work)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a determinant +-1 matrix."""
-    if m.rows != m.cols:
-        raise ValueError("matrix must be square")
-    if m.det() not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    inverse = rational_inverse([[Fraction(x) for x in row] for row in m.entries])
-    if any(x.denominator != 1 for row in inverse for x in row):
-        raise AssertionError("inverse of a unimodular matrix must be integral")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in inverse], cols=m.cols)
-
-
-def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> IntMatrix:
-    """Random determinant +-1 matrix built from elementary row operations.
-
-    Shear coefficients stay small so products of a few of these remain
-    comfortable for exact arithmetic in tests.
-    """
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if steps is None:
-        steps = 3 * n
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        if n >= 2:
-            i, j = rng.sample(range(n), 2)
-        else:
-            i = j = 0
-        if kind == 0 and n >= 2:
-            c = rng.choice([-2, -1, 1, 2])
-            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        elif kind == 1 and n >= 2:
-            a[i], a[j] = a[j], a[i]
-        else:
-            a[i] = [-x for x in a[i]]
-    return IntMatrix.from_rows(a, cols=n)

@@ -2,7 +2,10 @@
 
 A subgroup is held as the integer lattice of its representatives, an
 :class:`~entbridge.exactlinalg.HnfBasis` squeezed between the relation
-lattice diag(d) Z^k and Z^k.  Because the basis is canonical, subgroup
+lattice diag(d) Z^k and Z^k.  The group owns its relation lattice
+(:attr:`FinAbGroup.relations`, built once on first use), and every
+subgroup check, Hermite form modulo the relations and join chain starts
+from that one basis.  Because the basis is canonical, subgroup
 equality is structural equality, indices are determinant quotients, and
 all operations (sum, intersection, image, preimage, kernel) reduce to
 exact integer lattice computations.
@@ -30,6 +33,7 @@ subgroup (kernels) and their adjoints with the full group (images).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
@@ -92,7 +96,13 @@ class FinAbGroup:
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([a + b for a, b in zip(x, y)])
 
-    def relation_basis(self) -> HnfBasis:
+    @cached_property
+    def relations(self) -> HnfBasis:
+        """The relation lattice diag(moduli) Z^k, built on first use.
+
+        Cached in the instance dict, outside the dataclass fields, so it
+        takes no part in equality, hashing or repr.
+        """
         return HnfBasis(IntMatrix.diagonal(self.moduli))
 
 
@@ -111,7 +121,7 @@ class SubgroupLattice:
     def __post_init__(self) -> None:
         if self.basis.dim != self.ambient.rank:
             raise ValueError("basis dimension mismatch")
-        if not self.basis.contains_lattice(self.ambient.relation_basis()):
+        if not self.basis.contains_lattice(self.ambient.relations):
             raise ValueError("basis does not contain the relation lattice")
 
     @property
@@ -141,7 +151,7 @@ class SubgroupLattice:
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:
     """Subgroup generated by the given elements."""
     cols = [list(group.reduce(g)) for g in generators]
-    gens = IntMatrix.from_columns(cols, rows=group.rank).hstack(IntMatrix.diagonal(group.moduli))
+    gens = IntMatrix.from_columns(cols, rows=group.rank).hstack(group.relations.matrix)
     return SubgroupLattice(group, hnf(gens))
 
 
@@ -150,7 +160,7 @@ def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
 
 
 def trivial_subgroup(group: FinAbGroup) -> SubgroupLattice:
-    return SubgroupLattice(group, group.relation_basis())
+    return SubgroupLattice(group, group.relations)
 
 
 def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
@@ -210,7 +220,7 @@ class GroupHom:
 def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.domain:
         raise ValueError("subgroup not in the domain")
-    gens = (f.matrix @ subgroup.basis.matrix).hstack(IntMatrix.diagonal(f.codomain.moduli))
+    gens = (f.matrix @ subgroup.basis.matrix).hstack(f.codomain.relations.matrix)
     return SubgroupLattice(f.codomain, hnf(gens))
 
 
@@ -228,7 +238,7 @@ def kernel(f: GroupHom) -> SubgroupLattice:
 def is_surjective(f: GroupHom) -> bool:
     """Whether the columns of M and the codomain relations span Z^k: their
     Hermite form is the identity, which is the only one of determinant 1."""
-    return hnf(f.matrix.hstack(IntMatrix.diagonal(f.codomain.moduli))).det() == 1
+    return hnf(f.matrix.hstack(f.codomain.relations.matrix)).det() == 1
 
 
 def powers(f: GroupHom, n: int) -> list[GroupHom]:
@@ -276,7 +286,7 @@ def join_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[Subgro
     if not pairs:
         raise ValueError("need at least one (map, subgroup) pair")
     group = pairs[0][0].codomain
-    basis = IntMatrix.diagonal(group.moduli)
+    basis = group.relations.matrix
     chain = []
     for g, s in pairs:
         if g.codomain != group:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .duality import dual_hom
-from .exactlinalg import IntMatrix, inverse_unimodular
+from .exactlinalg import IntMatrix
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -57,7 +57,6 @@ from .fingroup import (
     index,
     is_surjective,
     join_chain,
-    kernel,
     meet_chain,
     trivial_subgroup,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "working_level",
     "full_shift_tower",
     "padic_tower",
-    "conjugate_tower_endo",
 ]
 
 
@@ -121,10 +119,6 @@ class Tower:
         for k in range(upper - 1, lower - 1, -1):
             h = self.projections[k].compose(h)
         return h
-
-    def open_subgroup(self, level: int, j: int) -> SubgroupLattice:
-        """U_j seen at a working level: the kernel of levels[level] -> levels[j]."""
-        return kernel(self.project(level, j))
 
 
 @dataclass(frozen=True)
@@ -259,29 +253,3 @@ def padic_tower(prime: int, height: int, entries: Sequence[Sequence[int]]) -> To
     )
     maps = tuple(GroupHom(levels[k], levels[k], m) for k in range(height))
     return TowerEndo(Tower(tuple(levels), projections), 0, maps)
-
-
-def conjugate_tower_endo(endo: TowerEndo, unimodulars: Sequence[IntMatrix]) -> TowerEndo:
-    """Re-present the same dynamics through level-wise changes of basis.
-
-    Each unimodular matrix defines an automorphism of its level; the new
-    projections and components are the conjugates, so index sequences
-    are unchanged.
-    """
-    tower = endo.tower
-    if len(unimodulars) != tower.height:
-        raise ValueError("need one unimodular matrix per level")
-    forward = []
-    backward = []
-    for g, a in zip(tower.levels, unimodulars):
-        forward.append(GroupHom(g, g, a))
-        backward.append(GroupHom(g, g, inverse_unimodular(a)))
-    projections = tuple(
-        forward[k].compose(tower.projections[k]).compose(backward[k + 1])
-        for k in range(tower.height - 1)
-    )
-    maps = tuple(
-        forward[k].compose(endo.maps[k]).compose(backward[k + endo.lag])
-        for k in range(len(endo.maps))
-    )
-    return TowerEndo(Tower(tower.levels, projections), endo.lag, maps)

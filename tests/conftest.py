@@ -3,14 +3,20 @@
 Everything here works by enumerating group elements and applying
 definitions literally, with no lattice arithmetic, so the fast exact
 code paths can be checked against first principles on small groups.
-The one exception is :func:`tower_index_sequences`, a shared helper
-that reads both index sequences off one build of a tower's chains.
+The exceptions are :func:`tower_index_sequences`, a shared helper that
+reads both index sequences off one build of a tower's chains, and the
+re-presentation oracle: :func:`unimodular_pair` draws a random change of
+basis together with its inverse, and :func:`conjugate_tower_endo`
+presents the same dynamics through one such pair per level, so tests can
+check that index sequences do not depend on the presentation.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index
+from entbridge.tdlca import Tower, TowerEndo
 
 
 def all_elements(group: FinAbGroup) -> list[tuple[int, ...]]:
@@ -90,3 +96,54 @@ def tower_index_sequences(endo, j, steps):
     primal = tuple(index(cotrajectory[0], w) for w in cotrajectory)
     dual_side = tuple(index(t, trajectory[0]) for t in trajectory)
     return primal, dual_side
+
+
+def unimodular_pair(rng, n, steps=None):
+    """(U, U^-1) for a random determinant +-1 matrix U of size n.
+
+    U is a product of elementary row operations with small shear
+    coefficients (3n of them by default).  Each one is mirrored on U^-1
+    by the inverse column operation: row i += c row j pairs with column
+    j -= c column i, and a swap or a negation is its own inverse.
+    """
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    if steps is None:
+        steps = 3 * n
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+        else:
+            i = j = 0
+        if kind == 0 and n >= 2:
+            c = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            inverse_cols[j] = [x - c * y for x, y in zip(inverse_cols[j], inverse_cols[i])]
+        elif kind == 1 and n >= 2:
+            a[i], a[j] = a[j], a[i]
+            inverse_cols[i], inverse_cols[j] = inverse_cols[j], inverse_cols[i]
+        else:
+            a[i] = [-x for x in a[i]]
+            inverse_cols[i] = [-x for x in inverse_cols[i]]
+    return IntMatrix.from_rows(a, cols=n), IntMatrix.from_columns(inverse_cols, rows=n)
+
+
+def conjugate_tower_endo(endo, pairs):
+    """The same dynamics re-presented through level-wise changes of basis.
+
+    `pairs` holds one (U, U^-1) per level; U is an automorphism of its
+    level, and every projection and component is conjugated by these, so
+    the index sequences are unchanged.
+    """
+    tower = endo.tower
+    assert len(pairs) == tower.height, "need one (U, U^-1) pair per level"
+    forward = [GroupHom(g, g, u) for g, (u, _) in zip(tower.levels, pairs)]
+    backward = [GroupHom(g, g, v) for g, (_, v) in zip(tower.levels, pairs)]
+    projections = [
+        forward[k].compose(pi).compose(backward[k + 1]) for k, pi in enumerate(tower.projections)
+    ]
+    maps = [forward[k].compose(f).compose(backward[k + endo.lag]) for k, f in enumerate(endo.maps)]
+    return TowerEndo(Tower(tower.levels, projections), endo.lag, maps)

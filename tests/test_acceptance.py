@@ -9,7 +9,7 @@ import random
 import time
 import warnings
 
-from conftest import tower_index_sequences
+from conftest import conjugate_tower_endo, tower_index_sequences, unimodular_pair
 from entbridge.bridge import (
     check_all_laws,
     finite_bridge,
@@ -25,14 +25,14 @@ from entbridge.entropyseq import (
     estimate_entropy,
     shifted_submultiplicative,
 )
-from entbridge.exactlinalg import IntMatrix, hnf, random_unimodular
+from entbridge.exactlinalg import IntMatrix, hnf
 from entbridge.padic import char_poly, newton_entropy, rational_matrix
 from entbridge.realspace import (
     BoundaryEigenvalueWarning,
     algebraic_entropy,
     topological_entropy,
 )
-from entbridge.tdlca import conjugate_tower_endo, full_shift_tower, padic_tower
+from entbridge.tdlca import full_shift_tower, padic_tower
 
 
 def report(number, ok, detail):
@@ -175,10 +175,8 @@ def test_criterion_6_representation_invariance():
         cases.append(("padic", padic_tower(prime, 3, entries), 1, 4))
     assert len(cases) == 50
     for _, endo, level, steps in cases:
-        unimodulars = [
-            random_unimodular(rng, g.rank, 5) for g in endo.tower.levels
-        ]
-        other = conjugate_tower_endo(endo, unimodulars)
+        pairs = [unimodular_pair(rng, g.rank, 5) for g in endo.tower.levels]
+        other = conjugate_tower_endo(endo, pairs)
         mine = tower_index_sequences(other, level, steps)
         problems += sum(a != b for a, b in zip(mine, tower_index_sequences(endo, level, steps)))
     report(6, problems == 0, f"50 towers re-presented, sequence mismatches: {problems}")
@@ -220,7 +218,7 @@ def test_criterion_7_property_suites():
             if m.det() != 0:
                 break
         canonical = hnf(m)
-        recombined = hnf(m @ random_unimodular(rng, dim, 8))
+        recombined = hnf(m @ unimodular_pair(rng, dim, 8)[0])
         if recombined.matrix != canonical.matrix:
             problems.append(("hnf-canonical", m.entries))
         if hnf(canonical.matrix).matrix != canonical.matrix:

@@ -7,16 +7,18 @@ import pytest
 from conftest import (
     all_elements,
     closure,
+    conjugate_tower_endo,
     oracle_cotrajectory,
     oracle_image,
     oracle_kernel,
     oracle_preimage,
     oracle_trajectory,
     subgroup_elements,
+    unimodular_pair,
 )
 from entbridge.bridge import random_endomorphism, random_subgroup
 from entbridge.duality import dual_hom
-from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, random_unimodular
+from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -33,7 +35,7 @@ from entbridge.fingroup import (
     subgroup_from_generators,
     trivial_subgroup,
 )
-from entbridge.tdlca import conjugate_tower_endo, full_shift_tower, padic_tower
+from entbridge.tdlca import full_shift_tower, padic_tower
 
 SMALL_MODULI = [(2,), (6,), (2, 2), (4, 2), (2, 4, 2), (8, 3), (9, 3), (4, 4)]
 
@@ -117,6 +119,18 @@ class TestFinAbGroup:
 
     def test_dual_tag_distinguishes(self):
         assert FinAbGroup((2,)) != FinAbGroup((2,), dual=True)
+
+    def test_relations_built_once(self):
+        g = FinAbGroup((12, 4, 1))
+        assert g.relations is g.relations
+        assert g.relations == HnfBasis(IntMatrix.diagonal((12, 4, 1)))
+
+    def test_relations_cache_outside_eq_hash_repr(self):
+        cached, fresh = FinAbGroup((6, 2), dual=True), FinAbGroup((6, 2), dual=True)
+        before = repr(cached)
+        cached.relations
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) == before
 
 
 class TestSubgroups:
@@ -399,7 +413,7 @@ class TestChainBuilders:
             (
                 conjugate_tower_endo(
                     full_shift_tower(2, 5),
-                    [random_unimodular(random.Random(5), k + 1, 6) for k in range(5)],
+                    [unimodular_pair(random.Random(5), k + 1, 6) for k in range(5)],
                 ),
                 0,
                 5,
