@@ -25,9 +25,10 @@ previous term, whose basis it tracks, and a join step is one Hermite
 form of the previous term next to g_t(S_t).  The finite
 route pairs the powers f^k with U and, on the dual side, the powers of
 the adjoint of f with perp U, both for k < n (:func:`powers`).  The
-tower route (:mod:`entbridge.tdlca`) and the p-adic route
-(:mod:`entbridge.padic`) pair their condition maps with the trivial
-subgroup (kernels) and their adjoints with the full group (images).
+tower route (:mod:`entbridge.tdlca`) pairs its condition maps with the
+trivial subgroup (kernels) and their adjoints with the full group
+(images).  The p-adic route (:mod:`entbridge.padic`) runs on one group
+G = (Z/p^N)^d and pairs each power B^k with a subgroup p^c G.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
 """Exact entropy arithmetic on Q_p^d.
 
 The index sequences of a matrix A on Q_p^d are read off one finite
-level, the reduction :mod:`entbridge.tdlca` uses for towers.  Write
+group, the reduction :mod:`entbridge.tdlca` uses for towers.  Write
 A = B / (u p^e) with B an integer matrix and u a unit at p, and let
-U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x = 0 mod p^(ke),
-k < n}, and it contains p^N U for N = (steps - 1) e.  So on
-G = (Z/p^N)^d the cotrajectory chain is the running intersection of the
-kernels of x -> B^k x mod p^(ke) (:func:`entbridge.fingroup.meet_chain`
-over each map paired with the trivial subgroup of its codomain).
-Scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
-running sum of the subgroups p^(N-ke) B^k G
-(:func:`entbridge.fingroup.join_chain` over each map paired with the
-full group of its domain).  The powers B^k come from
-:func:`entbridge.fingroup.powers`.  Both sides are called with their own
-matrix, so the adjoint route powers the transpose that it is given and
-shares nothing with the primal route but the finite arithmetic.
+U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x in p^(ke) U,
+k < n}, and it contains p^N U for N = (steps - 1) e.  So both routes
+run on the one group G = (Z/p^N)^d and its subgroups p^c G, whose
+Hermite basis is the diagonal p^c I.  The cotrajectory chain is the
+running intersection of the preimages of p^(ke) G under x -> B^k x
+(:func:`entbridge.fingroup.meet_chain`).  Scaled by p^N, the
+trajectory U + AU + ... + A^(n-1)U becomes the running sum of the
+images B^k (p^(N-ke) G) (:func:`entbridge.fingroup.join_chain`).  The
+powers B^k come from :func:`entbridge.fingroup.powers`.  Both sides are
+called with their own matrix, so the adjoint route powers the transpose
+that it is given and shares nothing with the primal route but the
+finite arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -46,13 +46,12 @@ from .exactlinalg import HnfBasis, IntMatrix, hnf, rational_inverse
 from .fingroup import (
     FinAbGroup,
     GroupHom,
-    full_subgroup,
+    SubgroupLattice,
     index,
     join_chain,
     kernel,
     meet_chain,
     powers,
-    trivial_subgroup,
 )
 
 __all__ = [
@@ -328,12 +327,13 @@ def preimage(
 
 def _finite_level(
     prime: int, matrix: RationalMatrix, steps: int
-) -> tuple[int, list[FinAbGroup], list[GroupHom]]:
-    """(e, [G_0, ..., G_{steps-1}], [B^0, ..., B^{steps-1}]) for matrix = B / (u p^e).
+) -> tuple[int, FinAbGroup, list[GroupHom]]:
+    """(e, G, [B^0, ..., B^{steps-1}]) for matrix = B / (u p^e).
 
-    B is integral and u is a unit at p; G_k = (Z/p^(ke))^d, and the
-    powers of B act on the working level G = G_{steps-1}.  A working
-    modulus p^((steps-1) e) above 2^_LEVEL_BITS raises ValueError.
+    B is integral and u is a unit at p; G = (Z/p^N)^d with
+    N = (steps - 1) e is the only group built, and the powers of B are
+    its endomorphisms.  A working modulus p^N above 2^_LEVEL_BITS
+    raises ValueError.
     """
     if not is_prime(prime):
         raise ValueError("prime required")
@@ -349,41 +349,36 @@ def _finite_level(
             " use fewer steps or smaller p-power denominators"
         )
     b = IntMatrix.from_rows([[_as_int(x * den) for x in row] for row in matrix])
-    levels = [FinAbGroup((prime ** (k * e),) * b.rows) for k in range(steps)]
-    return e, levels, powers(GroupHom(levels[-1], levels[-1], b), steps)
+    group = FinAbGroup((prime**top,) * b.rows)
+    return e, group, powers(GroupHom(group, group, b), steps)
+
+
+def _multiples(group: FinAbGroup, c: int) -> SubgroupLattice:
+    """The subgroup c G, whose Hermite basis is c times the identity."""
+    return SubgroupLattice(group, HnfBasis(IntMatrix.diagonal((c,) * group.rank)))
 
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """a_n = [U : U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U] for n = 1..steps, U = Z_p^d.
 
-    x lies in that intersection exactly when B^k x = 0 mod p^(ke) for
-    k < n, so a_n is the index in G of the kernels of G -> G_k, x -> B^k x.
+    x lies in that intersection exactly when B^k x lies in p^(ke) G for
+    k < n, so a_n is the index in G of the running meet of those preimages.
     """
-    _, levels, b_powers = _finite_level(prime, matrix, steps)
-    chain = meet_chain(
-        [
-            (GroupHom(levels[-1], g, h.matrix), trivial_subgroup(g))
-            for g, h in zip(levels, b_powers)
-        ]
-    )
+    e, group, b_powers = _finite_level(prime, matrix, steps)
+    chain = meet_chain([(h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers)])
     return tuple(index(chain[0], c) for c in chain)
 
 
 def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """b_n = [U + φU + ... + φ^(n-1)U : U] for n = 1..steps, U = Z_p^d.
 
-    Scaled by p^N, the sum is the subgroup of G spanned by the images of
-    G_k -> G, y -> p^(N-ke) B^k y, and U becomes the trivial subgroup.
+    Scaled by p^N, the sum is the subgroup of G spanned by the images
+    B^k (p^(N-ke) G), and U becomes the trivial subgroup p^N G.
     """
-    e, levels, b_powers = _finite_level(prime, matrix, steps)
+    e, group, b_powers = _finite_level(prime, matrix, steps)
+    top = e * (steps - 1)
     chain = join_chain(
-        [
-            (
-                GroupHom(g, levels[-1], h.matrix.scaled(prime ** (e * (steps - 1 - k)))),
-                full_subgroup(g),
-            )
-            for k, (g, h) in enumerate(zip(levels, b_powers))
-        ]
+        [(h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers)]
     )
     return tuple(index(c, chain[0]) for c in chain)
 

@@ -46,14 +46,21 @@ def _rational(x: RationalLike) -> Fraction:
         raise ValueError(f"matrix entry {x!r} has a zero denominator") from None
 
 
-def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
-    try:
-        rows = [[float(_rational(x)) for x in row] for row in entries]
-    except OverflowError:
-        raise ValueError("matrix entry too large for floating point") from None
+def _square_rows(entries: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+    """The entries as exact rationals, row by row; a matrix that is not
+    square is an input error, whichever route reads it."""
+    rows = [[_rational(x) for x in row] for row in entries]
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ValueError("endomorphism matrix must be square")
-    return np.array(rows, dtype=float)
+    return rows
+
+
+def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
+    rows = _square_rows(entries)
+    try:
+        return np.array([[float(x) for x in row] for row in rows], dtype=float)
+    except OverflowError:
+        raise ValueError("matrix entry too large for floating point") from None
 
 
 def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
@@ -86,6 +93,5 @@ def algebraic_entropy(
     entries: Sequence[Sequence[RationalLike]], tol: float = 1e-9
 ) -> float:
     """Same quantity computed on the dual side, i.e. from the transpose."""
-    rows = [[_rational(x) for x in row] for row in entries]
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
+    transposed = [list(column) for column in zip(*_square_rows(entries))]
     return _expanding_sum(eigenvalue_moduli(transposed), tol)

@@ -29,17 +29,18 @@ both: the cotrajectory is the running intersection of their kernels
 trivial subgroup)), and the trajectory is the running sum of the images
 of their adjoints (:func:`entbridge.fingroup.join_chain` over the pairs
 (adjoint, full group)), the same two builders the finite and p-adic
-routes use.  The two chains share only these input maps; neither is
-computed from the other.  The condition maps are built incrementally
-rather than from scratch at each step: pi_{l->k} = projections[k]
-pi_{l->k+1} walking down the tower, and F_{j,t+1} = F_{j,t} f_{j+ts}
-walking along the orbit, so one instance costs O(n + l - j)
-compositions of bonding and component maps.  Every composite is still
-an ordinary, fully checked GroupHom, and the tower and endomorphism
-data are validated in full at construction.  :func:`working_level`
-checks (j, n) against a height before any tower exists, so a caller
-can refuse an out-of-range request, or build only the levels it needs,
-without constructing the rest.
+routes use.  Every condition map ends in levels[j], so each chain pairs
+all its maps with one subgroup, built once per call.  The two chains
+share only these input maps; neither is computed from the other.  The
+condition maps are built incrementally rather than from scratch at each
+step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
+F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit, so one instance
+costs O(n + l - j) compositions of bonding and component maps.  Every
+composite is still an ordinary, fully checked GroupHom, and the tower
+and endomorphism data are validated in full at construction.
+:func:`working_level` checks (j, n) against a height before any tower
+exists, so a caller can refuse an out-of-range request, or build only
+the levels it needs, without constructing the rest.
 """
 
 from __future__ import annotations
@@ -193,9 +194,12 @@ class TowerEndo:
         condition maps and the join chain on their adjoints.
         """
         conditions = self._condition_maps(j, steps)
-        cotrajectory = meet_chain([(c, trivial_subgroup(c.codomain)) for c in conditions])
+        # every condition map ends in levels[j], so one subgroup serves each chain
+        zero = trivial_subgroup(self.tower.levels[j])
+        cotrajectory = meet_chain([(c, zero) for c in conditions])
         duals = [dual_hom(c) for c in conditions]
-        trajectory = join_chain([(d, full_subgroup(d.domain)) for d in duals])
+        whole = full_subgroup(duals[0].domain)
+        trajectory = join_chain([(d, whole) for d in duals])
         return cotrajectory, trajectory
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:

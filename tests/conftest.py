@@ -3,9 +3,10 @@
 Everything here works by enumerating group elements and applying
 definitions literally, with no lattice arithmetic, so the fast exact
 code paths can be checked against first principles on small groups.
-The exceptions are :func:`tower_index_sequences`, a shared helper that
-reads both index sequences off one build of a tower's chains, and the
-re-presentation oracle: :func:`unimodular_pair` draws a random change of
+The exceptions are :func:`det`, the Bareiss determinant that the
+Hermite and Smith forms are checked against, :func:`tower_index_sequences`,
+a shared helper that reads both index sequences off one build of a
+tower's chains, and the re-presentation oracle: :func:`unimodular_pair` draws a random change of
 basis together with its inverse, and :func:`conjugate_tower_endo`
 presents the same dynamics through one such pair per level, so tests can
 check that index sequences do not depend on the presentation.
@@ -88,6 +89,31 @@ def oracle_trajectory(f: GroupHom, elements: frozenset, steps: int) -> frozenset
         pushed = oracle_image(f, current)
         current = oracle_sum(elements, pushed, f.domain)
     return current
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def tower_index_sequences(endo, j, steps):

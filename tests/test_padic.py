@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_elements, closure
+from entbridge import padic
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import IntMatrix
-from entbridge.fingroup import FinAbGroup
+from entbridge.fingroup import FinAbGroup, GroupHom
 from entbridge.padic import (
     _MR_BOUND,
     PadicEntropy,
@@ -314,6 +315,30 @@ class TestIndexSequences:
         m = rational_matrix([[Fraction(1, 3), 1], [0, 3]])
         assert cotrajectory_indices(3, m, 5) == (1, 3, 9, 27, 81)
         assert trajectory_indices(3, tuple(zip(*m)), 5) == (1, 3, 9, 27, 81)
+
+    @pytest.mark.parametrize("route", [cotrajectory_indices, trajectory_indices])
+    def test_each_route_runs_on_one_group(self, route, monkeypatch):
+        # one working group per route, and every map built is an
+        # endomorphism of it: no map crosses between different groups
+        groups, crossing = [], []
+
+        def counted(*args, **kwargs):
+            groups.append(FinAbGroup(*args, **kwargs))
+            return groups[-1]
+
+        check = GroupHom.__post_init__
+
+        def checked(self):
+            if self.domain != self.codomain:
+                crossing.append(self)
+            check(self)
+
+        monkeypatch.setattr(padic, "FinAbGroup", counted)
+        monkeypatch.setattr(GroupHom, "__post_init__", checked)
+        m = rational_matrix([[Fraction(1, 9), 1], [0, 3]])
+        assert route(3, m, 5) == (1, 9, 81, 729, 6561)
+        assert len(groups) == 1 and groups[0].moduli == (3**8, 3**8)
+        assert crossing == []
 
     @pytest.mark.parametrize("prime,dim", [(2, 2), (3, 2), (2, 3)])
     def test_cotrajectory_is_transpose_trajectory(self, prime, dim):

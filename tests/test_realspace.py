@@ -32,6 +32,16 @@ class TestEigenvalueModuli:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize(
+        "entries", [[[3, 5]], [[4, 0, 0], [0, 1, 0]], [[1], [2, 3]], [[1, 2], [3]], []]
+    )
+    def test_both_routes_require_square(self, entries):
+        # the dual route transposes, so a wide or ragged matrix must be
+        # refused before that, with the primal route's message
+        for route in (topological_entropy, algebraic_entropy):
+            with pytest.raises(ValueError, match="endomorphism matrix must be square"):
+                route(entries)
+
     def test_hyperbolic_diagonal(self):
         m = [[2, 0], [0, "1/2"]]
         assert topological_entropy(m) == pytest.approx(math.log(2), abs=1e-12)

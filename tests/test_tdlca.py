@@ -5,6 +5,7 @@ import pytest
 from conftest import conjugate_tower_endo, tower_index_sequences, unimodular_pair
 from entbridge.duality import annihilator
 from entbridge.exactlinalg import IntMatrix
+from entbridge import tdlca
 from entbridge.fingroup import FinAbGroup, GroupHom, kernel
 from entbridge.tdlca import (
     Tower,
@@ -163,6 +164,25 @@ class TestFullShift:
         primal, dual_side = tower_index_sequences(endo, 1, 5)
         assert endo.cotrajectory_indices(1, 5) == primal
         assert endo.trajectory_indices(1, 5) == dual_side
+
+    def test_chains_build_each_paired_subgroup_once(self, monkeypatch):
+        calls = {"trivial_subgroup": 0, "full_subgroup": 0}
+
+        def counted(name):
+            original = getattr(tdlca, name)
+
+            def wrapper(group):
+                calls[name] += 1
+                return original(group)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tdlca, name, counted(name))
+        endo = full_shift_tower(2, 8)
+        expected = tuple(2**t for t in range(6))
+        assert tower_index_sequences(endo, 1, 6) == (expected, expected)
+        assert calls == {"trivial_subgroup": 1, "full_subgroup": 1}
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="modulus"):
