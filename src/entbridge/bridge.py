@@ -376,17 +376,23 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
 
 
 def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
-    """Two float routes on R^n: eigenvalues of M and of its transpose."""
+    """Two float routes on R^n: eigenvalues of M and of its transpose.
+
+    A tolerance that is not a positive finite number raises ValueError.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance {tol!r} is not a positive finite number")
+    m = padic.rational_matrix(entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        top = topological_entropy(entries, tol)
-        alg = algebraic_entropy(entries, tol)
+        top = topological_entropy(m, tol)
+        alg = algebraic_entropy(m, tol)
     boundary = any(issubclass(w.category, BoundaryEigenvalueWarning) for w in caught)
     difference = abs(top - alg)
     matched = difference <= tol
     return {
         "kind": "real",
-        "matrix": [[str(Fraction(x)) for x in row] for row in entries],
+        "matrix": [[str(x) for x in row] for row in m],
         "tolerance": tol,
         "topological": top,
         "algebraic": alg,

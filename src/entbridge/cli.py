@@ -19,17 +19,23 @@ Three subcommands:
   in the seed.
 * ``schema``: print one of the shipped schemas.
 
+The instance JSON is read with one rule for numbers: an integral number
+such as ``3.0`` is read as the integer 3 (JSON Schema already counts it
+as an integer), and ``NaN``, ``Infinity`` or a number that overflows to
+an infinity, such as ``1e400``, is unusable input.
+
 Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
 2 the input was unusable (also bytes that are not UTF-8, JSON nested
 too deeply to parse, an integer past the interpreter's 4300-digit limit,
-a value past a schema cap, or a qp working modulus past 2^128), 3 the
-computation itself failed.
+a number that is not finite, a value past a schema cap, or a qp working
+modulus past 2^128), 3 the computation itself failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from importlib import resources
@@ -139,16 +145,27 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(text: str) -> int | float:
+    """A JSON number written with a fraction or an exponent, or one of the
+    constants NaN and ±Infinity: an int when integral, so a count such as
+    3.0 reads as 3; a number that is not finite is an input error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return int(x) if x.is_integer() else x
+
+
 def _read_instance(source: str) -> dict:
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    return json.loads(text)
+    return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     try:
         instance = _read_instance(args.instance)
-    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and an
-    # integer past the interpreter's digit limit for int-string conversion
+    # ValueError covers UnicodeDecodeError, json.JSONDecodeError, a number
+    # that is not finite and an integer past the interpreter's digit limit
+    # for int-string conversion
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "snf",
     "kernel_basis",
     "preimage_lattice",
-    "rational_inverse",
 ]
 
 
@@ -344,20 +342,3 @@ def snf(m: IntMatrix) -> tuple[int, ...]:
             diag[i], diag[j] = g, diag[i] // g * diag[j]
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
-
-def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Gauss-Jordan inverse; entries must be Fractions (1 / int is a float)."""
-    n = len(rows)
-    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)

@@ -33,6 +33,9 @@ invertible matrix is log(p) times the sum of the positive slopes of the
 lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
 with multiplicity; that sum is a nonnegative integer, so the value is
 carried as (multiple, prime) and compared exactly.
+
+:func:`rational_matrix` is the one reader of instance matrices; the
+real kind (:mod:`entbridge.realspace`) reads its matrix through it too.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactlinalg import HnfBasis, IntMatrix, hnf, rational_inverse
+from .exactlinalg import HnfBasis, IntMatrix, hnf
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -59,6 +62,7 @@ __all__ = [
     "PadicEntropy",
     "is_prime",
     "rational_matrix",
+    "rational_inverse",
     "standard_lattice",
     "lattice_from_columns",
     "contains",
@@ -74,7 +78,7 @@ __all__ = [
     "newton_entropy",
 ]
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, float, str, Fraction]
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -119,14 +123,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def rational_matrix(entries: Sequence[Sequence[RationalLike]]) -> RationalMatrix:
-    """Normalize nested ints / 'a/b' strings / Fractions into a Fraction grid."""
+def _rational(x: RationalLike) -> Fraction:
+    """One matrix entry as an exact rational; non-finite or 'a/0' entries are input errors."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"matrix entry {x!r} is not a finite number")
     try:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError("matrix entry has a zero denominator") from None
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("matrix rows must be nonempty and of equal length")
+        raise ValueError(f"matrix entry {x!r} has a zero denominator") from None
+
+
+def rational_matrix(entries: Sequence[Sequence[RationalLike]]) -> RationalMatrix:
+    """Normalize nested ints / floats / 'a/b' strings / Fractions into a square Fraction grid;
+    a non-finite float, an 'a/0' entry or a matrix that is not square raises ValueError."""
+    rows = tuple(tuple(_rational(x) for x in row) for row in entries)
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ValueError("endomorphism matrix must be square: nonempty, n rows of equal length n")
     return rows
 
 
@@ -169,6 +181,24 @@ def _rat_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def _rat_transpose(a: RationalMatrix) -> RationalMatrix:
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
+
+
+def rational_inverse(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix:
+    """Exact Gauss-Jordan inverse; entries must be Fractions (1 / int is a float)."""
+    n = len(rows)
+    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 def _as_int(x: Fraction) -> int:

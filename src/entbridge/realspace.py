@@ -11,16 +11,20 @@ falls within the tolerance band around 1 the classification
 expanding/non-expanding is not trustworthy and a
 BoundaryEigenvalueWarning is emitted rather than silently picking a
 side.
+
+Matrix entries are read by :func:`entbridge.padic.rational_matrix`, as
+on Q_p, so both kinds refuse the same entries and shapes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
+
+from .padic import RationalLike, rational_matrix
 
 __all__ = [
     "BoundaryEigenvalueWarning",
@@ -29,36 +33,14 @@ __all__ = [
     "algebraic_entropy",
 ]
 
-RationalLike = Union[int, float, str, Fraction]
-
 
 class BoundaryEigenvalueWarning(UserWarning):
     """Some eigenvalue modulus is within tolerance of 1."""
 
 
-def _rational(x: RationalLike) -> Fraction:
-    """One matrix entry as an exact rational; non-finite or 'a/0' entries are input errors."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"matrix entry {x!r} is not a finite number")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"matrix entry {x!r} has a zero denominator") from None
-
-
-def _square_rows(entries: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    """The entries as exact rationals, row by row; a matrix that is not
-    square is an input error, whichever route reads it."""
-    rows = [[_rational(x) for x in row] for row in entries]
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise ValueError("endomorphism matrix must be square")
-    return rows
-
-
 def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
-    rows = _square_rows(entries)
     try:
-        return np.array([[float(x) for x in row] for row in rows], dtype=float)
+        return np.array([[float(x) for x in row] for row in rational_matrix(entries)], dtype=float)
     except OverflowError:
         raise ValueError("matrix entry too large for floating point") from None
 
@@ -93,5 +75,5 @@ def algebraic_entropy(
     entries: Sequence[Sequence[RationalLike]], tol: float = 1e-9
 ) -> float:
     """Same quantity computed on the dual side, i.e. from the transpose."""
-    transposed = [list(column) for column in zip(*_square_rows(entries))]
+    transposed = [list(column) for column in zip(*rational_matrix(entries))]
     return _expanding_sum(eigenvalue_moduli(transposed), tol)

@@ -152,10 +152,6 @@ class TowerEndo:
             if left != right:
                 raise ValueError(f"components do not commute with projections at level {k}")
 
-    def working_level(self, j: int, steps: int) -> int:
-        """Deepest level entering the n-step computation at base level j."""
-        return working_level(self.tower.height, self.lag, j, steps)
-
     def iterate(self, j: int, t: int) -> GroupHom:
         """F_{j,t} = maps[j] . maps[j+lag] ... : levels[j + t*lag] -> levels[j]."""
         h = GroupHom.identity(self.tower.levels[j])
@@ -171,7 +167,7 @@ class TowerEndo:
         and F_{j,t+1} = F_{j,t} . maps[j + t*lag].  Entry t equals
         ``iterate(j, t).compose(tower.project(level, j + t*lag))``.
         """
-        level = self.working_level(j, steps)
+        level = working_level(self.tower.height, self.lag, j, steps)
         tower = self.tower
         down = [GroupHom.identity(tower.levels[level])]  # down[i] = pi_{level -> level-i}
         for k in range(level - 1, j - 1, -1):

@@ -362,6 +362,15 @@ class TestRealBridge:
         assert report["boundary_warning"]
         assert report["topological"] == 0.0
 
+    @pytest.mark.parametrize("tol", [0, -1e-9, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            real_bridge([[2]], tol)
+
+    def test_echoes_the_parsed_entries(self):
+        report = real_bridge([[2.0, "6/4"], [0, 0.5]])
+        assert report["matrix"] == [["2", "3/2"], ["0", "1/2"]]
+
 
 class TestVerifyDispatch:
     def test_each_kind(self, monkeypatch):

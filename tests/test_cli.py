@@ -1,9 +1,13 @@
 import io
 import json
+import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entbridge.cli as cli
 from entbridge import padic
@@ -286,6 +290,42 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "instance,floats",
+        [
+            (dict(FINITE_INSTANCE, steps=3), {"steps": 3.0, "moduli": [4.0, 2.0, 2.0]}),
+            (dict(SHIFT_INSTANCE, steps=3), {"steps": 3.0, "level": 1.0, "modulus": 2.0}),
+            (dict(QP_INSTANCE, steps=3), {"steps": 3.0, "prime": 2.0}),
+        ],
+        ids=["finite", "shift", "qp"],
+    )
+    def test_integral_numbers_are_integers(self, tmp_path, capsys, instance, floats):
+        # JSON Schema counts 3.0 as an integer, so the instance is valid and
+        # verifies with the report of the instance written with integers
+        assert main(["verify", write_instance(tmp_path, instance)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["verify", write_instance(tmp_path, dict(instance, **floats))]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, number):
+        # the schema cannot refuse these as a tolerance: NaN fails no
+        # comparison and an infinity is positive
+        path = tmp_path / "instance.json"
+        text = '{"kind": "real", "matrix": [[2, 0], [0, 1]], "tolerance": %s}' % number
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    def test_non_square_qp_matrix_is_input_error(self, tmp_path, capsys):
+        instance = dict(QP_INSTANCE, matrix=[["1", "2", "3"], ["4", "5", "6"]])
+        assert main(["verify", write_instance(tmp_path, instance)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "endomorphism matrix must be square" in captured.err
+
     def test_eigenvalue_overflow_is_input_error(self, tmp_path, capsys):
         # schema-valid entries near 1e307: the eigenvalue moduli overflow to
         # inf, which must not reach stdout as a non-JSON Infinity or NaN
@@ -340,6 +380,94 @@ class TestVerify:
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError):
                 canonical_json({"difference": value})
+
+
+def integral(n):
+    """n written as an int or as an integral float."""
+    return st.sampled_from([n, float(n)])
+
+
+def counts(low, high):
+    return st.integers(low, high).flatmap(integral)
+
+
+def square(entries, max_side=3):
+    return st.integers(1, max_side).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+fractions = st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 9), st.integers(0, 9))
+
+
+@st.composite
+def finite_instances(draw):
+    moduli = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    rank = len(moduli)
+    # entry (i, j) a multiple of d_i / gcd(d_i, d_j), so the matrix is an endomorphism
+    endomorphism = [
+        [draw(st.integers(0, 3)) * (di // math.gcd(di, dj)) for dj in moduli] for di in moduli
+    ]
+    return {
+        "kind": "finite",
+        "moduli": [draw(integral(d)) for d in moduli],
+        "endomorphism": endomorphism,
+        "subgroup": draw(
+            st.lists(st.lists(st.integers(-12, 12), min_size=rank, max_size=rank), max_size=3)
+        ),
+        "steps": draw(counts(2, 6)),
+    }
+
+
+@st.composite
+def shift_instances(draw):
+    height = draw(st.integers(2, 8))
+    return {
+        "kind": "shift",
+        "modulus": draw(counts(2, 4)),
+        "height": draw(integral(height)),
+        "level": draw(counts(0, height - 1)),
+        "steps": draw(counts(2, 6)),
+    }
+
+
+# small schema-valid instances of every kind, count fields sometimes written
+# as integral floats
+VALID_INSTANCES = st.one_of(
+    finite_instances(),
+    shift_instances(),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("qp"),
+            "prime": st.sampled_from([2, 3, 4, 5]).flatmap(integral),
+            "matrix": square(st.one_of(counts(-4, 4), fractions)),
+            "steps": counts(2, 6),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("real"),
+            "matrix": square(st.one_of(counts(-9, 9), st.floats(-9, 9), fractions)),
+        },
+        optional={"tolerance": st.one_of(st.floats(1e-12, 1.0), counts(1, 2))},
+    ),
+)
+
+
+class TestBoundaryFuzz:
+    @given(VALID_INSTANCES)
+    @settings(max_examples=60, deadline=None)
+    def test_schema_valid_instances_never_fail_the_computation(self, tmp_path_factory, instance):
+        jsonschema.validate(instance, load_schema("instance"))
+        path = write_instance(tmp_path_factory.mktemp("fuzz"), instance)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", path])
+        assert code in (0, 1, 2), (instance, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            jsonschema.validate(json.loads(out.getvalue()), load_schema("report"))
 
 
 class TestSchemaCommand:

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_elements, closure
+from conftest import all_elements, closure, det
 from entbridge import padic
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import IntMatrix
@@ -24,6 +26,7 @@ from entbridge.padic import (
     lattice_index,
     newton_entropy,
     preimage,
+    rational_inverse,
     rational_matrix,
     standard_lattice,
     sum_lattices,
@@ -489,3 +492,55 @@ class TestNewtonEntropy:
         seq = cotrajectory_indices(3, m, 5)
         ratio = seq[-1] // seq[-2]
         assert ratio == 3 ** newton_entropy(3, char_poly(m)).multiple
+
+
+rational_entries = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def rational_rows(n):
+    return st.lists(
+        st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+def rational_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def rational_det_is_zero(rows) -> bool:
+    # scale to an integer matrix; the determinant only changes by a power of the lcm
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return det(IntMatrix.from_rows([[int(x * scale) for x in row] for row in rows])) == 0
+
+
+class TestRationalInverse:
+    @given(st.integers(min_value=1, max_value=5).flatmap(rational_rows))
+    @settings(max_examples=100)
+    def test_product_is_identity(self, rows):
+        assume(not rational_det_is_zero(rows))
+        n = len(rows)
+        inverse = rational_inverse(rows)
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert rational_product(rows, inverse) == identity
+        assert rational_product(inverse, rows) == identity
+        assert all(isinstance(x, Fraction) for row in inverse for x in row)
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.tuples(
+                rational_rows(n), st.lists(rational_entries, min_size=n - 1, max_size=n - 1)
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_singular_raises(self, case):
+        # the last row is a combination of the others (the zero row when n == 1)
+        rows, coeffs = case
+        rows[-1] = [
+            sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(len(rows))
+        ]
+        with pytest.raises(ValueError, match="matrix is singular"):
+            rational_inverse(rows)

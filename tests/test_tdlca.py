@@ -100,30 +100,30 @@ class TestTowerEndoValidation:
 class TestWorkingLevel:
     def test_values(self):
         endo = full_shift_tower(2, 6)
-        assert endo.working_level(0, 1) == 0
-        assert endo.working_level(1, 4) == 4
-        assert endo.working_level(2, 4) == 5
+        assert working_level(endo.tower.height, endo.lag, 0, 1) == 0
+        assert working_level(endo.tower.height, endo.lag, 1, 4) == 4
+        assert working_level(endo.tower.height, endo.lag, 2, 4) == 5
 
     def test_missing_level(self):
         endo = full_shift_tower(2, 3)
         with pytest.raises(ValueError, match="tower has no level 9"):
-            endo.working_level(9, 1)
+            working_level(endo.tower.height, endo.lag, 9, 1)
 
     def test_step_count(self):
         endo = full_shift_tower(2, 3)
         with pytest.raises(ValueError, match="step count must be at least 1"):
-            endo.working_level(0, 0)
+            working_level(endo.tower.height, endo.lag, 0, 0)
 
     def test_too_short(self):
         endo = full_shift_tower(2, 4)
         with pytest.raises(
             ValueError, match=r"tower too short for \(j, n\) = \(1, 5\); need level 5"
         ):
-            endo.working_level(1, 5)
+            working_level(endo.tower.height, endo.lag, 1, 5)
 
     def test_lag_zero_needs_no_depth(self):
         endo = padic_tower(3, 1, [[2]])
-        assert endo.working_level(0, 50) == 0
+        assert working_level(endo.tower.height, endo.lag, 0, 50) == 0
 
     def test_checked_against_a_height_alone(self):
         # the same checks and messages, before any tower exists
@@ -193,7 +193,7 @@ class TestFullShift:
 
 def reference_condition_maps(endo, j, steps):
     """F_{j,t} . pi_{level -> j+t*lag}, each composite rebuilt from scratch."""
-    level = endo.working_level(j, steps)
+    level = working_level(endo.tower.height, endo.lag, j, steps)
     return [
         endo.iterate(j, t).compose(endo.tower.project(level, j + t * endo.lag))
         for t in range(steps)
