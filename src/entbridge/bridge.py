@@ -14,12 +14,19 @@ preimages f^-k(U), built from the pairs (f^k, U), and T_n the running
 sum of the images of perp U under the powers g^k of the adjoint, built
 from the pairs (g^k, perp U), k < n; the indices are
 a_n = [C_1 : C_n] and b_n = [T_n : T_1].  Neither side is derived from
-the other.  The module also packages the individual duality laws as
-checkable units (LawCheck): the two chain laws share one build of each
-chain in :func:`check_chain_laws`, and the quotient law wraps
-:func:`entbridge.duality.check_quotient_duality`.  Seeded
-random generators for groups, endomorphisms, subgroups and instances
-make large randomized suites one loop away.
+the other.  Each chain stops at its own first repeated term and repeats
+it up to the step count, which changes no term: for fixed (f, U),
+C_(n+1) = U ∩ f^-1(C_n) and T_(n+1) = perp U + g(T_n), so
+C_(n+1) = C_n gives C_(n+2) = U ∩ f^-1(C_(n+1)) = C_(n+1), and
+likewise for T.  The builders are lazy, so no power and no elimination
+past the repeat is computed.
+
+The module also packages the individual duality laws as checkable
+units (LawCheck): the two chain laws share one build of each chain in
+:func:`check_chain_laws`, and the quotient law wraps
+:func:`entbridge.duality.check_quotient_duality`.  Seeded random
+generators for groups, endomorphisms, subgroups and instances make
+large randomized suites one loop away.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import padic
 from .duality import annihilator, check_quotient_duality, dual_hom
@@ -149,10 +156,21 @@ def _finite_chains(
     """
     if u.ambient != f.domain:
         raise ValueError("need an endomorphism of the subgroup's group")
-    co = meet_chain([(h, u) for h in powers(f, steps)])
+    co = _until_repeat(meet_chain((h, u) for h in powers(f, steps)), steps)
     uperp = annihilator(u)
-    tr = join_chain([(h, uperp) for h in powers(dual_hom(f), steps)])
+    tr = _until_repeat(join_chain((h, uperp) for h in powers(dual_hom(f), steps)), steps)
     return co, tr
+
+
+def _until_repeat(chain: Iterator[SubgroupLattice], steps: int) -> list[SubgroupLattice]:
+    """The first `steps` terms of a chain of one fixed (f, U), built only up
+    to the first term equal to the one before it and padded with that term."""
+    terms: list[SubgroupLattice] = []
+    for term in chain:
+        if terms and term == terms[-1]:
+            break
+        terms.append(term)
+    return terms + [terms[-1]] * (steps - len(terms))
 
 
 def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawCheck]:

@@ -156,7 +156,10 @@ def _json_number(text: str) -> int | float:
 
 
 def _read_instance(source: str) -> dict:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    # stdin is read as bytes, as a file is, so that the decoding does not
+    # depend on the locale's text encoding or error handler
+    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+    text = data.decode("utf-8")
     return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
 
 

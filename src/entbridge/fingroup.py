@@ -14,17 +14,22 @@ Homomorphisms carry an eagerly checked divisibility certificate:
 a matrix M induces a well-defined map between the presented groups
 exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j.
 
-Every index chain in the package is built by one of two builders over a
-list of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t out of
-one group and returns the running intersections of the preimages
+Every index chain in the package is built by one of two builders over
+any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
+out of one group and yields the running intersections of the preimages
 f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
-into one group and returns the running sums of the images g_t(S_t) (the
+into one group and yields the running sums of the images g_t(S_t) (the
 trajectories).  Each step is one elimination: a meet step is one
 :func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
 previous term, whose basis it tracks, and a join step is one Hermite
-form of the previous term next to g_t(S_t).  The finite
-route pairs the powers f^k with U and, on the dual side, the powers of
-the adjoint of f with perp U, both for k < n (:func:`powers`).  The
+form of the previous term next to g_t(S_t).  Both builders are lazy:
+each term is yielded as soon as it is built, and the next pair is read
+only when the next term is asked for, so a caller that stops early
+pays for no later step.  The finite route pairs the powers f^k with U
+and, on the dual side, the powers of the adjoint of f with perp U, both
+for k < n (:func:`powers`, which composes each power only when it is
+asked for), and stops each chain at its first repeated term
+(:mod:`entbridge.bridge`).  The
 tower route (:mod:`entbridge.tdlca`) pairs its condition maps with the
 trivial subgroup (kernels) and their adjoints with the full group
 (images).  The p-adic route (:mod:`entbridge.padic`) runs on one group
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
 
@@ -242,58 +248,64 @@ def is_surjective(f: GroupHom) -> bool:
     return hnf(f.matrix.hstack(f.codomain.relations.matrix)).det() == 1
 
 
-def powers(f: GroupHom, n: int) -> list[GroupHom]:
-    """[1, f, f^2, ..., f^(n-1)] for an endomorphism f and n >= 1."""
+def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
+    """Yield 1, f, f^2, ..., f^(n-1) for an endomorphism f and n >= 1.
+
+    Both checks run at the call; each power is composed only when it is
+    asked for.
+    """
     if not f.is_endo:
         raise ValueError("need an endomorphism")
     if n < 1:
         raise ValueError("power count must be at least 1")
-    out = [GroupHom.identity(f.domain)]
-    for _ in range(n - 1):
-        out.append(f.compose(out[-1]))
-    return out
+    return accumulate(
+        repeat(f, n - 1), lambda h, _: f.compose(h), initial=GroupHom.identity(f.domain)
+    )
 
 
-def meet_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[SubgroupLattice]:
-    """[C_1, ..., C_n] with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
+def meet_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[SubgroupLattice]:
+    """Yield C_1, C_2, ... with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
 
     Each step is one preimage restricted to the previous term: with B the
     basis of C_(n-1) (the identity before the first step),
     C_n = B {y : f_n(B y) in V_n}, which one
     :func:`~entbridge.exactlinalg.preimage_lattice` that tracks B returns
-    in Hermite form.
+    in Hermite form.  The pair (f_n, V_n) is read only when C_n is asked for.
     """
-    if not pairs:
+    rest = iter(pairs)
+    first = next(rest, None)
+    if first is None:
         raise ValueError("need at least one (map, subgroup) pair")
-    group = pairs[0][0].domain
+    group = first[0].domain
     basis = IntMatrix.identity(group.rank)
-    chain = []
-    for f, v in pairs:
+    for f, v in chain((first,), rest):
         if f.domain != group:
             raise ValueError("maps out of different groups")
         if v.ambient != f.codomain:
             raise ValueError("subgroup not in the codomain")
-        chain.append(SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis)))
-        basis = chain[-1].basis.matrix
-    return chain
+        term = SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis))
+        yield term
+        basis = term.basis.matrix
 
 
-def join_chain(pairs: Sequence[tuple[GroupHom, SubgroupLattice]]) -> list[SubgroupLattice]:
-    """[T_1, ..., T_n] with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
+def join_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[SubgroupLattice]:
+    """Yield T_1, T_2, ... with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
 
     Each step is one Hermite form of the previous term next to the
-    generators of g_n(S_n), starting from the relation lattice.
+    generators of g_n(S_n), starting from the relation lattice.  The pair
+    (g_n, S_n) is read only when T_n is asked for.
     """
-    if not pairs:
+    rest = iter(pairs)
+    first = next(rest, None)
+    if first is None:
         raise ValueError("need at least one (map, subgroup) pair")
-    group = pairs[0][0].codomain
+    group = first[0].codomain
     basis = group.relations.matrix
-    chain = []
-    for g, s in pairs:
+    for g, s in chain((first,), rest):
         if g.codomain != group:
             raise ValueError("maps into different groups")
         if s.ambient != g.domain:
             raise ValueError("subgroup not in the domain")
-        chain.append(SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix))))
-        basis = chain[-1].basis.matrix
-    return chain
+        term = SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
+        yield term
+        basis = term.basis.matrix

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf
 from .fingroup import (
@@ -357,8 +357,8 @@ def preimage(
 
 def _finite_level(
     prime: int, matrix: RationalMatrix, steps: int
-) -> tuple[int, FinAbGroup, list[GroupHom]]:
-    """(e, G, [B^0, ..., B^{steps-1}]) for matrix = B / (u p^e).
+) -> tuple[int, FinAbGroup, Iterator[GroupHom]]:
+    """(e, G, B^0, ..., B^{steps-1}) for matrix = B / (u p^e), the powers yielded lazily.
 
     B is integral and u is a unit at p; G = (Z/p^N)^d with
     N = (steps - 1) e is the only group built, and the powers of B are
@@ -395,7 +395,9 @@ def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tupl
     k < n, so a_n is the index in G of the running meet of those preimages.
     """
     e, group, b_powers = _finite_level(prime, matrix, steps)
-    chain = meet_chain([(h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers)])
+    chain = list(
+        meet_chain([(h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers)])
+    )
     return tuple(index(chain[0], c) for c in chain)
 
 
@@ -407,8 +409,10 @@ def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[
     """
     e, group, b_powers = _finite_level(prime, matrix, steps)
     top = e * (steps - 1)
-    chain = join_chain(
-        [(h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers)]
+    chain = list(
+        join_chain(
+            [(h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers)]
+        )
     )
     return tuple(index(c, chain[0]) for c in chain)
 

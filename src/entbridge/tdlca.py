@@ -192,10 +192,10 @@ class TowerEndo:
         conditions = self._condition_maps(j, steps)
         # every condition map ends in levels[j], so one subgroup serves each chain
         zero = trivial_subgroup(self.tower.levels[j])
-        cotrajectory = meet_chain([(c, zero) for c in conditions])
+        cotrajectory = list(meet_chain([(c, zero) for c in conditions]))
         duals = [dual_hom(c) for c in conditions]
         whole = full_subgroup(duals[0].domain)
-        trajectory = join_chain([(d, whole) for d in duals])
+        trajectory = list(join_chain([(d, whole) for d in duals]))
         return cotrajectory, trajectory
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import entbridge.bridge as bridge
+import entbridge.fingroup as fingroup
 from entbridge.bridge import (
     check_all_laws,
     check_chain_laws,
@@ -79,9 +80,9 @@ def recursive_trajectory(f, u, steps):
 class TestChains:
     def test_lengths_and_first_entry(self):
         g, f, u = frozen_instance()
-        co = meet_chain([(h, u) for h in powers(f, 4)])
+        co = list(meet_chain([(h, u) for h in powers(f, 4)]))
         assert len(co) == 4 and co[0] == u
-        tr = join_chain([(h, u) for h in powers(f, 4)])
+        tr = list(join_chain([(h, u) for h in powers(f, 4)]))
         assert len(tr) == 4 and tr[0] == u
 
     def test_chains_shrink_and_grow(self):
@@ -112,6 +113,99 @@ class TestChains:
             assert co == recursive_cotrajectory(f, u, steps)
             assert tr == recursive_trajectory(dual_hom(f), annihilator(u), steps)
         assert non_invariant >= 20
+
+
+def left_shift(rank):
+    """x -> (x_1, ..., x_(rank-1), 0) on (Z/2)^rank."""
+    g = FinAbGroup((2,) * rank)
+    rows = [[int(j == i + 1) for j in range(rank)] for i in range(rank)]
+    return g, GroupHom(g, g, IntMatrix.from_rows(rows, cols=rank))
+
+
+def coordinate_hyperplane(group, i):
+    """{x : x_i = 0}."""
+    return subgroup_from_generators(
+        group, [[int(j == k) for j in range(group.rank)] for k in range(group.rank) if k != i]
+    )
+
+
+def strictly_monotone(chain):
+    return all(a != b for a, b in zip(chain, chain[1:]))
+
+
+class TestEarlyExit:
+    def test_keeps_every_term(self):
+        # random draws, f-invariant U (the image of f, so the chains repeat at
+        # step 1) and the left shift with U = {x_0 = 0}, whose meet chain
+        # strictly decreases for rank steps
+        rng = random.Random(44)
+        cases = []
+        for _ in range(40):
+            group = FinAbGroup(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 4))))
+            f = random_endomorphism(rng, group)
+            u = subgroup_from_generators(group, [[rng.randrange(d) for d in group.moduli]])
+            cases.append((f, u, rng.randint(1, 10)))
+        for _ in range(25):
+            group = FinAbGroup(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 4))))
+            f = random_endomorphism(rng, group)
+            cases.append((f, image(f, full_subgroup(group)), rng.randint(2, 16)))
+        for _ in range(25):
+            g, f = left_shift(rng.randint(2, 8))
+            cases.append((f, coordinate_hyperplane(g, 0), rng.randint(2, g.rank)))
+        repeats_at_step_1 = never_repeats = 0
+        for f, u, steps in cases:
+            co, tr = _finite_chains(f, u, steps)
+            uperp = annihilator(u)
+            assert co == list(meet_chain((h, u) for h in powers(f, steps)))
+            assert tr == list(join_chain((h, uperp) for h in powers(dual_hom(f), steps)))
+            assert co == recursive_cotrajectory(f, u, steps)
+            assert tr == recursive_trajectory(dual_hom(f), uperp, steps)
+            repeats_at_step_1 += steps >= 2 and co[1] == co[0] and tr[1] == tr[0]
+            never_repeats += steps >= 2 and strictly_monotone(co) and strictly_monotone(tr)
+        assert len(cases) >= 80
+        assert repeats_at_step_1 >= 20 and never_repeats >= 20
+
+    @pytest.mark.parametrize(
+        "hyperplane, eliminations, composes",
+        [(15, 2, 1), (0, 16, 15)],
+        ids=["invariant", "strictly-decreasing"],
+    )
+    def test_counts_the_work(self, monkeypatch, hyperplane, eliminations, composes):
+        # the left shift on (Z/2)^16 leaves {x_15 = 0} invariant, so both
+        # chains repeat at step 1; with {x_0 = 0} they never repeat in 16 steps
+        g, f = left_shift(16)
+        u = coordinate_hyperplane(g, hyperplane)
+        fhat = dual_hom(f)
+        counts = {"preimage_lattice": 0, "hnf": 0, f: 0, fhat: 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        real_compose = GroupHom.compose
+
+        def compose(self, inner):
+            counts[self] += 1
+            return real_compose(self, inner)
+
+        monkeypatch.setattr(
+            fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
+        )
+        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(GroupHom, "compose", compose)
+        co, tr = _finite_chains(f, u, 16)
+        assert len(co) == len(tr) == 16
+        # one elimination per term built: the meet chain's are preimage
+        # lattices, the join chain's Hermite forms; one product per power
+        assert counts == {
+            "preimage_lattice": eliminations,
+            "hnf": eliminations,
+            f: composes,
+            fhat: composes,
+        }
 
 
 class TestLaws:

@@ -172,7 +172,8 @@ class TestVerify:
         assert capsys.readouterr().out == out
 
     def test_reads_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FINITE_INSTANCE)))
+        data = json.dumps(FINITE_INSTANCE).encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert main(["verify", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
@@ -216,6 +217,21 @@ class TestVerify:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
         assert main(["verify", "-"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stdin_decode_error_does_not_depend_on_the_locale(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the C/POSIX locale's stdin decodes with surrogateescape, so a text
+        # read would pass the bad byte on to the JSON parser
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff")
+        assert main(["verify", str(path)]) == 2
+        from_file = capsys.readouterr().err
+        assert "can't decode byte 0xff" in from_file
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["verify", "-"]) == 2
+        assert capsys.readouterr().err == from_file
 
     def test_largest_accepted_prime(self, tmp_path, capsys):
         assert padic.is_prime(LARGEST_PRIME)
