@@ -350,7 +350,8 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
     """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
-    # run before char_poly, whose Fraction arithmetic can take seconds
+    # run before char_poly: a matrix of many distinct large denominators
+    # needs thousands of CRT primes there and takes seconds
     co = padic.cotrajectory_indices(prime, m, steps)
     tr = padic.trajectory_indices(prime, tuple(zip(*m)), steps)
     coeffs = padic.char_poly(m)

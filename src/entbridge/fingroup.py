@@ -12,7 +12,11 @@ exact integer lattice computations.
 
 Homomorphisms carry an eagerly checked divisibility certificate:
 a matrix M induces a well-defined map between the presented groups
-exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j.
+exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j,
+that is, when q_ij = d_i / gcd(d_i, d_j) divides M[i][j].  The table q
+is computed once per pair of moduli lists; when every q_ij is 1, as
+between groups whose moduli are all equal (the shift levels, and Q_p's
+(Z/p^N)^d), every matrix passes.
 
 Every index chain in the package is built by one of two builders over
 any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
@@ -38,8 +42,9 @@ G = (Z/p^N)^d and pairs each power B^k with a subgroup p^c G.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -179,6 +184,20 @@ def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
     return inner.basis.det() // outer.basis.det()
 
 
+@lru_cache(maxsize=1024)
+def _certificate(
+    domain: tuple[int, ...], codomain: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The table q_ij = d_i / gcd(d_i, d_j), d_i over the codomain moduli and
+    d_j over the domain's, or None when every q_ij is 1.
+
+    d_j x = 0 mod d_i exactly when q_ij divides x, because q_ij and
+    d_j / gcd(d_i, d_j) are coprime.
+    """
+    table = tuple(tuple(di // math.gcd(di, dj) for dj in domain) for di in codomain)
+    return None if all(q == 1 for row in table for q in row) else table
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """Homomorphism between presented groups, given by an integer matrix.
@@ -202,9 +221,11 @@ class GroupHom:
             tuple(x % d for x in row) for row, d in zip(m.entries, self.codomain.moduli)
         )
         object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, reduced))
-        for row, di in zip(reduced, self.codomain.moduli):
-            if any(dj * x % di for dj, x in zip(self.domain.moduli, row)):
-                raise ValueError("matrix does not define a homomorphism for these moduli")
+        quotients = _certificate(self.domain.moduli, self.codomain.moduli)
+        if quotients is not None and any(
+            x % q for row, q_row in zip(reduced, quotients) for x, q in zip(row, q_row)
+        ):
+            raise ValueError("matrix does not define a homomorphism for these moduli")
 
     @staticmethod
     def identity(group: FinAbGroup) -> "GroupHom":

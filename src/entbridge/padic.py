@@ -34,6 +34,21 @@ lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
 with multiplicity; that sum is a nonnegative integer, so the value is
 carried as (multiple, prime) and compared exactly.
 
+The characteristic polynomial is computed on one exact integer path.
+With den the lcm of the entry denominators, B = den A is an integer
+matrix and c_i(A) = c_i(B) / den^(d-i).  Each c_i(B) is found modulo
+primes near 2^81: B is reduced to Hessenberg form mod p and the
+Hessenberg recurrence gives det(xI - B) mod p (Cohen, GTM 138, §2.2).
+The residues are lifted by the Chinese remainder theorem to the
+representative of least absolute value.  The lift is exact because
+enough primes are taken for their product M to exceed twice a bound on
+every |c_i(B)|: c_i(B) is, up to sign, the sum of the comb(d, m)
+principal minors of size m = d - i, and by Hadamard's inequality each
+such minor is at most nu^m, where nu is at least every column 2-norm
+of B.  So every c_i(B) lies in (-M/2, M/2), where its residue mod M
+determines it.  Any prime serves, B being integral; the primes are
+found once, in descending order, by :func:`is_prime`.
+
 :func:`rational_matrix` is the one reader of instance matrices; the
 real kind (:mod:`entbridge.realspace`) reads its matrix through it too.
 """
@@ -43,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, hnf
@@ -417,22 +433,134 @@ def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[
     return tuple(index(c, chain[0]) for c in chain)
 
 
+# The primes of the multimodular char_poly, descending from 2^81 - 1, so
+# below _MR_BOUND where is_prime decides them; found once, as needed.
+_CHI_PRIMES: list[int] = []
+# A wide entry is divided once by the product of this many primes, and the
+# remainder by each of them.  On a 16 x 16 matrix of 7-digit fractions
+# that took 0.32 s, against 0.75 s for dividing the entry by each prime.
+_REDUCE_BATCH = 8
+
+
+def _chi_prime(k: int) -> int:
+    """The k-th prime of _CHI_PRIMES, extending the list as needed."""
+    while len(_CHI_PRIMES) <= k:
+        q = _CHI_PRIMES[-1] - 2 if _CHI_PRIMES else 2**81 - 1
+        while not is_prime(q):
+            q -= 2
+        _CHI_PRIMES.append(q)
+    return _CHI_PRIMES[k]
+
+
+def _residues(values: Sequence[int], primes: Sequence[int]) -> Iterator[list[int]]:
+    """Yield [v % q for v in values] for each q in primes, in order."""
+    for start in range(0, len(primes), _REDUCE_BATCH):
+        batch = primes[start : start + _REDUCE_BATCH]
+        product = math.prod(batch)
+        part = [v % product for v in values]
+        for q in batch:
+            yield [x % q for x in part]
+
+
+def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
+    """Coefficients (c_0, ..., c_d) of det(xI - H) mod p, for rows h reduced mod p.
+
+    h is brought to upper Hessenberg form in place by similarities, then
+    the characteristic polynomials of its leading blocks follow by
+    Hessenberg's recurrence (Cohen, GTM 138, Algorithm 2.2.9).
+    """
+    n = len(h)
+    for m in range(1, n - 1):
+        col = m - 1
+        i = next((r for r in range(m, n) if h[r][col]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        pivot = h[m][col:]
+        inv = pow(pivot[0], -1, p)
+        # row r -= u_r row m clears h[r][col]; the inverse similarity
+        # then adds u_r column r to column m, for every r at once
+        weights = [1]
+        for r in range(m + 1, n):
+            row = h[r]
+            u = row[col] * inv % p
+            weights.append(u)
+            if u:
+                row[col:] = [(x - u * y) % p for x, y in zip(row[col:], pivot)]
+        for row in h:
+            row[m] = sum(map(mul, row[m:], weights)) % p
+    # chi_k = (x - h_kk) chi_(k-1) - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) chi_(i-1)
+    polys = [[1]]
+    for k in range(n):
+        acc = [0] + polys[k]
+        for j, c in enumerate(polys[k]):
+            acc[j] -= h[k][k] * c
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][k] * t % p
+            for j, c in enumerate(polys[i]):
+                acc[j] -= f * c
+        polys.append([c % p for c in acc])
+    return polys[n]
+
+
+def _crt(residues: Sequence[Sequence[int]], primes: Sequence[int], modulus: int) -> list[int]:
+    """The vector c in [0, M)^k with c = r (mod q) for each residue vector r
+    and its prime q, where M = modulus is the product of the primes.
+
+    Explicit CRT: c = sum_q s_q M/q (mod M) with s_q = r (M/q)^-1 mod q.
+    The sum is merged pairwise, V(S + T) = V(S) M(T) + V(T) M(S), so no
+    inverse modulo a large number is ever taken.
+    """
+    terms = []
+    for r, q in zip(residues, primes):
+        y = pow(modulus % (q * q) // q, -1, q)  # (M/q)^-1 mod q
+        terms.append(([x * y % q for x in r], q))
+    while len(terms) > 1:
+        merged = [
+            ([a * m2 + b * m1 for a, b in zip(v1, v2)], m1 * m2)
+            for (v1, m1), (v2, m2) in zip(terms[::2], terms[1::2])
+        ]
+        terms = merged + terms[2 * len(merged) :]
+    return [v % modulus for v in terms[0][0]]
+
+
 def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_d) of det(xI - M), monic, exact."""
+    """Coefficients (c_0, ..., c_d) of det(xI - M), monic, exact.
+
+    With den the lcm of the entry denominators and B = den M integral,
+    c_i(M) = c_i(B) / den^(d-i).  The c_i(B) are found modulo enough primes
+    near 2^81 to exceed twice the Hadamard bound, then lifted by the CRT.
+    """
     d = len(matrix)
     if any(len(row) != d for row in matrix):
         raise ValueError("endomorphism matrix must be square")
-    coeffs = [Fraction(0)] * d + [Fraction(1)]
-    b = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
-    for k in range(1, d + 1):
-        a = _rat_matmul(matrix, b)
-        trace = sum((a[i][i] for i in range(d)), Fraction(0))
-        coeffs[d - k] = -trace / k
-        b = tuple(
-            tuple(a[i][j] + (coeffs[d - k] if i == j else 0) for j in range(d))
-            for i in range(d)
-        )
-    return tuple(coeffs)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    # c_i(B) is a signed sum of comb(d, m) principal m-minors, m = d - i, each
+    # at most nu^m in size (Hadamard) for nu at least every column 2-norm
+    norm2 = max((sum(row[j] ** 2 for row in b) for j in range(d)), default=0)
+    nu = math.isqrt(norm2 - 1) + 1 if norm2 else 0
+    bound = max(math.comb(d, m) * nu**m for m in range(d + 1))
+    primes: list[int] = []
+    modulus = 1
+    while modulus <= 2 * bound:
+        primes.append(_chi_prime(len(primes)))
+        modulus *= primes[-1]
+    chis = [
+        _char_poly_mod([r[i * d : i * d + d] for i in range(d)], q)
+        for r, q in zip(_residues([x for row in b for x in row], primes), primes)
+    ]
+    return tuple(
+        Fraction(c - modulus if 2 * c > modulus else c, den ** (d - i))
+        for i, c in enumerate(_crt(chis, primes, modulus))
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Everything here works by enumerating group elements and applying
 definitions literally, with no lattice arithmetic, so the fast exact
 code paths can be checked against first principles on small groups.
 The exceptions are :func:`det`, the Bareiss determinant that the
-Hermite and Smith forms are checked against, :func:`tower_index_sequences`,
+Hermite and Smith forms are checked against, :func:`char_poly_oracle`,
+the Faddeev-LeVerrier characteristic polynomial over ``Fraction`` that
+the multimodular ``padic.char_poly`` is checked against,
+:func:`tower_index_sequences`,
 a shared helper that reads both index sequences off one build of a
 tower's chains, and the re-presentation oracle: :func:`unimodular_pair` draws a random change of
 basis together with its inverse, and :func:`conjugate_tower_endo`
@@ -114,6 +117,27 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def char_poly_oracle(matrix) -> tuple[Fraction, ...]:
+    """Coefficients (c_0, ..., c_d) of det(xI - M) by Faddeev-LeVerrier over Fraction.
+
+    M_1 = M, c_(d-k) = -tr(M_k) / k and M_(k+1) = M (M_k + c_(d-k) I):
+    exact rational arithmetic throughout, sharing nothing with the
+    Hessenberg recurrence and the CRT that ``padic.char_poly`` uses.
+    """
+    d = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(0)] * d + [Fraction(1)]
+    b = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        a = [
+            [sum((m[i][t] * b[t][j] for t in range(d)), Fraction(0)) for j in range(d)]
+            for i in range(d)
+        ]
+        coeffs[d - k] = -sum((a[i][i] for i in range(d)), Fraction(0)) / k
+        b = [[a[i][j] + (coeffs[d - k] if i == j else 0) for j in range(d)] for i in range(d)]
+    return tuple(coeffs)
 
 
 def tower_index_sequences(endo, j, steps):

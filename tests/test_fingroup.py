@@ -198,6 +198,37 @@ class TestGroupHom:
         with pytest.raises(ValueError, match="homomorphism"):
             GroupHom(g, g, IntMatrix.from_rows([[0, 0], [1, 0]]))
 
+    def test_certificate_matches_per_entry_rule(self):
+        # the cached quotient table accepts exactly the matrices that the
+        # per-entry rule d_j x = 0 (mod d_i) accepts, over mixed moduli
+        rng = random.Random(18)
+        moduli = (1, 2, 3, 4, 6, 8, 9, 12, 2**70)
+        verdicts = set()
+        for _ in range(400):
+            domain, codomain = (
+                FinAbGroup(tuple(rng.choice(moduli) for _ in range(rng.randint(1, 4))))
+                for _ in range(2)
+            )
+            rows = [[rng.randrange(-30, 30) for _ in domain.moduli] for _ in codomain.moduli]
+            if rng.random() < 0.5:
+                # scale each entry to a multiple of its q_ij, so about half the draws are valid
+                rows = [
+                    [x * (di // math.gcd(di, dj)) for x, dj in zip(row, domain.moduli)]
+                    for row, di in zip(rows, codomain.moduli)
+                ]
+            valid = not any(
+                dj * (x % di) % di
+                for row, di in zip(rows, codomain.moduli)
+                for x, dj in zip(row, domain.moduli)
+            )
+            verdicts.add(valid)
+            if valid:
+                GroupHom(domain, codomain, IntMatrix.from_rows(rows))
+            else:
+                with pytest.raises(ValueError, match="does not define a homomorphism"):
+                    GroupHom(domain, codomain, IntMatrix.from_rows(rows))
+        assert verdicts == {True, False}
+
     def test_rows_normalized(self):
         g = FinAbGroup((2, 4))
         a = GroupHom(g, g, IntMatrix.from_rows([[1, 2], [2, 3]]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_elements, closure, det
+from conftest import all_elements, char_poly_oracle, closure, det
 from entbridge import padic
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import IntMatrix
@@ -457,6 +457,105 @@ class TestCharPoly:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             char_poly(((Fraction(1), Fraction(2)),))
+
+    @staticmethod
+    def _matrices(seed):
+        """210 seeded matrices: 50 integer, 60 with p-power denominators as
+        random_qp_instance draws them, 40 with distinct 7-digit denominators,
+        20 singular, 6 zero, 14 1 x 1 and 20 companion matrices."""
+        rng = random.Random(seed)
+        out = []
+        for _ in range(50):
+            d, size = rng.randint(1, 6), rng.choice((9, 10**6, 2**100))
+            out.append([[rng.randint(-size, size) for _ in range(d)] for _ in range(d)])
+        for _ in range(60):
+            d, prime = rng.randint(2, 5), rng.choice((2, 3, 5))
+            out.append(
+                [
+                    [Fraction(rng.randint(-4, 4), prime ** rng.randint(0, 1)) for _ in range(d)]
+                    for _ in range(d)
+                ]
+            )
+        for _ in range(40):
+            d = rng.randint(2, 5)
+            dens = rng.sample(range(10**6, 10**7), d * d)
+            out.append(
+                [
+                    [Fraction(rng.randint(-(10**7), 10**7), dens.pop()) for _ in range(d)]
+                    for _ in range(d)
+                ]
+            )
+        for _ in range(20):
+            # a repeated row, or a zero column
+            d = rng.randint(2, 6)
+            m = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+                for _ in range(d)
+            ]
+            if rng.random() < 0.5:
+                m[0] = list(m[-1])
+            else:
+                j = rng.randrange(d)
+                for row in m:
+                    row[j] = Fraction(0)
+            out.append(m)
+        out += [[[0] * d for _ in range(d)] for d in range(1, 7)]
+        out += [
+            [[Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9))]] for _ in range(14)
+        ]
+        for _ in range(20):
+            d = rng.randint(1, 6)
+            c = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(d)]
+            out.append(
+                [[Fraction(int(i == j + 1)) for j in range(d - 1)] + [-c[i]] for i in range(d)]
+            )
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_faddeev_leverrier_oracle(self, seed):
+        matrices = self._matrices(seed)
+        assert len(matrices) == 210
+        for entries in matrices:
+            m = rational_matrix(entries)
+            assert char_poly(m) == char_poly_oracle(m), entries
+        # the singular, zero and companion kinds are what they claim to be
+        assert all(char_poly(rational_matrix(m))[0] == 0 for m in matrices[150:176])
+        for entries in matrices[190:]:
+            d = len(entries)
+            assert char_poly(rational_matrix(entries))[:d] == tuple(-row[-1] for row in entries)
+
+    def test_modular_recurrence_with_small_primes(self):
+        # over F_2 .. F_7 sparse matrices need row swaps and skip zero columns
+        rng = random.Random(3)
+        for _ in range(200):
+            d, p = rng.randint(1, 7), rng.choice((2, 3, 5, 7))
+            m = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(d)] for _ in range(d)]
+            expected = [int(c) % p for c in char_poly_oracle(m)]
+            assert padic._char_poly_mod([[x % p for x in row] for row in m], p) == expected
+
+    def test_hadamard_bound_is_reached(self):
+        # k H for the 16 x 16 Sylvester-Hadamard matrix H: every column has
+        # 2-norm 4k, so the bound is nu^16 = (4k)^16 = det(k H) = c_0.  k puts
+        # that bound just under the product M of the first five CRT primes:
+        # M exceeds the bound but not twice it, so a lift after five primes
+        # would turn c_0 negative.
+        h = [[1]]
+        for _ in range(4):
+            h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+        product = math.prod(padic._chi_prime(i) for i in range(5))
+        k = int(product ** (1 / 16)) // 4
+        while (4 * k) ** 16 >= product:
+            k -= 1
+        while (4 * k + 4) ** 16 < product:
+            k += 1
+        assert (4 * k) ** 16 < product <= 2 * (4 * k) ** 16
+        # (k H)^2 = 16 k^2 I and trace(H) = 0, so chi = (x^2 - 16 k^2)^8
+        expected = [0] * 17
+        for j in range(9):
+            expected[2 * j] = math.comb(8, j) * (-16 * k * k) ** (8 - j)
+        coeffs = char_poly(rational_matrix([[k * x for x in row] for row in h]))
+        assert coeffs == tuple(Fraction(c) for c in expected)
+        assert coeffs[0] == (4 * k) ** 16
 
 
 class TestNewtonEntropy:
