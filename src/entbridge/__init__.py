@@ -38,7 +38,6 @@ from .fingroup import (
     trivial_subgroup,
 )
 from .padic import (
-    PadicEntropy,
     PadicLattice,
     char_poly,
     lattice_from_columns,
@@ -95,7 +94,6 @@ __all__ = [
     "full_shift_tower",
     "padic_tower",
     "PadicLattice",
-    "PadicEntropy",
     "standard_lattice",
     "lattice_from_columns",
     "char_poly",

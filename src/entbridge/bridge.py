@@ -333,16 +333,16 @@ def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
     primal = [index(co[0], c) for c in co]
     dual_side = [index(t, tr[0]) for t in tr]
     extra = {"modulus": modulus, "height": height, "level": level}
-    counterexample = {"modulus": modulus, "height": height, "level": level}
-    return _two_sided_report("shift", primal, dual_side, extra, counterexample)
+    return _two_sided_report("shift", primal, dual_side, extra, extra)
 
 
-def _route_agreement(est: EntropyEstimate, value: padic.PadicEntropy) -> dict:
+def _route_agreement(est: EntropyEstimate, ratio: int) -> dict:
+    """Whether an index route agrees with the closed form log(ratio), ratio = p^m:
+    a stabilized ratio equals it, a certified bound log(index)/steps is at least it."""
     if est.stabilized:
-        consistent = est.ratio == value.prime**value.multiple
+        consistent = est.ratio == ratio
     else:
-        bound = est.bound
-        consistent = bound.index >= value.prime ** (value.multiple * bound.steps)
+        consistent = est.bound.index >= ratio**est.bound.steps
     return {"mode": est.status, "consistent": consistent}
 
 
@@ -362,8 +362,8 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
     est_tr = estimate_entropy(tr)
     per_step = [a == b for a, b in zip(co, tr)]
     agreement = {
-        "cotrajectory": _route_agreement(est_co, newton),
-        "trajectory": _route_agreement(est_tr, newton),
+        "cotrajectory": _route_agreement(est_co, prime**newton),
+        "trajectory": _route_agreement(est_tr, prime**newton),
     }
     matched = (
         all(per_step)
@@ -380,11 +380,7 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
         "routes": {
             "cotrajectory": _estimate_payload(est_co),
             "trajectory": _estimate_payload(est_tr),
-            "newton": {
-                "multiple": newton.multiple,
-                "prime": newton.prime,
-                "value": newton.as_float(),
-            },
+            "newton": {"multiple": newton, "prime": prime, "value": newton * math.log(prime)},
         },
         "agreement": agreement,
         "verdict": "pass" if matched else "mismatch",
@@ -475,10 +471,8 @@ def random_subgroup(rng: random.Random, group: FinAbGroup) -> SubgroupLattice:
     return subgroup_from_generators(group, gens)
 
 
-def random_finite_instance(
-    rng: random.Random, max_order: int = 4096, steps: int = 6
-) -> dict:
-    group = random_finite_group(rng, max_order)
+def random_finite_instance(rng: random.Random) -> dict:
+    group = random_finite_group(rng)
     f = random_endomorphism(rng, group)
     u = random_subgroup(rng, group)
     return {
@@ -486,19 +480,12 @@ def random_finite_instance(
         "moduli": list(group.moduli),
         "endomorphism": _rows(f.matrix),
         "subgroup": u.basis.matrix.column_list(),
-        "steps": steps,
+        "steps": 6,
     }
 
 
-def random_shift_instance(rng: random.Random, height: int = 8) -> dict:
-    level = 1
-    return {
-        "kind": "shift",
-        "modulus": rng.randint(2, 6),
-        "height": height,
-        "level": level,
-        "steps": height - level,
-    }
+def random_shift_instance(rng: random.Random) -> dict:
+    return {"kind": "shift", "modulus": rng.randint(2, 6), "height": 8, "level": 1, "steps": 7}
 
 
 def random_qp_instance(
@@ -520,8 +507,8 @@ def random_qp_instance(
     }
 
 
-def random_real_instance(rng: random.Random, max_dim: int = 5) -> dict:
-    dim = rng.randint(1, max_dim)
+def random_real_instance(rng: random.Random) -> dict:
+    dim = rng.randint(1, 5)
     return {
         "kind": "real",
         "matrix": [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)],

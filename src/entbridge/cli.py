@@ -20,9 +20,9 @@ Three subcommands:
 * ``schema``: print one of the shipped schemas.
 
 The instance JSON is read with one rule for numbers: an integral number
-such as ``3.0`` is read as the integer 3 (JSON Schema already counts it
-as an integer), and ``NaN``, ``Infinity`` or a number that overflows to
-an infinity, such as ``1e400``, is unusable input.
+such as ``3.0`` or ``1e30`` is read exactly as an integer (JSON Schema
+already counts it as an integer), and ``NaN``, ``Infinity`` or a number
+that overflows to an infinity, such as ``1e400``, is unusable input.
 
 Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
 2 the input was unusable (also bytes that are not UTF-8, JSON nested
@@ -38,6 +38,7 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -147,11 +148,16 @@ def render_text(report: dict) -> str:
 
 def _json_number(text: str) -> int | float:
     """A JSON number written with a fraction or an exponent, or one of the
-    constants NaN and ±Infinity: an int when integral, so a count such as
-    3.0 reads as 3; a number that is not finite is an input error."""
+    constants NaN and ±Infinity: the exact int when integral, so a count
+    such as 3.0 reads as 3 and 1e30 as 10**30; else a float, an int when
+    that float is integral; a number that is not finite is an input error."""
     x = float(text)
     if not math.isfinite(x):
         raise ValueError(f"{text} is not a finite number")
+    # finite, so the integral part has at most 309 digits
+    exact = Decimal(text)
+    if exact == exact.to_integral_value():
+        return int(exact)
     return int(x) if x.is_integer() else x
 
 

@@ -51,7 +51,7 @@ def pairing(group: FinAbGroup, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """Evaluate <x, y> = sum x_i y_i / d_i mod 1 exactly, as a Fraction in [0, 1)."""
     xs = group.reduce(x)
     ys = group.reduce(y)
-    n = math.lcm(*group.moduli) if group.moduli else 1
+    n = math.lcm(*group.moduli)
     num = sum(a * b * (n // d) for a, b, d in zip(xs, ys, group.moduli))
     return Fraction(num, n) % 1
 
@@ -66,7 +66,7 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
     """
     g = subgroup.ambient
     k = g.rank
-    n = math.lcm(*g.moduli) if g.moduli else 1
+    n = math.lcm(*g.moduli)
     b = subgroup.basis.matrix
     constraints = IntMatrix.from_rows(
         [[(n // g.moduli[i]) * b.entries[i][r] for i in range(k)] for r in range(k)],

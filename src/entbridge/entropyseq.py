@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 __all__ = [
     "LogIndexBound",
@@ -78,12 +78,11 @@ class LogIndexBound:
 class EntropyEstimate:
     """Outcome of analyzing one finite index sequence."""
 
-    indices: tuple[int, ...]
     bound: LogIndexBound
     ratio: Optional[int]
     stabilized: bool
     demoted: bool
-    window: int
+    window: ClassVar[int] = _WINDOW
 
     @property
     def status(self) -> str:
@@ -146,11 +145,13 @@ def shifted_submultiplicative(indices: Sequence[int]) -> bool:
 
 def certified_upper_bound(indices: Sequence[int]) -> LogIndexBound:
     """Least log(a_n)/(n-1) over n >= 2, as an exact (index, steps) pair."""
-    seq = validate_indices(indices)
+    return _least_bound(validate_indices(indices))
+
+
+def _least_bound(seq: Sequence[int]) -> LogIndexBound:
     if len(seq) < 2:
         raise ValueError("invalid index sequence")
-    candidates = [LogIndexBound(a, n) for n, a in enumerate(seq[1:], start=1)]
-    return min(candidates)
+    return min(LogIndexBound(a, n) for n, a in enumerate(seq[1:], start=1))
 
 
 def estimate_entropy(indices: Sequence[int]) -> EntropyEstimate:
@@ -162,7 +163,7 @@ def estimate_entropy(indices: Sequence[int]) -> EntropyEstimate:
     and only the bound stands.
     """
     seq = validate_indices(indices)
-    bound = certified_upper_bound(seq)
+    bound = _least_bound(seq)
     r = _integer_ratios(seq) or ()
     ratio: Optional[int] = None
     stabilized = False
@@ -173,11 +174,4 @@ def estimate_entropy(indices: Sequence[int]) -> EntropyEstimate:
         if bound.exceeded_by_ratio(ratio):
             stabilized = False
             demoted = True
-    return EntropyEstimate(
-        indices=seq,
-        bound=bound,
-        ratio=ratio,
-        stabilized=stabilized,
-        demoted=demoted,
-        window=_WINDOW,
-    )
+    return EntropyEstimate(bound=bound, ratio=ratio, stabilized=stabilized, demoted=demoted)

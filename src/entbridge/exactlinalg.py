@@ -37,6 +37,7 @@ rank (up to a dozen or so) with possibly huge entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,13 +71,13 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(operator.index, row)) for row in rows)
         width = len(data[0]) if data else (cols if cols is not None else 0)
         return IntMatrix(len(data), width, data)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(map(int, c)) for c in columns]
+        cols = [tuple(map(operator.index, c)) for c in columns]
         height = len(cols[0]) if cols else (rows if rows is not None else 0)
         if any(len(c) != height for c in cols):
             raise ValueError("column length mismatch")
@@ -93,7 +94,7 @@ class IntMatrix:
         data = []
         for i, v in enumerate(values):
             row = [0] * n
-            row[i] = int(v)
+            row[i] = operator.index(v)
             data.append(tuple(row))
         return IntMatrix(n, n, tuple(data))
 
@@ -192,7 +193,7 @@ class HnfBasis:
         k = self.dim
         if len(vector) != k:
             raise ValueError("vector length mismatch")
-        v = [int(x) for x in vector]
+        v = [operator.index(x) for x in vector]
         entries = self.matrix.entries
         coords = []
         for j in range(k):

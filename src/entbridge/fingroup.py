@@ -43,6 +43,7 @@ G = (Z/p^N)^d and pairs each power B^k with a subgroup p^c G.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
@@ -82,7 +83,7 @@ class FinAbGroup:
     dual: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(d) for d in self.moduli))
+        object.__setattr__(self, "moduli", tuple(map(operator.index, self.moduli)))
         if any(d < 1 for d in self.moduli):
             raise ValueError("moduli must be positive")
 
@@ -103,7 +104,7 @@ class FinAbGroup:
     def reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.rank:
             raise ValueError("element length mismatch")
-        return tuple(int(v) % d for v, d in zip(vector, self.moduli))
+        return tuple(operator.index(v) % d for v, d in zip(vector, self.moduli))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([a + b for a, b in zip(x, y)])

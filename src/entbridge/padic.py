@@ -31,8 +31,8 @@ compare them against its preimage and sum recursion.
 The closed-form route is the Newton polygon: the entropy of an
 invertible matrix is log(p) times the sum of the positive slopes of the
 lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
-with multiplicity; that sum is a nonnegative integer, so the value is
-carried as (multiple, prime) and compared exactly.
+with multiplicity; that sum is a nonnegative integer m, so the value is
+carried as the multiple m of log(p) and compared exactly.
 
 The characteristic polynomial is computed on one exact integer path.
 With den the lcm of the entry denominators, B = den A is an integer
@@ -75,7 +75,6 @@ from .fingroup import (
 
 __all__ = [
     "PadicLattice",
-    "PadicEntropy",
     "is_prime",
     "rational_matrix",
     "rational_inverse",
@@ -371,6 +370,12 @@ def preimage(
     return lattice_from_columns(p, _rat_transpose(basis))
 
 
+def _clear_denominators(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(den, B): den the lcm of the entry denominators and B = den * matrix, integral."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+
+
 def _finite_level(
     prime: int, matrix: RationalMatrix, steps: int
 ) -> tuple[int, FinAbGroup, Iterator[GroupHom]]:
@@ -385,7 +390,7 @@ def _finite_level(
         raise ValueError("prime required")
     if steps < 1:
         raise ValueError("step count must be at least 1")
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    den, b = _clear_denominators(matrix)
     e = _vp(den, prime)
     top = (steps - 1) * e
     # p >= 2, so top > _LEVEL_BITS already decides it without the power
@@ -394,9 +399,8 @@ def _finite_level(
             f"working modulus {prime}^{top} exceeds 2^{_LEVEL_BITS}:"
             " use fewer steps or smaller p-power denominators"
         )
-    b = IntMatrix.from_rows([[_as_int(x * den) for x in row] for row in matrix])
-    group = FinAbGroup((prime**top,) * b.rows)
-    return e, group, powers(GroupHom(group, group, b), steps)
+    group = FinAbGroup((prime**top,) * len(b))
+    return e, group, powers(GroupHom(group, group, IntMatrix.from_rows(b)), steps)
 
 
 def _multiples(group: FinAbGroup, c: int) -> SubgroupLattice:
@@ -541,8 +545,7 @@ def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     d = len(matrix)
     if any(len(row) != d for row in matrix):
         raise ValueError("endomorphism matrix must be square")
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
+    den, b = _clear_denominators(matrix)
     # c_i(B) is a signed sum of comb(d, m) principal m-minors, m = d - i, each
     # at most nu^m in size (Hadamard) for nu at least every column 2-norm
     norm2 = max((sum(row[j] ** 2 for row in b) for j in range(d)), default=0)
@@ -563,27 +566,16 @@ def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class PadicEntropy:
-    """An exact entropy value multiple * log(prime)."""
-
-    multiple: int
-    prime: int
-
-    def as_float(self) -> float:
-        return self.multiple * math.log(self.prime)
-
-
-def newton_entropy(prime: int, coeffs: Sequence[Fraction]) -> PadicEntropy:
+def newton_entropy(prime: int, coeffs: Sequence[Fraction]) -> int:
     """Sum of positive lower-hull rises of (i, v_p(c_i)): log of the p-adic
-    moduli above 1, with multiplicity, as a multiple of log(prime)."""
+    moduli above 1, with multiplicity, as the integer multiple of log(prime)."""
     if not is_prime(prime):
         raise ValueError("prime required")
     points = [
         (i, _vp_frac(Fraction(c), prime)) for i, c in enumerate(coeffs) if Fraction(c) != 0
     ]
     if len(points) < 2:
-        return PadicEntropy(0, prime)
+        return 0
     hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:
@@ -594,5 +586,4 @@ def newton_entropy(prime: int, coeffs: Sequence[Fraction]) -> PadicEntropy:
             else:
                 break
         hull.append(pt)
-    multiple = sum(b[1] - a[1] for a, b in zip(hull, hull[1:]) if b[1] > a[1])
-    return PadicEntropy(multiple, prime)
+    return sum(b[1] - a[1] for a, b in zip(hull, hull[1:]) if b[1] > a[1])

@@ -129,12 +129,10 @@ def test_criterion_4_padic_routes():
                 for route in ("cotrajectory", "trajectory"):
                     est = rep["routes"][route]
                     if est["status"] == "stabilized":
-                        exact = est["ratio"] == prime**newton.multiple
+                        exact = est["ratio"] == prime**newton
                     else:
                         bound = est["bound"]
-                        exact = bound["index"] >= prime ** (
-                            newton.multiple * bound["steps"]
-                        )
+                        exact = bound["index"] >= prime ** (newton * bound["steps"])
                     if not exact or not rep["agreement"][route]["consistent"]:
                         problems.append((prime, dim, route))
                 if rep["verdict"] != "pass":

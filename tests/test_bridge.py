@@ -442,6 +442,40 @@ class TestQpBridge:
         with pytest.raises(ValueError, match=r"working modulus 2\^189 exceeds 2\^128"):
             verify_instance(instance)
 
+    @pytest.mark.parametrize("delta", [0, 1, -1])
+    def test_closed_form_off_by_one_is_a_mismatch(self, monkeypatch, delta):
+        # every draw stabilizes, so a multiple m + 1 or m - 1 of log p
+        # contradicts both index routes; unchanged, every draw passes
+        padic = bridge.padic
+        newton_entropy = padic.newton_entropy
+
+        def multiple(inst):
+            return newton_entropy(inst["prime"], padic.char_poly(padic.rational_matrix(inst["matrix"])))
+
+        draws = [
+            random_qp_instance(random.Random(seed), prime=prime, dim=dim)
+            for seed in range(50)
+            for prime, dim in [(2, 2), (3, 2), (2, 3), (3, 3)]
+        ]
+        if delta < 0:
+            draws = [inst for inst in draws if multiple(inst) >= 1]
+        monkeypatch.setattr(padic, "newton_entropy", lambda p, coeffs: newton_entropy(p, coeffs) + delta)
+        verdicts = {verify_instance(inst)["verdict"] for inst in draws}
+        assert verdicts == {"pass" if delta == 0 else "mismatch"}
+
+    @pytest.mark.parametrize("multiple,consistent", [(1, True), (2, False)])
+    def test_bounded_only_agreement(self, monkeypatch, multiple, consistent):
+        # indices [1, 2, 4] give two ratios, fewer than the window, and the
+        # certified bound log(2)/1: m log 2 is consistent with it only for m <= 1
+        monkeypatch.setattr(bridge.padic, "newton_entropy", lambda prime, coeffs: multiple)
+        report = qp_bridge(2, [["1/2"]], 3)
+        assert report["indices"]["primal"] == [1, 2, 4]
+        assert report["routes"]["cotrajectory"]["bound"]["index"] == 2
+        assert report["routes"]["cotrajectory"]["bound"]["steps"] == 1
+        assert report["agreement"]["cotrajectory"] == {"mode": "bounded-only", "consistent": consistent}
+        assert report["agreement"]["trajectory"] == {"mode": "bounded-only", "consistent": consistent}
+        assert report["verdict"] == ("pass" if consistent else "mismatch")
+
 
 class TestRealBridge:
     def test_hyperbolic(self):
@@ -484,6 +518,23 @@ class TestVerifyDispatch:
         for kind in ["finite", "shift", "qp"]:
             with pytest.raises(ValueError, match="step count must be at least 2"):
                 verify_instance({**instances[kind], "steps": 1})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"endomorphism": [[2.9]]},
+            {"moduli": [4.7]},
+            {"subgroup": [["1"]]},
+            {"kind": "shift", "modulus": 2.5, "height": 4, "level": 0},
+        ],
+        ids=["float-entry", "float-modulus", "string-generator", "float-shift-modulus"],
+    )
+    def test_non_integer_counts_are_refused(self, change):
+        # int() would truncate 2.9 to 2 and parse "1", and verify another instance
+        instance = {"kind": "finite", "moduli": [4], "endomorphism": [[2]], "subgroup": [[1]], "steps": 3}
+        assert verify_instance(instance)["verdict"] == "pass"
+        with pytest.raises(TypeError):
+            verify_instance({**instance, **change})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown instance kind"):

@@ -323,6 +323,33 @@ class TestVerify:
         assert main(["verify", write_instance(tmp_path, dict(instance, **floats))]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        "text,modulus",
+        [
+            ('{"kind":"shift","modulus":1e30,"height":4,"level":0,"steps":2}', 10**30),
+            ('{"kind":"shift","modulus":9007199254740993.0,"height":4,"level":0,"steps":2}', 2**53 + 1),
+        ],
+        ids=["1e30", "2^53+1"],
+    )
+    def test_integral_numbers_are_read_exactly(self, tmp_path, capsys, text, modulus):
+        # as floats these are 1000000000000000019884624838656 and 2^53
+        path = tmp_path / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["modulus"] == modulus
+        assert report["indices"] == {"primal": [1, modulus], "dual": [1, modulus]}
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("2.5", 2.5), ("-0.0", 0), ("3.0", 3), ("1e30", 10**30), ("1.0000000000000000001", 1)],
+    )
+    def test_json_number(self, text, value):
+        # an integral value is exact; a fraction that rounds to an integral
+        # float reads as that float's int
+        number = cli._json_number(text)
+        assert number == value and type(number) is type(value)
+
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_is_input_error(self, tmp_path, capsys, number):
         # the schema cannot refuse these as a tolerance: NaN fails no

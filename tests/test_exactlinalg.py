@@ -99,6 +99,18 @@ class TestIntMatrix:
             with pytest.raises(ValueError, match="column length mismatch"):
                 IntMatrix.from_columns(columns)
 
+    @pytest.mark.parametrize("entry", [2.9, 2.0, "1", Fraction(4, 2)])
+    def test_entries_must_be_integers(self, entry):
+        # an entry must be an int; int() would also take these, truncating 2.9
+        for build in (
+            IntMatrix.from_rows,
+            IntMatrix.from_columns,
+            lambda rows: IntMatrix.diagonal(rows[0]),
+            lambda rows: HnfBasis(IntMatrix.identity(1)).solve(rows[0]),
+        ):
+            with pytest.raises(TypeError):
+                build([[entry]])
+
     @given(square_matrices())
     def test_det_matches_leibniz(self, m):
         assert det(m) == permutation_det(m)

@@ -116,6 +116,12 @@ class TestFinAbGroup:
     def test_invalid_moduli(self):
         with pytest.raises(ValueError):
             FinAbGroup((0, 2))
+        with pytest.raises(TypeError):
+            FinAbGroup((4.7, 2))
+
+    def test_elements_must_be_integers(self):
+        with pytest.raises(TypeError):
+            FinAbGroup((4, 2)).reduce((2.9, "1"))
 
     def test_dual_tag_distinguishes(self):
         assert FinAbGroup((2,)) != FinAbGroup((2,), dual=True)
