@@ -298,19 +298,19 @@ def _two_sided_report(
 def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
     """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
     co, tr = _finite_chains(f, u, steps)
-    primal = [index(co[0], c) for c in co]
-    dual_side = [index(t, tr[0]) for t in tr]
-    counterexample = None
-    for n, (a, b) in enumerate(zip(primal, dual_side), start=1):
-        if a != b:
+    primal, dual_side, counterexample = [], [], None
+    for n, (c, t) in enumerate(zip(co, tr)):
+        # a padded tail repeats the last term built, as one object: index it once
+        primal.append(primal[-1] if n and c is co[n - 1] else index(co[0], c))
+        dual_side.append(dual_side[-1] if n and t is tr[n - 1] else index(t, tr[0]))
+        if counterexample is None and primal[-1] != dual_side[-1]:
             counterexample = {
-                "step": n,
-                "primal_index": a,
-                "dual_index": b,
-                "cotrajectory": _subgroup_payload(co[n - 1]),
-                "dual_trajectory": _subgroup_payload(tr[n - 1]),
+                "step": n + 1,
+                "primal_index": primal[-1],
+                "dual_index": dual_side[-1],
+                "cotrajectory": _subgroup_payload(c),
+                "dual_trajectory": _subgroup_payload(t),
             }
-            break
     extra = {
         "moduli": list(f.domain.moduli),
         "endomorphism": _rows(f.matrix),

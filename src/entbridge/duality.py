@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, preimage_lattice, snf
+from .exactlinalg import HnfBasis, IntMatrix, _trusted, preimage_lattice, snf
 from .fingroup import FinAbGroup, GroupHom, SubgroupLattice
 
 __all__ = [
@@ -72,9 +72,9 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
         [[(n // g.moduli[i]) * b.entries[i][r] for i in range(k)] for r in range(k)],
         cols=k,
     )
-    target = HnfBasis(IntMatrix.diagonal([n] * k))
+    target = _trusted(HnfBasis, IntMatrix.diagonal([n] * k))
     lattice = preimage_lattice(constraints, target, IntMatrix.identity(k))
-    return SubgroupLattice(dual_group(g), lattice)
+    return _trusted(SubgroupLattice, dual_group(g), lattice)
 
 
 def dual_hom(f: GroupHom) -> GroupHom:

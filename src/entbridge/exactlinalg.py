@@ -21,10 +21,10 @@ one elimination yields basis . {y : m y in target} directly.
 its pivot columns, alternately, until every pivot column has a single
 nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
-Matrix products accumulate row by row and skip zero entries, and
-forward substitution (:meth:`HnfBasis.solve`, and
+Matrix products accumulate row by row and skip zero entries, and the
+one forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
-pass) skips rows whose residual is already zero.  The tower maps of
+call) skips rows whose residual is already zero.  The tower maps of
 :mod:`entbridge.tdlca` are mostly 0/1 matrices, and these shortcuts are
 all the sparsity support there is: every matrix stays a dense tuple of
 rows.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 __all__ = [
     "IntMatrix",
@@ -49,6 +49,19 @@ __all__ = [
     "kernel_basis",
     "preimage_lattice",
 ]
+
+_T = TypeVar("_T")
+
+
+def _trusted(cls: type[_T], *values: object) -> _T:
+    """The frozen dataclass `cls` holding `values` (its fields, in order),
+    built without running ``__post_init__``: only for values the package
+    computed, whose invariants hold by construction.  The public
+    constructors check; ``tests/test_invariants.py`` rebuilds each value
+    made here through them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -185,53 +198,40 @@ class HnfBasis:
         return d
 
     def solve(self, vector: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer coordinates of `vector` in this basis, or None.
-
-        Forward substitution down the triangle; every division must be
-        exact, otherwise the vector is not in the lattice.
-        """
-        k = self.dim
-        if len(vector) != k:
+        """Integer coordinates of `vector` in this basis, or None."""
+        if len(vector) != self.dim:
             raise ValueError("vector length mismatch")
-        v = [operator.index(x) for x in vector]
-        entries = self.matrix.entries
-        coords = []
-        for j in range(k):
-            if not v[j]:
-                coords.append(0)
-                continue
-            q, r = divmod(v[j], entries[j][j])
-            if r:
-                return None
-            coords.append(q)
-            for i in range(j + 1, k):
-                v[i] -= q * entries[i][j]
-        return tuple(coords)
+        coords = self._substitute([operator.index(x) for x in vector], 0)
+        return None if coords is None else tuple(coords)
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self.solve(vector) is not None
 
     def contains_lattice(self, other: "HnfBasis") -> bool:
-        """Whether every column of `other` lies in this lattice.
-
-        One forward substitution per column, as in :meth:`solve`, all in
-        this call.  Column c of `other` is zero above row c (it is lower
-        triangular), so its substitution starts at row c.
-        """
-        k = self.dim
-        if other.dim != k:
+        """Whether every column of `other` lies in this lattice.  Column c of
+        `other` is zero above row c (it is lower triangular), so its
+        substitution starts at row c."""
+        if other.dim != self.dim:
             raise ValueError("dimension mismatch")
+        columns = enumerate(zip(*other.matrix.entries))
+        return all(self._substitute(list(col), c) is not None for c, col in columns)
+
+    def _substitute(self, v: list[int], start: int) -> list[int] | None:
+        """Forward substitution of `v`, zero above row `start`, changed in place:
+        its coordinates from `start` on, or None if a division is inexact."""
         entries = self.matrix.entries
-        for c, column in enumerate(zip(*other.matrix.entries)):
-            v = list(column)
-            for j in range(c, k):
-                if v[j]:
-                    q, r = divmod(v[j], entries[j][j])
-                    if r:
-                        return False
-                    for i in range(j + 1, k):
-                        v[i] -= q * entries[i][j]
-        return True
+        k = len(entries)
+        coords = []
+        for j in range(start, k):
+            q = 0
+            if v[j]:
+                q, r = divmod(v[j], entries[j][j])
+                if r:
+                    return None
+                for i in range(j + 1, k):
+                    v[i] -= q * entries[i][j]
+            coords.append(q)
+        return coords
 
 
 def _echelon(m: IntMatrix, tracked: IntMatrix) -> tuple[list[list[int] | None], IntMatrix]:
@@ -278,7 +278,8 @@ def hnf(gens: IntMatrix) -> HnfBasis:
     Accepts any number of generator columns (callers append relation
     columns themselves when working modulo a finite group).  Raises
     ValueError("lattice not full rank") when the column span has rank
-    below the ambient dimension.
+    below the ambient dimension.  The result is a Hermite basis by
+    construction, so the :class:`HnfBasis` checks are not run on it.
     """
     basis, _ = _echelon(gens, _UNTRACKED)
     if any(piv is None for piv in basis):
@@ -292,7 +293,7 @@ def hnf(gens: IntMatrix) -> HnfBasis:
             if q:
                 for t in range(i, gens.rows):
                     b[t] -= q * piv[t]
-    return HnfBasis(IntMatrix(gens.rows, gens.rows, tuple(zip(*basis))))
+    return _trusted(HnfBasis, IntMatrix(gens.rows, gens.rows, tuple(zip(*basis))))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

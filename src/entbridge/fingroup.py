@@ -8,7 +8,9 @@ subgroup check, Hermite form modulo the relations and join chain starts
 from that one basis.  Because the basis is canonical, subgroup
 equality is structural equality, indices are determinant quotients, and
 all operations (sum, intersection, image, preimage, kernel) reduce to
-exact integer lattice computations.
+exact integer lattice computations.  ``SubgroupLattice(...)`` checks the
+basis it is given; the subgroups computed here contain the relations by
+construction and are built unchecked (:func:`~entbridge.exactlinalg._trusted`).
 
 Homomorphisms carry an eagerly checked divisibility certificate:
 a matrix M induces a well-defined map between the presented groups
@@ -49,7 +51,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, hnf, preimage_lattice
+from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf, preimage_lattice
 
 __all__ = [
     "FinAbGroup",
@@ -116,16 +118,16 @@ class FinAbGroup:
         Cached in the instance dict, outside the dataclass fields, so it
         takes no part in equality, hashing or repr.
         """
-        return HnfBasis(IntMatrix.diagonal(self.moduli))
+        return _trusted(HnfBasis, IntMatrix.diagonal(self.moduli))
 
 
 @dataclass(frozen=True)
 class SubgroupLattice:
     """Subgroup of a FinAbGroup, canonically represented.
 
-    The basis lattice always contains the ambient relation lattice, which
-    is checked at construction, so every instance really is a subgroup of
-    the presented group and equality of instances is subgroup equality.
+    The basis lattice always contains the ambient relation lattice (the
+    constructor checks it; computed subgroups hold it by construction), so
+    equality of instances is subgroup equality.
     """
 
     ambient: FinAbGroup
@@ -150,7 +152,7 @@ class SubgroupLattice:
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
         gens = self.basis.matrix.hstack(other.basis.matrix)
-        return SubgroupLattice(self.ambient, hnf(gens))
+        return _trusted(SubgroupLattice, self.ambient, hnf(gens))
 
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
         """The intersection, as B1 {a : B1 a in B2 Z^k}: one elimination
@@ -158,22 +160,22 @@ class SubgroupLattice:
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
         b1 = self.basis.matrix
-        return SubgroupLattice(self.ambient, preimage_lattice(b1, other.basis, b1))
+        return _trusted(SubgroupLattice, self.ambient, preimage_lattice(b1, other.basis, b1))
 
 
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:
     """Subgroup generated by the given elements."""
     cols = [list(group.reduce(g)) for g in generators]
     gens = IntMatrix.from_columns(cols, rows=group.rank).hstack(group.relations.matrix)
-    return SubgroupLattice(group, hnf(gens))
+    return _trusted(SubgroupLattice, group, hnf(gens))
 
 
 def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
-    return SubgroupLattice(group, HnfBasis(IntMatrix.identity(group.rank)))
+    return _trusted(SubgroupLattice, group, _trusted(HnfBasis, IntMatrix.identity(group.rank)))
 
 
 def trivial_subgroup(group: FinAbGroup) -> SubgroupLattice:
-    return SubgroupLattice(group, group.relations)
+    return _trusted(SubgroupLattice, group, group.relations)
 
 
 def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
@@ -250,14 +252,14 @@ def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.domain:
         raise ValueError("subgroup not in the domain")
     gens = (f.matrix @ subgroup.basis.matrix).hstack(f.codomain.relations.matrix)
-    return SubgroupLattice(f.codomain, hnf(gens))
+    return _trusted(SubgroupLattice, f.codomain, hnf(gens))
 
 
 def preimage(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.codomain:
         raise ValueError("subgroup not in the codomain")
     identity = IntMatrix.identity(f.domain.rank)
-    return SubgroupLattice(f.domain, preimage_lattice(f.matrix, subgroup.basis, identity))
+    return _trusted(SubgroupLattice, f.domain, preimage_lattice(f.matrix, subgroup.basis, identity))
 
 
 def kernel(f: GroupHom) -> SubgroupLattice:
@@ -305,7 +307,7 @@ def meet_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[Su
             raise ValueError("maps out of different groups")
         if v.ambient != f.codomain:
             raise ValueError("subgroup not in the codomain")
-        term = SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis))
+        term = _trusted(SubgroupLattice, group, preimage_lattice(f.matrix @ basis, v.basis, basis))
         yield term
         basis = term.basis.matrix
 
@@ -328,6 +330,6 @@ def join_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[Su
             raise ValueError("maps into different groups")
         if s.ambient != g.domain:
             raise ValueError("subgroup not in the domain")
-        term = SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
+        term = _trusted(SubgroupLattice, group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
         yield term
         basis = term.basis.matrix

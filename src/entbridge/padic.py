@@ -61,7 +61,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence, Union
 
-from .exactlinalg import HnfBasis, IntMatrix, hnf
+from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -404,8 +404,9 @@ def _finite_level(
 
 
 def _multiples(group: FinAbGroup, c: int) -> SubgroupLattice:
-    """The subgroup c G, whose Hermite basis is c times the identity."""
-    return SubgroupLattice(group, HnfBasis(IntMatrix.diagonal((c,) * group.rank)))
+    """The subgroup c G, whose Hermite basis is c times the identity (c divides the moduli)."""
+    basis = _trusted(HnfBasis, IntMatrix.diagonal((c,) * group.rank))
+    return _trusted(SubgroupLattice, group, basis)
 
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:

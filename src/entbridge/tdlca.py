@@ -35,9 +35,10 @@ share only these input maps; neither is computed from the other.  The
 condition maps are built incrementally rather than from scratch at each
 step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
 F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit, so one instance
-costs O(n + l - j) compositions of bonding and component maps.  Every
-composite is still an ordinary, fully checked GroupHom, and the tower
-and endomorphism data are validated in full at construction.
+costs O(n + l - j) compositions of bonding and component maps.
+``Tower(...)`` and ``TowerEndo(...)`` check the data they are given;
+the shift tower that :func:`full_shift_tower` builds from two checked
+integers holds both invariants by construction and is built unchecked.
 :func:`working_level` checks (j, n) against a height before any tower
 exists, so a caller can refuse an out-of-range request, or build only
 the levels it needs, without constructing the rest.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .duality import dual_hom
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, _trusted
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -219,22 +220,16 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
         raise ValueError("modulus must be at least 2")
     if height < 2:
         raise ValueError("tower needs at least two levels for the shift")
-    levels = [FinAbGroup((modulus,) * (i + 1)) for i in range(height)]
-    projections = []
-    shifts = []
+    levels = tuple(FinAbGroup((modulus,) * (i + 1)) for i in range(height))
+    projections, shifts = [], []
     for i in range(height - 1):
         rank = i + 1
-        drop_last = IntMatrix.from_rows(
-            [[1 if c == r else 0 for c in range(rank + 1)] for r in range(rank)],
-            cols=rank + 1,
-        )
-        drop_first = IntMatrix.from_rows(
-            [[1 if c == r + 1 else 0 for c in range(rank + 1)] for r in range(rank)],
-            cols=rank + 1,
-        )
+        ident = IntMatrix.identity(rank).entries
+        drop_last = IntMatrix(rank, rank + 1, tuple(row + (0,) for row in ident))
+        drop_first = IntMatrix(rank, rank + 1, tuple((0,) + row for row in ident))
         projections.append(GroupHom(levels[i + 1], levels[i], drop_last))
         shifts.append(GroupHom(levels[i + 1], levels[i], drop_first))
-    return TowerEndo(Tower(tuple(levels), tuple(projections)), 1, tuple(shifts))
+    return _trusted(TowerEndo, _trusted(Tower, levels, tuple(projections)), 1, tuple(shifts))
 
 
 def padic_tower(prime: int, height: int, entries: Sequence[Sequence[int]]) -> TowerEndo:

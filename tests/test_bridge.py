@@ -207,6 +207,28 @@ class TestEarlyExit:
             fhat: composes,
         }
 
+    @pytest.mark.parametrize(
+        "hyperplane, indexed", [(15, 2), (0, 32)], ids=["invariant", "strictly-decreasing"]
+    )
+    def test_indexes_each_distinct_term_once(self, monkeypatch, hyperplane, indexed):
+        # the report pads the index lists, not the index calls: the invariant
+        # chains have one distinct term each, the strictly decreasing ones 16
+        g, f = left_shift(16)
+        u = coordinate_hyperplane(g, hyperplane)
+        real_index = bridge.index
+        calls = []
+
+        def counted_index(outer, inner):
+            calls.append(None)
+            return real_index(outer, inner)
+
+        monkeypatch.setattr(bridge, "index", counted_index)
+        report = finite_bridge(f, u, 16)
+        assert len(calls) == indexed
+        expected = [1] * 16 if hyperplane == 15 else [2**n for n in range(16)]
+        assert report["indices"] == {"primal": expected, "dual": expected}
+        assert report["verdict"] == "pass"
+
 
 class TestLaws:
     def test_names_and_frozen_instance(self):

@@ -292,6 +292,21 @@ class TestVerify:
         assert main(["verify", path]) == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    def test_non_homomorphism_is_input_error(self, tmp_path, capsys):
+        # x -> (0, x_0) sends the order-2 generator to 1 in Z/4, where 2 * 1 != 0
+        bad = {
+            "kind": "finite",
+            "moduli": [2, 4],
+            "endomorphism": [[0, 0], [1, 0]],
+            "subgroup": [],
+            "steps": 2,
+        }
+        path = write_instance(tmp_path, bad)
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "matrix does not define a homomorphism" in captured.err
+
     @pytest.mark.parametrize(
         "entry,message",
         [

@@ -1,0 +1,100 @@
+"""Every value the package builds without its checks passes them.
+
+The package builds the subgroups, Hermite bases and shift towers it
+computes through ``exactlinalg._trusted``, which skips
+``__post_init__``.  Here the helper is replaced, in every module that
+binds it, by one that builds through the checked constructor, and each
+exact route must run with no check firing and give the same report.
+"""
+
+import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entbridge import exactlinalg
+from entbridge.bridge import random_instance, random_qp_instance, verify_instance
+from entbridge.cli import canonical_json
+
+# the classes each route must build through the helper
+BUILT = {
+    "finite": {"HnfBasis", "SubgroupLattice"},
+    "shift": {"HnfBasis", "SubgroupLattice", "Tower", "TowerEndo"},
+    "qp": {"HnfBasis", "SubgroupLattice"},
+}
+
+
+@contextmanager
+def checked_builds():
+    """Route every ``_trusted`` build through the checked constructor; yields
+    the count of builds per class and the list of checks that fired."""
+    trusted = exactlinalg._trusted
+    built, fired = Counter(), []
+
+    def checked(cls, *values):
+        built[cls.__name__] += 1
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            fired.append(f"{cls.__name__}: {exc}")
+            return trusted(cls, *values)
+
+    binders = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("entbridge") and getattr(module, "_trusted", None) is trusted
+    ]
+    for module in binders:
+        module._trusted = checked
+    try:
+        yield built, fired
+    finally:
+        for module in binders:
+            module._trusted = trusted
+
+
+@st.composite
+def shift_instances(draw):
+    height = draw(st.integers(2, 10))
+    level = draw(st.integers(0, height - 2))
+    return {
+        "kind": "shift",
+        "modulus": draw(st.integers(2, 6)),
+        "height": height,
+        "level": level,
+        "steps": draw(st.integers(2, height - level)),
+    }
+
+
+def qp_instance(seed, prime, dim, steps):
+    return random_qp_instance(random.Random(seed), prime, dim, steps)
+
+
+INSTANCES = {
+    "finite": st.integers(0, 2**32).map(lambda seed: random_instance(random.Random(seed), "finite")),
+    "shift": shift_instances(),
+    "qp": st.builds(
+        qp_instance,
+        st.integers(0, 2**32),
+        st.sampled_from([2, 3, 5]),
+        st.integers(1, 3),
+        st.integers(2, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_built_values_pass_their_checks(kind, data):
+    instance = data.draw(INSTANCES[kind])
+    expected = canonical_json(verify_instance(instance))
+    with checked_builds() as (built, fired):
+        report = canonical_json(verify_instance(instance))
+    assert fired == []
+    assert BUILT[kind] <= set(built), built
+    assert report == expected
