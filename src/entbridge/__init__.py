@@ -36,6 +36,7 @@ from .fingroup import (
     preimage,
     subgroup_from_generators,
     trivial_subgroup,
+    two_chains,
 )
 from .padic import (
     PadicLattice,
@@ -79,6 +80,7 @@ __all__ = [
     "powers",
     "meet_chain",
     "join_chain",
+    "two_chains",
     "dual_group",
     "pairing",
     "annihilator",

@@ -6,24 +6,24 @@ dual (trajectory indices of the adjoint), compares them step by step,
 and attaches the entropy estimates.  Everything exact stays exact: the
 verdict says "mismatch" only when two integers that duality says are
 equal came out different, and the report then carries a reproducible
-counterexample payload.
+counterexample payload: the first failing step, both indices and both
+chain terms.
 
-The finite chains are built once per report by the two builders of
-:mod:`entbridge.fingroup`: C_n is the running intersection of the
-preimages f^-k(U), built from the pairs (f^k, U), and T_n the running
-sum of the images of perp U under the powers g^k of the adjoint, built
-from the pairs (g^k, perp U), k < n; the indices are
-a_n = [C_1 : C_n] and b_n = [T_n : T_1].  Neither side is derived from
-the other.  Each chain stops at its own first repeated term and repeats
-it up to the step count, which changes no term: for fixed (f, U),
-C_(n+1) = U ∩ f^-1(C_n) and T_(n+1) = perp U + g(T_n), so
-C_(n+1) = C_n gives C_(n+2) = U ∩ f^-1(C_(n+1)) = C_(n+1), and
-likewise for T.  The builders are lazy, so no power and no elimination
-past the repeat is computed.
+The finite, shift and qp kinds differ only in the (map, subgroup) pairs
+they hand to the driver :func:`entbridge.fingroup.two_chains`: finite
+pairs (f^k, U) and (g^k, perp U), g the adjoint of f, and proves a
+repeat final; shift pairs the tower's condition maps with the trivial
+subgroup and their adjoints with the full group
+(:meth:`entbridge.tdlca.TowerEndo.pairs`); qp pairs (B^k, p^(ke) G) from
+the matrix and (B'^k, p^(N-ke) G) from its transpose
+(:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
+The two pair lists are separate computations; neither side is derived
+from the other.  The qp report also compares both index routes with the
+closed form of the Newton polygon.
 
 The module also packages the individual duality laws as checkable
-units (LawCheck): the two chain laws share one build of each chain in
-:func:`check_chain_laws`, and the quotient law wraps
+units (LawCheck): the two chain laws read the driver's finite chains,
+each distinct term once, and the quotient law wraps
 :func:`entbridge.duality.check_quotient_duality`.  Seeded random
 generators for groups, endomorphisms, subgroups and instances make
 large randomized suites one loop away.
@@ -36,7 +36,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import padic
 from .duality import annihilator, check_quotient_duality, dual_hom
@@ -48,11 +48,10 @@ from .fingroup import (
     SubgroupLattice,
     image,
     index,
-    join_chain,
-    meet_chain,
     powers,
     preimage,
     subgroup_from_generators,
+    two_chains,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
 from .tdlca import full_shift_tower, working_level
@@ -148,54 +147,52 @@ def check_preimage_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> L
     return _law("annihilator-of-preimage-is-image-of-annihilator", True, {})
 
 
-def _finite_chains(
-    f: GroupHom, u: SubgroupLattice, steps: int
-) -> tuple[list[SubgroupLattice], list[SubgroupLattice]]:
-    """([C_1, ..., C_steps], [T_1, ..., T_steps]) with C_n = U ∩ f^-1 U ∩ ... ∩ f^-(n-1) U
-    and T_n = perp U + g(perp U) + ... + g^(n-1)(perp U), g the adjoint of f.
+def _finite_chains(f: GroupHom, u: SubgroupLattice, steps: int):
+    """Both chains of (f, U) and their indices, by :func:`two_chains`: the meet
+    pairs (f^k, U) and the join pairs (g^k, perp U), g the adjoint of f, k < steps.
+
+    Every pair comes from one fixed (f, U), so a repeat is final.
     """
     if u.ambient != f.domain:
         raise ValueError("need an endomorphism of the subgroup's group")
-    co = _until_repeat(meet_chain((h, u) for h in powers(f, steps)), steps)
     uperp = annihilator(u)
-    tr = _until_repeat(join_chain((h, uperp) for h in powers(dual_hom(f), steps)), steps)
-    return co, tr
-
-
-def _until_repeat(chain: Iterator[SubgroupLattice], steps: int) -> list[SubgroupLattice]:
-    """The first `steps` terms of a chain of one fixed (f, U), built only up
-    to the first term equal to the one before it and padded with that term."""
-    terms: list[SubgroupLattice] = []
-    for term in chain:
-        if terms and term == terms[-1]:
-            break
-        terms.append(term)
-    return terms + [terms[-1]] * (steps - len(terms))
+    return two_chains(
+        ((h, u) for h in powers(f, steps)),
+        ((h, uperp) for h in powers(dual_hom(f), steps)),
+        steps,
+        repeat_is_final=True,
+    )
 
 
 def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawCheck]:
     """perp(C_n(f, U)) == T_n(adjoint f, perp U) and [U : C_n] == [T_n : perp U]
-    for n = 1..steps, from one build of each chain.
+    for n = 1..steps, on the driver's chains.
 
-    Each law reports its own first failing step.
+    The indices come from the checked :func:`index`, not from the driver,
+    and each distinct term is annihilated and indexed once: a term past a
+    chain's first repeat is the term before it, as one object.  Each law
+    reports its own first failing step.
     """
-    co, tr = _finite_chains(f, u, steps)
+    (co, _), (tr, _) = _finite_chains(f, u, steps)
     instance = {"endomorphism": _hom_payload(f), "subgroup": _subgroup_payload(u)}
     perp_failure = index_failure = None
-    for n, (c, t) in enumerate(zip(co, tr), start=1):
+    for n, (c, t) in enumerate(zip(co, tr)):
+        new_c = n == 0 or c is not co[n - 1]
+        new_t = n == 0 or t is not tr[n - 1]
         if perp_failure is None:
-            cperp = annihilator(c)
+            cperp = annihilator(c) if new_c else cperp
             if cperp != t:
                 perp_failure = {
                     **instance,
-                    "step": n,
+                    "step": n + 1,
                     "annihilator_of_cotrajectory": _subgroup_payload(cperp),
                     "dual_trajectory": _subgroup_payload(t),
                 }
         if index_failure is None:
-            a, b = index(co[0], c), index(t, tr[0])
+            a = index(co[0], c) if new_c else a
+            b = index(t, tr[0]) if new_t else b
             if a != b:
-                index_failure = {**instance, "step": n, "primal_index": a, "dual_index": b}
+                index_failure = {**instance, "step": n + 1, "primal_index": a, "dual_index": b}
     return [
         _law("cotrajectory-annihilator-is-dual-trajectory", perp_failure is None, perp_failure),
         _law("per-step-index-identity", index_failure is None, index_failure),
@@ -270,72 +267,6 @@ def check_all_laws(
     ]
 
 
-def _two_sided_report(
-    kind: str,
-    primal: Sequence[int],
-    dual_side: Sequence[int],
-    extra: dict,
-    counterexample: Optional[dict],
-) -> dict:
-    per_step = [a == b for a, b in zip(primal, dual_side)]
-    matched = all(per_step)
-    report = {
-        "kind": kind,
-        "steps": len(primal),
-        "indices": {"primal": list(primal), "dual": list(dual_side)},
-        "per_step_equal": per_step,
-        "estimates": {
-            "primal": _estimate_payload(estimate_entropy(primal)),
-            "dual": _estimate_payload(estimate_entropy(dual_side)),
-        },
-        "verdict": "pass" if matched else "mismatch",
-        "counterexample": None if matched else counterexample,
-    }
-    report.update(extra)
-    return report
-
-
-def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
-    """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
-    co, tr = _finite_chains(f, u, steps)
-    primal, dual_side, counterexample = [], [], None
-    for n, (c, t) in enumerate(zip(co, tr)):
-        # a padded tail repeats the last term built, as one object: index it once
-        primal.append(primal[-1] if n and c is co[n - 1] else index(co[0], c))
-        dual_side.append(dual_side[-1] if n and t is tr[n - 1] else index(t, tr[0]))
-        if counterexample is None and primal[-1] != dual_side[-1]:
-            counterexample = {
-                "step": n + 1,
-                "primal_index": primal[-1],
-                "dual_index": dual_side[-1],
-                "cotrajectory": _subgroup_payload(c),
-                "dual_trajectory": _subgroup_payload(t),
-            }
-    extra = {
-        "moduli": list(f.domain.moduli),
-        "endomorphism": _rows(f.matrix),
-        "subgroup": _rows(u.basis.matrix),
-    }
-    return _two_sided_report("finite", primal, dual_side, extra, counterexample)
-
-
-def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
-    """Both index sequences for the truncated full shift at a base level.
-
-    (level, steps) is checked against the height before any level is
-    built, and only levels 0..level+steps-1 are built: no deeper level
-    enters either chain.  A height below 2 is still refused by
-    :func:`~entbridge.tdlca.full_shift_tower`.
-    """
-    top = working_level(height, 1, level, steps)
-    endo = full_shift_tower(modulus, min(height, max(top + 1, 2)))
-    co, tr = endo.chains(level, steps)
-    primal = [index(co[0], c) for c in co]
-    dual_side = [index(t, tr[0]) for t in tr]
-    extra = {"modulus": modulus, "height": height, "level": level}
-    return _two_sided_report("shift", primal, dual_side, extra, extra)
-
-
 def _route_agreement(est: EntropyEstimate, ratio: int) -> dict:
     """Whether an index route agrees with the closed form log(ratio), ratio = p^m:
     a stabilized ratio equals it, a certified bound log(index)/steps is at least it."""
@@ -346,48 +277,100 @@ def _route_agreement(est: EntropyEstimate, ratio: int) -> dict:
     return {"mode": est.status, "consistent": consistent}
 
 
+def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = None) -> dict:
+    """The report of an exact kind from the driver's ((C, a), (T, b)), plus `extra`.
+
+    qp passes the multiple m of log p from the Newton polygon (`extra`
+    holds the prime); its verdict also needs both index routes to agree
+    with m log p, and its counterexample carries that agreement.
+    """
+    (co, primal), (tr, dual_side) = chains
+    per_step = [a == b for a, b in zip(primal, dual_side)]
+    est_co, est_tr = estimate_entropy(primal), estimate_entropy(dual_side)
+    counterexample: dict = {}
+    if False in per_step:
+        n = per_step.index(False)
+        counterexample = {
+            "step": n + 1,
+            "primal_index": primal[n],
+            "dual_index": dual_side[n],
+            "cotrajectory": _subgroup_payload(co[n]),
+            "dual_trajectory": _subgroup_payload(tr[n]),
+        }
+    report = {
+        "kind": kind,
+        "steps": len(primal),
+        "indices": {"primal": primal, "dual": dual_side},
+        "per_step_equal": per_step,
+        **extra,
+    }
+    if newton is None:
+        report["estimates"] = {"primal": _estimate_payload(est_co), "dual": _estimate_payload(est_tr)}
+    else:
+        prime = extra["prime"]
+        report["routes"] = {
+            "cotrajectory": _estimate_payload(est_co),
+            "trajectory": _estimate_payload(est_tr),
+            "newton": {"multiple": newton, "prime": prime, "value": newton * math.log(prime)},
+        }
+        agreement = report["agreement"] = {
+            "cotrajectory": _route_agreement(est_co, prime**newton),
+            "trajectory": _route_agreement(est_tr, prime**newton),
+        }
+        if counterexample or not all(route["consistent"] for route in agreement.values()):
+            counterexample["agreement"] = agreement
+    report["verdict"] = "mismatch" if counterexample else "pass"
+    report["counterexample"] = counterexample or None
+    return report
+
+
+def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
+    """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
+    extra = {
+        "moduli": list(f.domain.moduli),
+        "endomorphism": _rows(f.matrix),
+        "subgroup": _rows(u.basis.matrix),
+    }
+    return _two_sided_report("finite", _finite_chains(f, u, steps), extra)
+
+
+def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
+    """Both index sequences for the truncated full shift at a base level.
+
+    (level, steps) is checked against the height before any level is
+    built, and only levels 0..level+steps-1 are built: no deeper level
+    enters either chain.  A height below 2 is still refused by
+    :func:`~entbridge.tdlca.full_shift_tower`.  The condition maps change
+    from step to step, so a repeated term is not final.
+    """
+    top = working_level(height, 1, level, steps)
+    endo = full_shift_tower(modulus, min(height, max(top + 1, 2)))
+    chains = two_chains(*endo.pairs(level, steps), steps, repeat_is_final=False)
+    extra = {"modulus": modulus, "height": height, "level": level}
+    return _two_sided_report("shift", chains, extra)
+
+
 def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
-    """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
+    """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form.
+
+    The powers B^k pair with shrinking subgroups p^(ke) G, so a repeated
+    term is not final.
+    """
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
     # run before char_poly: a matrix of many distinct large denominators
     # needs thousands of CRT primes there and takes seconds
-    co = padic.cotrajectory_indices(prime, m, steps)
-    tr = padic.trajectory_indices(prime, tuple(zip(*m)), steps)
+    chains = two_chains(
+        padic.cotrajectory_pairs(prime, m, steps),
+        padic.trajectory_pairs(prime, tuple(zip(*m)), steps),
+        steps,
+        repeat_is_final=False,
+    )
     coeffs = padic.char_poly(m)
     if coeffs[0] == 0:
         raise ValueError("v1 requires invertible endomorphism")
-    newton = padic.newton_entropy(prime, coeffs)
-    est_co = estimate_entropy(co)
-    est_tr = estimate_entropy(tr)
-    per_step = [a == b for a, b in zip(co, tr)]
-    agreement = {
-        "cotrajectory": _route_agreement(est_co, prime**newton),
-        "trajectory": _route_agreement(est_tr, prime**newton),
-    }
-    matched = (
-        all(per_step)
-        and agreement["cotrajectory"]["consistent"]
-        and agreement["trajectory"]["consistent"]
-    )
-    return {
-        "kind": "qp",
-        "prime": prime,
-        "matrix": [[str(x) for x in row] for row in m],
-        "steps": steps,
-        "indices": {"primal": list(co), "dual": list(tr)},
-        "per_step_equal": per_step,
-        "routes": {
-            "cotrajectory": _estimate_payload(est_co),
-            "trajectory": _estimate_payload(est_tr),
-            "newton": {"multiple": newton, "prime": prime, "value": newton * math.log(prime)},
-        },
-        "agreement": agreement,
-        "verdict": "pass" if matched else "mismatch",
-        "counterexample": None
-        if matched
-        else {"indices": {"primal": list(co), "dual": list(tr)}, "agreement": agreement},
-    }
+    extra = {"prime": prime, "matrix": [[str(x) for x in row] for row in m]}
+    return _two_sided_report("qp", chains, extra, padic.newton_entropy(prime, coeffs))
 
 
 def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:

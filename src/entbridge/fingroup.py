@@ -34,12 +34,20 @@ only when the next term is asked for, so a caller that stops early
 pays for no later step.  The finite route pairs the powers f^k with U
 and, on the dual side, the powers of the adjoint of f with perp U, both
 for k < n (:func:`powers`, which composes each power only when it is
-asked for), and stops each chain at its first repeated term
-(:mod:`entbridge.bridge`).  The
-tower route (:mod:`entbridge.tdlca`) pairs its condition maps with the
-trivial subgroup (kernels) and their adjoints with the full group
-(images).  The p-adic route (:mod:`entbridge.padic`) runs on one group
-G = (Z/p^N)^d and pairs each power B^k with a subgroup p^c G.
+asked for).  The tower route (:mod:`entbridge.tdlca`) pairs its
+condition maps with the trivial subgroup (kernels) and their adjoints
+with the full group (images).  The p-adic route (:mod:`entbridge.padic`)
+runs on one group G = (Z/p^N)^d and pairs each power B^k with a
+subgroup p^c G.
+
+One driver, :func:`two_chains`, turns the meet and join pairs of any
+kind into both chains and both index sequences a_n = [C_1 : C_n] and
+b_n = [T_n : T_1].  Each meet term lies inside the one before it and
+each join term contains it, by construction, so the indices are read
+off the Hermite diagonals, with no containment re-proved.  Only the
+finite kind proves a repeat final: for one fixed (f, U),
+C_(n+1) = U ∩ f^-1(C_n), so C_(n+1) = C_n gives C_(n+2) = C_(n+1), and
+likewise for T; there each chain stops at its first repeated term.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ __all__ = [
     "powers",
     "meet_chain",
     "join_chain",
+    "two_chains",
 ]
 
 
@@ -272,6 +281,9 @@ def is_surjective(f: GroupHom) -> bool:
     return hnf(f.matrix.hstack(f.codomain.relations.matrix)).det() == 1
 
 
+Pairs = Iterable[tuple[GroupHom, SubgroupLattice]]
+
+
 def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
     """Yield 1, f, f^2, ..., f^(n-1) for an endomorphism f and n >= 1.
 
@@ -287,7 +299,7 @@ def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
     )
 
 
-def meet_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[SubgroupLattice]:
+def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     """Yield C_1, C_2, ... with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
 
     Each step is one preimage restricted to the previous term: with B the
@@ -312,7 +324,7 @@ def meet_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[Su
         basis = term.basis.matrix
 
 
-def join_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[SubgroupLattice]:
+def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     """Yield T_1, T_2, ... with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
 
     Each step is one Hermite form of the previous term next to the
@@ -333,3 +345,29 @@ def join_chain(pairs: Iterable[tuple[GroupHom, SubgroupLattice]]) -> Iterator[Su
         term = _trusted(SubgroupLattice, group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
         yield term
         basis = term.basis.matrix
+
+
+def _indexed(pairs: Pairs, steps: int, repeat_is_final: bool, meet: bool) -> tuple[list, list[int]]:
+    """The first `steps` terms of the meet (or join) chain of the pairs and
+    the index of each against the first, det C_n / det C_1 (or
+    det T_1 / det T_n); when a repeat is final, the first repeated term
+    ends the build and fills the remaining steps."""
+    terms, dets = [], []
+    for term in meet_chain(pairs) if meet else join_chain(pairs):
+        if repeat_is_final and terms and term == terms[-1]:
+            break
+        terms.append(term)
+        dets.append(term.basis.det())
+    indices = [d // dets[0] if meet else dets[0] // d for d in dets]
+    pad = steps - len(terms)
+    return terms + terms[-1:] * pad, indices + indices[-1:] * pad
+
+
+def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int, repeat_is_final: bool):
+    """((C, a), (T, b)): the first `steps` terms of the meet chain C of the
+    meet pairs and of the join chain T of the join pairs, each built from
+    its own pairs only, with a_n = [C_1 : C_n] and b_n = [T_n : T_1]."""
+    return (
+        _indexed(meet_pairs, steps, repeat_is_final, meet=True),
+        _indexed(join_pairs, steps, repeat_is_final, meet=False),
+    )

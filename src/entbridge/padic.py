@@ -7,14 +7,13 @@ U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x in p^(ke) U,
 k < n}, and it contains p^N U for N = (steps - 1) e.  So both routes
 run on the one group G = (Z/p^N)^d and its subgroups p^c G, whose
 Hermite basis is the diagonal p^c I.  The cotrajectory chain is the
-running intersection of the preimages of p^(ke) G under x -> B^k x
-(:func:`entbridge.fingroup.meet_chain`).  Scaled by p^N, the
-trajectory U + AU + ... + A^(n-1)U becomes the running sum of the
-images B^k (p^(N-ke) G) (:func:`entbridge.fingroup.join_chain`).  The
-powers B^k come from :func:`entbridge.fingroup.powers`.  Both sides are
-called with their own matrix, so the adjoint route powers the transpose
-that it is given and shares nothing with the primal route but the
-finite arithmetic.
+running intersection of the preimages of p^(ke) G under x -> B^k x, and,
+scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
+running sum of the images B^k (p^(N-ke) G): :func:`cotrajectory_pairs`
+and :func:`trajectory_pairs` give these pairs to the driver
+:func:`entbridge.fingroup.two_chains`.  Each is called with its own
+matrix, so the adjoint route powers the transpose that it is given and
+shares nothing with the primal route but the finite arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -62,16 +61,7 @@ from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf
-from .fingroup import (
-    FinAbGroup,
-    GroupHom,
-    SubgroupLattice,
-    index,
-    join_chain,
-    kernel,
-    meet_chain,
-    powers,
-)
+from .fingroup import FinAbGroup, GroupHom, Pairs, SubgroupLattice, _indexed, kernel, powers
 
 __all__ = [
     "PadicLattice",
@@ -87,6 +77,8 @@ __all__ = [
     "preimage",
     "sum_lattices",
     "dual_lattice",
+    "cotrajectory_pairs",
+    "trajectory_pairs",
     "cotrajectory_indices",
     "trajectory_indices",
     "char_poly",
@@ -409,33 +401,29 @@ def _multiples(group: FinAbGroup, c: int) -> SubgroupLattice:
     return _trusted(SubgroupLattice, group, basis)
 
 
-def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
-    """a_n = [U : U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U] for n = 1..steps, U = Z_p^d.
-
-    x lies in that intersection exactly when B^k x lies in p^(ke) G for
-    k < n, so a_n is the index in G of the running meet of those preimages.
-    """
+def cotrajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
+    """The meet pairs (B^k, p^(ke) G), k < steps: x lies in
+    U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U exactly when B^k x lies in p^(ke) G for k < n."""
     e, group, b_powers = _finite_level(prime, matrix, steps)
-    chain = list(
-        meet_chain([(h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers)])
-    )
-    return tuple(index(chain[0], c) for c in chain)
+    return ((h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers))
+
+
+def trajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
+    """The join pairs (B^k, p^(N-ke) G), k < steps: scaled by p^N,
+    U + φU + ... + φ^(n-1)U is spanned by their images, and U is p^N G."""
+    e, group, b_powers = _finite_level(prime, matrix, steps)
+    top = e * (steps - 1)
+    return ((h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers))
+
+
+def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
+    """a_n for n = 1..steps, from :func:`cotrajectory_pairs` alone."""
+    return tuple(_indexed(cotrajectory_pairs(prime, matrix, steps), steps, False, meet=True)[1])
 
 
 def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
-    """b_n = [U + φU + ... + φ^(n-1)U : U] for n = 1..steps, U = Z_p^d.
-
-    Scaled by p^N, the sum is the subgroup of G spanned by the images
-    B^k (p^(N-ke) G), and U becomes the trivial subgroup p^N G.
-    """
-    e, group, b_powers = _finite_level(prime, matrix, steps)
-    top = e * (steps - 1)
-    chain = list(
-        join_chain(
-            [(h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers)]
-        )
-    )
-    return tuple(index(c, chain[0]) for c in chain)
+    """b_n for n = 1..steps, from :func:`trajectory_pairs` alone."""
+    return tuple(_indexed(trajectory_pairs(prime, matrix, steps), steps, False, meet=False)[1])
 
 
 # The primes of the multimodular char_poly, descending from 2^81 - 1, so

@@ -22,8 +22,6 @@ import math
 import warnings
 from typing import Sequence
 
-import numpy as np
-
 from .padic import RationalLike, rational_matrix
 
 __all__ = [
@@ -38,17 +36,16 @@ class BoundaryEigenvalueWarning(UserWarning):
     """Some eigenvalue modulus is within tolerance of 1."""
 
 
-def _as_array(entries: Sequence[Sequence[RationalLike]]) -> np.ndarray:
+def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
+    """Moduli of the eigenvalues, descending; an entry too large for a float,
+    or a modulus that overflows to inf or NaN, is an input error (ValueError)."""
+    import numpy as np  # only the real kind loads numpy
+
     try:
-        return np.array([[float(x) for x in row] for row in rational_matrix(entries)], dtype=float)
+        rows = [[float(x) for x in row] for row in rational_matrix(entries)]
     except OverflowError:
         raise ValueError("matrix entry too large for floating point") from None
-
-
-def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
-    """Moduli of the eigenvalues, descending; a modulus that overflows to
-    inf or NaN in floating point is an input error (ValueError)."""
-    moduli = [abs(v) for v in np.linalg.eigvals(_as_array(entries))]
+    moduli = [abs(v) for v in np.linalg.eigvals(np.array(rows, dtype=float))]
     if not all(math.isfinite(m) for m in moduli):
         raise ValueError("an eigenvalue modulus is not finite in floating point")
     return sorted(moduli, reverse=True)

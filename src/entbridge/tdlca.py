@@ -23,15 +23,14 @@ out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
-t = 0..n-1, which :meth:`TowerEndo.chains` builds once and hands to
-both: the cotrajectory is the running intersection of their kernels
-(:func:`entbridge.fingroup.meet_chain` over the pairs (condition map,
-trivial subgroup)), and the trajectory is the running sum of the images
-of their adjoints (:func:`entbridge.fingroup.join_chain` over the pairs
-(adjoint, full group)), the same two builders the finite and p-adic
-routes use.  Every condition map ends in levels[j], so each chain pairs
-all its maps with one subgroup, built once per call.  The two chains
-share only these input maps; neither is computed from the other.  The
+t = 0..n-1, which :meth:`TowerEndo.pairs` builds once and pairs for the
+driver :func:`entbridge.fingroup.two_chains`: with the trivial subgroup
+(the cotrajectory is the running intersection of their kernels), and,
+as adjoints, with the full group (the trajectory is the running sum of
+their images).  Every condition map ends in levels[j], so each list
+pairs all its maps with one subgroup, built once per call.  The two
+lists share only these input maps; neither chain is computed from the
+other.  The maps change from step to step, so a repeat is not final.  The
 condition maps are built incrementally rather than from scratch at each
 step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
 F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit, so one instance
@@ -49,17 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .duality import dual_hom
+from .duality import dual_group, dual_hom
 from .exactlinalg import IntMatrix, _trusted
 from .fingroup import (
     FinAbGroup,
     GroupHom,
-    SubgroupLattice,
+    Pairs,
+    _indexed,
     full_subgroup,
-    index,
     is_surjective,
-    join_chain,
-    meet_chain,
     trivial_subgroup,
 )
 from .padic import is_prime
@@ -181,33 +178,24 @@ class TowerEndo:
             out.append(f.compose(down[level - j - t * self.lag]))
         return out
 
-    def chains(
-        self, j: int, steps: int
-    ) -> tuple[list[SubgroupLattice], list[SubgroupLattice]]:
-        """([W_1, ..., W_steps], [T_1, ..., T_steps]) from one build of the condition maps.
+    def pairs(self, j: int, steps: int) -> tuple[Pairs, Pairs]:
+        """(meet pairs, join pairs), each read once, from one build of the condition maps.
 
-        W_n lives at the working level and W_1 is U_j; T_n lives in its
-        character group and T_1 is perp U_j.  The meet chain runs on the
-        condition maps and the join chain on their adjoints.
+        The meet chain is W_1 = U_j, ..., W_steps at the working level; the
+        join chain, on its character group, is T_1 = perp U_j, ..., T_steps.
         """
         conditions = self._condition_maps(j, steps)
-        # every condition map ends in levels[j], so one subgroup serves each chain
         zero = trivial_subgroup(self.tower.levels[j])
-        cotrajectory = list(meet_chain([(c, zero) for c in conditions]))
-        duals = [dual_hom(c) for c in conditions]
-        whole = full_subgroup(duals[0].domain)
-        trajectory = list(join_chain([(d, whole) for d in duals]))
-        return cotrajectory, trajectory
+        whole = full_subgroup(dual_group(self.tower.levels[j]))
+        return ((c, zero) for c in conditions), ((dual_hom(c), whole) for c in conditions)
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps (builds both chains)."""
-        chain = self.chains(j, steps)[0]
-        return tuple(index(chain[0], w) for w in chain)
+        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps, from the meet pairs alone."""
+        return tuple(_indexed(self.pairs(j, steps)[0], steps, False, meet=True)[1])
 
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """b_n = [T_n : T_1] for n = 1..steps, on the dual side (builds both chains)."""
-        chain = self.chains(j, steps)[1]
-        return tuple(index(t, chain[0]) for t in chain)
+        """b_n = [T_n : T_1] for n = 1..steps, on the dual side, from the join pairs alone."""
+        return tuple(_indexed(self.pairs(j, steps)[1], steps, False, meet=False)[1])
 
 
 def full_shift_tower(modulus: int, height: int) -> TowerEndo:

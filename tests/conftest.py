@@ -7,9 +7,9 @@ The exceptions are :func:`det`, the Bareiss determinant that the
 Hermite and Smith forms are checked against, :func:`char_poly_oracle`,
 the Faddeev-LeVerrier characteristic polynomial over ``Fraction`` that
 the multimodular ``padic.char_poly`` is checked against,
-:func:`tower_index_sequences`,
-a shared helper that reads both index sequences off one build of a
-tower's chains, and the re-presentation oracle: :func:`unimodular_pair` draws a random change of
+:func:`tower_chains` and :func:`tower_index_sequences`,
+shared helpers that build a tower's two chains once and read both index
+sequences off them with the checked ``index``, and the re-presentation oracle: :func:`unimodular_pair` draws a random change of
 basis together with its inverse, and :func:`conjugate_tower_endo`
 presents the same dynamics through one such pair per level, so tests can
 check that index sequences do not depend on the presentation.
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from entbridge.exactlinalg import IntMatrix
-from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index
+from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index, two_chains
 from entbridge.tdlca import Tower, TowerEndo
 
 
@@ -140,9 +140,17 @@ def char_poly_oracle(matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def tower_chains(endo, j, steps):
+    """([W_1, ..., W_steps], [T_1, ..., T_steps]): the driver's chains of one
+    call of TowerEndo.pairs."""
+    (cotrajectory, _), (trajectory, _) = two_chains(*endo.pairs(j, steps), steps, repeat_is_final=False)
+    return cotrajectory, trajectory
+
+
 def tower_index_sequences(endo, j, steps):
-    """(a_n = [W_1 : W_n], b_n = [T_n : T_1]) from one call of TowerEndo.chains."""
-    cotrajectory, trajectory = endo.chains(j, steps)
+    """(a_n = [W_1 : W_n], b_n = [T_n : T_1]) by the checked index, from one
+    build of a tower's chains."""
+    cotrajectory, trajectory = tower_chains(endo, j, steps)
     primal = tuple(index(cotrajectory[0], w) for w in cotrajectory)
     dual_side = tuple(index(t, trajectory[0]) for t in trajectory)
     return primal, dual_side

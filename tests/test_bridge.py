@@ -4,6 +4,7 @@ import random
 import jsonschema
 import pytest
 
+from conftest import tower_chains
 import entbridge.bridge as bridge
 import entbridge.fingroup as fingroup
 from entbridge.bridge import (
@@ -29,7 +30,7 @@ from entbridge.bridge import (
 )
 from entbridge.cli import load_schema
 from entbridge.duality import annihilator, dual_group, dual_hom
-from entbridge.exactlinalg import IntMatrix
+from entbridge.exactlinalg import HnfBasis, IntMatrix
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -40,6 +41,8 @@ from entbridge.fingroup import (
     powers,
     preimage,
     subgroup_from_generators,
+    trivial_subgroup,
+    two_chains,
 )
 from entbridge.tdlca import TowerEndo, full_shift_tower
 
@@ -87,7 +90,7 @@ class TestChains:
 
     def test_chains_shrink_and_grow(self):
         g, f, u = frozen_instance()
-        co, tr = _finite_chains(f, u, 5)
+        (co, _), (tr, _) = _finite_chains(f, u, 5)
         assert all(a.contains(b) for a, b in zip(co, co[1:]))
         assert all(b.contains(a) for a, b in zip(tr, tr[1:]))
 
@@ -109,7 +112,7 @@ class TestChains:
             u = subgroup_from_generators(group, [[rng.randrange(d) for d in group.moduli]])
             steps = rng.randint(1, 8)
             non_invariant += not u.contains(image(f, u))
-            co, tr = _finite_chains(f, u, steps)
+            (co, _), (tr, _) = _finite_chains(f, u, steps)
             assert co == recursive_cotrajectory(f, u, steps)
             assert tr == recursive_trajectory(dual_hom(f), annihilator(u), steps)
         assert non_invariant >= 20
@@ -154,7 +157,7 @@ class TestEarlyExit:
             cases.append((f, coordinate_hyperplane(g, 0), rng.randint(2, g.rank)))
         repeats_at_step_1 = never_repeats = 0
         for f, u, steps in cases:
-            co, tr = _finite_chains(f, u, steps)
+            (co, _), (tr, _) = _finite_chains(f, u, steps)
             uperp = annihilator(u)
             assert co == list(meet_chain((h, u) for h in powers(f, steps)))
             assert tr == list(join_chain((h, uperp) for h in powers(dual_hom(f), steps)))
@@ -196,7 +199,7 @@ class TestEarlyExit:
         )
         monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
         monkeypatch.setattr(GroupHom, "compose", compose)
-        co, tr = _finite_chains(f, u, 16)
+        (co, _), (tr, _) = _finite_chains(f, u, 16)
         assert len(co) == len(tr) == 16
         # one elimination per term built: the meet chain's are preimage
         # lattices, the join chain's Hermite forms; one product per power
@@ -208,23 +211,33 @@ class TestEarlyExit:
         }
 
     @pytest.mark.parametrize(
-        "hyperplane, indexed", [(15, 2), (0, 32)], ids=["invariant", "strictly-decreasing"]
+        "hyperplane, built, distinct",
+        [(15, 2, 1), (0, 16, 16)],
+        ids=["invariant", "strictly-decreasing"],
     )
-    def test_indexes_each_distinct_term_once(self, monkeypatch, hyperplane, indexed):
-        # the report pads the index lists, not the index calls: the invariant
-        # chains have one distinct term each, the strictly decreasing ones 16
+    def test_indexes_each_distinct_term_once(self, monkeypatch, hyperplane, built, distinct):
+        # the report builds each chain up to its first repeat (one elimination
+        # per term built, the repeat included) and reads the determinant of
+        # each distinct term once; it never calls the checked index
         g, f = left_shift(16)
         u = coordinate_hyperplane(g, hyperplane)
-        real_index = bridge.index
-        calls = []
+        counts = {"preimage_lattice": 0, "hnf": 0, "det": 0, "index": 0}
 
-        def counted_index(outer, inner):
-            calls.append(None)
-            return real_index(outer, inner)
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(bridge, "index", counted_index)
+            return wrapper
+
+        monkeypatch.setattr(
+            fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
+        )
+        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(HnfBasis, "det", counted("det", HnfBasis.det))
+        monkeypatch.setattr(bridge, "index", counted("index", bridge.index))
         report = finite_bridge(f, u, 16)
-        assert len(calls) == indexed
+        assert counts == {"preimage_lattice": built, "hnf": built, "det": 2 * distinct, "index": 0}
         expected = [1] * 16 if hyperplane == 15 else [2**n for n in range(16)]
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert report["verdict"] == "pass"
@@ -350,13 +363,28 @@ class TestFiniteBridge:
             finite_bridge(f, w, 3)
 
     def test_mismatch_plumbing(self):
-        # a two-sided report over unequal sequences must carry the witness
-        report = _two_sided_report(
-            "finite", [1, 2, 4], [1, 2, 8], {"moduli": [2]}, {"step": 3}
-        )
+        # a two-sided report over unequal sequences names the first failing
+        # step with both indices and both chain terms
+        g, f, u = frozen_instance()
+        (co, primal), (tr, dual_side) = _finite_chains(f, u, 3)
+        assert primal == dual_side == [1, 2, 4]
+        report = _two_sided_report("finite", ((co, primal), (tr, [1, 2, 8])), {"moduli": [4, 2, 2]})
         assert report["verdict"] == "mismatch"
         assert report["per_step_equal"] == [True, True, False]
-        assert report["counterexample"] == {"step": 3}
+        assert report["counterexample"] == {
+            "step": 3,
+            "primal_index": 4,
+            "dual_index": 8,
+            "cotrajectory": _subgroup_payload(co[2]),
+            "dual_trajectory": _subgroup_payload(tr[2]),
+        }
+
+
+def third_subgroup_trivial(pairs):
+    """The pairs with the third subgroup replaced by the trivial one, so the
+    third join term repeats the second."""
+    for k, (h, s) in enumerate(pairs):
+        yield h, trivial_subgroup(s.ambient) if k == 2 else s
 
 
 class TestShiftBridge:
@@ -430,6 +458,32 @@ class TestShiftBridge:
         assert verify_instance(instance)["verdict"] == "pass"
         assert calls == [(2, 6)]
 
+    def test_mismatch_names_the_first_failing_step(self, monkeypatch):
+        # the dual pairs lose their third subgroup, so T_3 = T_2 and the dual
+        # index at step 3 is 2 where the primal one is 4
+        pairs = TowerEndo.pairs
+
+        def wrong_dual(self, j, steps):
+            meet, join = pairs(self, j, steps)
+            return meet, third_subgroup_trivial(join)
+
+        co, tr = tower_chains(full_shift_tower(2, 8), 1, 7)
+        monkeypatch.setattr(TowerEndo, "pairs", wrong_dual)
+        report = shift_bridge(2, 8, 1, 7)
+        assert report["indices"] == {
+            "primal": [1, 2, 4, 8, 16, 32, 64],
+            "dual": [1, 2, 2, 8, 16, 32, 64],
+        }
+        assert report["verdict"] == "mismatch"
+        assert report["per_step_equal"] == [True, True, False, True, True, True, True]
+        assert report["counterexample"] == {
+            "step": 3,
+            "primal_index": 4,
+            "dual_index": 2,
+            "cotrajectory": _subgroup_payload(co[2]),
+            "dual_trajectory": _subgroup_payload(tr[1]),
+        }
+
 
 class TestQpBridge:
     def test_contracting_scalar(self):
@@ -463,6 +517,48 @@ class TestQpBridge:
         monkeypatch.setattr(bridge.padic, "char_poly", unreachable)
         with pytest.raises(ValueError, match=r"working modulus 2\^189 exceeds 2\^128"):
             verify_instance(instance)
+
+    def test_mismatch_names_the_first_failing_step(self, monkeypatch):
+        # 1/2 on Q_2 over 6 steps has indices 2^n on both sides; the dual pairs
+        # lose their third subgroup, so T_3 = T_2 and b_3 = 2 where a_3 = 4
+        m = bridge.padic.rational_matrix([["1/2"]])
+        (co, _), (tr, _) = two_chains(
+            bridge.padic.cotrajectory_pairs(2, m, 6), bridge.padic.trajectory_pairs(2, m, 6), 6, False
+        )
+        trajectory_pairs = bridge.padic.trajectory_pairs
+        monkeypatch.setattr(
+            bridge.padic,
+            "trajectory_pairs",
+            lambda prime, matrix, steps: third_subgroup_trivial(trajectory_pairs(prime, matrix, steps)),
+        )
+        report = qp_bridge(2, [["1/2"]], 6)
+        assert report["indices"] == {"primal": [1, 2, 4, 8, 16, 32], "dual": [1, 2, 2, 8, 16, 32]}
+        assert report["verdict"] == "mismatch"
+        assert report["per_step_equal"] == [True, True, False, True, True, True]
+        assert report["counterexample"] == {
+            "step": 3,
+            "primal_index": 4,
+            "dual_index": 2,
+            "cotrajectory": _subgroup_payload(co[2]),
+            "dual_trajectory": _subgroup_payload(tr[1]),
+            "agreement": report["agreement"],
+        }
+
+    def test_closed_form_mismatch_carries_the_agreement(self, monkeypatch):
+        # every step matches, so the counterexample names no step
+        newton_entropy = bridge.padic.newton_entropy
+        monkeypatch.setattr(
+            bridge.padic, "newton_entropy", lambda prime, coeffs: newton_entropy(prime, coeffs) + 1
+        )
+        report = qp_bridge(2, [["1/2"]], 6)
+        assert report["per_step_equal"] == [True] * 6
+        assert report["routes"]["newton"]["multiple"] == 2
+        assert report["agreement"] == {
+            "cotrajectory": {"mode": "stabilized", "consistent": False},
+            "trajectory": {"mode": "stabilized", "consistent": False},
+        }
+        assert report["verdict"] == "mismatch"
+        assert report["counterexample"] == {"agreement": report["agreement"]}
 
     @pytest.mark.parametrize("delta", [0, 1, -1])
     def test_closed_form_off_by_one_is_a_mismatch(self, monkeypatch, delta):

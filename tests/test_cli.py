@@ -13,6 +13,7 @@ import entbridge.cli as cli
 from entbridge import padic
 from entbridge.bridge import _two_sided_report, random_instance, verify_instance
 from entbridge.cli import canonical_json, load_schema, main, render_text
+from entbridge.fingroup import FinAbGroup, full_subgroup
 
 FINITE_INSTANCE = {
     "kind": "finite",
@@ -141,7 +142,8 @@ def mismatch_report():
         "endomorphism": [[1]],
         "subgroup": [[0]],
     }
-    return _two_sided_report("finite", [1, 2, 4], [1, 2, 8], extra, {"step": 3})
+    terms = [full_subgroup(FinAbGroup((2,)))] * 3
+    return _two_sided_report("finite", ((terms, [1, 2, 4]), (terms, [1, 2, 8])), extra)
 
 
 class TestGenerate:

@@ -14,6 +14,7 @@ from conftest import (
     oracle_preimage,
     oracle_trajectory,
     subgroup_elements,
+    tower_chains,
     unimodular_pair,
 )
 from entbridge.bridge import random_endomorphism, random_subgroup
@@ -462,7 +463,7 @@ class TestChainBuilders:
         kernels = [(c, trivial_subgroup(c.codomain)) for c in conditions]
         duals = [dual_hom(c) for c in conditions]
         images = [(d, full_subgroup(d.domain)) for d in duals]
-        cotrajectory, trajectory = endo.chains(j, steps)
+        cotrajectory, trajectory = tower_chains(endo, j, steps)
         assert cotrajectory == two_builder_meet(kernels) == reference_meet_chain(kernels)
         assert trajectory == two_builder_join(images)
 

@@ -5,6 +5,11 @@ computes through ``exactlinalg._trusted``, which skips
 ``__post_init__``.  Here the helper is replaced, in every module that
 binds it, by one that builds through the checked constructor, and each
 exact route must run with no check firing and give the same report.
+
+Likewise the chain driver ``fingroup.two_chains`` reads each index as a
+determinant ratio, without re-proving that the two terms nest.  Here
+every pair it indexes, on each exact route, must nest, and its ratio
+must equal the checked ``fingroup.index``.
 """
 
 import random
@@ -16,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbridge import exactlinalg
+from entbridge import exactlinalg, fingroup
 from entbridge.bridge import random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
 
@@ -98,3 +103,40 @@ def test_built_values_pass_their_checks(kind, data):
     assert fired == []
     assert BUILT[kind] <= set(built), built
     assert report == expected
+
+
+@contextmanager
+def indexed_chains():
+    """Record (terms, indices, meet) for every chain the driver indexes."""
+    indexed = fingroup._indexed
+    seen = []
+
+    def recording(pairs, steps, repeat_is_final, meet):
+        terms, indices = indexed(pairs, steps, repeat_is_final, meet=meet)
+        seen.append((terms, indices, meet))
+        return terms, indices
+
+    fingroup._indexed = recording
+    try:
+        yield seen
+    finally:
+        fingroup._indexed = indexed
+
+
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_driver_indices_are_checked_indices(kind, data):
+    instance = data.draw(INSTANCES[kind])
+    with indexed_chains() as seen:
+        verify_instance(instance)
+    assert [meet for _, _, meet in seen] == [True, False]
+    for terms, indices, meet in seen:
+        assert len(terms) == len(indices) == instance["steps"]
+        for term, index in zip(terms, indices):
+            outer, inner = (terms[0], term) if meet else (term, terms[0])
+            assert outer.contains(inner)
+            assert index == inner.basis.det() // outer.basis.det() == fingroup.index(outer, inner)
+        # each meet term lies inside the one before it, each join term contains it
+        for before, after in zip(terms, terms[1:]):
+            assert before.contains(after) if meet else after.contains(before)
