@@ -273,7 +273,7 @@ def _route_agreement(est: EntropyEstimate, ratio: int) -> dict:
     if est.stabilized:
         consistent = est.ratio == ratio
     else:
-        consistent = est.bound.index >= ratio**est.bound.steps
+        consistent = not est.bound.exceeded_by_ratio(ratio)
     return {"mode": est.status, "consistent": consistent}
 
 

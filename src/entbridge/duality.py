@@ -82,7 +82,9 @@ def dual_hom(f: GroupHom) -> GroupHom:
 
     Defined by pairing(f(x), y) == pairing(x, dual_hom(f)(y)); with domain
     moduli (d_j) and codomain moduli (e_i) the matrix is
-    [j][i] = M[i][j] * d_j / e_i, integral by the certificate.
+    [j][i] = M[i][j] * d_j / e_i, integral by the certificate.  It is
+    built unchecked: row j lies in [0, d_j) because M[i][j] lies in
+    [0, e_i), and e_i times an entry is M[i][j] d_j, zero mod d_j.
     """
     dom, cod = f.domain, f.codomain
     data = []
@@ -93,8 +95,9 @@ def dual_hom(f: GroupHom) -> GroupHom:
             if num % ei:
                 raise AssertionError("certificate guarantees integrality of the adjoint")
             row.append(num // ei)
-        data.append(row)
-    return GroupHom(dual_group(cod), dual_group(dom), IntMatrix.from_rows(data, cols=cod.rank))
+        data.append(tuple(row))
+    matrix = _trusted(IntMatrix, dom.rank, cod.rank, tuple(data))
+    return _trusted(GroupHom, dual_group(cod), dual_group(dom), matrix)
 
 
 def quotient_invariants(outer: SubgroupLattice, inner: SubgroupLattice) -> tuple[int, ...]:

@@ -28,9 +28,6 @@ __all__ = [
     "LogIndexBound",
     "EntropyEstimate",
     "validate_indices",
-    "ratios",
-    "ratios_nonincreasing",
-    "shifted_submultiplicative",
     "certified_upper_bound",
     "estimate_entropy",
 ]
@@ -116,31 +113,6 @@ def _integer_ratios(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
             return None
         out.append(b // a)
     return tuple(out)
-
-
-def ratios(indices: Sequence[int]) -> tuple[int, ...]:
-    """Successive ratios a_{n+1} / a_n; they must be integers."""
-    r = _integer_ratios(validate_indices(indices))
-    if r is None:
-        raise ValueError("invalid index sequence")
-    return r
-
-
-def ratios_nonincreasing(indices: Sequence[int]) -> bool:
-    """Log-concavity a_{k+1}^2 >= a_k * a_{k+2}, i.e. nonincreasing ratios."""
-    seq = validate_indices(indices)
-    return all(b * b >= a * c for a, b, c in zip(seq, seq[1:], seq[2:]))
-
-
-def shifted_submultiplicative(indices: Sequence[int]) -> bool:
-    """Check a_{n+m+1} <= a_{n+1} * a_{m+1} wherever defined (1-based)."""
-    seq = validate_indices(indices)
-    n = len(seq)
-    return all(
-        seq[i + j] <= seq[i] * seq[j]
-        for i in range(1, n)
-        for j in range(i, n - i)
-    )
 
 
 def certified_upper_bound(indices: Sequence[int]) -> LogIndexBound:

@@ -29,6 +29,12 @@ call) skips rows whose residual is already zero.  The tower maps of
 all the sparsity support there is: every matrix stays a dense tuple of
 rows.
 
+Values are checked where they enter.  ``IntMatrix(...)``,
+:meth:`IntMatrix.from_rows` and :meth:`IntMatrix.from_columns` check the
+shape of what they are given; every matrix computed here (products,
+stacks, transposes, multiples, diagonals and Hermite forms) has its
+shape by construction and is built unchecked by :func:`_trusted`.
+
 Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
 sparse formats, and basis reduction.  The intended scale is small ambient
 rank (up to a dozen or so) with possibly huge entries.
@@ -56,9 +62,10 @@ _T = TypeVar("_T")
 def _trusted(cls: type[_T], *values: object) -> _T:
     """The frozen dataclass `cls` holding `values` (its fields, in order),
     built without running ``__post_init__``: only for values the package
-    computed, whose invariants hold by construction.  The public
+    computed, whose invariants hold by construction (matrices, Hermite
+    bases, homomorphisms, subgroups and the shift tower).  The public
     constructors check; ``tests/test_invariants.py`` rebuilds each value
-    made here through them."""
+    made here through them and requires an equal value."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
@@ -95,7 +102,7 @@ class IntMatrix:
         if any(len(c) != height for c in cols):
             raise ValueError("column length mismatch")
         data = tuple(zip(*cols)) if cols else ((),) * height
-        return IntMatrix(height, len(cols), data)
+        return _trusted(IntMatrix, height, len(cols), data)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -109,11 +116,11 @@ class IntMatrix:
             row = [0] * n
             row[i] = operator.index(v)
             data.append(tuple(row))
-        return IntMatrix(n, n, tuple(data))
+        return _trusted(IntMatrix, n, n, tuple(data))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        return _trusted(IntMatrix, rows, cols, ((0,) * cols,) * rows)
 
     # ---- views ----------------------------------------------------------
 
@@ -125,19 +132,17 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return IntMatrix(self.cols, self.rows, data)
+        return _trusted(IntMatrix, self.cols, self.rows, data)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(self.entries[i] + other.entries[i] for i in range(self.rows)),
-        )
+        data = tuple(a + b for a, b in zip(self.entries, other.entries))
+        return _trusted(IntMatrix, self.rows, self.cols + other.cols, data)
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.entries))
+        data = tuple(tuple(c * x for x in row) for row in self.entries)
+        return _trusted(IntMatrix, self.rows, self.cols, data)
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -155,7 +160,7 @@ class IntMatrix:
                 if a:
                     acc = [x + a * b for x, b in zip(acc, other_row)]
             data.append(tuple(acc))
-        return IntMatrix(self.rows, width, tuple(data))
+        return _trusted(IntMatrix, self.rows, width, tuple(data))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -293,7 +298,7 @@ def hnf(gens: IntMatrix) -> HnfBasis:
             if q:
                 for t in range(i, gens.rows):
                     b[t] -= q * piv[t]
-    return _trusted(HnfBasis, IntMatrix(gens.rows, gens.rows, tuple(zip(*basis))))
+    return _trusted(HnfBasis, _trusted(IntMatrix, gens.rows, gens.rows, tuple(zip(*basis))))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -12,13 +12,9 @@ exact integer lattice computations.  ``SubgroupLattice(...)`` checks the
 basis it is given; the subgroups computed here contain the relations by
 construction and are built unchecked (:func:`~entbridge.exactlinalg._trusted`).
 
-Homomorphisms carry an eagerly checked divisibility certificate:
-a matrix M induces a well-defined map between the presented groups
-exactly when d_j(domain) * M[i][j] == 0 mod d_i(codomain) for all i, j,
-that is, when q_ij = d_i / gcd(d_i, d_j) divides M[i][j].  The table q
-is computed once per pair of moduli lists; when every q_ij is 1, as
-between groups whose moduli are all equal (the shift levels, and Q_p's
-(Z/p^N)^d), every matrix passes.
+Homomorphisms follow the same rule: ``GroupHom(...)`` reduces the
+matrix it is given and checks that it defines a homomorphism, while
+identities and composites are reduced but built unchecked.
 
 Every index chain in the package is built by one of two builders over
 any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
@@ -52,10 +48,9 @@ likewise for T; there each chain stops at its first repeated term.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -196,18 +191,10 @@ def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
     return inner.basis.det() // outer.basis.det()
 
 
-@lru_cache(maxsize=1024)
-def _certificate(
-    domain: tuple[int, ...], codomain: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...] | None:
-    """The table q_ij = d_i / gcd(d_i, d_j), d_i over the codomain moduli and
-    d_j over the domain's, or None when every q_ij is 1.
-
-    d_j x = 0 mod d_i exactly when q_ij divides x, because q_ij and
-    d_j / gcd(d_i, d_j) are coprime.
-    """
-    table = tuple(tuple(di // math.gcd(di, dj) for dj in domain) for di in codomain)
-    return None if all(q == 1 for row in table for q in row) else table
+def _mod_rows(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
+    """`m` with row i reduced modulo moduli[i]."""
+    reduced = tuple(tuple(x % d for x in row) for row, d in zip(m.entries, moduli))
+    return _trusted(IntMatrix, m.rows, m.cols, reduced)
 
 
 @dataclass(frozen=True)
@@ -216,9 +203,13 @@ class GroupHom:
 
     The matrix has shape codomain.rank x domain.rank and acts by x -> M x
     on representatives.  Rows are normalized modulo the codomain moduli on
-    construction, so homomorphism equality is matrix equality.  The
-    divisibility certificate is validated eagerly and invalid matrices are
-    rejected.
+    construction, so homomorphism equality is matrix equality.  M induces
+    a well-defined map exactly when d_j M[i][j] = 0 mod d_i for all i, j,
+    with d_j the domain moduli and d_i the codomain's; the constructor
+    checks this per entry and rejects any other matrix.  Identities and
+    composites hold it by construction, and :meth:`identity` and
+    :meth:`compose` build them unchecked, but still reduced: entries
+    would otherwise grow along :func:`powers`.
     """
 
     domain: FinAbGroup
@@ -229,19 +220,19 @@ class GroupHom:
         m = self.matrix
         if m.rows != self.codomain.rank or m.cols != self.domain.rank:
             raise ValueError("matrix shape mismatch")
-        reduced = tuple(
-            tuple(x % d for x in row) for row, d in zip(m.entries, self.codomain.moduli)
-        )
-        object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, reduced))
-        quotients = _certificate(self.domain.moduli, self.codomain.moduli)
-        if quotients is not None and any(
-            x % q for row, q_row in zip(reduced, quotients) for x, q in zip(row, q_row)
+        reduced = _mod_rows(m, self.codomain.moduli)
+        object.__setattr__(self, "matrix", reduced)
+        if any(
+            x * dj % di
+            for row, di in zip(reduced.entries, self.codomain.moduli)
+            for x, dj in zip(row, self.domain.moduli)
         ):
             raise ValueError("matrix does not define a homomorphism for these moduli")
 
     @staticmethod
     def identity(group: FinAbGroup) -> "GroupHom":
-        return GroupHom(group, group, IntMatrix.identity(group.rank))
+        identity = _mod_rows(IntMatrix.identity(group.rank), group.moduli)
+        return _trusted(GroupHom, group, group, identity)
 
     @property
     def is_endo(self) -> bool:
@@ -254,7 +245,8 @@ class GroupHom:
         """self after inner."""
         if inner.codomain != self.domain:
             raise ValueError("homomorphisms do not compose")
-        return GroupHom(inner.domain, self.codomain, self.matrix @ inner.matrix)
+        product = _mod_rows(self.matrix @ inner.matrix, self.codomain.moduli)
+        return _trusted(GroupHom, inner.domain, self.codomain, product)
 
 
 def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:

@@ -37,7 +37,8 @@ F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit, so one instance
 costs O(n + l - j) compositions of bonding and component maps.
 ``Tower(...)`` and ``TowerEndo(...)`` check the data they are given;
 the shift tower that :func:`full_shift_tower` builds from two checked
-integers holds both invariants by construction and is built unchecked.
+integers holds both invariants by construction and is built unchecked,
+down to its 0/1 maps.
 :func:`working_level` checks (j, n) against a height before any tower
 exists, so a caller can refuse an out-of-range request, or build only
 the levels it needs, without constructing the rest.
@@ -213,10 +214,10 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
     for i in range(height - 1):
         rank = i + 1
         ident = IntMatrix.identity(rank).entries
-        drop_last = IntMatrix(rank, rank + 1, tuple(row + (0,) for row in ident))
-        drop_first = IntMatrix(rank, rank + 1, tuple((0,) + row for row in ident))
-        projections.append(GroupHom(levels[i + 1], levels[i], drop_last))
-        shifts.append(GroupHom(levels[i + 1], levels[i], drop_first))
+        drop_last = _trusted(IntMatrix, rank, rank + 1, tuple(row + (0,) for row in ident))
+        drop_first = _trusted(IntMatrix, rank, rank + 1, tuple((0,) + row for row in ident))
+        projections.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_last))
+        shifts.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_first))
     return _trusted(TowerEndo, _trusted(Tower, levels, tuple(projections)), 1, tuple(shifts))
 
 

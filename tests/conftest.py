@@ -12,12 +12,15 @@ shared helpers that build a tower's two chains once and read both index
 sequences off them with the checked ``index``, and the re-presentation oracle: :func:`unimodular_pair` draws a random change of
 basis together with its inverse, and :func:`conjugate_tower_endo`
 presents the same dynamics through one such pair per level, so tests can
-check that index sequences do not depend on the presentation.
+check that index sequences do not depend on the presentation.  Last come
+the index-sequence laws :func:`ratios`, :func:`ratios_nonincreasing` and
+:func:`shifted_submultiplicative`, read literally off the integers.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from entbridge.entropyseq import validate_indices
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index, two_chains
 from entbridge.tdlca import Tower, TowerEndo
@@ -205,3 +208,24 @@ def conjugate_tower_endo(endo, pairs):
     ]
     maps = [forward[k].compose(f).compose(backward[k + endo.lag]) for k, f in enumerate(endo.maps)]
     return TowerEndo(Tower(tower.levels, projections), endo.lag, maps)
+
+
+def ratios(indices) -> tuple[int, ...]:
+    """Successive ratios a_{n+1} / a_n; they must be integers."""
+    seq = validate_indices(indices)
+    if any(b % a for a, b in zip(seq, seq[1:])):
+        raise ValueError("invalid index sequence")
+    return tuple(b // a for a, b in zip(seq, seq[1:]))
+
+
+def ratios_nonincreasing(indices) -> bool:
+    """Log-concavity a_{k+1}^2 >= a_k * a_{k+2}, i.e. nonincreasing ratios."""
+    seq = validate_indices(indices)
+    return all(b * b >= a * c for a, b, c in zip(seq, seq[1:], seq[2:]))
+
+
+def shifted_submultiplicative(indices) -> bool:
+    """Check a_{n+m+1} <= a_{n+1} * a_{m+1} wherever defined (1-based)."""
+    seq = validate_indices(indices)
+    n = len(seq)
+    return all(seq[i + j] <= seq[i] * seq[j] for i in range(1, n) for j in range(i, n - i))

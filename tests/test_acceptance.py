@@ -9,7 +9,13 @@ import random
 import time
 import warnings
 
-from conftest import conjugate_tower_endo, det, tower_index_sequences, unimodular_pair
+from conftest import (
+    conjugate_tower_endo,
+    det,
+    shifted_submultiplicative,
+    tower_index_sequences,
+    unimodular_pair,
+)
 from entbridge.bridge import (
     check_all_laws,
     finite_bridge,
@@ -20,11 +26,7 @@ from entbridge.bridge import (
     random_subgroup,
 )
 from entbridge.duality import annihilator
-from entbridge.entropyseq import (
-    certified_upper_bound,
-    estimate_entropy,
-    shifted_submultiplicative,
-)
+from entbridge.entropyseq import certified_upper_bound, estimate_entropy
 from entbridge.exactlinalg import IntMatrix, hnf
 from entbridge.padic import char_poly, newton_entropy, rational_matrix
 from entbridge.realspace import (

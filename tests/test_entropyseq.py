@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ratios, ratios_nonincreasing, shifted_submultiplicative
 from entbridge.entropyseq import (
     LogIndexBound,
     certified_upper_bound,
     estimate_entropy,
-    ratios,
-    ratios_nonincreasing,
-    shifted_submultiplicative,
     validate_indices,
 )
 

@@ -206,8 +206,8 @@ class TestGroupHom:
             GroupHom(g, g, IntMatrix.from_rows([[0, 0], [1, 0]]))
 
     def test_certificate_matches_per_entry_rule(self):
-        # the cached quotient table accepts exactly the matrices that the
-        # per-entry rule d_j x = 0 (mod d_i) accepts, over mixed moduli
+        # the constructor accepts exactly the matrices that the per-entry
+        # rule d_j x = 0 (mod d_i) accepts, over mixed moduli
         rng = random.Random(18)
         moduli = (1, 2, 3, 4, 6, 8, 9, 12, 2**70)
         verdicts = set()

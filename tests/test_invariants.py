@@ -1,10 +1,12 @@
 """Every value the package builds without its checks passes them.
 
-The package builds the subgroups, Hermite bases and shift towers it
-computes through ``exactlinalg._trusted``, which skips
-``__post_init__``.  Here the helper is replaced, in every module that
-binds it, by one that builds through the checked constructor, and each
-exact route must run with no check firing and give the same report.
+The package builds the matrices, homomorphisms, subgroups, Hermite bases
+and shift towers it computes through ``exactlinalg._trusted``, which
+skips ``__post_init__``.  Here the helper is replaced, in every module
+that binds it, by one that builds through the checked constructor, and
+each exact route, and the duality laws over mixed moduli, must run with
+no check firing, every checked value equal to the unchecked one, and
+the same result.
 
 Likewise the chain driver ``fingroup.two_chains`` reads each index as a
 determinant ratio, without re-proving that the two terms nest.  Here
@@ -22,31 +24,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbridge import exactlinalg, fingroup
-from entbridge.bridge import random_instance, random_qp_instance, verify_instance
+from entbridge.bridge import check_all_laws, random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
+from entbridge.exactlinalg import IntMatrix
+from entbridge.fingroup import FinAbGroup, GroupHom, full_subgroup, image, subgroup_from_generators
 
-# the classes each route must build through the helper
+# the classes each case must build through the helper
+COMMON = {"IntMatrix", "GroupHom", "HnfBasis", "SubgroupLattice"}
 BUILT = {
-    "finite": {"HnfBasis", "SubgroupLattice"},
-    "shift": {"HnfBasis", "SubgroupLattice", "Tower", "TowerEndo"},
-    "qp": {"HnfBasis", "SubgroupLattice"},
+    "finite": COMMON,
+    "shift": COMMON | {"Tower", "TowerEndo"},
+    "qp": COMMON,
+    "laws": COMMON,
 }
 
 
 @contextmanager
 def checked_builds():
     """Route every ``_trusted`` build through the checked constructor; yields
-    the count of builds per class and the list of checks that fired."""
+    the count of builds per class and the list of checks that fired.
+
+    A checked value that differs from the unchecked one counts as fired:
+    ``GroupHom`` reduces its matrix rather than raising, so an unreduced
+    composite would otherwise pass."""
     trusted = exactlinalg._trusted
     built, fired = Counter(), []
 
     def checked(cls, *values):
         built[cls.__name__] += 1
         try:
-            return cls(*values)
+            obj = cls(*values)
         except ValueError as exc:
             fired.append(f"{cls.__name__}: {exc}")
             return trusted(cls, *values)
+        if obj != trusted(cls, *values):
+            fired.append(f"{cls.__name__}: checked value differs")
+        return obj
 
     binders = [
         module
@@ -92,17 +105,36 @@ INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(INSTANCES))
+def report(instance):
+    return canonical_json(verify_instance(instance))
+
+
+def laws(instance):
+    """``check_all_laws`` on a finite instance's (f, U) with V = f(G): adjoints,
+    composites, images and preimages between groups of mixed moduli."""
+    group = FinAbGroup(tuple(instance["moduli"]))
+    f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))
+    u = subgroup_from_generators(group, instance["subgroup"])
+    return check_all_laws(f, u, image(f, full_subgroup(group)), instance["steps"])
+
+
+# each case: the instances it draws and the run it repeats with checked builds
+CASES = {kind: (instances, report) for kind, instances in INSTANCES.items()}
+CASES["laws"] = (INSTANCES["finite"], laws)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_built_values_pass_their_checks(kind, data):
-    instance = data.draw(INSTANCES[kind])
-    expected = canonical_json(verify_instance(instance))
+    instances, run = CASES[kind]
+    instance = data.draw(instances)
+    expected = run(instance)
     with checked_builds() as (built, fired):
-        report = canonical_json(verify_instance(instance))
+        result = run(instance)
     assert fired == []
     assert BUILT[kind] <= set(built), built
-    assert report == expected
+    assert result == expected
 
 
 @contextmanager
