@@ -358,8 +358,8 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
     """
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
-    # run before char_poly: a matrix of many distinct large denominators
-    # needs thousands of CRT primes there and takes seconds
+    # run before char_poly: a 16 x 16 matrix of distinct 14-digit
+    # denominators needs over a hundred CRT primes there
     chains = two_chains(
         padic.cotrajectory_pairs(prime, m, steps),
         padic.trajectory_pairs(prime, tuple(zip(*m)), steps),

@@ -33,19 +33,22 @@ lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
 with multiplicity; that sum is a nonnegative integer m, so the value is
 carried as the multiple m of log(p) and compared exactly.
 
-The characteristic polynomial is computed on one exact integer path.
-With den the lcm of the entry denominators, B = den A is an integer
-matrix and c_i(A) = c_i(B) / den^(d-i).  Each c_i(B) is found modulo
-primes near 2^81: B is reduced to Hessenberg form mod p and the
-Hessenberg recurrence gives det(xI - B) mod p (Cohen, GTM 138, §2.2).
-The residues are lifted by the Chinese remainder theorem to the
-representative of least absolute value.  The lift is exact because
-enough primes are taken for their product M to exceed twice a bound on
-every |c_i(B)|: c_i(B) is, up to sign, the sum of the comb(d, m)
-principal minors of size m = d - i, and by Hadamard's inequality each
-such minor is at most nu^m, where nu is at least every column 2-norm
-of B.  So every c_i(B) lies in (-M/2, M/2), where its residue mod M
-determines it.  Any prime serves, B being integral; the primes are
+The characteristic polynomial is computed on one exact integer path,
+scaled row by row.  Let D_r be the lcm of the denominators in row r,
+C = diag(D) A (integral) and P the product of the D_r.  Up to sign,
+c_(d-m)(A) is the sum of the principal m-minors of A, and the minor on
+the rows and columns S is det C_S / (product of D_r, r in S).  So
+P c_(d-m)(A) is an integer, and by Hadamard's inequality on the rows it
+is at most [x^m] of the product of (D_r + nu_r x), nu_r the 2-norm of
+row r of C rounded up.  Each P c_i(A) is found modulo primes q near
+2^81: A itself is reduced mod q, each entry a numerator times the
+inverse of its denominator, the Hessenberg recurrence gives det(xI - A)
+mod q (Cohen, GTM 138, §2.2), and the result is multiplied by P mod q.
+A prime that divides some D_r has no such inverse and is skipped.  The
+residues are lifted by the Chinese remainder theorem to the
+representative of least absolute value, which is exact once the product
+M of the primes exceeds twice the bound: every P c_i(A) lies in
+(-M/2, M/2), where its residue mod M determines it.  The primes are
 found once, in descending order, by :func:`is_prime`.
 
 :func:`rational_matrix` is the one reader of instance matrices; the
@@ -362,12 +365,6 @@ def preimage(
     return lattice_from_columns(p, _rat_transpose(basis))
 
 
-def _clear_denominators(matrix: RationalMatrix) -> tuple[int, list[list[int]]]:
-    """(den, B): den the lcm of the entry denominators and B = den * matrix, integral."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
-
-
 def _finite_level(
     prime: int, matrix: RationalMatrix, steps: int
 ) -> tuple[int, FinAbGroup, Iterator[GroupHom]]:
@@ -382,7 +379,8 @@ def _finite_level(
         raise ValueError("prime required")
     if steps < 1:
         raise ValueError("step count must be at least 1")
-    den, b = _clear_denominators(matrix)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in matrix]
     e = _vp(den, prime)
     top = (steps - 1) * e
     # p >= 2, so top > _LEVEL_BITS already decides it without the power
@@ -429,10 +427,6 @@ def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[
 # The primes of the multimodular char_poly, descending from 2^81 - 1, so
 # below _MR_BOUND where is_prime decides them; found once, as needed.
 _CHI_PRIMES: list[int] = []
-# A wide entry is divided once by the product of this many primes, and the
-# remainder by each of them.  On a 16 x 16 matrix of 7-digit fractions
-# that took 0.32 s, against 0.75 s for dividing the entry by each prime.
-_REDUCE_BATCH = 8
 
 
 def _chi_prime(k: int) -> int:
@@ -443,16 +437,6 @@ def _chi_prime(k: int) -> int:
             q -= 2
         _CHI_PRIMES.append(q)
     return _CHI_PRIMES[k]
-
-
-def _residues(values: Sequence[int], primes: Sequence[int]) -> Iterator[list[int]]:
-    """Yield [v % q for v in values] for each q in primes, in order."""
-    for start in range(0, len(primes), _REDUCE_BATCH):
-        batch = primes[start : start + _REDUCE_BATCH]
-        product = math.prod(batch)
-        part = [v % product for v in values]
-        for q in batch:
-            yield [x % q for x in part]
 
 
 def _char_poly_mod(h: list[list[int]], p: int) -> list[int]:
@@ -527,31 +511,42 @@ def _crt(residues: Sequence[Sequence[int]], primes: Sequence[int], modulus: int)
 def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     """Coefficients (c_0, ..., c_d) of det(xI - M), monic, exact.
 
-    With den the lcm of the entry denominators and B = den M integral,
-    c_i(M) = c_i(B) / den^(d-i).  The c_i(B) are found modulo enough primes
-    near 2^81 to exceed twice the Hadamard bound, then lifted by the CRT.
+    With D_r the lcm of the denominators in row r and P their product,
+    each P c_i(M) is an integer.  It is found modulo enough primes near
+    2^81 to exceed twice the row-wise Hadamard bound, skipping any prime
+    that divides some D_r, then lifted by the CRT and divided by P.
     """
     d = len(matrix)
     if any(len(row) != d for row in matrix):
         raise ValueError("endomorphism matrix must be square")
-    den, b = _clear_denominators(matrix)
-    # c_i(B) is a signed sum of comb(d, m) principal m-minors, m = d - i, each
-    # at most nu^m in size (Hadamard) for nu at least every column 2-norm
-    norm2 = max((sum(row[j] ** 2 for row in b) for j in range(d)), default=0)
-    nu = math.isqrt(norm2 - 1) + 1 if norm2 else 0
-    bound = max(math.comb(d, m) * nu**m for m in range(d + 1))
+    dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    # P c_(d-m) is a signed sum, over the principal m-minors on rows S, of
+    # det C_S times the D_r off S, and |det C_S| is at most the product of
+    # the nu_r on S (Hadamard): so it is at most [x^m] prod_r (D_r + nu_r x)
+    bound = [1]
+    for row, den in zip(matrix, dens):
+        norm2 = sum((x.numerator * (den // x.denominator)) ** 2 for x in row)
+        nu = math.isqrt(norm2 - 1) + 1 if norm2 else 0
+        bound = [a * den + b * nu for a, b in zip(bound + [0], [0] + bound)]
+    limit = 2 * max(bound)
     primes: list[int] = []
     modulus = 1
-    while modulus <= 2 * bound:
-        primes.append(_chi_prime(len(primes)))
-        modulus *= primes[-1]
-    chis = [
-        _char_poly_mod([r[i * d : i * d + d] for i in range(d)], q)
-        for r, q in zip(_residues([x for row in b for x in row], primes), primes)
-    ]
+    k = 0
+    while modulus <= limit:
+        q = _chi_prime(k)
+        k += 1
+        if all(den % q for den in dens):
+            primes.append(q)
+            modulus *= q
+    scale = math.prod(dens)
+    chis = []
+    for q in primes:
+        h = [[x.numerator * pow(x.denominator, -1, q) % q for x in row] for row in matrix]
+        s = scale % q
+        chis.append([c * s % q for c in _char_poly_mod(h, q)])
     return tuple(
-        Fraction(c - modulus if 2 * c > modulus else c, den ** (d - i))
-        for i, c in enumerate(_crt(chis, primes, modulus))
+        Fraction(c - modulus if 2 * c > modulus else c, scale)
+        for c in _crt(chis, primes, modulus)
     )
 
 

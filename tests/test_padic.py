@@ -523,6 +523,32 @@ class TestCharPoly:
             d = len(entries)
             assert char_poly(rational_matrix(entries))[:d] == tuple(-row[-1] for row in entries)
 
+    @pytest.mark.parametrize("row_dens", ["multiple-of-crt-prime", "40-digit"])
+    def test_row_denominators(self, row_dens):
+        # row 0 with denominators that the first CRT prime divides, so that
+        # prime has no inverse and is skipped; or one row of 40-digit ones
+        rng = random.Random(5)
+        m = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(5)] for _ in range(5)]
+        if row_dens == "multiple-of-crt-prime":
+            m[0] = [Fraction(rng.randint(1, 9), padic._chi_prime(0) * rng.randint(1, 9)) for _ in range(5)]
+        else:
+            m[3] = [Fraction(rng.randint(-99, 99), rng.randrange(10**39, 10**40)) for _ in range(5)]
+        m = rational_matrix(m)
+        assert char_poly(m) == char_poly_oracle(m)
+
+    def test_ci_fraction_block_needs_few_primes(self, monkeypatch):
+        # the leading 10 x 10 block of the CI's 16 x 16 matrix of 7-digit
+        # fractions: a bound from the lcm of all its denominators takes 218
+        # CRT primes, the row-wise bound 26
+        rng = random.Random(0)
+        entry = lambda: f"{rng.randrange(10**6, 10**7)}/{rng.randrange(10**6, 10**7)}"
+        m = rational_matrix([[entry() for _ in range(16)][:10] for _ in range(10)])
+        calls = []
+        chi_prime = padic._chi_prime
+        monkeypatch.setattr(padic, "_chi_prime", lambda k: calls.append(k) or chi_prime(k))
+        assert char_poly(m) == char_poly_oracle(m)
+        assert len(calls) < 50
+
     def test_modular_recurrence_with_small_primes(self):
         # over F_2 .. F_7 sparse matrices need row swaps and skip zero columns
         rng = random.Random(3)
@@ -533,7 +559,7 @@ class TestCharPoly:
             assert padic._char_poly_mod([[x % p for x in row] for row in m], p) == expected
 
     def test_hadamard_bound_is_reached(self):
-        # k H for the 16 x 16 Sylvester-Hadamard matrix H: every column has
+        # k H for the 16 x 16 Sylvester-Hadamard matrix H: every row has
         # 2-norm 4k, so the bound is nu^16 = (4k)^16 = det(k H) = c_0.  k puts
         # that bound just under the product M of the first five CRT primes:
         # M exceeds the bound but not twice it, so a lift after five primes
