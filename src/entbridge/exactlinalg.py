@@ -10,16 +10,17 @@ equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
 One column echelon by Euclid (Cohen, GTM 138, section 2.4) is the only
-integer elimination here.  It reduces a matrix m stacked on a *tracked
-block*, a matrix whose rows follow the column operations, and returns
-the pivots together with the tracked block of the columns that end up
-zero on every row of m.  :func:`hnf` and :func:`snf` track nothing (an
-empty block), :func:`kernel_basis` tracks the identity, and
-:func:`preimage_lattice` reduces [m | -target] over [basis | 0], so that
-one elimination yields basis . {y : m y in target} directly.
-:func:`snf` runs the echelon on a matrix and then on the transpose of
-its pivot columns, alternately, until every pivot column has a single
-nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+integer elimination here.  It reduces the first rows of a list of
+columns; the rows below follow the column operations, and the columns
+left zero on every reduced row stay behind.  :func:`hnf` reduces every
+row and puts the pivots in Hermite form, and :func:`kernel_basis` reads
+the identity rows of m stacked on the identity.  :func:`preimage_lattice`
+reduces [m | target] over [basis | 0] in one pass: the rows of m, then
+straight on down the basis rows, whose pivots in Hermite form are
+basis . {y : m y in target}.  :func:`snf` runs the echelon on a matrix
+and then on the transpose of its pivot columns, alternately, until every
+pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
+Comput. 8, 1979).
 
 Matrix products accumulate row by row and skip zero entries, and the
 one forward substitution (behind :meth:`HnfBasis.solve`, and
@@ -32,7 +33,7 @@ rows.
 Values are checked where they enter.  ``IntMatrix(...)``,
 :meth:`IntMatrix.from_rows` and :meth:`IntMatrix.from_columns` check the
 shape of what they are given; every matrix computed here (products,
-stacks, transposes, multiples, diagonals and Hermite forms) has its
+stacks, transposes, diagonals and Hermite forms) has its
 shape by construction and is built unchecked by :func:`_trusted`.
 
 Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
@@ -140,10 +141,6 @@ class IntMatrix:
         data = tuple(a + b for a, b in zip(self.entries, other.entries))
         return _trusted(IntMatrix, self.rows, self.cols + other.cols, data)
 
-    def scaled(self, c: int) -> "IntMatrix":
-        data = tuple(tuple(c * x for x in row) for row in self.entries)
-        return _trusted(IntMatrix, self.rows, self.cols, data)
-
     # ---- arithmetic ------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -239,24 +236,17 @@ class HnfBasis:
         return coords
 
 
-def _echelon(m: IntMatrix, tracked: IntMatrix) -> tuple[list[list[int] | None], IntMatrix]:
-    """Column echelon of `m` stacked on [tracked | 0].
+def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
+    """Column echelon of the columns `pending` on their first `rows` rows.
 
-    The tracked block has at most m.cols columns, padded with zero
-    columns on the right.  Row i of `m` is shrunk by Euclid across the
-    columns not yet used as pivots until at most one is nonzero there:
-    the pivot of row i, or None.  The other columns are zero above row
-    i, so updates start at row i.  Returns the pivots, and the tracked
-    block of the columns left zero on every row of `m`.
+    Row i is shrunk by Euclid across the pending columns until at most one
+    is nonzero there: the pivot of row i, or None.  Each pivot leaves
+    `pending`, and the columns left are zero above row i, so updates start
+    at row i.  Returns the pivots; `pending` keeps the columns left zero on
+    every row reduced, and the rows below follow the column operations.
     """
-    k = m.rows
-    height = k + tracked.rows
-    pad = (0,) * (m.cols - tracked.cols)
-    # the columns of the stacked matrix (none when it has no rows, and then
-    # nothing is left to reduce or to record)
-    pending = [list(c) for c in zip(*m.entries, *(row + pad for row in tracked.entries))]
     pivots: list[list[int] | None] = []
-    for i in range(k):
+    for i in range(rows):
         # shrink row i across the pending columns down to a single pivot
         while True:
             live = [c for c in pending if c[i]]
@@ -266,15 +256,30 @@ def _echelon(m: IntMatrix, tracked: IntMatrix) -> tuple[list[list[int] | None], 
             for c in live:
                 q = c[i] // piv[i]
                 if q and c is not piv:
-                    for t in range(i, height):
+                    for t in range(i, len(c)):
                         c[t] -= q * piv[t]
         if live:
             pending.remove(live[0])  # the only pending column nonzero on row i
         pivots.append(live[0] if live else None)
-    return pivots, IntMatrix.from_columns([c[k:] for c in pending], rows=tracked.rows)
+    return pivots
 
 
-_UNTRACKED = IntMatrix(0, 0, ())
+def _hermite(pivots: list[list[int] | None]) -> HnfBasis:
+    """Hermite basis of the echelon pivots of every row, or ValueError("lattice
+    not full rank") if a row has none: each pivot is made positive on its
+    own row, and the earlier pivots are reduced modulo it there."""
+    if any(piv is None for piv in pivots):
+        raise ValueError("lattice not full rank")
+    n = len(pivots)
+    for i, piv in enumerate(pivots):
+        if piv[i] < 0:
+            piv[:] = [-x for x in piv]
+        for b in pivots[:i]:
+            q = b[i] // piv[i]
+            if q:
+                for t in range(i, n):
+                    b[t] -= q * piv[t]
+    return _trusted(HnfBasis, _trusted(IntMatrix, n, n, tuple(zip(*pivots))))
 
 
 def hnf(gens: IntMatrix) -> HnfBasis:
@@ -286,19 +291,7 @@ def hnf(gens: IntMatrix) -> HnfBasis:
     below the ambient dimension.  The result is a Hermite basis by
     construction, so the :class:`HnfBasis` checks are not run on it.
     """
-    basis, _ = _echelon(gens, _UNTRACKED)
-    if any(piv is None for piv in basis):
-        raise ValueError("lattice not full rank")
-    for i, piv in enumerate(basis):
-        if piv[i] < 0:
-            piv[:] = [-x for x in piv]
-        # reduce row i of the earlier pivots modulo this one
-        for b in basis[:i]:
-            q = b[i] // piv[i]
-            if q:
-                for t in range(i, gens.rows):
-                    b[t] -= q * piv[t]
-    return _trusted(HnfBasis, _trusted(IntMatrix, gens.rows, gens.rows, tuple(zip(*basis))))
+    return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -309,24 +302,31 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     saturated (it generates the kernel exactly, not a finite-index
     sublattice of it).
     """
-    return _echelon(m, IntMatrix.identity(m.cols))[1]
+    pending = [list(c) for c in zip(*m.entries, *IntMatrix.identity(m.cols).entries)]
+    _echelon(pending, m.rows)
+    return IntMatrix.from_columns([c[m.rows :] for c in pending], rows=m.cols)
 
 
 def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBasis:
     """HNF basis of {basis @ y : m @ y lies in the target lattice}.
 
     y is in the preimage exactly when (y, z) is in the kernel of
-    [m | -target] for some z; the echelon of [m | -target] stacked on
-    [basis | 0] records basis @ y alone, so the preimage is never formed
-    on its own.  Pass the identity for the plain preimage.  The preimage
-    always has full rank (it contains det(target) * Z^k), so the result
-    has full rank whenever `basis` is square and nonsingular.
+    [m | target] for some z.  One echelon of [m | target] stacked on
+    [basis | 0] reduces the rows of m, leaving basis @ y for a basis of
+    that kernel on the rows below, and goes straight on down those rows:
+    their pivots, in Hermite form, are the result.  Pass the identity for
+    the plain preimage.  The preimage always has full rank (it contains
+    det(target) * Z^k), so the result has full rank whenever `basis` is
+    square and nonsingular.
     """
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
     if basis.cols != m.cols:
         raise ValueError("basis and map take different domains")
-    return hnf(_echelon(m.hstack(target.matrix.scaled(-1)), basis)[1])
+    pending = [list(c) for c in zip(*m.entries, *basis.entries)]
+    pending += [list(c) + [0] * basis.rows for c in zip(*target.matrix.entries)]
+    _echelon(pending, m.rows)
+    return _hermite(_echelon([c[m.rows :] for c in pending], basis.rows))
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:
@@ -339,9 +339,9 @@ def snf(m: IntMatrix) -> tuple[int, ...]:
     gcd/lcm exchange over every pair i < j then sorts the exponent of
     each prime, so each entry divides the next.
     """
-    pivots = [c for c in _echelon(m, _UNTRACKED)[0] if c is not None]
+    pivots = [c for c in _echelon([list(c) for c in zip(*m.entries)], m.rows) if c is not None]
     while any(sum(map(bool, c)) > 1 for c in pivots):
-        pivots = [c for c in _echelon(IntMatrix.from_rows(pivots), _UNTRACKED)[0] if c is not None]
+        pivots = [c for c in _echelon([list(c) for c in zip(*pivots)], len(pivots)) if c is not None]
     diag = [abs(next(x for x in c if x)) for c in pivots]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

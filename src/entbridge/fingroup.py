@@ -89,7 +89,8 @@ class FinAbGroup:
     dual: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(map(operator.index, self.moduli)))
+        # from a list, not a map: see _mod_rows
+        object.__setattr__(self, "moduli", tuple([operator.index(d) for d in self.moduli]))
         if any(d < 1 for d in self.moduli):
             raise ValueError("moduli must be positive")
 
@@ -193,7 +194,10 @@ def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
 
 def _mod_rows(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """`m` with row i reduced modulo moduli[i]."""
-    reduced = tuple(tuple(x % d for x in row) for row, d in zip(m.entries, moduli))
+    # tuple() of a list is allocated at its final size; tuple() of a
+    # generator is resized, and CPython keeps resized tuples on its per-size
+    # free lists until a full collection, which the peak RSS shows
+    reduced = tuple([tuple([x % d for x in row]) for row, d in zip(m.entries, moduli)])
     return _trusted(IntMatrix, m.rows, m.cols, reduced)
 
 

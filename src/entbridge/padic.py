@@ -41,8 +41,8 @@ the rows and columns S is det C_S / (product of D_r, r in S).  So
 P c_(d-m)(A) is an integer, and by Hadamard's inequality on the rows it
 is at most [x^m] of the product of (D_r + nu_r x), nu_r the 2-norm of
 row r of C rounded up.  Each P c_i(A) is found modulo primes q near
-2^81: A itself is reduced mod q, each entry a numerator times the
-inverse of its denominator, the Hessenberg recurrence gives det(xI - A)
+2^81: A itself is reduced mod q, row r as the inverse of D_r times
+row r of C, the Hessenberg recurrence gives det(xI - A)
 mod q (Cohen, GTM 138, §2.2), and the result is multiplied by P mod q.
 A prime that divides some D_r has no such inverse and is skipped.  The
 residues are lifted by the Chinese remainder theorem to the
@@ -520,12 +520,13 @@ def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     if any(len(row) != d for row in matrix):
         raise ValueError("endomorphism matrix must be square")
     dens = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    c_rows = [[x.numerator * (den // x.denominator) for x in row] for row, den in zip(matrix, dens)]
     # P c_(d-m) is a signed sum, over the principal m-minors on rows S, of
     # det C_S times the D_r off S, and |det C_S| is at most the product of
     # the nu_r on S (Hadamard): so it is at most [x^m] prod_r (D_r + nu_r x)
     bound = [1]
-    for row, den in zip(matrix, dens):
-        norm2 = sum((x.numerator * (den // x.denominator)) ** 2 for x in row)
+    for row, den in zip(c_rows, dens):
+        norm2 = sum(x * x for x in row)
         nu = math.isqrt(norm2 - 1) + 1 if norm2 else 0
         bound = [a * den + b * nu for a, b in zip(bound + [0], [0] + bound)]
     limit = 2 * max(bound)
@@ -541,7 +542,9 @@ def char_poly(matrix: RationalMatrix) -> tuple[Fraction, ...]:
     scale = math.prod(dens)
     chis = []
     for q in primes:
-        h = [[x.numerator * pow(x.denominator, -1, q) % q for x in row] for row in matrix]
+        # row r of M is D_r^-1 times row r of C: one inverse per row
+        inverses = [pow(den, -1, q) for den in dens]
+        h = [[x * inv % q for x in row] for row, inv in zip(c_rows, inverses)]
         s = scale % q
         chis.append([c * s % q for c in _char_poly_mod(h, q)])
     return tuple(

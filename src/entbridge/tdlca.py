@@ -213,9 +213,9 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
     projections, shifts = [], []
     for i in range(height - 1):
         rank = i + 1
-        ident = IntMatrix.identity(rank).entries
-        drop_last = _trusted(IntMatrix, rank, rank + 1, tuple(row + (0,) for row in ident))
-        drop_first = _trusted(IntMatrix, rank, rank + 1, tuple((0,) + row for row in ident))
+        ident = IntMatrix.identity(rank + 1).entries
+        drop_last = _trusted(IntMatrix, rank, rank + 1, ident[:-1])
+        drop_first = _trusted(IntMatrix, rank, rank + 1, ident[1:])
         projections.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_last))
         shifts.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_first))
     return _trusted(TowerEndo, _trusted(Tower, levels, tuple(projections)), 1, tuple(shifts))

@@ -267,21 +267,22 @@ def kernel_cases(draw):
 
 @st.composite
 def preimage_cases(draw):
-    """(m, target): m square of size 2 or 3, target any full-rank lattice of
-    determinant at most 12, drawn directly in Hermite form."""
-    k = draw(st.sampled_from([2, 3]))
+    """(m, target): m of size 0 x k (the target is Z^0), 1 x 1, or square
+    of size 2 or 3, target any full-rank lattice of determinant at most
+    12, drawn directly in Hermite form."""
+    r, k = draw(st.sampled_from([(2, 2), (3, 3), (1, 1), (0, 1), (0, 3)]))
     m = IntMatrix.from_rows(
-        draw(st.lists(st.lists(small_entries, min_size=k, max_size=k), min_size=k, max_size=k)),
+        draw(st.lists(st.lists(small_entries, min_size=k, max_size=k), min_size=r, max_size=r)),
         cols=k,
     )
     diag = draw(
-        st.lists(st.integers(1, 4), min_size=k, max_size=k).filter(lambda d: math.prod(d) <= 12)
+        st.lists(st.integers(1, 4), min_size=r, max_size=r).filter(lambda d: math.prod(d) <= 12)
     )
     rows = [
-        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] if j == i else 0 for j in range(k)]
-        for i in range(k)
+        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] if j == i else 0 for j in range(r)]
+        for i in range(r)
     ]
-    return m, HnfBasis(IntMatrix.from_rows(rows, cols=k))
+    return m, HnfBasis(IntMatrix.from_rows(rows, cols=r))
 
 
 class TestKernel:
@@ -343,12 +344,16 @@ class TestPreimageLattice:
     @settings(max_examples=100)
     def test_tracked_basis_matches_two_steps(self, case, data):
         # basis . {y : m y in target} in one elimination equals the plain
-        # preimage multiplied by the basis and put in Hermite form
+        # preimage multiplied by the basis and put in Hermite form; a
+        # singular basis spans no full-rank lattice
         m, target = case
         k = m.cols
         row = st.lists(st.integers(-6, 6), min_size=k, max_size=k)
         basis = IntMatrix.from_rows(data.draw(st.lists(row, min_size=k, max_size=k)), cols=k)
-        assume(det(basis) != 0)
+        if det(basis) == 0:
+            with pytest.raises(ValueError, match="lattice not full rank"):
+                preimage_lattice(m, target, basis)
+            return
         plain = preimage_lattice(m, target, IntMatrix.identity(k))
         assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
 

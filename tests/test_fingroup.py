@@ -17,6 +17,8 @@ from conftest import (
     tower_chains,
     unimodular_pair,
 )
+import entbridge.exactlinalg as exactlinalg
+import entbridge.fingroup as fingroup
 from entbridge.bridge import random_endomorphism, random_subgroup
 from entbridge.duality import dual_hom
 from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis
@@ -75,7 +77,8 @@ def random_cases(seed, count, make_group=small_group):
 
 def reference_preimage(m, target):
     """HnfBasis of {y : m y in target}: the y-block of the kernel of [m | -target]."""
-    gens = kernel_basis(m.hstack(target.matrix.scaled(-1)))
+    negated = IntMatrix.from_rows([[-x for x in row] for row in target.matrix.entries], cols=m.rows)
+    gens = kernel_basis(m.hstack(negated))
     return hnf(IntMatrix(m.cols, gens.cols, gens.entries[: m.cols]))
 
 
@@ -466,6 +469,29 @@ class TestChainBuilders:
         cotrajectory, trajectory = tower_chains(endo, j, steps)
         assert cotrajectory == two_builder_meet(kernels) == reference_meet_chain(kernels)
         assert trajectory == two_builder_join(images)
+
+    def test_meet_step_is_one_elimination(self, monkeypatch):
+        # preimage_lattice reduces its tracked rows in its own elimination,
+        # so a step puts nothing through hnf afterwards
+        group = FinAbGroup((8, 4, 6))
+        rng = random.Random(3)
+        pairs = [(random_hom(rng, group, group), random_subgroup(rng, group))]
+        counts = {"preimage_lattice": 0, "hnf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
+        )
+        monkeypatch.setattr(exactlinalg, "hnf", counted("hnf", exactlinalg.hnf))
+        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        next(meet_chain(pairs))
+        assert counts == {"preimage_lattice": 1, "hnf": 0}
 
     def test_needs_maps_on_one_group(self):
         g = FinAbGroup((4, 2))
