@@ -11,9 +11,9 @@ chain terms.
 
 The finite, shift and qp kinds differ only in the (map, subgroup) pairs
 they hand to the driver :func:`entbridge.fingroup.two_chains`: finite
-pairs (f^k, U) and (g^k, perp U), g the adjoint of f, and proves a
-repeat final; shift pairs the tower's condition maps with the trivial
-subgroup and their adjoints with the full group
+pairs (f^k, U) and (g^k, perp U), g the adjoint of f; shift pairs the
+tower's condition maps with the trivial subgroup and their adjoints
+with the full group
 (:meth:`entbridge.tdlca.TowerEndo.pairs`); qp pairs (B^k, p^(ke) G) from
 the matrix and (B'^k, p^(N-ke) G) from its transpose
 (:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
@@ -149,10 +149,7 @@ def check_preimage_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> L
 
 def _finite_chains(f: GroupHom, u: SubgroupLattice, steps: int):
     """Both chains of (f, U) and their indices, by :func:`two_chains`: the meet
-    pairs (f^k, U) and the join pairs (g^k, perp U), g the adjoint of f, k < steps.
-
-    Every pair comes from one fixed (f, U), so a repeat is final.
-    """
+    pairs (f^k, U) and the join pairs (g^k, perp U), g the adjoint of f, k < steps."""
     if u.ambient != f.domain:
         raise ValueError("need an endomorphism of the subgroup's group")
     uperp = annihilator(u)
@@ -160,7 +157,6 @@ def _finite_chains(f: GroupHom, u: SubgroupLattice, steps: int):
         ((h, u) for h in powers(f, steps)),
         ((h, uperp) for h in powers(dual_hom(f), steps)),
         steps,
-        repeat_is_final=True,
     )
 
 
@@ -169,18 +165,18 @@ def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawChe
     for n = 1..steps, on the driver's chains.
 
     The indices come from the checked :func:`index`, not from the driver,
-    and each distinct term is annihilated and indexed once: a term past a
-    chain's first repeat is the term before it, as one object.  Each law
-    reports its own first failing step.
+    and each step built is checked once: the driver's padded tail repeats
+    the last step built, as the same objects.  Each law reports its own
+    first failing step.
     """
     (co, _), (tr, _) = _finite_chains(f, u, steps)
     instance = {"endomorphism": _hom_payload(f), "subgroup": _subgroup_payload(u)}
     perp_failure = index_failure = None
     for n, (c, t) in enumerate(zip(co, tr)):
-        new_c = n == 0 or c is not co[n - 1]
-        new_t = n == 0 or t is not tr[n - 1]
+        if n and c is co[n - 1]:
+            break
         if perp_failure is None:
-            cperp = annihilator(c) if new_c else cperp
+            cperp = annihilator(c)
             if cperp != t:
                 perp_failure = {
                     **instance,
@@ -189,8 +185,7 @@ def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawChe
                     "dual_trajectory": _subgroup_payload(t),
                 }
         if index_failure is None:
-            a = index(co[0], c) if new_c else a
-            b = index(t, tr[0]) if new_t else b
+            a, b = index(co[0], c), index(t, tr[0])
             if a != b:
                 index_failure = {**instance, "step": n + 1, "primal_index": a, "dual_index": b}
     return [
@@ -340,22 +335,17 @@ def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
     (level, steps) is checked against the height before any level is
     built, and only levels 0..level+steps-1 are built: no deeper level
     enters either chain.  A height below 2 is still refused by
-    :func:`~entbridge.tdlca.full_shift_tower`.  The condition maps change
-    from step to step, so a repeated term is not final.
+    :func:`~entbridge.tdlca.full_shift_tower`.
     """
     top = working_level(height, 1, level, steps)
     endo = full_shift_tower(modulus, min(height, max(top + 1, 2)))
-    chains = two_chains(*endo.pairs(level, steps), steps, repeat_is_final=False)
+    chains = two_chains(*endo.pairs(level, steps), steps)
     extra = {"modulus": modulus, "height": height, "level": level}
     return _two_sided_report("shift", chains, extra)
 
 
 def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
-    """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form.
-
-    The powers B^k pair with shrinking subgroups p^(ke) G, so a repeated
-    term is not final.
-    """
+    """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
     # run before char_poly: a 16 x 16 matrix of distinct 14-digit
@@ -364,7 +354,6 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
         padic.cotrajectory_pairs(prime, m, steps),
         padic.trajectory_pairs(prime, tuple(zip(*m)), steps),
         steps,
-        repeat_is_final=False,
     )
     coeffs = padic.char_poly(m)
     if coeffs[0] == 0:

@@ -40,10 +40,13 @@ One driver, :func:`two_chains`, turns the meet and join pairs of any
 kind into both chains and both index sequences a_n = [C_1 : C_n] and
 b_n = [T_n : T_1].  Each meet term lies inside the one before it and
 each join term contains it, by construction, so the indices are read
-off the Hermite diagonals, with no containment re-proved.  Only the
-finite kind proves a repeat final: for one fixed (f, U),
-C_(n+1) = U ∩ f^-1(C_n), so C_(n+1) = C_n gives C_(n+2) = C_(n+1), and
-likewise for T; there each chain stops at its first repeated term.
+off the Hermite diagonals, with no containment re-proved.  Both chains
+are built together and end at the first step where neither changed, on
+every kind: for one endomorphism f and subgroup U, C_(n+1) = U ∩ f^-1(C_n)
+and T_(n+1) = perp U + g(T_n), g the adjoint, so a repeat is final; the
+tower's working level and the p-adic group (Z/p^N)^d hold faithful copies
+of both chains.  On a correct route a_n = b_n, so both chains stall
+together; a stall on one side only is a fault, and both chains go on.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf, preimage_lattice
@@ -343,27 +346,31 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
         basis = term.basis.matrix
 
 
-def _indexed(pairs: Pairs, steps: int, repeat_is_final: bool, meet: bool) -> tuple[list, list[int]]:
-    """The first `steps` terms of the meet (or join) chain of the pairs and
-    the index of each against the first, det C_n / det C_1 (or
-    det T_1 / det T_n); when a repeat is final, the first repeated term
-    ends the build and fills the remaining steps."""
-    terms, dets = [], []
-    for term in meet_chain(pairs) if meet else join_chain(pairs):
-        if repeat_is_final and terms and term == terms[-1]:
-            break
-        terms.append(term)
-        dets.append(term.basis.det())
+def _indexed(terms: Iterable[SubgroupLattice], steps: int, meet: bool) -> tuple[list, list[int]]:
+    """The terms of a meet (or join) chain padded with the last to `steps`, and
+    the index of each against the first, det C_n / det C_1 (or det T_1 / det T_n)."""
+    terms = list(terms)
+    dets = [term.basis.det() for term in terms]
     indices = [d // dets[0] if meet else dets[0] // d for d in dets]
     pad = steps - len(terms)
     return terms + terms[-1:] * pad, indices + indices[-1:] * pad
 
 
-def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int, repeat_is_final: bool):
+def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int):
     """((C, a), (T, b)): the first `steps` terms of the meet chain C of the
     meet pairs and of the join chain T of the join pairs, each built from
-    its own pairs only, with a_n = [C_1 : C_n] and b_n = [T_n : T_1]."""
-    return (
-        _indexed(meet_pairs, steps, repeat_is_final, meet=True),
-        _indexed(join_pairs, steps, repeat_is_final, meet=False),
-    )
+    its own pairs only, with a_n = [C_1 : C_n] and b_n = [T_n : T_1].
+    The chains are built in step; the first step at which neither changed
+    ends both, and the last terms built fill the remaining steps."""
+    if steps < 1:
+        raise ValueError("step count must be at least 1")
+    built = []
+    for terms in zip(islice(meet_chain(meet_pairs), steps), islice(join_chain(join_pairs), steps)):
+        if built and terms == built[-1]:
+            break
+        built.append(terms)
+    else:
+        if len(built) < steps:
+            raise ValueError(f"the pairs end after {len(built)} of {steps} steps")
+    co, tr = zip(*built)
+    return _indexed(co, steps, meet=True), _indexed(tr, steps, meet=False)

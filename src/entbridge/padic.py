@@ -65,6 +65,7 @@ from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf
 from .fingroup import FinAbGroup, GroupHom, Pairs, SubgroupLattice, _indexed, kernel, powers
+from .fingroup import join_chain, meet_chain
 
 __all__ = [
     "PadicLattice",
@@ -416,12 +417,12 @@ def trajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """a_n for n = 1..steps, from :func:`cotrajectory_pairs` alone."""
-    return tuple(_indexed(cotrajectory_pairs(prime, matrix, steps), steps, False, meet=True)[1])
+    return tuple(_indexed(meet_chain(cotrajectory_pairs(prime, matrix, steps)), steps, True)[1])
 
 
 def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """b_n for n = 1..steps, from :func:`trajectory_pairs` alone."""
-    return tuple(_indexed(trajectory_pairs(prime, matrix, steps), steps, False, meet=False)[1])
+    return tuple(_indexed(join_chain(trajectory_pairs(prime, matrix, steps)), steps, False)[1])
 
 
 # The primes of the multimodular char_poly, descending from 2^81 - 1, so

@@ -30,11 +30,11 @@ as adjoints, with the full group (the trajectory is the running sum of
 their images).  Every condition map ends in levels[j], so each list
 pairs all its maps with one subgroup, built once per call.  The two
 lists share only these input maps; neither chain is computed from the
-other.  The maps change from step to step, so a repeat is not final.  The
-condition maps are built incrementally rather than from scratch at each
-step: pi_{l->k} = projections[k] pi_{l->k+1} walking down the tower, and
-F_{j,t+1} = F_{j,t} f_{j+ts} walking along the orbit, so one instance
-costs O(n + l - j) compositions of bonding and component maps.
+other.  The condition maps are built incrementally rather than from
+scratch at each step: pi_{l->k} = projections[k] pi_{l->k+1} walking
+down the tower, and F_{j,t+1} = F_{j,t} f_{j+ts} walking along the
+orbit, so one instance costs O(n + l - j) compositions of bonding and
+component maps.
 ``Tower(...)`` and ``TowerEndo(...)`` check the data they are given;
 the shift tower that :func:`full_shift_tower` builds from two checked
 integers holds both invariants by construction and is built unchecked,
@@ -58,6 +58,8 @@ from .fingroup import (
     _indexed,
     full_subgroup,
     is_surjective,
+    join_chain,
+    meet_chain,
     trivial_subgroup,
 )
 from .padic import is_prime
@@ -192,11 +194,11 @@ class TowerEndo:
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps, from the meet pairs alone."""
-        return tuple(_indexed(self.pairs(j, steps)[0], steps, False, meet=True)[1])
+        return tuple(_indexed(meet_chain(self.pairs(j, steps)[0]), steps, meet=True)[1])
 
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """b_n = [T_n : T_1] for n = 1..steps, on the dual side, from the join pairs alone."""
-        return tuple(_indexed(self.pairs(j, steps)[1], steps, False, meet=False)[1])
+        return tuple(_indexed(join_chain(self.pairs(j, steps)[1]), steps, meet=False)[1])
 
 
 def full_shift_tower(modulus: int, height: int) -> TowerEndo:

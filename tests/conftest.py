@@ -146,7 +146,7 @@ def char_poly_oracle(matrix) -> tuple[Fraction, ...]:
 def tower_chains(endo, j, steps):
     """([W_1, ..., W_steps], [T_1, ..., T_steps]): the driver's chains of one
     call of TowerEndo.pairs."""
-    (cotrajectory, _), (trajectory, _) = two_chains(*endo.pairs(j, steps), steps, repeat_is_final=False)
+    (cotrajectory, _), (trajectory, _) = two_chains(*endo.pairs(j, steps), steps)
     return cotrajectory, trajectory
 
 

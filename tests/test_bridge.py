@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import jsonschema
 import pytest
@@ -44,7 +45,7 @@ from entbridge.fingroup import (
     trivial_subgroup,
     two_chains,
 )
-from entbridge.tdlca import TowerEndo, full_shift_tower
+from entbridge.tdlca import TowerEndo, full_shift_tower, padic_tower
 
 LAW_NAMES = [
     "annihilator-of-preimage-is-image-of-annihilator",
@@ -101,6 +102,27 @@ class TestChains:
         with pytest.raises(ValueError, match="at least 1"):
             powers(dual_hom(f), 0)
 
+    def test_driver_builds_exactly_steps_terms(self):
+        # 1/2 on Q_2 grows at every step: pairs that end at 3 terms are not
+        # padded as if the chains had stalled, and of 8 pairs per side only
+        # the first 5 are read for 5 steps
+        m = bridge.padic.rational_matrix([["1/2"]])
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                two_chains(*qp_pairs(2, m, 3), steps)
+        with pytest.raises(ValueError, match="end after 3 of 6 steps"):
+            two_chains(*qp_pairs(2, m, 3), 6)
+        read = []
+
+        def counted(pairs):
+            for pair in pairs:
+                read.append(pair)
+                yield pair
+
+        (co, a), (tr, b) = two_chains(*map(counted, qp_pairs(2, m, 8)), 5)
+        assert len(co) == len(tr) == 5 and len(read) == 10
+        assert a == b == [1, 2, 4, 8, 16]
+
     def test_match_the_recursion(self):
         # rank 1-4, steps 1-8; U is cyclic on a random generator, drawn
         # independently of the endomorphism, so many draws are not invariant
@@ -136,6 +158,12 @@ def strictly_monotone(chain):
     return all(a != b for a, b in zip(chain, chain[1:]))
 
 
+def qp_pairs(prime, m, steps):
+    """The meet pairs of m and the join pairs of its transpose, as qp_bridge builds them."""
+    padic = bridge.padic
+    return padic.cotrajectory_pairs(prime, m, steps), padic.trajectory_pairs(prime, tuple(zip(*m)), steps)
+
+
 class TestEarlyExit:
     def test_keeps_every_term(self):
         # random draws, f-invariant U (the image of f, so the chains repeat at
@@ -167,6 +195,34 @@ class TestEarlyExit:
             never_repeats += steps >= 2 and strictly_monotone(co) and strictly_monotone(tr)
         assert len(cases) >= 80
         assert repeats_at_step_1 >= 20 and never_repeats >= 20
+        # qp and tower pairs: unipotent matrices with 1/p, which stall after
+        # step 2, p-adic towers, some of which stall, and shifts, which never
+        # do; the driver's padded chains equal the full builds at every step
+        pair_cases = []
+        for prime, entries in [(2, [["1", "1/2"], ["0", "1"]]), (3, [["1", "1/3"], ["0", "1"]])]:
+            m = bridge.padic.rational_matrix(entries)
+            pair_cases += [(partial(qp_pairs, prime, m, steps), steps) for steps in range(1, 11)]
+        for _ in range(20):
+            height = rng.randint(1, 4)
+            entries = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+            endo = padic_tower(rng.choice([2, 3]), height, entries)
+            steps = rng.randint(1, 6)
+            pair_cases.append((partial(endo.pairs, rng.randrange(height), steps), steps))
+        for _ in range(20):
+            height = rng.randint(3, 8)
+            j = rng.randrange(height - 2)
+            steps = rng.randint(3, height - j)
+            pair_cases.append((partial(full_shift_tower(rng.randint(2, 4), height).pairs, j, steps), steps))
+        stalled = growing = 0
+        for make_pairs, steps in pair_cases:
+            (co, _), (tr, _) = two_chains(*make_pairs(), steps)
+            meet_pairs, join_pairs = make_pairs()
+            assert co == list(meet_chain(meet_pairs))
+            assert tr == list(join_chain(join_pairs))
+            stalled += steps > 2 and co[-1] is co[-2]
+            growing += steps > 2 and strictly_monotone(co) and strictly_monotone(tr)
+        assert len(pair_cases) == 60
+        assert stalled >= 20 and growing >= 20
 
     @pytest.mark.parametrize(
         "hyperplane, eliminations, composes",
@@ -239,6 +295,28 @@ class TestEarlyExit:
         report = finite_bridge(f, u, 16)
         assert counts == {"preimage_lattice": built, "hnf": built, "det": 2 * distinct, "index": 0}
         expected = [1] * 16 if hyperplane == 15 else [2**n for n in range(16)]
+        assert report["indices"] == {"primal": expected, "dual": expected}
+        assert report["verdict"] == "pass"
+
+    def test_qp_stops_where_neither_chain_changed(self, monkeypatch):
+        # the unipotent [[1, 1/2], [0, 1]] has indices [1] + [2] * 9: C_3 = C_2
+        # and T_3 = T_2 end both chains, after three eliminations on each side
+        counts = {"preimage_lattice": 0, "hnf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
+        )
+        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        report = qp_bridge(2, [["1", "1/2"], ["0", "1"]], 10)
+        assert counts == {"preimage_lattice": 3, "hnf": 3}
+        expected = [1] + [2] * 9
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert report["verdict"] == "pass"
 
@@ -377,6 +455,31 @@ class TestFiniteBridge:
             "dual_index": 8,
             "cotrajectory": _subgroup_payload(co[2]),
             "dual_trajectory": _subgroup_payload(tr[2]),
+        }
+
+    def test_mismatch_names_the_first_failing_step(self, monkeypatch):
+        # the left shift on (Z/2)^6 with U = {x_0 = 0} has indices 2^n on both
+        # sides; the dual pairs lose their third subgroup, so T_3 = T_2 while
+        # C_3 != C_2, and the dual chain keeps growing past its stall
+        g, f = left_shift(6)
+        u = coordinate_hyperplane(g, 0)
+        (co, _), (tr, _) = _finite_chains(f, u, 6)
+        two_chains = bridge.two_chains
+        monkeypatch.setattr(
+            bridge,
+            "two_chains",
+            lambda meet, join, steps: two_chains(meet, third_subgroup_trivial(join), steps),
+        )
+        report = finite_bridge(f, u, 6)
+        assert report["indices"] == {"primal": [1, 2, 4, 8, 16, 32], "dual": [1, 2, 2, 4, 8, 16]}
+        assert report["verdict"] == "mismatch"
+        assert report["per_step_equal"] == [True, True, False, False, False, False]
+        assert report["counterexample"] == {
+            "step": 3,
+            "primal_index": 4,
+            "dual_index": 2,
+            "cotrajectory": _subgroup_payload(co[2]),
+            "dual_trajectory": _subgroup_payload(tr[1]),
         }
 
 
@@ -523,7 +626,7 @@ class TestQpBridge:
         # lose their third subgroup, so T_3 = T_2 and b_3 = 2 where a_3 = 4
         m = bridge.padic.rational_matrix([["1/2"]])
         (co, _), (tr, _) = two_chains(
-            bridge.padic.cotrajectory_pairs(2, m, 6), bridge.padic.trajectory_pairs(2, m, 6), 6, False
+            bridge.padic.cotrajectory_pairs(2, m, 6), bridge.padic.trajectory_pairs(2, m, 6), 6
         )
         trajectory_pairs = bridge.padic.trajectory_pairs
         monkeypatch.setattr(

@@ -143,8 +143,8 @@ def indexed_chains():
     indexed = fingroup._indexed
     seen = []
 
-    def recording(pairs, steps, repeat_is_final, meet):
-        terms, indices = indexed(pairs, steps, repeat_is_final, meet=meet)
+    def recording(terms, steps, meet):
+        terms, indices = indexed(terms, steps, meet=meet)
         seen.append((terms, indices, meet))
         return terms, indices
 
