@@ -442,6 +442,27 @@ class TestVerify:
                 canonical_json({"difference": value})
 
 
+class TestParser:
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        # main only parses: building a parser inside it would fail here
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", None)
+        path = write_instance(tmp_path, FINITE_INSTANCE)
+        assert main(["verify", path, "--format", "text"]) == 0
+        assert capsys.readouterr().out == FINITE_TEXT
+        # the default format again after --format text
+        assert main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert out == canonical_json(json.loads(out))
+        # and the default seed again after --seed 4
+        for kind, argv in [("qp", ["--seed", "4"]), ("qp", []), ("shift", [])]:
+            assert main(["generate", kind, *argv]) == 0
+            seed = int(argv[1]) if argv else 0
+            assert capsys.readouterr().out == canonical_json(random_instance(random.Random(seed), kind))
+        for which in ("report", "instance"):
+            assert main(["schema", which]) == 0
+            assert capsys.readouterr().out == canonical_json(load_schema(which))
+
+
 def integral(n):
     """n written as an int or as an integral float."""
     return st.sampled_from([n, float(n)])
@@ -533,8 +554,8 @@ class TestBoundaryFuzz:
 class TestSchemaCommand:
     @pytest.mark.parametrize("which", ["instance", "report"])
     def test_shipped_schema_is_valid(self, which):
-        # verify checks only a $ref into the schema registry on each call,
-        # so the full schemas are checked against the meta-schema here
+        # verify checks documents through schemacheck's compiled checks and
+        # words a refusal without a meta-schema check, so that check is here
         jsonschema.Draft202012Validator.check_schema(load_schema(which))
 
     def test_prime_cap_is_below_the_miller_rabin_bound(self):

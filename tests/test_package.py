@@ -1,5 +1,5 @@
-"""The public surface: every exported name resolves, and numpy loads only
-for the kind that needs it."""
+"""The public surface: every exported name resolves, numpy loads only
+for the kind that needs it, and jsonschema only to word a refusal."""
 
 import importlib
 import os
@@ -44,5 +44,32 @@ def test_numpy_is_imported_only_by_the_real_kind():
     env = {**os.environ, "PYTHONPATH": str(Path(entbridge.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_ON_DEMAND], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+JSONSCHEMA_ON_REFUSAL = """
+import contextlib, io, json, random, sys, tempfile
+from pathlib import Path
+import entbridge.cli as cli
+from entbridge.bridge import random_instance
+def verify(instance):
+    path = Path(tempfile.mkdtemp()) / "instance.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["verify", str(path)])
+for kind in ("finite", "shift", "qp", "real"):
+    assert verify(random_instance(random.Random(0), kind)) == 0, kind
+for name in ("jsonschema", "referencing"):
+    assert name not in sys.modules, f"{name} loaded by a passing verify"
+assert verify({"kind": "torus"}) == 2
+assert "jsonschema" in sys.modules, "jsonschema not loaded to word a refusal"
+"""
+
+
+def test_jsonschema_is_imported_only_to_word_a_refusal():
+    env = {**os.environ, "PYTHONPATH": str(Path(entbridge.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", JSONSCHEMA_ON_REFUSAL], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
