@@ -8,8 +8,9 @@ moduli ("self-dual presentation") through the pairing
 returned as a ``fractions.Fraction`` in [0, 1), never a float.  On top
 of the pairing sit the three workhorses of the package:
 
-* ``annihilator``: the exact perp of a subgroup, computed via an integer
-  kernel after clearing denominators by lcm(moduli);
+* ``annihilator``: the exact perp of a subgroup, X^T Z^k with
+  X = B^-1 diag(moduli) for the subgroup's Hermite basis B, read off
+  one back-substitution per modulus and put in Hermite form;
 * ``dual_hom``: the adjoint of a homomorphism, whose matrix entry
   [j][i] = M[i][j] * d_j / e_i is integral precisely because of the
   homomorphism certificate; for homogeneous moduli it is the transpose;
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, _trusted, preimage_lattice, snf
+from .exactlinalg import IntMatrix, _trusted, hnf, snf
 from .fingroup import FinAbGroup, GroupHom, SubgroupLattice
 
 __all__ = [
@@ -59,21 +60,18 @@ def pairing(group: FinAbGroup, x: Sequence[int], y: Sequence[int]) -> Fraction:
 def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
     """Exact perp: all characters vanishing on the subgroup.
 
-    Each basis column b of the subgroup imposes the congruence
-    sum_i (N/d_i) b_i y_i == 0 (mod N) with N = lcm(moduli); the solution
-    set is an integer lattice preimage, already containing the dual
-    relation lattice.
+    With B the Hermite basis of the subgroup and D = diag(moduli), y is
+    in the perp exactly when B^T D^-1 y is integral, so the perp is
+    X^T Z^k with X = B^-1 D.  X is integral because the subgroup contains
+    the relations D Z^k: its column i is the coordinate vector of d_i e_i
+    in B, which :meth:`HnfBasis.solve` returns.  The perp is the Hermite
+    form of those k rows, one k-column echelon on entries never scaled by
+    lcm(moduli).
     """
     g = subgroup.ambient
-    k = g.rank
-    n = math.lcm(*g.moduli)
-    b = subgroup.basis.matrix
-    constraints = IntMatrix.from_rows(
-        [[(n // g.moduli[i]) * b.entries[i][r] for i in range(k)] for r in range(k)],
-        cols=k,
-    )
-    target = _trusted(HnfBasis, IntMatrix.diagonal([n] * k))
-    lattice = preimage_lattice(constraints, target, IntMatrix.identity(k))
+    # the relation matrix is diagonal: its row i is the column d_i e_i
+    rows = [subgroup.basis.solve(r) for r in g.relations.matrix.entries]
+    lattice = hnf(_trusted(IntMatrix, g.rank, g.rank, tuple(rows)))
     return _trusted(SubgroupLattice, dual_group(g), lattice)
 
 

@@ -12,7 +12,10 @@ exact subgroup comparisons.
 One column echelon by Euclid (Cohen, GTM 138, section 2.4) is the only
 integer elimination here.  It reduces the first rows of a list of
 columns; the rows below follow the column operations, and the columns
-left zero on every reduced row stay behind.  :func:`hnf` reduces every
+left zero on every reduced row stay behind.  Each Euclid round divides
+by the least entry on the row with the nearest-integer quotient, so
+every remainder is at most half the pivot, and a column leaves the
+round once it is zero there.  :func:`hnf` reduces every
 row and puts the pivots in Hermite form, and :func:`kernel_basis` reads
 the identity rows of m stacked on the identity.  :func:`preimage_lattice`
 reduces [m | target] over [basis | 0] in one pass: the rows of m, then
@@ -22,11 +25,14 @@ and then on the transpose of its pivot columns, alternately, until every
 pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
 Comput. 8, 1979).
 
-Matrix products accumulate row by row and skip zero entries, and the
-one forward substitution (behind :meth:`HnfBasis.solve`, and
+Matrix products go by the shape of each row of the left factor: a zero
+row gives zeros, a unit row (a single nonzero entry, 1) copies the
+matching row of the right factor, and any other row is dotted with the
+columns of the right factor, transposed once per product.  The one
+forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
 call) skips rows whose residual is already zero.  The tower maps of
-:mod:`entbridge.tdlca` are mostly 0/1 matrices, and these shortcuts are
+:mod:`entbridge.tdlca` are mostly unit rows, and these shortcuts are
 all the sparsity support there is: every matrix stays a dense tuple of
 rows.
 
@@ -146,18 +152,24 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # Row i of the product is the sum of a * (row k of other) over the
-        # nonzero entries a = self[i][k]; tower maps are mostly 0/1, so
-        # skipping zeros saves most of the work there.
-        width = other.cols
+        # Row i of the product by the shape of row i: a zero row gives
+        # zeros, a unit row (a single nonzero entry, 1, at k) is row k of
+        # other as it stands, and any other row is dotted with each column
+        # of other.  The tower maps are mostly unit rows; the finite and
+        # p-adic maps are dense.
+        n = self.cols
+        zero = (0,) * other.cols
+        columns = list(zip(*other.entries))
         data = []
         for row in self.entries:
-            acc = [0] * width
-            for a, other_row in zip(row, other.entries):
-                if a:
-                    acc = [x + a * b for x, b in zip(acc, other_row)]
-            data.append(tuple(acc))
-        return _trusted(IntMatrix, self.rows, width, tuple(data))
+            zeros = row.count(0)
+            if zeros == n:
+                data.append(zero)
+            elif zeros == n - 1 and 1 in row:
+                data.append(other.entries[row.index(1)])
+            else:
+                data.append(tuple([sum(map(operator.mul, row, col)) for col in columns]))
+        return _trusted(IntMatrix, self.rows, other.cols, tuple(data))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -240,24 +252,33 @@ def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
     """Column echelon of the columns `pending` on their first `rows` rows.
 
     Row i is shrunk by Euclid across the pending columns until at most one
-    is nonzero there: the pivot of row i, or None.  Each pivot leaves
-    `pending`, and the columns left are zero above row i, so updates start
-    at row i.  Returns the pivots; `pending` keeps the columns left zero on
-    every row reduced, and the rows below follow the column operations.
+    is nonzero there: the pivot of row i, or None.  Each round takes the
+    column of least size on row i (the first, on a tie) and subtracts the
+    nearest-integer multiple of it from the others, so every remainder is
+    at most half the pivot; a column leaves the round once it is zero on
+    row i.  Each pivot leaves `pending`, and the columns left are zero
+    above row i, so updates start at row i.  Returns the pivots; `pending`
+    keeps the columns left zero on every row reduced, and the rows below
+    follow the column operations.
     """
     pivots: list[list[int] | None] = []
     for i in range(rows):
-        # shrink row i across the pending columns down to a single pivot
-        while True:
-            live = [c for c in pending if c[i]]
-            if len(live) <= 1:
-                break
-            piv = min(live, key=lambda c: abs(c[i]))
+        live = [c for c in pending if c[i]]
+        while len(live) > 1:
+            sizes = [abs(c[i]) for c in live]
+            piv = live[sizes.index(min(sizes))]
+            p = piv[i]
+            span = range(i, len(piv))
+            left = [piv]
             for c in live:
-                q = c[i] // piv[i]
-                if q and c is not piv:
-                    for t in range(i, len(c)):
+                if c is not piv:
+                    # q = round(c[i] / p), half up: |c[i] - q p| <= |p| / 2
+                    q = (2 * c[i] + p) // (2 * p)
+                    for t in span:
                         c[t] -= q * piv[t]
+                    if c[i]:
+                        left.append(c)
+            live = left
         if live:
             pending.remove(live[0])  # the only pending column nonzero on row i
         pivots.append(live[0] if live else None)

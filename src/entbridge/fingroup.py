@@ -364,11 +364,15 @@ def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int):
     ends both, and the last terms built fill the remaining steps."""
     if steps < 1:
         raise ValueError("step count must be at least 1")
-    built = []
-    for terms in zip(islice(meet_chain(meet_pairs), steps), islice(join_chain(join_pairs), steps)):
-        if built and terms == built[-1]:
+    # both chains live in fixed groups, so a term changed exactly when its
+    # Hermite entries did
+    built, last = [], None
+    for c, t in zip(islice(meet_chain(meet_pairs), steps), islice(join_chain(join_pairs), steps)):
+        entries = (c.basis.matrix.entries, t.basis.matrix.entries)
+        if entries == last:
             break
-        built.append(terms)
+        built.append((c, t))
+        last = entries
     else:
         if len(built) < steps:
             raise ValueError(f"the pairs end after {len(built)} of {steps} steps")

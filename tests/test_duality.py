@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_elements, oracle_annihilator, oracle_pairing, subgroup_elements
+from test_fingroup import reference_annihilator
 from entbridge.bridge import random_endomorphism, random_finite_group, random_subgroup
 from entbridge.duality import (
     annihilator,
@@ -113,6 +114,57 @@ class TestAnnihilator:
             s = u.sum(v)
             assert s.contains(u)
             assert annihilator(u).contains(annihilator(s))
+
+
+def smooth_modulus(rng, lo, hi):
+    """A modulus 2^a 3^b 5^c of lo to hi bits."""
+    while True:
+        m = 2 ** rng.randint(0, 128) * 3 ** rng.randint(0, 80) * 5 ** rng.randint(0, 55)
+        if lo <= m.bit_length() <= hi:
+            return m
+
+
+def wide_subgroups(seed, count):
+    """Subgroups far too large to enumerate: rank 6-8, smooth moduli of 40
+    to 128 bits, 0-3 generators, each scaled by a random smooth factor so
+    that the subgroup is not merely cyclic in each coordinate."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        group = FinAbGroup(tuple(smooth_modulus(rng, 40, 128) for _ in range(rng.randint(6, 8))))
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            scale = 2 ** rng.randint(0, 8) * 3 ** rng.randint(0, 5)
+            gens.append([scale * rng.randrange(d) for d in group.moduli])
+        yield subgroup_from_generators(group, gens)
+
+
+class TestAnnihilatorAtScale:
+    """The perp at the benchmark's finite sizes, checked by plain integer
+    products: with L = lcm(moduli) and W = diag(L / d_i), a character y
+    kills x exactly when x^T W y == 0 (mod L)."""
+
+    def test_orthogonal_and_of_complementary_order(self):
+        for u in wide_subgroups(41, 30):
+            g = u.ambient
+            perp = annihilator(u)
+            assert perp.ambient == dual_group(g)
+            lcm = math.lcm(*g.moduli)
+            weights = [lcm // d for d in g.moduli]
+            bu, bp = u.basis.matrix.entries, perp.basis.matrix.entries
+            k = g.rank
+            for a in range(k):
+                for b in range(k):
+                    pair = sum(bu[i][a] * weights[i] * bp[i][b] for i in range(k))
+                    assert pair % lcm == 0
+            assert u.order * perp.order == g.order
+
+    def test_matches_the_scaled_preimage(self):
+        for u in wide_subgroups(42, 30):
+            assert annihilator(u) == reference_annihilator(u)
+
+    def test_double_annihilator(self):
+        for u in wide_subgroups(43, 10):
+            assert annihilator(annihilator(u)) == u
 
 
 class TestDualHom:

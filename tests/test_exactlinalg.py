@@ -45,6 +45,35 @@ def product_pairs(draw):
     return matrix(rows, inner), matrix(inner, cols)
 
 
+# entries well past 64 bits, both signs
+huge_entries = st.integers(min_value=2**64, max_value=2**130).flatmap(
+    lambda x: st.sampled_from([x, -x])
+)
+
+
+@st.composite
+def shaped_product_pairs(draw):
+    """(a, b) with a.cols == b.rows, each row of a drawn by shape: zero, a
+    unit row, a single entry -1 or 2, or dense with small or huge entries;
+    b mixes zeros, small and huge entries.  Any dimension may be 0."""
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    grid = []
+    for _ in range(rows):
+        shape = draw(st.sampled_from(["zero", "unit", "scaled", "dense"]))
+        if shape == "dense" or inner == 0:
+            entries = st.one_of(st.just(0), small_entries, huge_entries)
+            grid.append(draw(st.lists(entries, min_size=inner, max_size=inner)))
+            continue
+        row = [0] * inner
+        if shape != "zero":
+            k = draw(st.integers(min_value=0, max_value=inner - 1))
+            row[k] = 1 if shape == "unit" else draw(st.sampled_from([-1, 2]))
+        grid.append(row)
+    entries = st.one_of(st.just(0), small_entries, huge_entries)
+    other = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    return IntMatrix(rows, inner, tuple(map(tuple, grid))), IntMatrix(inner, cols, tuple(map(tuple, other)))
+
+
 def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Entry (i, j) is the sum over t of a[i][t] * b[t][j], by definition."""
     data = tuple(
@@ -87,6 +116,33 @@ class TestIntMatrix:
     def test_matmul_matches_definition(self, pair):
         a, b = pair
         assert a @ b == naive_product(a, b)
+
+    @given(shaped_product_pairs())
+    @settings(max_examples=200)
+    def test_matmul_by_row_shape_matches_definition(self, pair):
+        # the zero-row, unit-row and dense paths against the triple sum
+        a, b = pair
+        product = a @ b
+        assert product == naive_product(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+
+    @pytest.mark.parametrize("rows, inner, cols", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
+    def test_matmul_empty_shapes(self, rows, inner, cols):
+        a = IntMatrix.from_rows([[1] * inner] * rows, cols=inner)
+        b = IntMatrix.from_rows([[2**70] * cols] * inner, cols=cols)
+        assert a @ b == IntMatrix.zero(rows, cols)
+
+    def test_matmul_unit_rows_copy_and_scaled_rows_multiply(self):
+        big = 2**100 + 7
+        b = IntMatrix.from_rows([[big, -3], [5, -big]])
+        a = IntMatrix.from_rows([[0, 1], [-1, 0], [0, 2], [0, 0], [1, 1]])
+        assert (a @ b).entries == (
+            (5, -big),
+            (-big, 3),
+            (10, -2 * big),
+            (0, 0),
+            (big + 5, -3 - big),
+        )
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -407,6 +463,68 @@ class TestSnf:
         assert all(x > 0 for x in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
         assert list(d) == nonzero + [0] * (len(d) - len(nonzero))
+
+
+# a few magnitudes of both signs, most of them negative: rows with equal
+# sizes make tied pivots (the first is taken), and negative pivots give
+# negative nearest-integer quotients
+tied_entries = st.sampled_from([0, 1, -1, 2, -2, -3, -4, 6, -6, 2**70, -(2**70), -(3 * 2**69)])
+
+
+@st.composite
+def tied_matrices(draw):
+    """Any shape up to 3 x 5 over `tied_entries`; a drawn row may be
+    negated whole, so every pivot candidate on it is negative."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    grid = []
+    for _ in range(rows):
+        row = draw(st.lists(tied_entries, min_size=cols, max_size=cols))
+        grid.append([-abs(x) for x in row] if draw(st.booleans()) else row)
+    return IntMatrix.from_rows(grid, cols=cols)
+
+
+class TestEchelonTiesAndSigns:
+    """hnf, kernel_basis and snf on negative pivots and tied pivot sizes."""
+
+    def test_worked_examples(self):
+        # sizes tie on row 0 at 2 and the pivot -2 is negative
+        assert kernel_basis(IntMatrix.from_rows([[-2, 2]], cols=2)).column_list() == [[1, 1]]
+        assert kernel_basis(IntMatrix.from_rows([[-2, -2]], cols=2)).column_list() in ([[1, -1]], [[-1, 1]])
+        assert hnf(IntMatrix.from_rows([[-4, -6, -4]], cols=3)).matrix.entries == ((2,),)
+        assert snf(IntMatrix.from_rows([[-2, -2], [-2, 2]])) == (2, 4)
+
+    @given(tied_matrices())
+    @settings(max_examples=200)
+    def test_hnf_spans_the_columns(self, m):
+        # the columns lie in the Hermite lattice, and its determinant is the
+        # gcd of the maximal minors, the determinant of their span
+        span_det = minor_gcd(m, m.rows)
+        if span_det == 0:
+            with pytest.raises(ValueError, match="lattice not full rank"):
+                hnf(m)
+            return
+        basis = hnf(m)
+        HnfBasis(basis.matrix)  # passes the Hermite checks
+        assert basis.det() == span_det
+        assert all(basis.solve(c) is not None for c in m.column_list())
+
+    @given(tied_matrices())
+    @settings(max_examples=200)
+    def test_kernel_is_a_saturated_basis(self, m):
+        k = kernel_basis(m)
+        assert (m @ k).entries == tuple((0,) * k.cols for _ in range(m.rows))
+        assert k.cols == m.cols - rational_rank(m)
+        assert maximal_minor_gcd(k) == 1
+
+    @given(tied_matrices())
+    @settings(max_examples=200)
+    def test_snf_determinantal_divisors(self, m):
+        d = snf(m)
+        for i in range(1, len(d) + 1):
+            assert math.prod(d[:i]) == minor_gcd(m, i)
+        nonzero = [x for x in d if x]
+        assert all(x > 0 for x in nonzero)
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
 
 class TestUnimodular:

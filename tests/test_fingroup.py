@@ -20,8 +20,8 @@ from conftest import (
 import entbridge.exactlinalg as exactlinalg
 import entbridge.fingroup as fingroup
 from entbridge.bridge import random_endomorphism, random_subgroup
-from entbridge.duality import dual_hom
-from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis
+from entbridge.duality import dual_group, dual_hom
+from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, preimage_lattice
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -80,6 +80,21 @@ def reference_preimage(m, target):
     negated = IntMatrix.from_rows([[-x for x in row] for row in target.matrix.entries], cols=m.rows)
     gens = kernel_basis(m.hstack(negated))
     return hnf(IntMatrix(m.cols, gens.cols, gens.entries[: m.cols]))
+
+
+def reference_annihilator(subgroup):
+    """The perp by the N-scaled congruences, N = lcm(moduli): each basis
+    column b of the subgroup imposes sum_i (N / d_i) b_i y_i == 0 (mod N),
+    and the perp is the preimage of N Z^k under those k rows."""
+    g = subgroup.ambient
+    n = math.lcm(*g.moduli)
+    b = subgroup.basis.matrix.entries
+    k = g.rank
+    constraints = IntMatrix.from_rows(
+        [[n // g.moduli[i] * b[i][r] for i in range(k)] for r in range(k)], cols=k
+    )
+    target = HnfBasis(IntMatrix.diagonal([n] * k))
+    return SubgroupLattice(dual_group(g), preimage_lattice(constraints, target, IntMatrix.identity(k)))
 
 
 def reference_intersect(a, b):
