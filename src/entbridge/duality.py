@@ -13,7 +13,9 @@ of the pairing sit the three workhorses of the package:
   one back-substitution per modulus and put in Hermite form;
 * ``dual_hom``: the adjoint of a homomorphism, whose matrix entry
   [j][i] = M[i][j] * d_j / e_i is integral precisely because of the
-  homomorphism certificate; for homogeneous moduli it is the transpose;
+  homomorphism certificate; when every domain and codomain modulus is
+  the same it is the transpose, which is returned as such, with no
+  per-entry division (every map of the shift tower is of this kind);
 * ``check_quotient_duality``: invariant factors of outer/inner against
   those of perp(inner)/perp(outer), which duality says agree; the law
   suite of :mod:`entbridge.bridge` reports this comparison and has no
@@ -80,11 +82,15 @@ def dual_hom(f: GroupHom) -> GroupHom:
 
     Defined by pairing(f(x), y) == pairing(x, dual_hom(f)(y)); with domain
     moduli (d_j) and codomain moduli (e_i) the matrix is
-    [j][i] = M[i][j] * d_j / e_i, integral by the certificate.  It is
-    built unchecked: row j lies in [0, d_j) because M[i][j] lies in
-    [0, e_i), and e_i times an entry is M[i][j] d_j, zero mod d_j.
+    [j][i] = M[i][j] * d_j / e_i, integral by the certificate.  When
+    every d_j and e_i is the same modulus that entry is M[i][j], so the
+    matrix is the transpose of M, and only mixed moduli divide entry by
+    entry.  It is built unchecked: row j lies in [0, d_j) because M[i][j]
+    lies in [0, e_i), and e_i times an entry is M[i][j] d_j, zero mod d_j.
     """
     dom, cod = f.domain, f.codomain
+    if len(set(dom.moduli).union(cod.moduli)) <= 1:
+        return _trusted(GroupHom, dual_group(cod), dual_group(dom), f.matrix.transpose())
     data = []
     for j, dj in enumerate(dom.moduli):
         row = []

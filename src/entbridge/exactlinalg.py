@@ -25,10 +25,15 @@ and then on the transpose of its pivot columns, alternately, until every
 pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
 Comput. 8, 1979).
 
-Matrix products go by the shape of each row of the left factor: a zero
-row gives zeros, a unit row (a single nonzero entry, 1) copies the
-matching row of the right factor, and any other row is dotted with the
-columns of the right factor, transposed once per product.  The one
+Matrix products go by the shape of each row of the left factor, in the
+one routine :func:`_product`: a zero row gives zeros, a unit row (a
+single nonzero entry, 1) copies the matching row of the right factor,
+and any other row is dotted with the columns of the right factor, which
+are transposed once per product and only if such a row occurs.  The
+product can reduce row i modulo a modulus as the row is built, which is
+how :meth:`~entbridge.fingroup.GroupHom.compose` multiplies: a copied
+row already reduced by the same modulus is kept as it stands, so no
+unreduced product is built first.  The one
 forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
 call) skips rows whose residual is already zero.  The tower maps of
@@ -41,6 +46,11 @@ Values are checked where they enter.  ``IntMatrix(...)``,
 shape of what they are given; every matrix computed here (products,
 stacks, transposes, diagonals and Hermite forms) has its
 shape by construction and is built unchecked by :func:`_trusted`.
+Every tuple of entries or rows built here comes from a list (or is a
+row that zip builds, at its final size): tuple() of a list is
+allocated at its final size, while tuple() of a generator, a map or a
+zip is resized as it grows, and CPython keeps resized tuples on its
+per-size free lists until a full collection, which the peak RSS shows.
 
 Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
 sparse formats, and basis reduction.  The intended scale is small ambient
@@ -98,17 +108,17 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(map(operator.index, row)) for row in rows)
+        data = tuple([tuple([operator.index(x) for x in row]) for row in rows])
         width = len(data[0]) if data else (cols if cols is not None else 0)
         return IntMatrix(len(data), width, data)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(map(operator.index, c)) for c in columns]
+        cols = [tuple([operator.index(x) for x in c]) for c in columns]
         height = len(cols[0]) if cols else (rows if rows is not None else 0)
         if any(len(c) != height for c in cols):
             raise ValueError("column length mismatch")
-        data = tuple(zip(*cols)) if cols else ((),) * height
+        data = tuple(list(zip(*cols))) if cols else ((),) * height
         return _trusted(IntMatrix, height, len(cols), data)
 
     @staticmethod
@@ -132,19 +142,19 @@ class IntMatrix:
     # ---- views ----------------------------------------------------------
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple([row[j] for row in self.entries])
 
     def column_list(self) -> list[list[int]]:
         return [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return _trusted(IntMatrix, self.cols, self.rows, data)
+        data = list(zip(*self.entries)) if self.rows else [()] * self.cols
+        return _trusted(IntMatrix, self.cols, self.rows, tuple(data))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        data = tuple(a + b for a, b in zip(self.entries, other.entries))
+        data = tuple([a + b for a, b in zip(self.entries, other.entries)])
         return _trusted(IntMatrix, self.rows, self.cols + other.cols, data)
 
     # ---- arithmetic ------------------------------------------------------
@@ -152,29 +162,48 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # Row i of the product by the shape of row i: a zero row gives
-        # zeros, a unit row (a single nonzero entry, 1, at k) is row k of
-        # other as it stands, and any other row is dotted with each column
-        # of other.  The tower maps are mostly unit rows; the finite and
-        # p-adic maps are dense.
-        n = self.cols
-        zero = (0,) * other.cols
-        columns = list(zip(*other.entries))
-        data = []
-        for row in self.entries:
-            zeros = row.count(0)
-            if zeros == n:
-                data.append(zero)
-            elif zeros == n - 1 and 1 in row:
-                data.append(other.entries[row.index(1)])
-            else:
-                data.append(tuple([sum(map(operator.mul, row, col)) for col in columns]))
-        return _trusted(IntMatrix, self.rows, other.cols, tuple(data))
+        return _product(self, other)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r * v for r, v in zip(row, vector)) for row in self.entries)
+        return tuple([sum(map(operator.mul, row, vector)) for row in self.entries])
+
+
+def _product(
+    a: IntMatrix, b: IntMatrix, moduli: Sequence[int] | None = None, reduced: Sequence[int] = ()
+) -> IntMatrix:
+    """a @ b, for a.cols == b.rows, built row by row by the shape of each row of a.
+
+    A zero row gives zeros, a unit row (a single nonzero entry, 1, at k)
+    is row k of b as it stands, and any other row is dotted with each
+    column of b; b is transposed only when such a row occurs.  With
+    `moduli`, row i of the product is reduced modulo moduli[i] as it is
+    built, where row k of b already lies in [0, reduced[k]): a unit row
+    is copied as it stands when reduced[k] == moduli[i], and reduced
+    otherwise.  The tower maps are mostly unit rows over one modulus; the
+    finite and p-adic maps are dense.
+    """
+    n = a.cols
+    zero = (0,) * b.cols
+    columns = None
+    data = []
+    for i, row in enumerate(a.entries):
+        zeros = row.count(0)
+        if zeros == n:
+            data.append(zero)
+        elif zeros == n - 1 and 1 in row:
+            k = row.index(1)
+            if moduli is None or moduli[i] == reduced[k]:
+                data.append(b.entries[k])
+            else:
+                data.append(tuple([x % moduli[i] for x in b.entries[k]]))
+        else:
+            if columns is None:
+                columns = list(zip(*b.entries))
+            dots = [sum(map(operator.mul, row, col)) for col in columns]
+            data.append(tuple(dots if moduli is None else [x % moduli[i] for x in dots]))
+    return _trusted(IntMatrix, a.rows, b.cols, tuple(data))
 
 
 @dataclass(frozen=True)
@@ -300,7 +329,7 @@ def _hermite(pivots: list[list[int] | None]) -> HnfBasis:
             if q:
                 for t in range(i, n):
                     b[t] -= q * piv[t]
-    return _trusted(HnfBasis, _trusted(IntMatrix, n, n, tuple(zip(*pivots))))
+    return _trusted(HnfBasis, _trusted(IntMatrix, n, n, tuple(list(zip(*pivots)))))
 
 
 def hnf(gens: IntMatrix) -> HnfBasis:

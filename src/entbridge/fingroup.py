@@ -14,7 +14,9 @@ construction and are built unchecked (:func:`~entbridge.exactlinalg._trusted`).
 
 Homomorphisms follow the same rule: ``GroupHom(...)`` reduces the
 matrix it is given and checks that it defines a homomorphism, while
-identities and composites are reduced but built unchecked.
+identities and composites are reduced but built unchecked.  A composite
+is reduced as it is multiplied, in the one row-shape product of
+:mod:`entbridge.exactlinalg`.
 
 Every index chain in the package is built by one of two builders over
 any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
@@ -57,7 +59,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf, preimage_lattice
+from .exactlinalg import HnfBasis, IntMatrix, _product, _trusted, hnf, preimage_lattice
 
 __all__ = [
     "FinAbGroup",
@@ -92,7 +94,7 @@ class FinAbGroup:
     dual: bool = False
 
     def __post_init__(self) -> None:
-        # from a list, not a map: see _mod_rows
+        # from a list, not a map: see the exactlinalg module docstring
         object.__setattr__(self, "moduli", tuple([operator.index(d) for d in self.moduli]))
         if any(d < 1 for d in self.moduli):
             raise ValueError("moduli must be positive")
@@ -114,7 +116,7 @@ class FinAbGroup:
     def reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.rank:
             raise ValueError("element length mismatch")
-        return tuple(operator.index(v) % d for v, d in zip(vector, self.moduli))
+        return tuple([operator.index(v) % d for v, d in zip(vector, self.moduli)])
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([a + b for a, b in zip(x, y)])
@@ -197,9 +199,7 @@ def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
 
 def _mod_rows(m: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """`m` with row i reduced modulo moduli[i]."""
-    # tuple() of a list is allocated at its final size; tuple() of a
-    # generator is resized, and CPython keeps resized tuples on its per-size
-    # free lists until a full collection, which the peak RSS shows
+    # from lists: see the exactlinalg module docstring
     reduced = tuple([tuple([x % d for x in row]) for row, d in zip(m.entries, moduli)])
     return _trusted(IntMatrix, m.rows, m.cols, reduced)
 
@@ -216,7 +216,9 @@ class GroupHom:
     checks this per entry and rejects any other matrix.  Identities and
     composites hold it by construction, and :meth:`identity` and
     :meth:`compose` build them unchecked, but still reduced: entries
-    would otherwise grow along :func:`powers`.
+    would otherwise grow along :func:`powers`.  So every entry of row k
+    of any GroupHom matrix lies in [0, codomain modulus k), and
+    :meth:`compose` relies on it to keep copied rows as they stand.
     """
 
     domain: FinAbGroup
@@ -249,10 +251,17 @@ class GroupHom:
         return self.codomain.reduce(self.matrix.apply(self.domain.reduce(vector)))
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
+        """self after inner, reduced as it is multiplied.
+
+        Row i of the product is reduced modulo codomain modulus i as it is
+        built.  Row k of inner's matrix already lies in [0, d_k), d_k the
+        modulus of the middle group, so a unit row of self that copies it
+        keeps it as it stands when d_k is the same modulus, and reduces it
+        otherwise (a p-adic projection copies rows from a finer modulus).
+        """
         if inner.codomain != self.domain:
             raise ValueError("homomorphisms do not compose")
-        product = _mod_rows(self.matrix @ inner.matrix, self.codomain.moduli)
+        product = _product(self.matrix, inner.matrix, self.codomain.moduli, self.domain.moduli)
         return _trusted(GroupHom, inner.domain, self.codomain, product)
 
 

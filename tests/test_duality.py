@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_elements, oracle_annihilator, oracle_pairing, subgroup_elements
-from test_fingroup import reference_annihilator
+from test_fingroup import CHAIN_MODULI, reference_annihilator, shaped_hom
 from entbridge.bridge import random_endomorphism, random_finite_group, random_subgroup
 from entbridge.duality import (
     annihilator,
@@ -167,7 +169,42 @@ class TestAnnihilatorAtScale:
             assert annihilator(annihilator(u)) == u
 
 
+@st.composite
+def homs_for_the_adjoint(draw, homogeneous):
+    """A map between groups of rank 0-4 by shaped_hom: over one modulus
+    (1 among them), or, unless `homogeneous`, possibly over mixed moduli."""
+    if homogeneous or draw(st.booleans()):
+        d = draw(CHAIN_MODULI)
+        dom, cod = (FinAbGroup((d,) * draw(st.integers(0, 4))) for _ in range(2))
+    else:
+        dom, cod = (FinAbGroup(tuple(draw(st.lists(CHAIN_MODULI, max_size=4)))) for _ in range(2))
+    return draw(shaped_hom(dom, cod))
+
+
+def adjoint_by_entries(f):
+    """[j][i] = M[i][j] * d_j / e_i, each entry divided out."""
+    dom, cod = f.domain.moduli, f.codomain.moduli
+    rows = [[f.matrix.entries[i][j] * dj // ei for i, ei in enumerate(cod)] for j, dj in enumerate(dom)]
+    return IntMatrix.from_rows(rows, cols=len(cod))
+
+
 class TestDualHom:
+    @given(homs_for_the_adjoint(homogeneous=False))
+    @settings(max_examples=200)
+    def test_matches_the_per_entry_formula(self, f):
+        # one modulus throughout takes the transpose; mixed moduli divide
+        fhat = dual_hom(f)
+        assert fhat.matrix == adjoint_by_entries(f)
+        assert (fhat.domain, fhat.codomain) == (dual_group(f.codomain), dual_group(f.domain))
+
+    @given(homs_for_the_adjoint(homogeneous=True), st.data())
+    @settings(max_examples=200)
+    def test_adjoint_identity_on_one_modulus(self, f, data):
+        x = [data.draw(st.integers(0, d - 1)) for d in f.domain.moduli]
+        y = [data.draw(st.integers(0, d - 1)) for d in f.codomain.moduli]
+        fhat = dual_hom(f)
+        assert pairing(f.codomain, f.apply(x), y) == pairing(f.domain, x, fhat.apply(y))
+
     def test_adjoint_identity(self):
         for rng, group in random_cases(28, 40):
             f = random_endomorphism(rng, group)

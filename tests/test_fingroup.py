@@ -3,6 +3,8 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_elements,
@@ -278,6 +280,66 @@ class TestGroupHom:
         fh = f.compose(h)
         for x in all_elements(g):
             assert fh.apply(x) == f.apply(h.apply(x))
+
+
+# Moduli with divisibility chains (1 | 2 | 4 | 8, 1 | 3 | 6 | 12, 2^64 |
+# 2^65) so that unit rows from a finer modulus are valid maps.
+CHAIN_MODULI = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 2**64, 2**65])
+
+
+@st.composite
+def shaped_hom(draw, domain, codomain):
+    """A homomorphism domain -> codomain through the public constructor,
+    each row drawn by shape: zero; a unit row e_k, valid when the row's
+    modulus c divides d_k (so k may be a finer modulus); or dense, entry
+    (i, j) a multiple of c / gcd(c, d_j), unreduced."""
+    rows = []
+    for c in codomain.moduli:
+        units = [k for k, d in enumerate(domain.moduli) if d % c == 0]
+        shape = draw(st.sampled_from(["zero", "unit", "dense"]))
+        row = [0] * domain.rank
+        if shape == "unit" and units:
+            row[draw(st.sampled_from(units))] = 1
+        elif shape == "dense":
+            row = [c // math.gcd(c, d) * draw(st.integers(-2 * d, 2 * d)) for d in domain.moduli]
+        rows.append(row)
+    return GroupHom(domain, codomain, IntMatrix.from_rows(rows, cols=domain.rank))
+
+
+@st.composite
+def composable_homs(draw):
+    """(outer, inner) with inner.codomain == outer.domain: three groups of
+    rank 0-4 over CHAIN_MODULI, maps by shaped_hom."""
+    a, b, c = (FinAbGroup(tuple(draw(st.lists(CHAIN_MODULI, max_size=4)))) for _ in range(3))
+    return draw(shaped_hom(b, c)), draw(shaped_hom(a, b))
+
+
+class TestComposeReducesAsItMultiplies:
+    @given(composable_homs())
+    @settings(max_examples=300)
+    def test_matches_the_reduced_product(self, homs):
+        # zero rows, unit rows copied from the same or a finer modulus,
+        # modulus 1 and rank 0, against the product reduced afterwards
+        outer, inner = homs
+        composite = outer.compose(inner)
+        expected = fingroup._mod_rows(outer.matrix @ inner.matrix, outer.codomain.moduli)
+        assert composite.matrix == expected
+        assert (composite.domain, composite.codomain) == (inner.domain, outer.codomain)
+
+    def test_copied_rows_from_a_finer_modulus_are_reduced(self):
+        # rows of a map into Z/4 x Z/8, copied by unit rows into Z/2 x Z/4
+        finer, coarser = FinAbGroup((4, 8)), FinAbGroup((2, 4))
+        inner = GroupHom(finer, finer, IntMatrix.from_rows([[3, 2], [6, 7]]))
+        outer = GroupHom(finer, coarser, IntMatrix.from_rows([[1, 0], [0, 1]]))
+        assert outer.compose(inner).matrix.entries == ((1, 0), (2, 3))
+
+    def test_copied_rows_from_the_same_modulus_are_shared(self):
+        g = FinAbGroup((5, 5, 5))
+        inner = GroupHom(g, g, IntMatrix.from_rows([[1, 2, 3], [4, 0, 1], [2, 2, 2]]))
+        outer = GroupHom(g, g, IntMatrix.from_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+        rows = outer.compose(inner).matrix.entries
+        assert rows == ((2, 2, 2), (0, 0, 0), (1, 2, 3))
+        assert rows[0] is inner.matrix.entries[2] and rows[2] is inner.matrix.entries[0]
 
 
 class TestHomLattices:

@@ -255,6 +255,18 @@ class TestPadicTower:
         with pytest.raises(ValueError, match="square"):
             padic_tower(2, 2, [[1, 0]])
 
+    def test_projection_reduces_the_rows_it_copies(self):
+        # the projection Z/4 -> Z/2 is the identity matrix, so each of its
+        # unit rows copies a row of maps[1], reduced mod 4, that must be
+        # reduced again mod 2; the commuting square checked at construction
+        # needs the same
+        endo = padic_tower(2, 3, [[3, 1], [2, 3]])
+        assert endo.maps[1].matrix.entries == ((3, 1), (2, 3))
+        left = endo.tower.projections[0].compose(endo.maps[1])
+        assert left.matrix.entries == ((1, 1), (0, 1))
+        assert left == endo.maps[0].compose(endo.tower.projections[0])
+        assert endo.tower.project(2, 0).compose(endo.maps[2]).matrix.entries == ((1, 1), (0, 1))
+
 
 class TestConjugation:
     @pytest.mark.parametrize("modulus,j,steps", [(2, 0, 4), (3, 1, 3), (5, 0, 3)])
