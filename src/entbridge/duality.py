@@ -46,8 +46,10 @@ __all__ = [
 
 
 def dual_group(group: FinAbGroup) -> FinAbGroup:
-    """Character group in the self-dual presentation; involutive on the tag."""
-    return FinAbGroup(group.moduli, not group.dual)
+    """Character group in the self-dual presentation; involutive on the tag.
+
+    Built unchecked: its moduli are those of a group already built."""
+    return _trusted(FinAbGroup, group.moduli, not group.dual)
 
 
 def pairing(group: FinAbGroup, x: Sequence[int], y: Sequence[int]) -> Fraction:

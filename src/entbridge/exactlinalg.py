@@ -28,12 +28,24 @@ Comput. 8, 1979).
 Matrix products go by the shape of each row of the left factor, in the
 one routine :func:`_product`: a zero row gives zeros, a unit row (a
 single nonzero entry, 1) copies the matching row of the right factor,
-and any other row is dotted with the columns of the right factor, which
-are transposed once per product and only if such a row occurs.  The
-product can reduce row i modulo a modulus as the row is built, which is
-how :meth:`~entbridge.fingroup.GroupHom.compose` multiplies: a copied
-row already reduced by the same modulus is kept as it stands, so no
-unreduced product is built first.  The one
+and any other (dense) row takes one sum of its entries times the rows
+of the right factor, each row packed into a single integer (Kronecker
+substitution): row k packs to sum_j b[k][j] 2^(w j), so entry j of the
+product row sits in slot j of the sum, bits w j to w (j + 1), and is
+read back with a shift and a mask.  This is exact because no slot
+carries into the next: with A and B bounds on the entries of the two
+factors and n the inner dimension, every entry of the product is at
+most n A B in size, and w is the bit length of that bound.  A plain
+product, whose entries may be negative, takes A and B as the largest
+|entry| of each factor, adds one bit, and biases every slot by
+2^(w-1), taken off as the slot is read.  The rows are packed once per
+product, and only if a dense row occurs.  The product can instead
+reduce row i modulo a modulus as the row is built, which is how
+:meth:`~entbridge.fingroup.GroupHom.compose` and the chain steps of
+:mod:`entbridge.fingroup` multiply: then the moduli are the bounds, no
+entry is scanned and no entry is negative, and a copied row already
+bounded by the same modulus is kept as it stands, so no unreduced
+product is built first.  The one
 forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
 call) skips rows whose residual is already zero.  The tower maps of
@@ -176,17 +188,23 @@ def _product(
     """a @ b, for a.cols == b.rows, built row by row by the shape of each row of a.
 
     A zero row gives zeros, a unit row (a single nonzero entry, 1, at k)
-    is row k of b as it stands, and any other row is dotted with each
-    column of b; b is transposed only when such a row occurs.  With
+    is row k of b as it stands, and any other row is multiplied into the
+    rows of b packed into single integers, whose slots are the entries
+    of the product row; b is packed only when such a row occurs.  With
     `moduli`, row i of the product is reduced modulo moduli[i] as it is
-    built, where row k of b already lies in [0, reduced[k]): a unit row
-    is copied as it stands when reduced[k] == moduli[i], and reduced
-    otherwise.  The tower maps are mostly unit rows over one modulus; the
-    finite and p-adic maps are dense.
+    built, where row i of a lies in [0, moduli[i]) and row k of b in
+    [0, reduced[k]], bounded by the modulus and possibly equal to it (a
+    Hermite row of a subgroup holds its diagonal, which may be the
+    modulus itself): a unit row is copied as it stands when
+    reduced[k] == moduli[i], and reduced otherwise.  So a product row
+    is always congruent to row i of a @ b modulo moduli[i], and lies in
+    [0, moduli[i]) when the rows of b lie below their bounds.  The tower
+    maps are mostly unit rows over one modulus; the finite and p-adic
+    maps are dense.
     """
     n = a.cols
     zero = (0,) * b.cols
-    columns = None
+    packed = None
     data = []
     for i, row in enumerate(a.entries):
         zeros = row.count(0)
@@ -199,11 +217,31 @@ def _product(
             else:
                 data.append(tuple([x % moduli[i] for x in b.entries[k]]))
         else:
-            if columns is None:
-                columns = list(zip(*b.entries))
-            dots = [sum(map(operator.mul, row, col)) for col in columns]
-            data.append(tuple(dots if moduli is None else [x % moduli[i] for x in dots]))
+            if packed is None:
+                if moduli is None:
+                    width = (n * _largest(a) * _largest(b)).bit_length() + 1
+                    half = 1 << (width - 1)
+                else:
+                    width = (n * max(moduli) * max(reduced)).bit_length()
+                    half = 0
+                shifts = range(0, width * b.cols, width)
+                packed = [sum(map(operator.lshift, r, shifts)) for r in b.entries]
+                mask = (1 << width) - 1
+                bias = half * ((1 << width * b.cols) - 1) // mask  # half in every slot
+            total = sum(map(operator.mul, row, packed), bias)
+            if moduli is None:
+                data.append(tuple([(total >> s & mask) - half for s in shifts]))
+            else:
+                d = moduli[i]
+                data.append(tuple([(total >> s & mask) % d for s in shifts]))
     return _trusted(IntMatrix, a.rows, b.cols, tuple(data))
+
+
+def _largest(m: IntMatrix) -> int:
+    """The largest |entry| of `m`, which has at least one row; 0 if its rows are empty."""
+    if not m.cols:
+        return 0
+    return max(max(map(max, m.entries)), -min(map(min, m.entries)))
 
 
 @dataclass(frozen=True)

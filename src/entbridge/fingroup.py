@@ -26,7 +26,16 @@ into one group and yields the running sums of the images g_t(S_t) (the
 trajectories).  Each step is one elimination: a meet step is one
 :func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
 previous term, whose basis it tracks, and a join step is one Hermite
-form of the previous term next to g_t(S_t).  Both builders are lazy:
+form of the previous term next to g_t(S_t).  The product that feeds
+each step, f_t times the previous basis or g_t times the basis of S_t,
+is reduced modulo the codomain moduli as it is multiplied, like a
+composite.  That is exact and leaves every term as it was: V_t
+contains the codomain's relation lattice, so m y lies in V_t exactly
+when (m mod e) y does, row i of m taken mod e_i; and the previous join
+term contains the relation lattice too, so a generator next to it spans
+the same lattice after any multiple of d_i is taken off its entry i.
+Reduced, no entry that enters an elimination is past its modulus.
+Both builders are lazy:
 each term is yielded as soon as it is built, and the next pair is read
 only when the next term is asked for, so a caller that stops early
 pays for no later step.  The finite route pairs the powers f^k with U
@@ -42,7 +51,9 @@ One driver, :func:`two_chains`, turns the meet and join pairs of any
 kind into both chains and both index sequences a_n = [C_1 : C_n] and
 b_n = [T_n : T_1].  Each meet term lies inside the one before it and
 each join term contains it, by construction, so the indices are read
-off the Hermite diagonals, with no containment re-proved.  Both chains
+off the Hermite diagonals, with no containment re-proved; for the same
+reason a term is unchanged exactly when its determinant is, and each
+determinant is computed once.  Both chains
 are built together and end at the first step where neither changed, on
 every kind: for one endomorphism f and subgroup U, C_(n+1) = U ∩ f^-1(C_n)
 and T_(n+1) = perp U + g(T_n), g the adjoint, so a repeat is final; the
@@ -268,7 +279,9 @@ class GroupHom:
 def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.domain:
         raise ValueError("subgroup not in the domain")
-    gens = (f.matrix @ subgroup.basis.matrix).hstack(f.codomain.relations.matrix)
+    # reduced as it is multiplied, like a join step: the relations sit next to it
+    product = _product(f.matrix, subgroup.basis.matrix, f.codomain.moduli, f.domain.moduli)
+    gens = product.hstack(f.codomain.relations.matrix)
     return _trusted(SubgroupLattice, f.codomain, hnf(gens))
 
 
@@ -314,7 +327,9 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     basis of C_(n-1) (the identity before the first step),
     C_n = B {y : f_n(B y) in V_n}, which one
     :func:`~entbridge.exactlinalg.preimage_lattice` that tracks B returns
-    in Hermite form.  The pair (f_n, V_n) is read only when C_n is asked for.
+    in Hermite form; f_n B is reduced modulo the codomain moduli as it is
+    multiplied, since V_n contains the relations.  The pair (f_n, V_n) is
+    read only when C_n is asked for.
     """
     rest = iter(pairs)
     first = next(rest, None)
@@ -327,7 +342,8 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
             raise ValueError("maps out of different groups")
         if v.ambient != f.codomain:
             raise ValueError("subgroup not in the codomain")
-        term = _trusted(SubgroupLattice, group, preimage_lattice(f.matrix @ basis, v.basis, basis))
+        product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
+        term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
         yield term
         basis = term.basis.matrix
 
@@ -336,8 +352,10 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     """Yield T_1, T_2, ... with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
 
     Each step is one Hermite form of the previous term next to the
-    generators of g_n(S_n), starting from the relation lattice.  The pair
-    (g_n, S_n) is read only when T_n is asked for.
+    generators of g_n(S_n), starting from the relation lattice, which
+    every term contains, so the generators are reduced modulo the moduli
+    as they are multiplied.  The pair (g_n, S_n) is read only when T_n is
+    asked for.
     """
     rest = iter(pairs)
     first = next(rest, None)
@@ -350,16 +368,21 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
             raise ValueError("maps into different groups")
         if s.ambient != g.domain:
             raise ValueError("subgroup not in the domain")
-        term = _trusted(SubgroupLattice, group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
+        product = _product(g.matrix, s.basis.matrix, group.moduli, g.domain.moduli)
+        term = _trusted(SubgroupLattice, group, hnf(basis.hstack(product)))
         yield term
         basis = term.basis.matrix
 
 
-def _indexed(terms: Iterable[SubgroupLattice], steps: int, meet: bool) -> tuple[list, list[int]]:
+def _indexed(
+    terms: Iterable[SubgroupLattice], steps: int, meet: bool, dets: Sequence[int] | None = None
+) -> tuple[list, list[int]]:
     """The terms of a meet (or join) chain padded with the last to `steps`, and
-    the index of each against the first, det C_n / det C_1 (or det T_1 / det T_n)."""
+    the index of each against the first, det C_n / det C_1 (or det T_1 / det T_n).
+    `dets` are the determinants of the terms, when the caller has them."""
     terms = list(terms)
-    dets = [term.basis.det() for term in terms]
+    if dets is None:
+        dets = [term.basis.det() for term in terms]
     indices = [d // dets[0] if meet else dets[0] // d for d in dets]
     pad = steps - len(terms)
     return terms + terms[-1:] * pad, indices + indices[-1:] * pad
@@ -373,17 +396,22 @@ def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int):
     ends both, and the last terms built fill the remaining steps."""
     if steps < 1:
         raise ValueError("step count must be at least 1")
-    # both chains live in fixed groups, so a term changed exactly when its
-    # Hermite entries did
-    built, last = [], None
+    # each meet term lies inside the one before it and each join term
+    # contains it, so a term is unchanged exactly when its determinant is;
+    # each determinant is computed once, here, and the indices reuse it
+    built, dets = [], []
     for c, t in zip(islice(meet_chain(meet_pairs), steps), islice(join_chain(join_pairs), steps)):
-        entries = (c.basis.matrix.entries, t.basis.matrix.entries)
-        if entries == last:
+        pair = (c.basis.det(), t.basis.det())
+        if dets and pair == dets[-1]:
             break
         built.append((c, t))
-        last = entries
+        dets.append(pair)
     else:
         if len(built) < steps:
             raise ValueError(f"the pairs end after {len(built)} of {steps} steps")
     co, tr = zip(*built)
-    return _indexed(co, steps, meet=True), _indexed(tr, steps, meet=False)
+    co_dets, tr_dets = zip(*dets)
+    return (
+        _indexed(co, steps, meet=True, dets=co_dets),
+        _indexed(tr, steps, meet=False, dets=tr_dets),
+    )

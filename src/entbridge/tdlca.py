@@ -46,6 +46,7 @@ the levels it needs, without constructing the rest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,11 +208,12 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
     levels[i] = (Z/modulus)^(i+1); projections drop the last coordinate,
     the shift drops the first, so the lag is 1.
     """
+    modulus = operator.index(modulus)
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if height < 2:
         raise ValueError("tower needs at least two levels for the shift")
-    levels = tuple(FinAbGroup((modulus,) * (i + 1)) for i in range(height))
+    levels = tuple([_trusted(FinAbGroup, (modulus,) * (i + 1), False) for i in range(height)])
     projections, shifts = [], []
     for i in range(height - 1):
         rank = i + 1

@@ -274,7 +274,8 @@ class TestEarlyExit:
     def test_indexes_each_distinct_term_once(self, monkeypatch, hyperplane, built, distinct):
         # the report builds each chain up to its first repeat (one elimination
         # per term built, the repeat included) and reads the determinant of
-        # each distinct term once; it never calls the checked index
+        # each term built once, the repeat included, since an unchanged
+        # determinant is what finds the repeat; it never calls the checked index
         g, f = left_shift(16)
         u = coordinate_hyperplane(g, hyperplane)
         counts = {"preimage_lattice": 0, "hnf": 0, "det": 0, "index": 0}
@@ -293,9 +294,10 @@ class TestEarlyExit:
         monkeypatch.setattr(HnfBasis, "det", counted("det", HnfBasis.det))
         monkeypatch.setattr(bridge, "index", counted("index", bridge.index))
         report = finite_bridge(f, u, 16)
-        assert counts == {"preimage_lattice": built, "hnf": built, "det": 2 * distinct, "index": 0}
+        assert counts == {"preimage_lattice": built, "hnf": built, "det": 2 * built, "index": 0}
         expected = [1] * 16 if hyperplane == 15 else [2**n for n in range(16)]
         assert report["indices"] == {"primal": expected, "dual": expected}
+        assert len(set(expected)) == distinct
         assert report["verdict"] == "pass"
 
     def test_qp_stops_where_neither_chain_changed(self, monkeypatch):

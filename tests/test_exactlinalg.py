@@ -11,6 +11,7 @@ from conftest import det, unimodular_pair
 from entbridge.exactlinalg import (
     HnfBasis,
     IntMatrix,
+    _product,
     hnf,
     kernel_basis,
     preimage_lattice,
@@ -83,6 +84,70 @@ def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, b.cols, data)
 
 
+# moduli from 1 to 2^128, with the edges of that range on their own
+product_moduli = st.one_of(st.sampled_from([1, 2, 2**90, 2**128]), st.integers(1, 2**128))
+
+
+@st.composite
+def reduced_product_pairs(draw):
+    """(a, b, moduli, reduced) for a reduced product: ranks 0-16, the moduli
+    drawn from a pool of one to three, so a unit row often meets its own
+    modulus.  Row i of a is zero, a unit row or dense in [0, moduli[i]);
+    row k of b lies in [0, reduced[k]] and often holds the bound itself,
+    as a Hermite row whose diagonal is the modulus does."""
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=16)) for _ in range(3))
+    pool = draw(st.lists(product_moduli, min_size=1, max_size=3))
+    moduli = [draw(st.sampled_from(pool)) for _ in range(rows)]
+    reduced = [draw(st.sampled_from(pool)) for _ in range(inner)]
+    grid = []
+    for d in moduli:
+        shape = draw(st.sampled_from(["zero", "unit", "dense"]))
+        row = [0] * inner
+        if shape == "dense" or inner == 0:
+            entries = st.one_of(st.just(0), st.just(d - 1), st.integers(0, d - 1))
+            row = draw(st.lists(entries, min_size=inner, max_size=inner))
+        elif shape == "unit":
+            row[draw(st.integers(min_value=0, max_value=inner - 1))] = 1
+        grid.append(row)
+    other = [
+        draw(st.lists(st.one_of(st.just(0), st.just(r), st.integers(0, r)), min_size=cols, max_size=cols))
+        for r in reduced
+    ]
+    a = IntMatrix(rows, inner, tuple(map(tuple, grid)))
+    return a, IntMatrix(inner, cols, tuple(map(tuple, other))), moduli, reduced
+
+
+# an entry bound at the edge of a slot: a power of two or one below it
+edge_bounds = st.integers(min_value=0, max_value=130).flatmap(
+    lambda t: st.sampled_from([2**t, max(2**t - 1, 1)])
+)
+
+
+@st.composite
+def slot_edge_pairs(draw):
+    """(a, b) for a plain product whose entries reach the bound of its
+    slots: every entry of a is 0 or +-A and every entry of b is +-B, with A
+    and B at the edge of a power of two, so a row of A (or -A) against a
+    column of B reaches +-n A B, the bound the slot width is set from."""
+    rows, inner, cols = (draw(st.integers(min_value=1, max_value=8)) for _ in range(3))
+    big_a, big_b = draw(edge_bounds), draw(edge_bounds)
+    row = st.lists(st.sampled_from([big_a, -big_a, 0]), min_size=inner, max_size=inner)
+    grid = draw(st.lists(row, min_size=rows - 1, max_size=rows - 1))
+    grid.append([draw(st.sampled_from([big_a, -big_a]))] * inner)
+    sign = draw(st.sampled_from([1, -1]))
+    other = draw(
+        st.lists(
+            st.lists(st.sampled_from([big_b, -big_b]), min_size=cols, max_size=cols),
+            min_size=inner,
+            max_size=inner,
+        )
+    )
+    other[0][0] = sign * big_b
+    for k in range(1, inner):
+        other[k][0] = other[0][0]
+    return IntMatrix.from_rows(grid, cols=inner), IntMatrix.from_rows(other, cols=cols)
+
+
 def permutation_det(m: IntMatrix) -> int:
     """Leibniz expansion, the slow reference determinant."""
     n = m.rows
@@ -143,6 +208,44 @@ class TestIntMatrix:
             (0, 0),
             (big + 5, -3 - big),
         )
+
+    @given(reduced_product_pairs())
+    @settings(max_examples=200)
+    def test_reduced_product_matches_definition(self, case):
+        # each row is the product row modulo its modulus, except a unit row
+        # that meets a row of b bounded by the same modulus: that row is
+        # copied as it stands, congruent and at most the modulus
+        a, b, moduli, reduced = case
+        product = _product(a, b, moduli, reduced)
+        naive = naive_product(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        for i, (row, d) in enumerate(zip(a.entries, moduli)):
+            got = product.entries[i]
+            if row.count(0) == a.cols - 1 and 1 in row and reduced[row.index(1)] == d:
+                assert got is b.entries[row.index(1)]
+            else:
+                assert got == tuple(x % d for x in naive.entries[i])
+            assert all(0 <= x <= d and (x - y) % d == 0 for x, y in zip(got, naive.entries[i]))
+
+    def test_reduced_unit_row_copies_a_hermite_row_at_the_modulus(self):
+        # the relation lattice's rows hold the modulus on the diagonal: a
+        # unit row over the same modulus copies one as it stands, entry equal
+        # to the modulus, and a dense row over it is reduced below it
+        relations = IntMatrix.diagonal([2**128, 2**90])
+        a = IntMatrix.from_rows([[0, 1], [3, 5], [1, 0]])
+        product = _product(a, relations, [2**90, 2**128, 2**64], [2**128, 2**90])
+        assert product.entries == ((0, 2**90), (0, 5 * 2**90), (0, 0))
+        assert product.entries[0] is relations.entries[1]
+
+    @given(slot_edge_pairs())
+    @settings(max_examples=200)
+    def test_plain_product_at_the_edge_of_its_slots(self, pair):
+        a, b = pair
+        product = a @ b
+        assert product == naive_product(a, b)
+        n = a.cols
+        edge = n * max(abs(x) for row in a.entries for x in row) * abs(b.entries[0][0])
+        assert abs(product.entries[-1][0]) == edge
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):

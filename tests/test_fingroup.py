@@ -117,6 +117,37 @@ def reference_meet_chain(pairs):
     return chain
 
 
+# moduli near 2^90 and 2^128: powers of 2, 3 and 6, and two odd ones
+BIG_MODULI = [2**90, 3**57, 2**90 - 3, 2**128, 6**49, 2**128 - 159]
+
+
+def big_group(rng):
+    """A group of rank 1-6 over BIG_MODULI."""
+    return FinAbGroup(tuple(rng.choice(BIG_MODULI) for _ in range(rng.randint(1, 6))))
+
+
+def unreduced_meet_chain(pairs):
+    """C_n = preimage_lattice(f_n.matrix @ B, V_n, B), the product left unreduced."""
+    group = pairs[0][0].domain
+    basis = IntMatrix.identity(group.rank)
+    chain = []
+    for f, v in pairs:
+        chain.append(SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis)))
+        basis = chain[-1].basis.matrix
+    return chain
+
+
+def unreduced_join_chain(pairs):
+    """T_n = hnf(B | g_n.matrix @ S_n), the product left unreduced."""
+    group = pairs[0][0].codomain
+    basis = group.relations.matrix
+    chain = []
+    for g, s in pairs:
+        chain.append(SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix))))
+        basis = chain[-1].basis.matrix
+    return chain
+
+
 def random_meet_pairs(rng, group, other_group):
     """1-5 maps out of `group`, each paired with a random subgroup of its codomain."""
     pairs = []
@@ -497,6 +528,29 @@ class TestChainBuilders:
         for rng, group in random_cases(24, 60, wide_group):
             pairs = random_meet_pairs(rng, group, wide_group)
             assert list(meet_chain(pairs)) == reference_meet_chain(pairs)
+
+    def test_reduced_steps_match_unreduced_products(self):
+        # the builders reduce each step's product modulo the codomain moduli;
+        # the terms are those of the unreduced products, whose entries reach
+        # past the moduli (counted, so the reduction is exercised)
+        past = 0
+        for rng, group in random_cases(26, 40, big_group):
+            meet_pairs = random_meet_pairs(rng, group, big_group)
+            join_pairs = []
+            for _ in range(rng.randint(1, 5)):
+                other = big_group(rng)
+                join_pairs.append((random_hom(rng, other, group), random_subgroup(rng, other)))
+            meets = list(meet_chain(meet_pairs))
+            joins = list(join_chain(join_pairs))
+            assert meets == unreduced_meet_chain(meet_pairs)
+            assert joins == unreduced_join_chain(join_pairs)
+            bases = [IntMatrix.identity(group.rank)] + [c.basis.matrix for c in meets[:-1]]
+            products = [(f.matrix @ b, f.codomain) for (f, _), b in zip(meet_pairs, bases)]
+            products += [(g.matrix @ t.basis.matrix, group) for g, t in join_pairs]
+            past += any(
+                x >= d for m, cod in products for row, d in zip(m.entries, cod.moduli) for x in row
+            )
+        assert past >= 30
 
     def test_meet_chain_pairs_match_enumeration(self):
         for rng, group in random_cases(25, 40):

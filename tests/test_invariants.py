@@ -1,7 +1,8 @@
 """Every value the package builds without its checks passes them.
 
-The package builds the matrices, homomorphisms, subgroups, Hermite bases
-and shift towers it computes through ``exactlinalg._trusted``, which
+The package builds the matrices, homomorphisms, subgroups, Hermite bases,
+dual groups and shift towers (their levels included) it computes
+through ``exactlinalg._trusted``, which
 skips ``__post_init__``.  Here the helper is replaced, in every module
 that binds it, by one that builds through the checked constructor, and
 each exact route, and the duality laws over mixed moduli, must run with
@@ -26,16 +27,19 @@ from hypothesis import strategies as st
 from entbridge import exactlinalg, fingroup
 from entbridge.bridge import check_all_laws, random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
+from entbridge.duality import dual_group
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, full_subgroup, image, subgroup_from_generators
+from entbridge.tdlca import full_shift_tower
 
-# the classes each case must build through the helper
+# the classes each case must build through the helper; the finite and
+# shift routes dualize, so they build dual groups
 COMMON = {"IntMatrix", "GroupHom", "HnfBasis", "SubgroupLattice"}
 BUILT = {
-    "finite": COMMON,
-    "shift": COMMON | {"Tower", "TowerEndo"},
+    "finite": COMMON | {"FinAbGroup"},
+    "shift": COMMON | {"FinAbGroup", "Tower", "TowerEndo"},
     "qp": COMMON,
-    "laws": COMMON,
+    "laws": COMMON | {"FinAbGroup"},
 }
 
 
@@ -137,14 +141,27 @@ def test_built_values_pass_their_checks(kind, data):
     assert result == expected
 
 
+def test_shift_levels_and_dual_groups_go_through_the_helper():
+    # both unchecked group builds of the shift route: the tower's levels,
+    # one per level, and the dual group
+    with checked_builds() as (built, fired):
+        endo = full_shift_tower(3, 4)
+        levels = built["FinAbGroup"]
+        dual = dual_group(endo.tower.levels[2])
+    assert fired == []
+    assert levels == 4 and built["FinAbGroup"] == 5
+    assert endo.tower.levels == tuple(FinAbGroup((3,) * (i + 1)) for i in range(4))
+    assert dual == FinAbGroup((3, 3, 3), dual=True)
+
+
 @contextmanager
 def indexed_chains():
     """Record (terms, indices, meet) for every chain the driver indexes."""
     indexed = fingroup._indexed
     seen = []
 
-    def recording(terms, steps, meet):
-        terms, indices = indexed(terms, steps, meet=meet)
+    def recording(terms, steps, meet, dets=None):
+        terms, indices = indexed(terms, steps, meet=meet, dets=dets)
         seen.append((terms, indices, meet))
         return terms, indices
 
