@@ -14,8 +14,9 @@ they hand to the driver :func:`entbridge.fingroup.two_chains`: finite
 pairs (f^k, U) and (g^k, perp U), g the adjoint of f; shift pairs the
 tower's condition maps with the trivial subgroup and their adjoints
 with the full group
-(:meth:`entbridge.tdlca.TowerEndo.pairs`); qp pairs (B^k, p^(ke) G) from
-the matrix and (B'^k, p^(N-ke) G) from its transpose
+(:meth:`entbridge.tdlca.TowerEndo.pairs`); qp pairs p^(N-ke) B^k from the
+matrix with the trivial subgroup of G = (Z/p^N)^d, and p^(N-ke) B'^k
+from its transpose with G
 (:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
 The two pair lists are separate computations; neither side is derived
 from the other.  The qp report also compares both index routes with the
@@ -166,14 +167,16 @@ def check_chain_laws(f: GroupHom, u: SubgroupLattice, steps: int) -> list[LawChe
 
     The indices come from the checked :func:`index`, not from the driver,
     and each step built is checked once: the driver's padded tail repeats
-    the last step built, as the same objects.  Each law reports its own
+    the last step built, as the same objects.  A step built can keep one
+    chain's term, as the same object, only while the other chain changes,
+    so only both terms repeated mark the tail.  Each law reports its own
     first failing step.
     """
     (co, _), (tr, _) = _finite_chains(f, u, steps)
     instance = {"endomorphism": _hom_payload(f), "subgroup": _subgroup_payload(u)}
     perp_failure = index_failure = None
     for n, (c, t) in enumerate(zip(co, tr)):
-        if n and c is co[n - 1]:
+        if n and c is co[n - 1] and t is tr[n - 1]:
             break
         if perp_failure is None:
             cperp = annihilator(c)

@@ -23,7 +23,7 @@ any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
 out of one group and yields the running intersections of the preimages
 f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
 into one group and yields the running sums of the images g_t(S_t) (the
-trajectories).  Each step is one elimination: a meet step is one
+trajectories).  Each step is at most one elimination: a meet step is one
 :func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
 previous term, whose basis it tracks, and a join step is one Hermite
 form of the previous term next to g_t(S_t).  The product that feeds
@@ -35,6 +35,18 @@ when (m mod e) y does, row i of m taken mod e_i; and the previous join
 term contains the relation lattice too, so a generator next to it spans
 the same lattice after any multiple of d_i is taken off its entry i.
 Reduced, no entry that enters an elimination is past its modulus.
+Three kinds of step have a known answer and skip work, each giving the
+term the plain step gives.  A first pair whose map is the identity
+gives C_1 = V_1 and T_1 = S_1 with no elimination, since the term
+before it is the whole group (meet) or the relation lattice, which S_1
+contains (join); every :func:`powers` list starts with the identity, so
+this is the finite route's k = 0 step.  A join pair whose subgroup is
+the whole domain (its Hermite basis is the identity) contributes the
+columns of g_t, which are reduced already, with no product.  And a step
+whose product f_t B is zero (meet), or that adds no nonzero generator
+(join), keeps the term before it, as the same object, with no
+elimination: B y then lies in the preimage for every y, and zero
+generators span nothing new.
 Both builders are lazy:
 each term is yielded as soon as it is built, and the next pair is read
 only when the next term is asked for, so a caller that stops early
@@ -44,8 +56,8 @@ for k < n (:func:`powers`, which composes each power only when it is
 asked for).  The tower route (:mod:`entbridge.tdlca`) pairs its
 condition maps with the trivial subgroup (kernels) and their adjoints
 with the full group (images).  The p-adic route (:mod:`entbridge.padic`)
-runs on one group G = (Z/p^N)^d and pairs each power B^k with a
-subgroup p^c G.
+runs on one group G = (Z/p^N)^d and pairs the scaled powers
+p^(N-ke) B^k the same way, with the trivial subgroup and with G.
 
 One driver, :func:`two_chains`, turns the meet and join pairs of any
 kind into both chains and both index sequences a_n = [C_1 : C_n] and
@@ -324,28 +336,34 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     """Yield C_1, C_2, ... with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
 
     Each step is one preimage restricted to the previous term: with B the
-    basis of C_(n-1) (the identity before the first step),
+    basis of C_(n-1) (the whole group before the first step),
     C_n = B {y : f_n(B y) in V_n}, which one
     :func:`~entbridge.exactlinalg.preimage_lattice` that tracks B returns
     in Hermite form; f_n B is reduced modulo the codomain moduli as it is
-    multiplied, since V_n contains the relations.  The pair (f_n, V_n) is
-    read only when C_n is asked for.
+    multiplied, since V_n contains the relations.  Two steps have a known
+    answer and take no elimination: a first map that is the identity
+    gives C_1 = V_1, and a step whose product f_n B is zero keeps
+    C_(n-1).  The pair (f_n, V_n) is read only when C_n is asked for.
     """
     rest = iter(pairs)
     first = next(rest, None)
     if first is None:
         raise ValueError("need at least one (map, subgroup) pair")
     group = first[0].domain
-    basis = IntMatrix.identity(group.rank)
-    for f, v in chain((first,), rest):
+    term = full_subgroup(group)
+    for n, (f, v) in enumerate(chain((first,), rest)):
         if f.domain != group:
             raise ValueError("maps out of different groups")
         if v.ambient != f.codomain:
             raise ValueError("subgroup not in the codomain")
-        product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
-        term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
+        if n == 0 and f.is_endo and f == GroupHom.identity(group):
+            term = v
+        else:
+            basis = term.basis.matrix
+            product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
+            if any(map(any, product.entries)):
+                term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
         yield term
-        basis = term.basis.matrix
 
 
 def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
@@ -354,24 +372,33 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     Each step is one Hermite form of the previous term next to the
     generators of g_n(S_n), starting from the relation lattice, which
     every term contains, so the generators are reduced modulo the moduli
-    as they are multiplied.  The pair (g_n, S_n) is read only when T_n is
-    asked for.
+    as they are multiplied.  Three steps have a known answer: a first map
+    that is the identity gives T_1 = S_1 with no elimination, a whole
+    S_n (its Hermite basis is the identity) contributes the columns of
+    g_n, already reduced, with no product, and a step that adds no
+    nonzero generator keeps T_(n-1).  The pair (g_n, S_n) is read only
+    when T_n is asked for.
     """
     rest = iter(pairs)
     first = next(rest, None)
     if first is None:
         raise ValueError("need at least one (map, subgroup) pair")
     group = first[0].codomain
-    basis = group.relations.matrix
-    for g, s in chain((first,), rest):
+    term = trivial_subgroup(group)
+    for n, (g, s) in enumerate(chain((first,), rest)):
         if g.codomain != group:
             raise ValueError("maps into different groups")
         if s.ambient != g.domain:
             raise ValueError("subgroup not in the domain")
-        product = _product(g.matrix, s.basis.matrix, group.moduli, g.domain.moduli)
-        term = _trusted(SubgroupLattice, group, hnf(basis.hstack(product)))
+        if n == 0 and g.is_endo and g == GroupHom.identity(group):
+            term = s
+        else:
+            basis = s.basis.matrix
+            whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
+            gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, g.domain.moduli)
+            if any(map(any, gens.entries)):
+                term = _trusted(SubgroupLattice, group, hnf(term.basis.matrix.hstack(gens)))
         yield term
-        basis = term.basis.matrix
 
 
 def _indexed(

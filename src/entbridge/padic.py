@@ -5,15 +5,24 @@ group, the reduction :mod:`entbridge.tdlca` uses for towers.  Write
 A = B / (u p^e) with B an integer matrix and u a unit at p, and let
 U = Z_p^d.  The n-step cotrajectory of U is {x : B^k x in p^(ke) U,
 k < n}, and it contains p^N U for N = (steps - 1) e.  So both routes
-run on the one group G = (Z/p^N)^d and its subgroups p^c G, whose
-Hermite basis is the diagonal p^c I.  The cotrajectory chain is the
-running intersection of the preimages of p^(ke) G under x -> B^k x, and,
-scaled by p^N, the trajectory U + AU + ... + A^(n-1)U becomes the
-running sum of the images B^k (p^(N-ke) G): :func:`cotrajectory_pairs`
-and :func:`trajectory_pairs` give these pairs to the driver
-:func:`entbridge.fingroup.two_chains`.  Each is called with its own
-matrix, so the adjoint route powers the transpose that it is given and
-shares nothing with the primal route but the finite arithmetic.
+run on the one group G = (Z/p^N)^d, through the maps p^(N-ke) B^k,
+reduced modulo p^N.  B^k x lies in p^(ke) G exactly when
+p^(N-ke) B^k x = 0 in G, so the cotrajectory chain is the running
+intersection of the kernels of these maps; and, scaled by p^N, the
+trajectory U + AU + ... + A^(n-1)U becomes the running sum of the
+images B^k (p^(N-ke) G) = p^(N-ke) B^k (G).  :func:`cotrajectory_pairs`
+pairs each map with the trivial subgroup and :func:`trajectory_pairs`
+with the whole group G, as the tower route pairs its condition maps,
+and :func:`entbridge.fingroup.two_chains` builds both chains.  So no
+subgroup p^c G is built, a join step takes the columns of its map with no
+product, and a step whose map or product is zero takes no elimination
+(the first map, p^N B^0, is zero).  The meet target is the relation
+lattice itself, so a meet product, reduced modulo p^N as it is
+multiplied, is reduced modulo the target too, and its elimination
+spends no Euclid round taking it down.  Each route is called with its own
+matrix, so the adjoint route powers and scales the transpose that it is
+given and shares nothing with the primal route but the finite
+arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -64,8 +73,8 @@ from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf
-from .fingroup import FinAbGroup, GroupHom, Pairs, SubgroupLattice, _indexed, kernel, powers
-from .fingroup import join_chain, meet_chain
+from .fingroup import FinAbGroup, GroupHom, Pairs, _indexed, full_subgroup, join_chain, kernel
+from .fingroup import meet_chain, powers, trivial_subgroup
 
 __all__ = [
     "PadicLattice",
@@ -368,15 +377,15 @@ def preimage(
     return lattice_from_columns(p, _rat_transpose(basis))
 
 
-def _finite_level(
+def _scaled_powers(
     prime: int, matrix: RationalMatrix, steps: int
-) -> tuple[int, FinAbGroup, Iterator[GroupHom]]:
-    """(e, G, B^0, ..., B^{steps-1}) for matrix = B / (u p^e), the powers yielded lazily.
+) -> tuple[FinAbGroup, Iterator[GroupHom]]:
+    """(G, maps) for matrix = B / (u p^e): map k is p^(N-ke) B^k, k < steps, yielded lazily.
 
     B is integral and u is a unit at p; G = (Z/p^N)^d with
-    N = (steps - 1) e is the only group built, and the powers of B are
-    its endomorphisms.  A working modulus p^N above 2^_LEVEL_BITS
-    raises ValueError.
+    N = (steps - 1) e is the only group built, and each map is an
+    endomorphism of it, its entries reduced modulo p^N.  A working
+    modulus p^N above 2^_LEVEL_BITS raises ValueError.
     """
     if not is_prime(prime):
         raise ValueError("prime required")
@@ -392,29 +401,35 @@ def _finite_level(
             f"working modulus {prime}^{top} exceeds 2^{_LEVEL_BITS}:"
             " use fewer steps or smaller p-power denominators"
         )
-    group = FinAbGroup((prime**top,) * len(b))
-    return e, group, powers(GroupHom(group, group, IntMatrix.from_rows(b)), steps)
+    modulus = prime**top
+    group = FinAbGroup((modulus,) * len(b))
+    b_powers = powers(GroupHom(group, group, IntMatrix.from_rows(b)), steps)
+    return group, (_scaled(h, prime ** (top - k * e), modulus) for k, h in enumerate(b_powers))
 
 
-def _multiples(group: FinAbGroup, c: int) -> SubgroupLattice:
-    """The subgroup c G, whose Hermite basis is c times the identity (c divides the moduli)."""
-    basis = _trusted(HnfBasis, IntMatrix.diagonal((c,) * group.rank))
-    return _trusted(SubgroupLattice, group, basis)
+def _scaled(h: GroupHom, c: int, modulus: int) -> GroupHom:
+    """c h for an endomorphism h of (Z/modulus)^d, its entries reduced modulo the modulus."""
+    m = h.matrix
+    rows = tuple([tuple([c * x % modulus for x in row]) for row in m.entries])
+    return _trusted(GroupHom, h.domain, h.codomain, _trusted(IntMatrix, m.rows, m.cols, rows))
 
 
 def cotrajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
-    """The meet pairs (B^k, p^(ke) G), k < steps: x lies in
-    U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U exactly when B^k x lies in p^(ke) G for k < n."""
-    e, group, b_powers = _finite_level(prime, matrix, steps)
-    return ((h, _multiples(group, prime ** (k * e))) for k, h in enumerate(b_powers))
+    """The meet pairs (p^(N-ke) B^k, 0), k < steps: x lies in
+    U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U exactly when B^k x lies in p^(ke) G,
+    that is when p^(N-ke) B^k x = 0 in G, for k < n."""
+    group, maps = _scaled_powers(prime, matrix, steps)
+    zero = trivial_subgroup(group)
+    return ((h, zero) for h in maps)
 
 
 def trajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
-    """The join pairs (B^k, p^(N-ke) G), k < steps: scaled by p^N,
-    U + φU + ... + φ^(n-1)U is spanned by their images, and U is p^N G."""
-    e, group, b_powers = _finite_level(prime, matrix, steps)
-    top = e * (steps - 1)
-    return ((h, _multiples(group, prime ** (top - k * e))) for k, h in enumerate(b_powers))
+    """The join pairs (p^(N-ke) B^k, G), k < steps: scaled by p^N,
+    U + φU + ... + φ^(n-1)U is spanned by their images, since
+    B^k(p^(N-ke) G) = p^(N-ke) B^k(G), and U is p^N G = 0."""
+    group, maps = _scaled_powers(prime, matrix, steps)
+    whole = full_subgroup(group)
+    return ((h, whole) for h in maps)
 
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:

@@ -13,7 +13,9 @@ BoundaryEigenvalueWarning is emitted rather than silently picking a
 side.
 
 Matrix entries are read by :func:`entbridge.padic.rational_matrix`, as
-on Q_p, so both kinds refuse the same entries and shapes.
+on Q_p, so both kinds refuse the same entries and shapes.  Each route
+reads its matrix once and hands the grid to one eigenvalue helper; the
+dual route transposes the grid it read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import warnings
 from typing import Sequence
 
-from .padic import RationalLike, rational_matrix
+from .padic import RationalLike, RationalMatrix, rational_matrix
 
 __all__ = [
     "BoundaryEigenvalueWarning",
@@ -39,13 +41,18 @@ class BoundaryEigenvalueWarning(UserWarning):
 def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
     """Moduli of the eigenvalues, descending; an entry too large for a float,
     or a modulus that overflows to inf or NaN, is an input error (ValueError)."""
+    return _moduli(rational_matrix(entries))
+
+
+def _moduli(rows: RationalMatrix) -> list[float]:
+    """:func:`eigenvalue_moduli` of a grid that :func:`rational_matrix` returned."""
     import numpy as np  # only the real kind loads numpy
 
     try:
-        rows = [[float(x) for x in row] for row in rational_matrix(entries)]
+        floats = [[float(x) for x in row] for row in rows]
     except OverflowError:
         raise ValueError("matrix entry too large for floating point") from None
-    moduli = [abs(v) for v in np.linalg.eigvals(np.array(rows, dtype=float))]
+    moduli = [abs(v) for v in np.linalg.eigvals(np.array(floats, dtype=float))]
     if not all(math.isfinite(m) for m in moduli):
         raise ValueError("an eigenvalue modulus is not finite in floating point")
     return sorted(moduli, reverse=True)
@@ -71,6 +78,7 @@ def topological_entropy(
 def algebraic_entropy(
     entries: Sequence[Sequence[RationalLike]], tol: float = 1e-9
 ) -> float:
-    """Same quantity computed on the dual side, i.e. from the transpose."""
-    transposed = [list(column) for column in zip(*rational_matrix(entries))]
-    return _expanding_sum(eigenvalue_moduli(transposed), tol)
+    """Same quantity computed on the dual side, i.e. from the transpose.
+
+    The matrix is read, and so checked square, before it is transposed."""
+    return _expanding_sum(_moduli(tuple(zip(*rational_matrix(entries)))), tol)

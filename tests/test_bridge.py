@@ -226,7 +226,7 @@ class TestEarlyExit:
 
     @pytest.mark.parametrize(
         "hyperplane, eliminations, composes",
-        [(15, 2, 1), (0, 16, 15)],
+        [(15, 1, 1), (0, 15, 15)],
         ids=["invariant", "strictly-decreasing"],
     )
     def test_counts_the_work(self, monkeypatch, hyperplane, eliminations, composes):
@@ -257,8 +257,9 @@ class TestEarlyExit:
         monkeypatch.setattr(GroupHom, "compose", compose)
         (co, _), (tr, _) = _finite_chains(f, u, 16)
         assert len(co) == len(tr) == 16
-        # one elimination per term built: the meet chain's are preimage
-        # lattices, the join chain's Hermite forms; one product per power
+        # one elimination per term built after the first, which the identity
+        # gives as U or perp U: the meet chain's are preimage lattices, the
+        # join chain's Hermite forms; one product per power
         assert counts == {
             "preimage_lattice": eliminations,
             "hnf": eliminations,
@@ -273,9 +274,10 @@ class TestEarlyExit:
     )
     def test_indexes_each_distinct_term_once(self, monkeypatch, hyperplane, built, distinct):
         # the report builds each chain up to its first repeat (one elimination
-        # per term built, the repeat included) and reads the determinant of
-        # each term built once, the repeat included, since an unchanged
-        # determinant is what finds the repeat; it never calls the checked index
+        # per term built after the first, the repeat included: the identity
+        # gives the first) and reads the determinant of each term built once,
+        # the repeat included, since an unchanged determinant is what finds
+        # the repeat; it never calls the checked index
         g, f = left_shift(16)
         u = coordinate_hyperplane(g, hyperplane)
         counts = {"preimage_lattice": 0, "hnf": 0, "det": 0, "index": 0}
@@ -294,7 +296,12 @@ class TestEarlyExit:
         monkeypatch.setattr(HnfBasis, "det", counted("det", HnfBasis.det))
         monkeypatch.setattr(bridge, "index", counted("index", bridge.index))
         report = finite_bridge(f, u, 16)
-        assert counts == {"preimage_lattice": built, "hnf": built, "det": 2 * built, "index": 0}
+        assert counts == {
+            "preimage_lattice": built - 1,
+            "hnf": built - 1,
+            "det": 2 * built,
+            "index": 0,
+        }
         expected = [1] * 16 if hyperplane == 15 else [2**n for n in range(16)]
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert len(set(expected)) == distinct
@@ -302,7 +309,9 @@ class TestEarlyExit:
 
     def test_qp_stops_where_neither_chain_changed(self, monkeypatch):
         # the unipotent [[1, 1/2], [0, 1]] has indices [1] + [2] * 9: C_3 = C_2
-        # and T_3 = T_2 end both chains, after three eliminations on each side
+        # and T_3 = T_2 end both chains, after one elimination on each side.
+        # With B = [[2, 1], [0, 2]] and G = (Z/2^9)^2 the maps 2^(9-k) B^k are
+        # zero for k = 0 and k = 2, so steps 1 and 3 keep the term before
         counts = {"preimage_lattice": 0, "hnf": 0}
 
         def counted(name, fn):
@@ -317,7 +326,7 @@ class TestEarlyExit:
         )
         monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
         report = qp_bridge(2, [["1", "1/2"], ["0", "1"]], 10)
-        assert counts == {"preimage_lattice": 3, "hnf": 3}
+        assert counts == {"preimage_lattice": 1, "hnf": 1}
         expected = [1] + [2] * 9
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert report["verdict"] == "pass"

@@ -157,6 +157,42 @@ def random_meet_pairs(rng, group, other_group):
     return pairs
 
 
+@st.composite
+def known_answer_pairs(draw):
+    """(group, meet pairs, join pairs) on a small group: an identity first
+    map or none, then zero maps, maps paired with a whole subgroup,
+    identities (whose known answer holds only first) and ordinary maps,
+    into and out of small groups."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    group = FinAbGroup(draw(st.sampled_from(SMALL_MODULI)))
+    meet, join = [], []
+    if draw(st.booleans()):
+        identity = GroupHom.identity(group)
+        meet.append((identity, random_subgroup(rng, group)))
+        join.append((identity, random_subgroup(rng, group)))
+    kinds = st.sampled_from(["zero", "whole", "identity", "ordinary"])
+    for kind in draw(st.lists(kinds, max_size=5)):
+        other = group if kind == "identity" else small_group(rng)
+        if kind == "identity":
+            f = g = GroupHom.identity(group)
+        elif kind == "zero":
+            f = GroupHom(group, other, IntMatrix.zero(other.rank, group.rank))
+            g = GroupHom(other, group, IntMatrix.zero(group.rank, other.rank))
+        else:
+            f, g = random_hom(rng, group, other), random_hom(rng, other, group)
+        if kind == "whole":
+            v = s = full_subgroup(other)
+        else:
+            v, s = random_subgroup(rng, other), random_subgroup(rng, other)
+        meet.append((f, v))
+        join.append((g, s))
+    if not meet:
+        other = small_group(rng)
+        meet.append((random_hom(rng, group, other), random_subgroup(rng, other)))
+        join.append((random_hom(rng, other, group), random_subgroup(rng, other)))
+    return group, meet, join
+
+
 class TestFinAbGroup:
     def test_basic(self):
         g = FinAbGroup((4, 2))
@@ -600,6 +636,30 @@ class TestChainBuilders:
         cotrajectory, trajectory = tower_chains(endo, j, steps)
         assert cotrajectory == two_builder_meet(kernels) == reference_meet_chain(kernels)
         assert trajectory == two_builder_join(images)
+
+    @given(known_answer_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_known_answer_steps_match_the_plain_steps(self, case):
+        # an identity first map, a zero product, a whole subgroup and a step
+        # that adds no generator each skip a product or an elimination; every
+        # term is what the plain step gives and what enumeration gives
+        group, meet, join = case
+        meets, joins = list(meet_chain(meet)), list(join_chain(join))
+        basis = IntMatrix.identity(group.rank)
+        members = frozenset(all_elements(group))
+        for (f, v), term in zip(meet, meets):
+            assert term == SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis))
+            members &= oracle_preimage(f, subgroup_elements(v))
+            assert subgroup_elements(term) == members
+            basis = term.basis.matrix
+        basis = group.relations.matrix
+        images = []
+        for (g, s), term in zip(join, joins):
+            assert term == SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
+            images += oracle_image(g, subgroup_elements(s))
+            assert subgroup_elements(term) == closure(group, images)
+            basis = term.basis.matrix
+        assert len(meets) == len(meet) and len(joins) == len(join)
 
     def test_meet_step_is_one_elimination(self, monkeypatch):
         # preimage_lattice reduces its tracked rows in its own elimination,

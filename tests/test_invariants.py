@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbridge import exactlinalg, fingroup
+from entbridge import exactlinalg, fingroup, padic
 from entbridge.bridge import check_all_laws, random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
 from entbridge.duality import dual_group
@@ -152,6 +152,17 @@ def test_shift_levels_and_dual_groups_go_through_the_helper():
     assert levels == 4 and built["FinAbGroup"] == 5
     assert endo.tower.levels == tuple(FinAbGroup((3,) * (i + 1)) for i in range(4))
     assert dual == FinAbGroup((3, 3, 3), dual=True)
+
+
+def test_scaled_qp_maps_go_through_the_helper():
+    # each p-adic route builds the identity, the composites B^1 .. B^(n-1)
+    # and the n scaled maps p^(N-ke) B^k unchecked: 2n maps per route
+    m = padic.rational_matrix([["1/2", "1"], ["3", "1/4"]])
+    for route in (padic.cotrajectory_pairs, padic.trajectory_pairs):
+        with checked_builds() as (built, fired):
+            maps = [h for h, _ in route(2, m, 5)]
+        assert fired == []
+        assert built["GroupHom"] == 2 * len(maps) == 10
 
 
 @contextmanager

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import all_elements, char_poly_oracle, closure, det
 from entbridge import padic
 from entbridge.bridge import verify_instance
-from entbridge.exactlinalg import IntMatrix
-from entbridge.fingroup import FinAbGroup, GroupHom
+from entbridge.exactlinalg import HnfBasis, IntMatrix
+from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, join_chain, meet_chain, powers
 from entbridge.padic import (
     _MR_BOUND,
     PadicLattice,
@@ -83,6 +83,33 @@ def lattice_trajectory(prime, m, steps):
         ]
         current = lattice_from_columns(prime, u.basis_columns() + pushed)
     return tuple(out)
+
+
+def unscaled_pairs(prime, m, steps):
+    """(meet pairs, join pairs) of the unscaled route on G = (Z/p^N)^d,
+    N = (steps - 1) e for m = B / (u p^e): (B^k, p^(ke) G) and
+    (B^k, p^(N-ke) G), k < steps, each p^c G a checked subgroup."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    e = 0
+    while den % prime**(e + 1) == 0:
+        e += 1
+    top = (steps - 1) * e
+    group = FinAbGroup((prime**top,) * len(m))
+    b = IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row] for row in m])
+    b_powers = list(powers(GroupHom(group, group, b), steps))
+
+    def multiples(c):
+        return SubgroupLattice(group, HnfBasis(IntMatrix.diagonal((c,) * len(m))))
+
+    meet = [(h, multiples(prime ** (k * e))) for k, h in enumerate(b_powers)]
+    join = [(h, multiples(prime ** (top - k * e))) for k, h in enumerate(b_powers)]
+    return meet, join
+
+
+def chain_indices(terms, meet):
+    """det C_n / det C_1 for a meet chain, det T_1 / det T_n for a join chain."""
+    dets = [t.basis.det() for t in terms]
+    return tuple(d // dets[0] if meet else dets[0] // d for d in dets)
 
 
 def trial_division_is_prime(n):
@@ -424,6 +451,26 @@ class TestIndexSequences:
                     dual.append(len(closure(group, gens)))
                 assert cotrajectory_indices(prime, m, steps) == tuple(primal)
                 assert trajectory_indices(prime, tuple(zip(*m)), steps) == tuple(dual)
+
+    def test_scaled_pairs_match_unscaled_pairs(self):
+        # the routes pair p^(N-ke) B^k with the trivial subgroup and with G;
+        # the unscaled pairs give the same indices, on matrices with unit and
+        # p-power denominators, singular ones included
+        rng = random.Random(43)
+        cases = 0
+        for prime in (2, 3, 5, 7):
+            unit = 3 if prime != 3 else 2
+            dens = [1, unit, prime, unit * prime, prime**2, unit * prime**2]
+            for _ in range(80):
+                dim = rng.randint(1, 4)
+                steps = rng.randint(2, 6)
+                rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+                m = rational_matrix([[Fraction(x, rng.choice(dens)) for x in row] for row in rows])
+                meet, join = unscaled_pairs(prime, m, steps)
+                assert cotrajectory_indices(prime, m, steps) == chain_indices(meet_chain(meet), True)
+                assert trajectory_indices(prime, m, steps) == chain_indices(join_chain(join), False)
+                cases += 1
+        assert cases >= 300
 
     def test_step_validation(self):
         with pytest.raises(ValueError, match="at least 1"):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from entbridge import padic, realspace
+from entbridge.bridge import verify_instance
 from entbridge.realspace import (
     BoundaryEigenvalueWarning,
     algebraic_entropy,
@@ -86,3 +88,20 @@ class TestEntropy:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundaryEigenvalueWarning)
                 assert abs(topological_entropy(m) - algebraic_entropy(m)) <= 1e-9
+
+    def test_each_route_reads_its_matrix_once(self, monkeypatch):
+        # the report reads the matrix, then each route reads it once more;
+        # the dual route transposes the grid it read
+        calls = []
+        parse = padic.rational_matrix
+
+        def counted(entries):
+            calls.append(entries)
+            return parse(entries)
+
+        monkeypatch.setattr(padic, "rational_matrix", counted)
+        monkeypatch.setattr(realspace, "rational_matrix", counted)
+        instance = {"kind": "real", "matrix": [[2, 1, 0], [0, "1/3", 5], [1, 0, 4]]}
+        report = verify_instance(instance)
+        assert len(calls) == 3
+        assert report["verdict"] == "pass"
