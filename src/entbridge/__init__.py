@@ -46,7 +46,7 @@ from .padic import (
     standard_lattice,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
-from .tdlca import Tower, TowerEndo, full_shift_tower, padic_tower
+from .tdlca import Tower, TowerEndo, full_shift_tower, padic_tower, shift_pairs
 from .bridge import (
     LawCheck,
     check_all_laws,
@@ -95,6 +95,7 @@ __all__ = [
     "TowerEndo",
     "full_shift_tower",
     "padic_tower",
+    "shift_pairs",
     "PadicLattice",
     "standard_lattice",
     "lattice_from_columns",

@@ -12,9 +12,9 @@ chain terms.
 The finite, shift and qp kinds differ only in the (map, subgroup) pairs
 they hand to the driver :func:`entbridge.fingroup.two_chains`: finite
 pairs (f^k, U) and (g^k, perp U), g the adjoint of f; shift pairs the
-tower's condition maps with the trivial subgroup and their adjoints
-with the full group
-(:meth:`entbridge.tdlca.TowerEndo.pairs`); qp pairs p^(N-ke) B^k from the
+maps that keep the coordinates (x_t, ..., x_{t+j}) of the working level
+with the trivial subgroup and their adjoints with the full group
+(:func:`entbridge.tdlca.shift_pairs`); qp pairs p^(N-ke) B^k from the
 matrix with the trivial subgroup of G = (Z/p^N)^d, and p^(N-ke) B'^k
 from its transpose with G
 (:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
@@ -55,7 +55,7 @@ from .fingroup import (
     two_chains,
 )
 from .realspace import BoundaryEigenvalueWarning, algebraic_entropy, topological_entropy
-from .tdlca import full_shift_tower, working_level
+from .tdlca import shift_pairs
 
 __all__ = [
     "LawCheck",
@@ -333,16 +333,11 @@ def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
 
 
 def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
-    """Both index sequences for the truncated full shift at a base level.
-
-    (level, steps) is checked against the height before any level is
-    built, and only levels 0..level+steps-1 are built: no deeper level
-    enters either chain.  A height below 2 is still refused by
-    :func:`~entbridge.tdlca.full_shift_tower`.
+    """Both index sequences for the truncated full shift at a base level,
+    from the closed-form pairs of :func:`~entbridge.tdlca.shift_pairs`,
+    which check (level, steps) against the height before any map is built.
     """
-    top = working_level(height, 1, level, steps)
-    endo = full_shift_tower(modulus, min(height, max(top + 1, 2)))
-    chains = two_chains(*endo.pairs(level, steps), steps)
+    chains = two_chains(*shift_pairs(modulus, height, level, steps), steps)
     extra = {"modulus": modulus, "height": height, "level": level}
     return _two_sided_report("shift", chains, extra)
 
@@ -359,8 +354,6 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
         steps,
     )
     coeffs = padic.char_poly(m)
-    if coeffs[0] == 0:
-        raise ValueError("v1 requires invertible endomorphism")
     extra = {"prime": prime, "matrix": [[str(x) for x in row] for row in m]}
     return _two_sided_report("qp", chains, extra, padic.newton_entropy(prime, coeffs))
 

@@ -15,7 +15,7 @@ of the pairing sit the three workhorses of the package:
   [j][i] = M[i][j] * d_j / e_i is integral precisely because of the
   homomorphism certificate; when every domain and codomain modulus is
   the same it is the transpose, which is returned as such, with no
-  per-entry division (every map of the shift tower is of this kind);
+  per-entry division (every map of the shift route is of this kind);
 * ``check_quotient_duality``: invariant factors of outer/inner against
   those of perp(inner)/perp(outer), which duality says agree; the law
   suite of :mod:`entbridge.bridge` reports this comparison and has no

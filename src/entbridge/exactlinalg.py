@@ -25,33 +25,28 @@ and then on the transpose of its pivot columns, alternately, until every
 pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
 Comput. 8, 1979).
 
-Matrix products go by the shape of each row of the left factor, in the
-one routine :func:`_product`: a zero row gives zeros, a unit row (a
-single nonzero entry, 1) copies the matching row of the right factor,
-and any other (dense) row takes one sum of its entries times the rows
-of the right factor, each row packed into a single integer (Kronecker
-substitution): row k packs to sum_j b[k][j] 2^(w j), so entry j of the
-product row sits in slot j of the sum, bits w j to w (j + 1), and is
-read back with a shift and a mask.  This is exact because no slot
-carries into the next: with A and B bounds on the entries of the two
-factors and n the inner dimension, every entry of the product is at
-most n A B in size, and w is the bit length of that bound.  A plain
-product, whose entries may be negative, takes A and B as the largest
-|entry| of each factor, adds one bit, and biases every slot by
-2^(w-1), taken off as the slot is read.  The rows are packed once per
-product, and only if a dense row occurs.  The product can instead
-reduce row i modulo a modulus as the row is built, which is how
+``IntMatrix @ IntMatrix`` is the definitional row-by-column sum.  The
+products the package computes all reduce row i modulo a modulus, in the
+one routine :func:`_product` behind
 :meth:`~entbridge.fingroup.GroupHom.compose` and the chain steps of
-:mod:`entbridge.fingroup` multiply: then the moduli are the bounds, no
-entry is scanned and no entry is negative, and a copied row already
-bounded by the same modulus is kept as it stands, so no unreduced
-product is built first.  The one
+:mod:`entbridge.fingroup`, and go by the shape of each row of the left
+factor: a zero row gives zeros, a unit row (a single nonzero entry, 1)
+copies the matching row of the right factor, kept as it stands when that
+row is already bounded by the same modulus, and any other (dense) row
+takes one sum of its entries times the rows of the right factor, each
+row packed into a single integer (Kronecker substitution): row k packs
+to sum_j b[k][j] 2^(w j), so entry j of the product row sits in slot j
+of the sum, bits w j to w (j + 1), and is read back with a shift and a
+mask.  This is exact because no slot carries into the next: the moduli
+bound the entries of both factors, none is negative, every entry of the
+product is at most n times the two bounds, n the inner dimension, and w
+is the bit length of that bound.  The rows are packed once per product,
+and only if a dense row occurs.  The one
 forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
-call) skips rows whose residual is already zero.  The tower maps of
-:mod:`entbridge.tdlca` are mostly unit rows, and these shortcuts are
-all the sparsity support there is: every matrix stays a dense tuple of
-rows.
+call) skips rows whose residual is already zero.  The shift maps of
+:mod:`entbridge.tdlca` are unit rows, and these shortcuts are all the
+sparsity support there is: every matrix stays a dense tuple of rows.
 
 Values are checked where they enter.  ``IntMatrix(...)``,
 :meth:`IntMatrix.from_rows` and :meth:`IntMatrix.from_columns` check the
@@ -92,7 +87,7 @@ def _trusted(cls: type[_T], *values: object) -> _T:
     """The frozen dataclass `cls` holding `values` (its fields, in order),
     built without running ``__post_init__``: only for values the package
     computed, whose invariants hold by construction (matrices, Hermite
-    bases, homomorphisms, subgroups and the shift tower).  The public
+    bases, homomorphisms, subgroups and the shift route's groups).  The public
     constructors check; ``tests/test_invariants.py`` rebuilds each value
     made here through them and requires an equal value."""
     obj = object.__new__(cls)
@@ -174,7 +169,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        return _product(self, other)
+        columns = other.transpose().entries
+        data = [tuple([sum(map(operator.mul, r, c)) for c in columns]) for r in self.entries]
+        return _trusted(IntMatrix, self.rows, other.cols, tuple(data))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -183,24 +180,21 @@ class IntMatrix:
 
 
 def _product(
-    a: IntMatrix, b: IntMatrix, moduli: Sequence[int] | None = None, reduced: Sequence[int] = ()
+    a: IntMatrix, b: IntMatrix, moduli: Sequence[int], reduced: Sequence[int]
 ) -> IntMatrix:
-    """a @ b, for a.cols == b.rows, built row by row by the shape of each row of a.
+    """a @ b with row i reduced modulo moduli[i], for a.cols == b.rows, built row
+    by row by the shape of each row of a.
 
-    A zero row gives zeros, a unit row (a single nonzero entry, 1, at k)
-    is row k of b as it stands, and any other row is multiplied into the
-    rows of b packed into single integers, whose slots are the entries
-    of the product row; b is packed only when such a row occurs.  With
-    `moduli`, row i of the product is reduced modulo moduli[i] as it is
-    built, where row i of a lies in [0, moduli[i]) and row k of b in
-    [0, reduced[k]], bounded by the modulus and possibly equal to it (a
-    Hermite row of a subgroup holds its diagonal, which may be the
-    modulus itself): a unit row is copied as it stands when
-    reduced[k] == moduli[i], and reduced otherwise.  So a product row
-    is always congruent to row i of a @ b modulo moduli[i], and lies in
-    [0, moduli[i]) when the rows of b lie below their bounds.  The tower
-    maps are mostly unit rows over one modulus; the finite and p-adic
-    maps are dense.
+    Row i of a lies in [0, moduli[i]) and row k of b in [0, reduced[k]],
+    bounded by the modulus and possibly equal to it (a Hermite row of a
+    subgroup holds its diagonal, which may be the modulus itself).  A
+    zero row gives zeros, a unit row (a single nonzero entry, 1, at k)
+    is row k of b, copied as it stands when reduced[k] == moduli[i] and
+    reduced otherwise, and any other row is multiplied into the rows of
+    b packed into single integers, whose slots are the entries of the
+    product row; b is packed only when such a row occurs.  So a product
+    row is always congruent to row i of a @ b modulo moduli[i], and lies
+    in [0, moduli[i]) when the rows of b lie below their bounds.
     """
     n = a.cols
     zero = (0,) * b.cols
@@ -208,40 +202,21 @@ def _product(
     data = []
     for i, row in enumerate(a.entries):
         zeros = row.count(0)
+        d = moduli[i]
         if zeros == n:
             data.append(zero)
         elif zeros == n - 1 and 1 in row:
             k = row.index(1)
-            if moduli is None or moduli[i] == reduced[k]:
-                data.append(b.entries[k])
-            else:
-                data.append(tuple([x % moduli[i] for x in b.entries[k]]))
+            data.append(b.entries[k] if d == reduced[k] else tuple([x % d for x in b.entries[k]]))
         else:
             if packed is None:
-                if moduli is None:
-                    width = (n * _largest(a) * _largest(b)).bit_length() + 1
-                    half = 1 << (width - 1)
-                else:
-                    width = (n * max(moduli) * max(reduced)).bit_length()
-                    half = 0
+                width = (n * max(moduli) * max(reduced)).bit_length()
                 shifts = range(0, width * b.cols, width)
                 packed = [sum(map(operator.lshift, r, shifts)) for r in b.entries]
                 mask = (1 << width) - 1
-                bias = half * ((1 << width * b.cols) - 1) // mask  # half in every slot
-            total = sum(map(operator.mul, row, packed), bias)
-            if moduli is None:
-                data.append(tuple([(total >> s & mask) - half for s in shifts]))
-            else:
-                d = moduli[i]
-                data.append(tuple([(total >> s & mask) % d for s in shifts]))
+            total = sum(map(operator.mul, row, packed))
+            data.append(tuple([(total >> s & mask) % d for s in shifts]))
     return _trusted(IntMatrix, a.rows, b.cols, tuple(data))
-
-
-def _largest(m: IntMatrix) -> int:
-    """The largest |entry| of `m`, which has at least one row; 0 if its rows are empty."""
-    if not m.cols:
-        return 0
-    return max(max(map(max, m.entries)), -min(map(min, m.entries)))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ pays for no later step.  The finite route pairs the powers f^k with U
 and, on the dual side, the powers of the adjoint of f with perp U, both
 for k < n (:func:`powers`, which composes each power only when it is
 asked for).  The tower route (:mod:`entbridge.tdlca`) pairs its
-condition maps with the trivial subgroup (kernels) and their adjoints
+condition maps, for the shift the maps that keep a window of
+coordinates, with the trivial subgroup (kernels) and their adjoints
 with the full group (images).  The p-adic route (:mod:`entbridge.padic`)
 runs on one group G = (Z/p^N)^d and pairs the scaled powers
 p^(N-ke) B^k the same way, with the trivial subgroup and with G.

@@ -36,11 +36,13 @@ The pairing x . y mod Z_p makes Q_p^d self-dual with adjoint =
 transpose.  The index sequences do not use this layer; the tests
 compare them against its preimage and sum recursion.
 
-The closed-form route is the Newton polygon: the entropy of an
-invertible matrix is log(p) times the sum of the positive slopes of the
-lower hull of (i, v_p(c_i)) over the characteristic polynomial, counted
-with multiplicity; that sum is a nonnegative integer m, so the value is
-carried as the multiple m of log(p) and compared exactly.
+The closed-form route is the Newton polygon: the entropy of a matrix is
+log(p) times the sum of the positive slopes of the lower hull of the
+points (i, v_p(c_i)) of the nonzero coefficients of the characteristic
+polynomial, counted with multiplicity (a singular matrix has c_0 = 0,
+and its zero eigenvalues add nothing); that sum is a nonnegative
+integer m, so the value is carried as the multiple m of log(p) and
+compared exactly.
 
 The characteristic polynomial is computed on one exact integer path,
 scaled row by row.  Let D_r be the lcm of the denominators in row r,

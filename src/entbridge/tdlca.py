@@ -23,25 +23,27 @@ out of finite exact lattice arithmetic, and the annihilator of W_n is
 literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
-t = 0..n-1, which :meth:`TowerEndo.pairs` builds once and pairs for the
-driver :func:`entbridge.fingroup.two_chains`: with the trivial subgroup
-(the cotrajectory is the running intersection of their kernels), and,
-as adjoints, with the full group (the trajectory is the running sum of
-their images).  Every condition map ends in levels[j], so each list
-pairs all its maps with one subgroup, built once per call.  The two
-lists share only these input maps; neither chain is computed from the
-other.  The condition maps are built incrementally rather than from
-scratch at each step: pi_{l->k} = projections[k] pi_{l->k+1} walking
-down the tower, and F_{j,t+1} = F_{j,t} f_{j+ts} walking along the
-orbit, so one instance costs O(n + l - j) compositions of bonding and
-component maps.
-``Tower(...)`` and ``TowerEndo(...)`` check the data they are given;
-the shift tower that :func:`full_shift_tower` builds from two checked
-integers holds both invariants by construction and is built unchecked,
-down to its 0/1 maps.
-:func:`working_level` checks (j, n) against a height before any tower
-exists, so a caller can refuse an out-of-range request, or build only
-the levels it needs, without constructing the rest.
+t = 0..n-1, which :meth:`TowerEndo.pairs` builds by their definition
+and pairs for the driver :func:`entbridge.fingroup.two_chains`: with the
+trivial subgroup (the cotrajectory is the running intersection of their
+kernels), and, as adjoints, with the full group (the trajectory is the
+running sum of their images).  Every condition map ends in levels[j],
+so each list pairs all its maps with one subgroup, built once per call.
+The two lists share only these input maps; neither chain is computed
+from the other.  ``Tower(...)`` and ``TowerEndo(...)`` check the data
+they are given, and :func:`full_shift_tower` and :func:`padic_tower`
+build through them.
+
+For the one-sided full shift over Z/m the condition maps have a closed
+form: levels[i] = (Z/m)^(i+1), the projections drop the last coordinate
+and the shift drops the first, so F_{j,t} pi_{l->j+t} keeps the
+coordinates (x_t, ..., x_{t+j}) of (Z/m)^(l+1).  :func:`shift_pairs`
+builds these maps as rows t..t+j of the identity and pairs them as
+:meth:`TowerEndo.pairs` does, with no tower built; the tests compare
+them with the tower's condition maps.
+:func:`working_level` checks (j, n) against a height before any map
+exists, so a caller can refuse an out-of-range request without building
+anything.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ __all__ = [
     "Tower",
     "TowerEndo",
     "working_level",
+    "shift_pairs",
     "full_shift_tower",
     "padic_tower",
 ]
@@ -161,37 +164,19 @@ class TowerEndo:
             h = h.compose(self.maps[j + i * self.lag])
         return h
 
-    def _condition_maps(self, j: int, steps: int) -> list[GroupHom]:
-        """[F_{j,t} . pi_{level -> j+t*lag} for t = 0..steps-1], at the working level.
-
-        Built incrementally, so the list costs O(steps + level - j)
-        compositions: pi_{level->k} = projections[k] . pi_{level->k+1}
-        and F_{j,t+1} = F_{j,t} . maps[j + t*lag].  Entry t equals
-        ``iterate(j, t).compose(tower.project(level, j + t*lag))``.
-        """
-        level = working_level(self.tower.height, self.lag, j, steps)
-        tower = self.tower
-        down = [GroupHom.identity(tower.levels[level])]  # down[i] = pi_{level -> level-i}
-        for k in range(level - 1, j - 1, -1):
-            down.append(tower.projections[k].compose(down[-1]))
-        out = [down[-1]]
-        f = None
-        for t in range(1, steps):
-            step = self.maps[j + (t - 1) * self.lag]
-            f = step if f is None else f.compose(step)
-            out.append(f.compose(down[level - j - t * self.lag]))
-        return out
-
     def pairs(self, j: int, steps: int) -> tuple[Pairs, Pairs]:
-        """(meet pairs, join pairs), each read once, from one build of the condition maps.
+        """(meet pairs, join pairs), each read once, of the condition maps
+        F_{j,t} . pi_{level -> j+t*lag}, t = 0..steps-1, built by their definition.
 
         The meet chain is W_1 = U_j, ..., W_steps at the working level; the
         join chain, on its character group, is T_1 = perp U_j, ..., T_steps.
         """
-        conditions = self._condition_maps(j, steps)
-        zero = trivial_subgroup(self.tower.levels[j])
-        whole = full_subgroup(dual_group(self.tower.levels[j]))
-        return ((c, zero) for c in conditions), ((dual_hom(c), whole) for c in conditions)
+        level = working_level(self.tower.height, self.lag, j, steps)
+        conditions = [
+            self.iterate(j, t).compose(self.tower.project(level, j + t * self.lag))
+            for t in range(steps)
+        ]
+        return _paired(conditions, self.tower.levels[j])
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps, from the meet pairs alone."""
@@ -200,6 +185,40 @@ class TowerEndo:
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
         """b_n = [T_n : T_1] for n = 1..steps, on the dual side, from the join pairs alone."""
         return tuple(_indexed(join_chain(self.pairs(j, steps)[1]), steps, meet=False)[1])
+
+
+def _paired(conditions: Sequence[GroupHom], base: FinAbGroup) -> tuple[Pairs, Pairs]:
+    """The condition maps into `base` paired with its trivial subgroup, and
+    their adjoints with its full dual group, each subgroup built once."""
+    zero = trivial_subgroup(base)
+    whole = full_subgroup(dual_group(base))
+    return ((c, zero) for c in conditions), ((dual_hom(c), whole) for c in conditions)
+
+
+def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pairs, Pairs]:
+    """(meet pairs, join pairs) of the full shift over Z/modulus at a base
+    level, those of ``full_shift_tower(modulus, height).pairs(level, steps)``,
+    from the closed form: condition map t keeps the coordinates
+    t..t+level of the working level (Z/modulus)^(l+1), l = level + steps - 1.
+
+    (level, steps) is checked against the height before anything is
+    built.  The groups and the maps are built unchecked, from checked
+    integers.
+    """
+    top = working_level(height, 1, level, steps)
+    modulus = operator.index(modulus)
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    if height < 2:
+        raise ValueError("tower needs at least two levels for the shift")
+    domain = _trusted(FinAbGroup, (modulus,) * (top + 1), False)
+    base = _trusted(FinAbGroup, (modulus,) * (level + 1), False)
+    rows, window = IntMatrix.identity(top + 1).entries, level + 1
+    conditions = [
+        _trusted(GroupHom, domain, base, _trusted(IntMatrix, window, top + 1, rows[t : t + window]))
+        for t in range(steps)
+    ]
+    return _paired(conditions, base)
 
 
 def full_shift_tower(modulus: int, height: int) -> TowerEndo:
@@ -213,16 +232,13 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
         raise ValueError("modulus must be at least 2")
     if height < 2:
         raise ValueError("tower needs at least two levels for the shift")
-    levels = tuple([_trusted(FinAbGroup, (modulus,) * (i + 1), False) for i in range(height)])
+    levels = [FinAbGroup((modulus,) * (i + 1)) for i in range(height)]
     projections, shifts = [], []
     for i in range(height - 1):
-        rank = i + 1
-        ident = IntMatrix.identity(rank + 1).entries
-        drop_last = _trusted(IntMatrix, rank, rank + 1, ident[:-1])
-        drop_first = _trusted(IntMatrix, rank, rank + 1, ident[1:])
-        projections.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_last))
-        shifts.append(_trusted(GroupHom, levels[i + 1], levels[i], drop_first))
-    return _trusted(TowerEndo, _trusted(Tower, levels, tuple(projections)), 1, tuple(shifts))
+        ident = IntMatrix.identity(i + 2).entries
+        projections.append(GroupHom(levels[i + 1], levels[i], IntMatrix.from_rows(ident[:-1])))
+        shifts.append(GroupHom(levels[i + 1], levels[i], IntMatrix.from_rows(ident[1:])))
+    return TowerEndo(Tower(tuple(levels), tuple(projections)), 1, tuple(shifts))
 
 
 def padic_tower(prime: int, height: int, entries: Sequence[Sequence[int]]) -> TowerEndo:

@@ -8,6 +8,7 @@ import pytest
 from conftest import tower_chains
 import entbridge.bridge as bridge
 import entbridge.fingroup as fingroup
+import entbridge.tdlca as tdlca
 from entbridge.bridge import (
     check_all_laws,
     check_chain_laws,
@@ -45,7 +46,7 @@ from entbridge.fingroup import (
     trivial_subgroup,
     two_chains,
 )
-from entbridge.tdlca import TowerEndo, full_shift_tower, padic_tower
+from entbridge.tdlca import full_shift_tower, padic_tower, shift_pairs
 
 LAW_NAMES = [
     "annihilator-of-preimage-is-image-of-annihilator",
@@ -512,10 +513,12 @@ class TestShiftBridge:
         assert report["modulus"] == 2 and report["level"] == 1
 
     def test_range_refused_before_any_level_is_built(self, monkeypatch):
-        def unreachable(modulus, height):
-            raise AssertionError("full_shift_tower reached")
+        # shift_pairs builds every group and map of the route through
+        # tdlca._trusted, after its range checks
+        def unreachable(cls, *values):
+            raise AssertionError(f"{cls.__name__} built")
 
-        monkeypatch.setattr(bridge, "full_shift_tower", unreachable)
+        monkeypatch.setattr(tdlca, "_trusted", unreachable)
         with pytest.raises(ValueError, match="tower has no level 70"):
             shift_bridge(2, 64, 70, 2)
         instance = {"kind": "shift", "modulus": 2, "height": 64, "level": 63, "steps": 2}
@@ -523,16 +526,19 @@ class TestShiftBridge:
             verify_instance(instance)
 
     def test_only_the_working_levels_are_built(self, monkeypatch):
-        heights = []
+        ranks = []
 
-        def recording(modulus, height):
-            heights.append(height)
-            return full_shift_tower(modulus, height)
+        def recording(modulus, height, level, steps):
+            meet, join = shift_pairs(modulus, height, level, steps)
+            meet = list(meet)
+            ranks.append({f.domain.rank for f, _ in meet})
+            return meet, join
 
-        monkeypatch.setattr(bridge, "full_shift_tower", recording)
+        monkeypatch.setattr(bridge, "shift_pairs", recording)
         report = shift_bridge(2, 64, 0, 2)
         shorter = shift_bridge(3, 64, 5, 4)
-        assert heights == [2, 9]
+        # every map starts at the working level l = level + steps - 1, of rank l + 1
+        assert ranks == [{2}, {9}]
         # the report carries the given height, and the indices of a
         # 64-level tower
         bound = {"index": 2, "steps": 1, "value": math.log(2)}
@@ -561,28 +567,47 @@ class TestShiftBridge:
 
     def test_condition_maps_built_once_per_verify(self, monkeypatch):
         calls = []
-        original = TowerEndo._condition_maps
 
-        def counting(self, j, steps):
-            calls.append((j, steps))
-            return original(self, j, steps)
+        def counting(*args):
+            calls.append(args)
+            return shift_pairs(*args)
 
-        monkeypatch.setattr(TowerEndo, "_condition_maps", counting)
+        monkeypatch.setattr(bridge, "shift_pairs", counting)
         instance = {"kind": "shift", "modulus": 3, "height": 10, "level": 2, "steps": 6}
         assert verify_instance(instance)["verdict"] == "pass"
-        assert calls == [(2, 6)]
+        assert calls == [(3, 10, 2, 6)]
+
+    def test_verify_builds_no_tower(self, monkeypatch):
+        # the closed-form maps need neither the tower nor its composites
+        def unreachable(*args):
+            raise AssertionError("tower code reached")
+
+        trusted = tdlca._trusted
+
+        def no_tower(cls, *values):
+            assert cls not in (tdlca.Tower, tdlca.TowerEndo), cls.__name__
+            return trusted(cls, *values)
+
+        monkeypatch.setattr(tdlca, "full_shift_tower", unreachable)
+        monkeypatch.setattr(tdlca, "_trusted", no_tower)
+        for name in ("__post_init__", "project"):
+            monkeypatch.setattr(tdlca.Tower, name, unreachable)
+        for name in ("__post_init__", "iterate", "pairs"):
+            monkeypatch.setattr(tdlca.TowerEndo, name, unreachable)
+        instance = {"kind": "shift", "modulus": 6, "height": 12, "level": 3, "steps": 9}
+        report = verify_instance(instance)
+        assert report["verdict"] == "pass"
+        assert report["indices"]["primal"] == [6**n for n in range(9)]
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
         # the dual pairs lose their third subgroup, so T_3 = T_2 and the dual
         # index at step 3 is 2 where the primal one is 4
-        pairs = TowerEndo.pairs
-
-        def wrong_dual(self, j, steps):
-            meet, join = pairs(self, j, steps)
+        def wrong_dual(*args):
+            meet, join = shift_pairs(*args)
             return meet, third_subgroup_trivial(join)
 
         co, tr = tower_chains(full_shift_tower(2, 8), 1, 7)
-        monkeypatch.setattr(TowerEndo, "pairs", wrong_dual)
+        monkeypatch.setattr(bridge, "shift_pairs", wrong_dual)
         report = shift_bridge(2, 8, 1, 7)
         assert report["indices"] == {
             "primal": [1, 2, 4, 8, 16, 32, 64],
@@ -614,9 +639,17 @@ class TestQpBridge:
         assert report["indices"]["primal"] == [1] * 6
         assert report["routes"]["newton"]["multiple"] == 0
 
-    def test_rejects_singular(self):
-        with pytest.raises(ValueError, match="v1 requires invertible endomorphism"):
-            qp_bridge(2, [[1, 1], [1, 1]], 4)
+    def test_singular_closed_forms(self):
+        # over Q_2, (1/2, 0) has entropy log 2 and the projection with
+        # eigenvalues 1 and 0 has entropy 0; the zero eigenvalue adds nothing
+        report = qp_bridge(2, [["1/2", "0"], ["0", "0"]], 8)
+        assert report["verdict"] == "pass"
+        assert report["indices"]["primal"] == [2**n for n in range(8)]
+        assert report["routes"]["newton"]["multiple"] == 1
+        report = qp_bridge(2, [["1/2", "1/2"], ["1/2", "1/2"]], 8)
+        assert report["verdict"] == "pass"
+        assert report["indices"]["primal"] == [1] + [2] * 7
+        assert report["routes"]["newton"]["multiple"] == 0
 
     def test_working_modulus_refused_before_char_poly(self, monkeypatch):
         # entries 1/(8 b) with 256 distinct odd b: char_poly would spend

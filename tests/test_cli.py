@@ -283,10 +283,13 @@ class TestVerify:
                         assert code in (0, 1), candidate
 
     def test_value_error_is_input_error(self, tmp_path, capsys):
-        singular = {"kind": "qp", "prime": 2, "matrix": [["1", "1"], ["1", "1"]], "steps": 4}
-        path = write_instance(tmp_path, singular)
+        # 4 passes the schema, which cannot say that a prime is prime
+        composite = {"kind": "qp", "prime": 4, "matrix": [["1", "1"], ["1", "1"]], "steps": 4}
+        path = write_instance(tmp_path, composite)
         assert main(["verify", path]) == 2
-        assert "invertible" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: prime required\n"
 
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = {"kind": "qp", "prime": 2, "matrix": [["1/0", "0"], ["0", "1"]], "steps": 4}

@@ -629,7 +629,7 @@ class TestChainBuilders:
         ],
     )
     def test_tower_pairs_match_two_builder_oracle(self, endo, j, steps):
-        conditions = endo._condition_maps(j, steps)
+        conditions = [c for c, _ in endo.pairs(j, steps)[0]]
         kernels = [(c, trivial_subgroup(c.codomain)) for c in conditions]
         duals = [dual_hom(c) for c in conditions]
         images = [(d, full_subgroup(d.domain)) for d in duals]

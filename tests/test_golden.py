@@ -1,7 +1,8 @@
 """Byte-identical reports: sha256 digests of canonical verify reports.
 
 Each digest is sha256 of ``cli.canonical_json(verify_instance(instance))``
-for ``random_instance(random.Random(seed), kind)``, seeds 0-7.  They pin
+for ``random_instance(random.Random(seed), kind)``, seeds 0-7, and for
+a few hand-written instances the generators never draw.  They pin
 the whole report (index sequences, estimates, verdicts and
 counterexample payloads), so a change to any computation on the report
 route that alters a single byte fails here.  Regenerate them only for a
@@ -69,3 +70,23 @@ def test_reports_match_golden_digests(kind):
         for seed in range(len(GOLDEN[kind]))
     ]
     assert got == GOLDEN[kind]
+
+
+# singular qp matrices over Q_2, 8 steps: entropy log 2 (indices 2^n) and 0
+# (indices 1, 2, 2, ...); the random qp generator draws invertible matrices only
+HAND_WRITTEN = {
+    "qp-singular-contracting": (
+        {"kind": "qp", "prime": 2, "matrix": [["1/2", "0"], ["0", "0"]], "steps": 8},
+        "0089bfad2ff855c737cb3a7174d1cb4bc20c1cb20c38347622046569b6dd8a1f",
+    ),
+    "qp-singular-projection": (
+        {"kind": "qp", "prime": 2, "matrix": [["1/2", "1/2"], ["1/2", "1/2"]], "steps": 8},
+        "709784aeae4fb0e2a995555e6d50fa376af554ea6df0cd583d8a6fae9b5b9dfd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_reports_match_golden_digests(name):
+    instance, digest = HAND_WRITTEN[name]
+    assert hashlib.sha256(canonical_json(verify_instance(instance)).encode()).hexdigest() == digest

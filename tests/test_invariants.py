@@ -1,7 +1,7 @@
 """Every value the package builds without its checks passes them.
 
 The package builds the matrices, homomorphisms, subgroups, Hermite bases,
-dual groups and shift towers (their levels included) it computes
+dual groups and the shift route's groups and maps it computes
 through ``exactlinalg._trusted``, which
 skips ``__post_init__``.  Here the helper is replaced, in every module
 that binds it, by one that builds through the checked constructor, and
@@ -27,17 +27,16 @@ from hypothesis import strategies as st
 from entbridge import exactlinalg, fingroup, padic
 from entbridge.bridge import check_all_laws, random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
-from entbridge.duality import dual_group
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, full_subgroup, image, subgroup_from_generators
-from entbridge.tdlca import full_shift_tower
+from entbridge.tdlca import shift_pairs
 
 # the classes each case must build through the helper; the finite and
 # shift routes dualize, so they build dual groups
 COMMON = {"IntMatrix", "GroupHom", "HnfBasis", "SubgroupLattice"}
 BUILT = {
     "finite": COMMON | {"FinAbGroup"},
-    "shift": COMMON | {"FinAbGroup", "Tower", "TowerEndo"},
+    "shift": COMMON | {"FinAbGroup"},
     "qp": COMMON,
     "laws": COMMON | {"FinAbGroup"},
 }
@@ -142,16 +141,19 @@ def test_built_values_pass_their_checks(kind, data):
 
 
 def test_shift_levels_and_dual_groups_go_through_the_helper():
-    # both unchecked group builds of the shift route: the tower's levels,
-    # one per level, and the dual group
+    # every unchecked build of shift_pairs: the working level (Z/3)^5 and
+    # the base level (Z/3)^2, the base level's dual group, and one map per
+    # step; each adjoint builds its map and its two dual groups
     with checked_builds() as (built, fired):
-        endo = full_shift_tower(3, 4)
+        meet, join = shift_pairs(3, 6, 1, 4)
         levels = built["FinAbGroup"]
-        dual = dual_group(endo.tower.levels[2])
+        maps = [f for f, _ in meet]
+        adjoints = [g for g, _ in join]
     assert fired == []
-    assert levels == 4 and built["FinAbGroup"] == 5
-    assert endo.tower.levels == tuple(FinAbGroup((3,) * (i + 1)) for i in range(4))
-    assert dual == FinAbGroup((3, 3, 3), dual=True)
+    assert levels == 3 and built["FinAbGroup"] == 3 + 2 * 4
+    assert built["GroupHom"] == 2 * 4
+    assert {(f.domain, f.codomain) for f in maps} == {(FinAbGroup((3,) * 5), FinAbGroup((3, 3)))}
+    assert {g.domain for g in adjoints} == {FinAbGroup((3, 3), dual=True)}
 
 
 def test_scaled_qp_maps_go_through_the_helper():

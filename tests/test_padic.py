@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -399,6 +400,34 @@ class TestIndexSequences:
                 mt = tuple(zip(*m))
                 assert cotrajectory_indices(prime, m, 6) == lattice_cotrajectory(prime, m, 6)
                 assert trajectory_indices(prime, mt, 6) == lattice_trajectory(prime, mt, 6)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_singular_matches_lattice_recursion(self, prime):
+        # M = L R with R of rank r < d: the recursion inverts lattice bases,
+        # never M, so it checks singular matrices as it checks the others,
+        # and the report agrees with the Newton polygon
+        rng = random.Random(43 + prime)
+
+        def entry():
+            return Fraction(rng.randint(-4, 4), prime ** rng.randint(0, 1))
+
+        for dim in range(1, 5):
+            for _ in range(3):
+                rank = rng.randrange(dim)
+                left = [[entry() for _ in range(rank)] for _ in range(dim)]
+                right = [[entry() for _ in range(dim)] for _ in range(rank)]
+                product = [
+                    [sum(map(operator.mul, row, col), Fraction(0)) for col in zip(*right)]
+                    for row in left
+                ]
+                m = rational_matrix(product if rank else [[0] * dim] * dim)
+                assert char_poly(m)[0] == 0
+                mt = tuple(zip(*m))
+                assert cotrajectory_indices(prime, m, 6) == lattice_cotrajectory(prime, m, 6)
+                assert trajectory_indices(prime, mt, 6) == lattice_trajectory(prime, mt, 6)
+                matrix = [[str(x) for x in row] for row in m]
+                instance = {"kind": "qp", "prime": prime, "matrix": matrix, "steps": 6}
+                assert verify_instance(instance)["verdict"] == "pass"
 
     def test_matches_enumeration_on_tiny_levels(self):
         # On G = (Z/p^N)^d with N = (steps - 1) e, element by element:

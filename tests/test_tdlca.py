@@ -3,15 +3,16 @@ import random
 import pytest
 
 from conftest import conjugate_tower_endo, tower_chains, tower_index_sequences, unimodular_pair
-from entbridge.duality import annihilator
+from entbridge.duality import annihilator, dual_group, dual_hom
 from entbridge.exactlinalg import IntMatrix
 from entbridge import tdlca
-from entbridge.fingroup import FinAbGroup, GroupHom, kernel
+from entbridge.fingroup import FinAbGroup, GroupHom, full_subgroup, kernel, trivial_subgroup
 from entbridge.tdlca import (
     Tower,
     TowerEndo,
     full_shift_tower,
     padic_tower,
+    shift_pairs,
     working_level,
 )
 
@@ -191,33 +192,106 @@ class TestFullShift:
             full_shift_tower(2, 1)
 
 
-def reference_condition_maps(endo, j, steps):
-    """F_{j,t} . pi_{level -> j+t*lag}, each composite rebuilt from scratch."""
-    level = working_level(endo.tower.height, endo.lag, j, steps)
-    return [
-        endo.iterate(j, t).compose(endo.tower.project(level, j + t * endo.lag))
-        for t in range(steps)
-    ]
-
-
 class TestConditionMaps:
+    """The maps of TowerEndo.pairs, built by the definition
+    F_{j,t} . pi_{level -> j+t*lag}, against closed forms computed another way."""
+
     @pytest.mark.parametrize("j,steps", [(0, 1), (0, 6), (1, 4), (2, 3), (5, 1)])
     def test_full_shift(self, j, steps):
+        # map t keeps the coordinates t..t+j of the working level (Z/3)^(level+1)
         endo = full_shift_tower(3, 6)
-        assert endo._condition_maps(j, steps) == reference_condition_maps(endo, j, steps)
+        level = j + steps - 1
+        maps = [c for c, _ in endo.pairs(j, steps)[0]]
+        levels = endo.tower.levels
+        assert {(c.domain, c.codomain) for c in maps} == {(levels[level], levels[j])}
+        windows = [
+            [[int(col == t + row) for col in range(level + 1)] for row in range(j + 1)]
+            for t in range(steps)
+        ]
+        assert [[list(row) for row in c.matrix.entries] for c in maps] == windows
 
     @pytest.mark.parametrize("j,steps", [(0, 1), (0, 5), (2, 4)])
     def test_padic_lag_zero(self, j, steps):
-        endo = padic_tower(2, 3, [[3, 1], [2, 1]])
-        assert endo._condition_maps(j, steps) == reference_condition_maps(endo, j, steps)
+        # with lag 0 the working level is level j, and map t is M^t on it
+        m = IntMatrix.from_rows([[3, 1], [2, 1]])
+        endo = padic_tower(2, 3, m.entries)
+        group = endo.tower.levels[j]
+        power, expected = IntMatrix.identity(2), []
+        for _ in range(steps):
+            expected.append(GroupHom(group, group, power))
+            power = m @ power
+        assert [c for c, _ in endo.pairs(j, steps)[0]] == expected
 
     @pytest.mark.parametrize("j,steps", [(0, 5), (1, 3), (3, 2)])
     def test_conjugated(self, j, steps):
+        # re-presented through (U_k, U_k^-1) on each level, map t is
+        # U_j . (the shift's window map t) . U_level^-1
         rng = random.Random(7 + j)
         endo = full_shift_tower(2, 5)
         pairs = [unimodular_pair(rng, level.rank, 6) for level in endo.tower.levels]
         other = conjugate_tower_endo(endo, pairs)
-        assert other._condition_maps(j, steps) == reference_condition_maps(other, j, steps)
+        level = j + steps - 1
+        levels = endo.tower.levels
+        forward = GroupHom(levels[j], levels[j], pairs[j][0])
+        backward = GroupHom(levels[level], levels[level], pairs[level][1])
+        windows = [c for c, _ in shift_pairs(2, 5, j, steps)[0]]
+        expected = [forward.compose(c).compose(backward) for c in windows]
+        assert [c for c, _ in other.pairs(j, steps)[0]] == expected
+
+
+SWEEP_MODULI = [2, 3, 6, 2**128]
+SWEEP_TOP = 24
+
+
+@pytest.mark.parametrize("modulus", SWEEP_MODULI)
+def test_shift_pairs_match_the_tower_condition_maps(modulus):
+    # every meet map of shift_pairs is the tower's condition map
+    # F_{j,t} . pi_{l -> j+t}, composed here from Tower.project and
+    # TowerEndo.iterate, and every join map is its adjoint, for heights
+    # 2..24 and every (j, steps) each height holds; the maps do not depend
+    # on the height, so one tower of the largest height serves them all
+    endo = full_shift_tower(modulus, SWEEP_TOP)
+    tower = endo.tower
+    iterates = {(j, t): endo.iterate(j, t) for j in range(SWEEP_TOP) for t in range(SWEEP_TOP - j)}
+    condition = {}
+    for (j, t), f in iterates.items():
+        for level in range(j + t, SWEEP_TOP):
+            condition[j, level, t] = f.compose(tower.project(level, j + t))
+    for height in range(2, SWEEP_TOP + 1):
+        for j in range(height):
+            zero = trivial_subgroup(tower.levels[j])
+            whole = full_subgroup(dual_group(tower.levels[j]))
+            for steps in range(1, height - j + 1):
+                level = j + steps - 1
+                meet, join = (list(p) for p in shift_pairs(modulus, height, j, steps))
+                maps = [condition[j, level, t] for t in range(steps)]
+                assert meet == [(c, zero) for c in maps]
+                assert join == [(dual_hom(c), whole) for c in maps]
+
+
+class TestShiftPairsRefusals:
+    """The range first, then the modulus's type, its size and the height."""
+
+    def test_range_first(self):
+        with pytest.raises(ValueError, match="tower has no level 70"):
+            shift_pairs(2.5, 64, 70, 2)
+        with pytest.raises(ValueError, match=r"\(j, n\) = \(0, 2\); need level 1"):
+            shift_pairs(1, 1, 0, 2)
+        with pytest.raises(ValueError, match="step count must be at least 1"):
+            shift_pairs(1, 1, 0, 0)
+
+    def test_modulus_must_be_an_integer(self):
+        for modulus in (2.5, "3"):
+            with pytest.raises(TypeError):
+                shift_pairs(modulus, 1, 0, 1)
+
+    def test_modulus_must_be_at_least_2(self):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            shift_pairs(1, 1, 0, 1)
+
+    def test_two_levels(self):
+        with pytest.raises(ValueError, match="tower needs at least two levels for the shift"):
+            shift_pairs(2, 1, 0, 1)
 
 
 class TestAnnihilatorIsTrajectory:
