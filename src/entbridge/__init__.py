@@ -21,7 +21,7 @@ from .entropyseq import (
     certified_upper_bound,
     estimate_entropy,
 )
-from .exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, preimage_lattice, snf
+from .exactlinalg import HnfBasis, InputError, IntMatrix, hnf, kernel_basis, preimage_lattice, snf
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -61,6 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "InputError",
     "IntMatrix",
     "HnfBasis",
     "hnf",

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from . import padic
 from .duality import annihilator, check_quotient_duality, dual_hom
 from .entropyseq import EntropyEstimate, estimate_entropy
-from .exactlinalg import IntMatrix
+from .exactlinalg import InputError, IntMatrix
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -361,10 +361,10 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
 def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
     """Two float routes on R^n: eigenvalues of M and of its transpose.
 
-    A tolerance that is not a positive finite number raises ValueError.
+    A tolerance that is not a positive finite number raises InputError.
     """
     if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance {tol!r} is not a positive finite number")
+        raise InputError(f"tolerance {tol!r} is not a positive finite number")
     m = padic.rational_matrix(entries)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -387,10 +387,10 @@ def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
 
 
 def verify_instance(instance: dict) -> dict:
-    """Dispatch one parsed instance description to its bridge."""
+    """Dispatch one parsed instance description to its bridge; a refusal raises InputError."""
     kind = instance.get("kind")
     if kind in ("finite", "shift", "qp") and instance["steps"] < 2:
-        raise ValueError("step count must be at least 2")
+        raise InputError("step count must be at least 2")
     if kind == "finite":
         group = FinAbGroup(tuple(instance["moduli"]))
         f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))
@@ -404,7 +404,7 @@ def verify_instance(instance: dict) -> dict:
         return qp_bridge(instance["prime"], instance["matrix"], instance["steps"])
     if kind == "real":
         return real_bridge(instance["matrix"], instance.get("tolerance", 1e-9))
-    raise ValueError(f"unknown instance kind: {kind!r}")
+    raise InputError(f"unknown instance kind: {kind!r}")
 
 
 def random_finite_group(rng: random.Random, max_order: int = 4096) -> FinAbGroup:

@@ -28,7 +28,10 @@ Exit codes: 0 the verification passed, 1 it ran and found a mismatch,
 2 the input was unusable (also bytes that are not UTF-8, JSON nested
 too deeply to parse, an integer past the interpreter's 4300-digit limit,
 a number that is not finite, a value past a schema cap, or a qp working
-modulus past 2^128), 3 the computation itself failed.
+modulus past 2^128), 3 the computation itself failed (also a failed
+internal check of the package, or a malformed report).  Exit 2 is
+decided by the exception type alone: every refusal of the input raises
+:class:`~entbridge.exactlinalg.InputError`, any other exception exits 3.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from pathlib import Path
 # bound under this name for perfbench's cli.schema_validate layer, which traces jsonschema.validate here
 from . import schemacheck as jsonschema
 from .bridge import random_instance, verify_instance
+from .exactlinalg import InputError
 from .schemacheck import SCHEMA_NAMES, load_schema
 
 __all__ = ["main", "render_text", "canonical_json", "load_schema"]
@@ -139,30 +143,29 @@ def _json_number(text: str) -> int | float:
 
 
 def _read_instance(source: str) -> dict:
+    """The instance, read and checked against the schema; any failure is an InputError."""
     # stdin is read as bytes, as a file is, so that the decoding does not
     # depend on the locale's text encoding or error handler
-    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
-    text = data.decode("utf-8")
-    return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
-
-
-def _run_verify(args: argparse.Namespace) -> int:
     try:
-        instance = _read_instance(args.instance)
+        data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+        text = data.decode("utf-8")
+        instance = json.loads(text, parse_float=_json_number, parse_constant=_json_number)
     # ValueError covers UnicodeDecodeError, json.JSONDecodeError, a number
     # that is not finite and an integer past the interpreter's digit limit
     # for int-string conversion
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError(str(exc)) from None
     try:
         jsonschema.validate(instance, "instance")
     except jsonschema.ValidationError as exc:
-        print(f"error: invalid instance: {exc.message}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError(f"invalid instance: {exc.message}") from None
+    return instance
+
+
+def _run_verify(args: argparse.Namespace) -> int:
     try:
-        report = verify_instance(instance)
-    except ValueError as exc:
+        report = verify_instance(_read_instance(args.instance))
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:
@@ -171,11 +174,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     try:
         jsonschema.validate(report, "report")
         text = canonical_json(report)
-    except jsonschema.ValidationError as exc:
-        print(f"error: malformed report: {exc.message}", file=sys.stderr)
-        return EXIT_COMPUTATION_ERROR
     # the report schema admits NaN and infinities, which are not JSON
-    except ValueError as exc:
+    except (jsonschema.ValidationError, ValueError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION_ERROR
     sys.stdout.write(text if args.format == "json" else render_text(report))

@@ -48,11 +48,11 @@ call) skips rows whose residual is already zero.  The shift maps of
 :mod:`entbridge.tdlca` are unit rows, and these shortcuts are all the
 sparsity support there is: every matrix stays a dense tuple of rows.
 
-Values are checked where they enter.  ``IntMatrix(...)``,
-:meth:`IntMatrix.from_rows` and :meth:`IntMatrix.from_columns` check the
-shape of what they are given; every matrix computed here (products,
-stacks, transposes, diagonals and Hermite forms) has its
-shape by construction and is built unchecked by :func:`_trusted`.
+Values are checked where they enter, and refused with :class:`InputError`:
+``IntMatrix(...)``, ``from_rows`` and ``from_columns`` check the shape of
+what they are given.  Every matrix computed here (products, stacks,
+transposes, diagonals and Hermite forms) has its shape by construction
+and is built unchecked by :func:`_trusted`.
 Every tuple of entries or rows built here comes from a list (or is a
 row that zip builds, at its final size): tuple() of a list is
 allocated at its final size, while tuple() of a generator, a map or a
@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
 __all__ = [
+    "InputError",
     "IntMatrix",
     "HnfBasis",
     "hnf",
@@ -81,6 +82,10 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+
+
+class InputError(ValueError):
+    """A value refused where it enters; an internal check raises plain ValueError."""
 
 
 def _trusted(cls: type[_T], *values: object) -> _T:
@@ -105,11 +110,11 @@ class IntMatrix:
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+            raise InputError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
+            raise InputError("row count mismatch")
         if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("column count mismatch")
+            raise InputError("column count mismatch")
 
     # ---- constructors -------------------------------------------------
 
@@ -124,7 +129,7 @@ class IntMatrix:
         cols = [tuple([operator.index(x) for x in c]) for c in columns]
         height = len(cols[0]) if cols else (rows if rows is not None else 0)
         if any(len(c) != height for c in cols):
-            raise ValueError("column length mismatch")
+            raise InputError("column length mismatch")
         data = tuple(list(zip(*cols))) if cols else ((),) * height
         return _trusted(IntMatrix, height, len(cols), data)
 

@@ -83,7 +83,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, IntMatrix, _product, _trusted, hnf, preimage_lattice
+from .exactlinalg import HnfBasis, InputError, IntMatrix, _product, _trusted, hnf, preimage_lattice
 
 __all__ = [
     "FinAbGroup",
@@ -121,7 +121,7 @@ class FinAbGroup:
         # from a list, not a map: see the exactlinalg module docstring
         object.__setattr__(self, "moduli", tuple([operator.index(d) for d in self.moduli]))
         if any(d < 1 for d in self.moduli):
-            raise ValueError("moduli must be positive")
+            raise InputError("moduli must be positive")
 
     @property
     def rank(self) -> int:
@@ -139,7 +139,7 @@ class FinAbGroup:
 
     def reduce(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.rank:
-            raise ValueError("element length mismatch")
+            raise InputError("element length mismatch")
         return tuple([operator.index(v) % d for v, d in zip(vector, self.moduli)])
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -252,7 +252,7 @@ class GroupHom:
     def __post_init__(self) -> None:
         m = self.matrix
         if m.rows != self.codomain.rank or m.cols != self.domain.rank:
-            raise ValueError("matrix shape mismatch")
+            raise InputError("matrix shape mismatch")
         reduced = _mod_rows(m, self.codomain.moduli)
         object.__setattr__(self, "matrix", reduced)
         if any(
@@ -260,7 +260,7 @@ class GroupHom:
             for row, di in zip(reduced.entries, self.codomain.moduli)
             for x, dj in zip(row, self.domain.moduli)
         ):
-            raise ValueError("matrix does not define a homomorphism for these moduli")
+            raise InputError("matrix does not define a homomorphism for these moduli")
 
     @staticmethod
     def identity(group: FinAbGroup) -> "GroupHom":

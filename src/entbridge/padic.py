@@ -74,7 +74,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence, Union
 
-from .exactlinalg import HnfBasis, IntMatrix, _trusted, hnf
+from .exactlinalg import HnfBasis, InputError, IntMatrix, _trusted, hnf
 from .fingroup import FinAbGroup, GroupHom, Pairs, _indexed, full_subgroup, join_chain, kernel
 from .fingroup import meet_chain, powers, trivial_subgroup
 
@@ -121,10 +121,10 @@ def is_prime(n: int) -> bool:
     """Exact primality test: deterministic Miller-Rabin with the prime bases 2..41.
 
     It is exact only below 3 317 044 064 679 887 385 961 981, so any n at
-    or above that bound raises ValueError.
+    or above that bound raises InputError.
     """
     if n >= _MR_BOUND:
-        raise ValueError(f"primality is decided only below {_MR_BOUND}")
+        raise InputError(f"primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -148,21 +148,23 @@ def is_prime(n: int) -> bool:
 
 
 def _rational(x: RationalLike) -> Fraction:
-    """One matrix entry as an exact rational; non-finite or 'a/0' entries are input errors."""
+    """One matrix entry as an exact rational; an entry with no exact value is an input error."""
     if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"matrix entry {x!r} is not a finite number")
+        raise InputError(f"matrix entry {x!r} is not a finite number")
     try:
         return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"matrix entry {x!r} has a zero denominator") from None
+        raise InputError(f"matrix entry {x!r} has a zero denominator") from None
+    except ValueError as exc:  # Fraction's "Invalid literal for Fraction: ..."
+        raise InputError(str(exc)) from None
 
 
 def rational_matrix(entries: Sequence[Sequence[RationalLike]]) -> RationalMatrix:
     """Normalize nested ints / floats / 'a/b' strings / Fractions into a square Fraction grid;
-    a non-finite float, an 'a/0' entry or a matrix that is not square raises ValueError."""
+    an unreadable entry or a matrix that is not square raises InputError."""
     rows = tuple(tuple(_rational(x) for x in row) for row in entries)
     if not rows or any(len(r) != len(rows) for r in rows):
-        raise ValueError("endomorphism matrix must be square: nonempty, n rows of equal length n")
+        raise InputError("endomorphism matrix must be square: nonempty, n rows of equal length n")
     return rows
 
 
@@ -387,10 +389,10 @@ def _scaled_powers(
     B is integral and u is a unit at p; G = (Z/p^N)^d with
     N = (steps - 1) e is the only group built, and each map is an
     endomorphism of it, its entries reduced modulo p^N.  A working
-    modulus p^N above 2^_LEVEL_BITS raises ValueError.
+    modulus p^N above 2^_LEVEL_BITS raises InputError.
     """
     if not is_prime(prime):
-        raise ValueError("prime required")
+        raise InputError("prime required")
     if steps < 1:
         raise ValueError("step count must be at least 1")
     den = math.lcm(*(x.denominator for row in matrix for x in row))
@@ -399,7 +401,7 @@ def _scaled_powers(
     top = (steps - 1) * e
     # p >= 2, so top > _LEVEL_BITS already decides it without the power
     if top > _LEVEL_BITS or prime**top > 2**_LEVEL_BITS:
-        raise ValueError(
+        raise InputError(
             f"working modulus {prime}^{top} exceeds 2^{_LEVEL_BITS}:"
             " use fewer steps or smaller p-power denominators"
         )
@@ -577,7 +579,7 @@ def newton_entropy(prime: int, coeffs: Sequence[Fraction]) -> int:
     """Sum of positive lower-hull rises of (i, v_p(c_i)): log of the p-adic
     moduli above 1, with multiplicity, as the integer multiple of log(prime)."""
     if not is_prime(prime):
-        raise ValueError("prime required")
+        raise InputError("prime required")
     points = [
         (i, _vp_frac(Fraction(c), prime)) for i, c in enumerate(coeffs) if Fraction(c) != 0
     ]

@@ -24,6 +24,7 @@ import math
 import warnings
 from typing import Sequence
 
+from .exactlinalg import InputError
 from .padic import RationalLike, RationalMatrix, rational_matrix
 
 __all__ = [
@@ -40,7 +41,7 @@ class BoundaryEigenvalueWarning(UserWarning):
 
 def eigenvalue_moduli(entries: Sequence[Sequence[RationalLike]]) -> list[float]:
     """Moduli of the eigenvalues, descending; an entry too large for a float,
-    or a modulus that overflows to inf or NaN, is an input error (ValueError)."""
+    or a modulus that overflows to inf or NaN, is an input error (InputError)."""
     return _moduli(rational_matrix(entries))
 
 
@@ -51,10 +52,10 @@ def _moduli(rows: RationalMatrix) -> list[float]:
     try:
         floats = [[float(x) for x in row] for row in rows]
     except OverflowError:
-        raise ValueError("matrix entry too large for floating point") from None
+        raise InputError("matrix entry too large for floating point") from None
     moduli = [abs(v) for v in np.linalg.eigvals(np.array(floats, dtype=float))]
     if not all(math.isfinite(m) for m in moduli):
-        raise ValueError("an eigenvalue modulus is not finite in floating point")
+        raise InputError("an eigenvalue modulus is not finite in floating point")
     return sorted(moduli, reverse=True)
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .duality import dual_group, dual_hom
-from .exactlinalg import IntMatrix, _trusted
+from .exactlinalg import InputError, IntMatrix, _trusted
 from .fingroup import (
     FinAbGroup,
     GroupHom,
@@ -81,12 +81,12 @@ def working_level(height: int, lag: int, j: int, steps: int) -> int:
     """Deepest level entering the n-step computation at base level j,
     j + (steps-1) * lag, checked against a tower of the given height."""
     if not 0 <= j < height:
-        raise ValueError(f"tower has no level {j}")
+        raise InputError(f"tower has no level {j}")
     if steps < 1:
-        raise ValueError("step count must be at least 1")
+        raise InputError("step count must be at least 1")
     level = j + (steps - 1) * lag
     if level >= height:
-        raise ValueError(f"tower too short for (j, n) = ({j}, {steps}); need level {level}")
+        raise InputError(f"tower too short for (j, n) = ({j}, {steps}); need level {level}")
     return level
 
 
@@ -208,9 +208,9 @@ def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pair
     top = working_level(height, 1, level, steps)
     modulus = operator.index(modulus)
     if modulus < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InputError("modulus must be at least 2")
     if height < 2:
-        raise ValueError("tower needs at least two levels for the shift")
+        raise InputError("tower needs at least two levels for the shift")
     domain = _trusted(FinAbGroup, (modulus,) * (top + 1), False)
     base = _trusted(FinAbGroup, (modulus,) * (level + 1), False)
     rows, window = IntMatrix.identity(top + 1).entries, level + 1

@@ -32,7 +32,7 @@ from entbridge.bridge import (
 )
 from entbridge.cli import load_schema
 from entbridge.duality import annihilator, dual_group, dual_hom
-from entbridge.exactlinalg import HnfBasis, IntMatrix
+from entbridge.exactlinalg import HnfBasis, InputError, IntMatrix
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -519,10 +519,10 @@ class TestShiftBridge:
             raise AssertionError(f"{cls.__name__} built")
 
         monkeypatch.setattr(tdlca, "_trusted", unreachable)
-        with pytest.raises(ValueError, match="tower has no level 70"):
+        with pytest.raises(InputError, match="tower has no level 70"):
             shift_bridge(2, 64, 70, 2)
         instance = {"kind": "shift", "modulus": 2, "height": 64, "level": 63, "steps": 2}
-        with pytest.raises(ValueError, match=r"\(j, n\) = \(63, 2\); need level 64"):
+        with pytest.raises(InputError, match=r"\(j, n\) = \(63, 2\); need level 64"):
             verify_instance(instance)
 
     def test_only_the_working_levels_are_built(self, monkeypatch):
@@ -662,7 +662,7 @@ class TestQpBridge:
             raise AssertionError("char_poly reached")
 
         monkeypatch.setattr(bridge.padic, "char_poly", unreachable)
-        with pytest.raises(ValueError, match=r"working modulus 2\^189 exceeds 2\^128"):
+        with pytest.raises(InputError, match=r"working modulus 2\^189 exceeds 2\^128"):
             verify_instance(instance)
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
@@ -757,7 +757,7 @@ class TestRealBridge:
 
     @pytest.mark.parametrize("tol", [0, -1e-9, math.inf, math.nan])
     def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError, match="not a positive finite number"):
+        with pytest.raises(InputError, match="not a positive finite number"):
             real_bridge([[2]], tol)
 
     def test_echoes_the_parsed_entries(self):
@@ -781,7 +781,7 @@ class TestVerifyDispatch:
         for name in ["finite_bridge", "shift_bridge", "qp_bridge"]:
             monkeypatch.setattr(bridge, name, no_chain)
         for kind in ["finite", "shift", "qp"]:
-            with pytest.raises(ValueError, match="step count must be at least 2"):
+            with pytest.raises(InputError, match="step count must be at least 2"):
                 verify_instance({**instances[kind], "steps": 1})
 
     @pytest.mark.parametrize(
@@ -802,7 +802,7 @@ class TestVerifyDispatch:
             verify_instance({**instance, **change})
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown instance kind"):
+        with pytest.raises(InputError, match="unknown instance kind"):
             verify_instance({"kind": "adelic"})
         with pytest.raises(ValueError, match="unknown instance kind"):
             random_instance(random.Random(0), "adelic")

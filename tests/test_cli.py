@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entbridge.bridge as bridge
 import entbridge.cli as cli
-from entbridge import padic
+from entbridge import InputError, padic
 from entbridge.bridge import _two_sided_report, random_instance, verify_instance
 from entbridge.cli import canonical_json, load_schema, main, render_text
 from entbridge.fingroup import FinAbGroup, full_subgroup
@@ -74,6 +75,10 @@ UNREADABLE = pytest.mark.parametrize(
     ],
     ids=["not-utf8", "too-deep", "too-many-digits"],
 )
+
+# strings that pass the instance schema as a qp or real entry but that
+# Fraction cannot read
+UNREADABLE_ENTRIES = ["abc", "1/2/3", "inf", "0x10", "1 /2"]
 
 # the largest prime below padic._MR_BOUND, the top of the schema's range
 LARGEST_PRIME = 3317044064679887385961813
@@ -291,6 +296,54 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: prime required\n"
 
+    @pytest.mark.parametrize(
+        "entry", UNREADABLE_ENTRIES, ids=["word", "two-slashes", "inf", "hex", "space"]
+    )
+    @pytest.mark.parametrize(
+        "instance",
+        [{"kind": "qp", "prime": 2, "steps": 3}, {"kind": "real"}],
+        ids=["qp", "real"],
+    )
+    def test_unreadable_entry_is_input_error(self, tmp_path, capsys, instance, entry):
+        instance = dict(instance, matrix=[["1", entry], ["0", "1"]])
+        jsonschema.validate(instance, load_schema("instance"))
+        assert main(["verify", write_instance(tmp_path, instance)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Invalid literal for Fraction" in captured.err
+        with pytest.raises(InputError, match="Invalid literal for Fraction"):
+            verify_instance(instance)
+
+    def test_internal_value_error_is_computation_error(self, tmp_path, capsys, monkeypatch):
+        # a check that holds by construction raises plain ValueError; when
+        # one fails, the package is at fault, not the input
+        def broken(*args):
+            raise ValueError("lattice not full rank")
+
+        monkeypatch.setattr(bridge, "two_chains", broken)
+        assert main(["verify", write_instance(tmp_path, SHIFT_INSTANCE)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: computation failed: lattice not full rank\n"
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (None, "No such file"),
+            (b"\xff", "can't decode byte 0xff"),
+            (b"{not json", "Expecting property name"),
+            (b'{"tolerance": NaN}', "NaN is not a finite number"),
+            (b'{"kind": "torus"}', "invalid instance: "),
+        ],
+        ids=["missing", "not-utf8", "not-json", "not-finite", "schema"],
+    )
+    def test_read_instance_refuses_with_input_error(self, tmp_path, payload, message):
+        path = tmp_path / "instance.json"
+        if payload is not None:
+            path.write_bytes(payload)
+        with pytest.raises(InputError, match=message):
+            cli._read_instance(str(path))
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = {"kind": "qp", "prime": 2, "matrix": [["1/0", "0"], ["0", "1"]], "steps": 4}
         path = write_instance(tmp_path, bad)
@@ -483,6 +536,23 @@ def square(entries, max_side=3):
 
 fractions = st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 9), st.integers(0, 9))
 
+# strings with no e or E, which the schema passes as an entry: some Fraction
+# reads, most it does not
+literals = st.one_of(
+    st.sampled_from(UNREADABLE_ENTRIES),
+    st.text(alphabet="0123456789/ .+-_xabcfin", min_size=1, max_size=8),
+)
+
+
+@st.composite
+def matrices(draw, entries):
+    """A square matrix of the entries, in half the draws with one entry a literal."""
+    matrix = draw(square(entries))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(matrix))
+        row[draw(st.integers(0, len(row) - 1))] = draw(literals)
+    return matrix
+
 
 @st.composite
 def finite_instances(draw):
@@ -524,14 +594,14 @@ VALID_INSTANCES = st.one_of(
         {
             "kind": st.just("qp"),
             "prime": st.sampled_from([2, 3, 4, 5]).flatmap(integral),
-            "matrix": square(st.one_of(counts(-4, 4), fractions)),
+            "matrix": matrices(st.one_of(counts(-4, 4), fractions)),
             "steps": counts(2, 6),
         }
     ),
     st.fixed_dictionaries(
         {
             "kind": st.just("real"),
-            "matrix": square(st.one_of(counts(-9, 9), st.floats(-9, 9), fractions)),
+            "matrix": matrices(st.one_of(counts(-9, 9), st.floats(-9, 9), fractions)),
         },
         optional={"tolerance": st.one_of(st.floats(1e-12, 1.0), counts(1, 2))},
     ),
@@ -550,6 +620,10 @@ class TestBoundaryFuzz:
         assert code in (0, 1, 2), (instance, err.getvalue())
         if code == 2:
             assert out.getvalue() == ""
+            # the refusal comes from the input boundary, not from a check
+            # that holds by construction
+            with pytest.raises(InputError):
+                verify_instance(cli._read_instance(path))
         else:
             jsonschema.validate(json.loads(out.getvalue()), load_schema("report"))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import det, unimodular_pair
 from entbridge.exactlinalg import (
     HnfBasis,
+    InputError,
     IntMatrix,
     _product,
     hnf,
@@ -117,35 +118,30 @@ def reduced_product_pairs(draw):
     return a, IntMatrix(inner, cols, tuple(map(tuple, other))), moduli, reduced
 
 
-# an entry bound at the edge of a slot: a power of two or one below it
-edge_bounds = st.integers(min_value=0, max_value=130).flatmap(
-    lambda t: st.sampled_from([2**t, max(2**t - 1, 1)])
+# a bound at the edge of a power of two: one below it, at it or one above
+edge_bounds = st.integers(min_value=0, max_value=64).flatmap(
+    lambda t: st.sampled_from([max(2**t - 1, 1), 2**t, 2**t + 1])
 )
 
 
 @st.composite
 def slot_edge_pairs(draw):
-    """(a, b) for a plain product whose entries reach the bound of its
-    slots: every entry of a is 0 or +-A and every entry of b is +-B, with A
-    and B at the edge of a power of two, so a row of A (or -A) against a
-    column of B reaches +-n A B, the bound the slot width is set from."""
+    """(a, b, moduli, reduced) for a packed product whose slots fill the
+    width _product sets from n, the largest modulus and the largest bound.
+
+    Every entry of b is at its bound R = reduced[k], the same power-of-two
+    edge for every row, and every row of a is dense at moduli[i] - 1.  The
+    last modulus, 2^s + 1 with 2^s > n R, is the largest, so that row's
+    slots hold n R 2^s, of the bit length of n (2^s + 1) R: the width.
+    The other moduli are small or at most the last."""
     rows, inner, cols = (draw(st.integers(min_value=1, max_value=8)) for _ in range(3))
-    big_a, big_b = draw(edge_bounds), draw(edge_bounds)
-    row = st.lists(st.sampled_from([big_a, -big_a, 0]), min_size=inner, max_size=inner)
-    grid = draw(st.lists(row, min_size=rows - 1, max_size=rows - 1))
-    grid.append([draw(st.sampled_from([big_a, -big_a]))] * inner)
-    sign = draw(st.sampled_from([1, -1]))
-    other = draw(
-        st.lists(
-            st.lists(st.sampled_from([big_b, -big_b]), min_size=cols, max_size=cols),
-            min_size=inner,
-            max_size=inner,
-        )
-    )
-    other[0][0] = sign * big_b
-    for k in range(1, inner):
-        other[k][0] = other[0][0]
-    return IntMatrix.from_rows(grid, cols=inner), IntMatrix.from_rows(other, cols=cols)
+    bound = draw(edge_bounds)
+    top = 2 ** ((inner * bound).bit_length() + draw(st.integers(0, 64))) + 1
+    below = st.sampled_from([2, 3, top - 2, top - 1, top])
+    moduli = [draw(below) for _ in range(rows - 1)] + [top]
+    a = IntMatrix.from_rows([[d - 1] * inner for d in moduli])
+    b = IntMatrix.from_rows([[bound] * cols] * inner)
+    return a, b, moduli, [bound] * inner
 
 
 def permutation_det(m: IntMatrix) -> int:
@@ -239,24 +235,31 @@ class TestIntMatrix:
 
     @given(slot_edge_pairs())
     @settings(max_examples=200)
-    def test_plain_product_at_the_edge_of_its_slots(self, pair):
-        a, b = pair
-        product = a @ b
-        assert product == naive_product(a, b)
-        n = a.cols
-        edge = n * max(abs(x) for row in a.entries for x in row) * abs(b.entries[0][0])
-        assert abs(product.entries[-1][0]) == edge
+    def test_packed_product_at_the_edge_of_its_slots(self, case):
+        # a slot one bit narrower would carry into the next slot
+        a, b, moduli, reduced = case
+        product = _product(a, b, moduli, reduced)
+        naive = naive_product(a, b)
+        assert product.entries == tuple(
+            tuple(x % d for x in row) for row, d in zip(naive.entries, moduli)
+        )
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             IntMatrix.zero(2, 3) @ IntMatrix.zero(2, 3)
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="column count mismatch"):
             IntMatrix.from_rows([[1, 2], [3]])
         for columns in ([[1, 2], [3, 4, 5]], [[1, 2, 9], [3, 4]]):
-            with pytest.raises(ValueError, match="column length mismatch"):
+            with pytest.raises(InputError, match="column length mismatch"):
                 IntMatrix.from_columns(columns)
+
+    def test_constructor_refuses_a_wrong_shape(self):
+        with pytest.raises(InputError, match="dimensions must be non-negative"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(InputError, match="row count mismatch"):
+            IntMatrix(2, 1, ((1,),))
 
     @pytest.mark.parametrize("entry", [2.9, 2.0, "1", Fraction(4, 2)])
     def test_entries_must_be_integers(self, entry):

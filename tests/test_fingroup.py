@@ -23,7 +23,14 @@ import entbridge.exactlinalg as exactlinalg
 import entbridge.fingroup as fingroup
 from entbridge.bridge import random_endomorphism, random_subgroup
 from entbridge.duality import dual_group, dual_hom
-from entbridge.exactlinalg import HnfBasis, IntMatrix, hnf, kernel_basis, preimage_lattice
+from entbridge.exactlinalg import (
+    HnfBasis,
+    InputError,
+    IntMatrix,
+    hnf,
+    kernel_basis,
+    preimage_lattice,
+)
 from entbridge.fingroup import (
     FinAbGroup,
     GroupHom,
@@ -202,10 +209,14 @@ class TestFinAbGroup:
         assert g.add((3, 1), (2, 1)) == (1, 0)
 
     def test_invalid_moduli(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="moduli must be positive"):
             FinAbGroup((0, 2))
         with pytest.raises(TypeError):
             FinAbGroup((4.7, 2))
+
+    def test_element_length(self):
+        with pytest.raises(InputError, match="element length mismatch"):
+            FinAbGroup((4, 2)).reduce((1, 1, 1))
 
     def test_elements_must_be_integers(self):
         with pytest.raises(TypeError):
@@ -289,8 +300,13 @@ class TestSubgroups:
 class TestGroupHom:
     def test_certificate_rejects(self):
         g = FinAbGroup((2, 4))
-        with pytest.raises(ValueError, match="homomorphism"):
+        with pytest.raises(InputError, match="homomorphism"):
             GroupHom(g, g, IntMatrix.from_rows([[0, 0], [1, 0]]))
+
+    def test_shape_must_match_the_groups(self):
+        g = FinAbGroup((2, 4))
+        with pytest.raises(InputError, match="matrix shape mismatch"):
+            GroupHom(g, g, IntMatrix.from_rows([[1, 0]]))
 
     def test_certificate_matches_per_entry_rule(self):
         # the constructor accepts exactly the matrices that the per-entry
@@ -319,7 +335,7 @@ class TestGroupHom:
             if valid:
                 GroupHom(domain, codomain, IntMatrix.from_rows(rows))
             else:
-                with pytest.raises(ValueError, match="does not define a homomorphism"):
+                with pytest.raises(InputError, match="does not define a homomorphism"):
                     GroupHom(domain, codomain, IntMatrix.from_rows(rows))
         assert verdicts == {True, False}
 

@@ -11,6 +11,16 @@ from pathlib import Path
 import pytest
 
 import entbridge
+from entbridge import (
+    FinAbGroup,
+    GroupHom,
+    InputError,
+    IntMatrix,
+    estimate_entropy,
+    hnf,
+    padic,
+    two_chains,
+)
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(entbridge.__path__))
 
@@ -73,3 +83,39 @@ def test_jsonschema_is_imported_only_to_word_a_refusal():
         [sys.executable, "-c", JSONSCHEMA_ON_REFUSAL], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_input_error_is_the_one_refusal_type():
+    # defined once, in the lowest module, and a ValueError for callers that
+    # catch refusals that way
+    assert InputError is entbridge.exactlinalg.InputError
+    assert issubclass(InputError, ValueError)
+    for name in MODULES:
+        module = importlib.import_module(f"entbridge.{name}")
+        assert getattr(module, "InputError", InputError) is InputError, name
+
+
+IDENTITY_2, IDENTITY_3 = (GroupHom.identity(FinAbGroup((d,))) for d in (2, 3))
+
+
+def _pairs_of_three_steps():
+    m = padic.rational_matrix([["1/2"]])
+    return padic.cotrajectory_pairs(2, m, 3), padic.trajectory_pairs(2, m, 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: hnf(IntMatrix.from_columns([[1, 2], [2, 4]], rows=2)), "lattice not full rank"),
+        (lambda: two_chains(*_pairs_of_three_steps(), 6), "end after 3 of 6 steps"),
+        (lambda: IDENTITY_2.compose(IDENTITY_3), "homomorphisms do not compose"),
+        (lambda: estimate_entropy([2, 1]), "invalid index sequence"),
+    ],
+    ids=["hnf-rank-deficient", "two-chains-short", "compose", "estimate-decreasing"],
+)
+def test_internal_checks_raise_plain_value_error(call, message):
+    # these hold by construction on every verify route, so a failure is a
+    # fault of the package: the command line exits 3 on it, not 2
+    with pytest.raises(ValueError, match=message) as caught:
+        call()
+    assert not isinstance(caught.value, InputError)

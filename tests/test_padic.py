@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import all_elements, char_poly_oracle, closure, det
 from entbridge import padic
 from entbridge.bridge import verify_instance
-from entbridge.exactlinalg import HnfBasis, IntMatrix
+from entbridge.exactlinalg import HnfBasis, InputError, IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, join_chain, meet_chain, powers
 from entbridge.padic import (
     _MR_BOUND,
@@ -144,13 +144,13 @@ class TestHelpers:
 
     def test_is_prime_refuses_the_miller_rabin_bound(self):
         # the bases are proven exact only below the bound
-        with pytest.raises(ValueError, match="primality is decided only below"):
+        with pytest.raises(InputError, match="primality is decided only below"):
             is_prime(_MR_BOUND)
 
     def test_verify_instance_refuses_a_prime_past_the_bound(self):
         # 2**89 - 1 is prime; the schema would reject it, a direct call raises
         instance = {"kind": "qp", "prime": 2**89 - 1, "matrix": [["2"]], "steps": 3}
-        with pytest.raises(ValueError, match="primality is decided only below"):
+        with pytest.raises(InputError, match="primality is decided only below"):
             verify_instance(instance)
 
     def test_rational_matrix_parsing(self):
@@ -158,10 +158,25 @@ class TestHelpers:
         assert m == ((Fraction(1), Fraction(3, 4)), (Fraction(-2, 5), Fraction(0)))
 
     def test_rational_matrix_shape(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(InputError, match="equal length"):
             rational_matrix([[1, 2], [3]])
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(InputError, match="nonempty"):
             rational_matrix([])
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (math.inf, "is not a finite number"),
+            (math.nan, "is not a finite number"),
+            ("3/0", "has a zero denominator"),
+            ("abc", "Invalid literal for Fraction: 'abc'"),
+            ("1 /2", "Invalid literal for Fraction: '1 /2'"),
+        ],
+        ids=["inf", "nan", "zero-denominator", "word", "space"],
+    )
+    def test_rational_matrix_refuses_an_entry_with_no_exact_value(self, entry, message):
+        with pytest.raises(InputError, match=message):
+            rational_matrix([[1, entry], [0, 1]])
 
 
 class TestCanonicalForm:
@@ -331,10 +346,16 @@ class TestIndexSequences:
             assert cotrajectory_indices(prime, m, steps) == expected
             assert trajectory_indices(prime, m, steps) == expected
             for route in (cotrajectory_indices, trajectory_indices):
-                with pytest.raises(ValueError, match="working modulus"):
+                with pytest.raises(InputError, match="working modulus"):
                     route(prime, m, steps + 1)
-        with pytest.raises(ValueError, match=r"working modulus 1000003\^63 exceeds 2\^128"):
+        with pytest.raises(InputError, match=r"working modulus 1000003\^63 exceeds 2\^128"):
             cotrajectory_indices(1000003, rational_matrix([["1/1000003"]]), 64)
+
+    def test_prime_required(self):
+        m = rational_matrix([["1/2"]])
+        for route in (cotrajectory_indices, trajectory_indices):
+            with pytest.raises(InputError, match="prime required"):
+                route(4, m, 3)
 
     def test_integral_direction_is_silent(self):
         m = rational_matrix([[2]])
@@ -678,7 +699,7 @@ class TestNewtonEntropy:
 
     def test_degenerate_inputs(self):
         assert newton_entropy(2, (Fraction(1),)) == 0
-        with pytest.raises(ValueError, match="prime required"):
+        with pytest.raises(InputError, match="prime required"):
             newton_entropy(6, (Fraction(1), Fraction(1)))
 
     def test_matches_index_growth(self):

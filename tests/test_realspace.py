@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from entbridge import padic, realspace
+from entbridge.exactlinalg import InputError
 from entbridge.bridge import verify_instance
 from entbridge.realspace import (
     BoundaryEigenvalueWarning,
@@ -27,10 +28,17 @@ class TestEigenvalueModuli:
         assert moduli == pytest.approx([0.75, 0.5])
 
     def test_requires_square(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(InputError, match="square"):
             eigenvalue_moduli([[1, 2]])
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(InputError, match="square"):
             eigenvalue_moduli([])
+
+    def test_refuses_what_a_float_cannot_hold(self):
+        with pytest.raises(InputError, match="matrix entry too large for floating point"):
+            eigenvalue_moduli([["1e400"]])
+        # finite entries whose eigenvalue, 2e308, overflows
+        with pytest.raises(InputError, match="eigenvalue modulus is not finite"):
+            eigenvalue_moduli([[1e308, 1e308], [1e308, 1e308]])
 
 
 class TestEntropy:
@@ -41,7 +49,7 @@ class TestEntropy:
         # the dual route transposes, so a wide or ragged matrix must be
         # refused before that, with the primal route's message
         for route in (topological_entropy, algebraic_entropy):
-            with pytest.raises(ValueError, match="endomorphism matrix must be square"):
+            with pytest.raises(InputError, match="endomorphism matrix must be square"):
                 route(entries)
 
     def test_hyperbolic_diagonal(self):

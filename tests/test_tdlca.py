@@ -4,7 +4,7 @@ import pytest
 
 from conftest import conjugate_tower_endo, tower_chains, tower_index_sequences, unimodular_pair
 from entbridge.duality import annihilator, dual_group, dual_hom
-from entbridge.exactlinalg import IntMatrix
+from entbridge.exactlinalg import InputError, IntMatrix
 from entbridge import tdlca
 from entbridge.fingroup import FinAbGroup, GroupHom, full_subgroup, kernel, trivial_subgroup
 from entbridge.tdlca import (
@@ -107,18 +107,18 @@ class TestWorkingLevel:
 
     def test_missing_level(self):
         endo = full_shift_tower(2, 3)
-        with pytest.raises(ValueError, match="tower has no level 9"):
+        with pytest.raises(InputError, match="tower has no level 9"):
             working_level(endo.tower.height, endo.lag, 9, 1)
 
     def test_step_count(self):
         endo = full_shift_tower(2, 3)
-        with pytest.raises(ValueError, match="step count must be at least 1"):
+        with pytest.raises(InputError, match="step count must be at least 1"):
             working_level(endo.tower.height, endo.lag, 0, 0)
 
     def test_too_short(self):
         endo = full_shift_tower(2, 4)
         with pytest.raises(
-            ValueError, match=r"tower too short for \(j, n\) = \(1, 5\); need level 5"
+            InputError, match=r"tower too short for \(j, n\) = \(1, 5\); need level 5"
         ):
             working_level(endo.tower.height, endo.lag, 1, 5)
 
@@ -129,11 +129,11 @@ class TestWorkingLevel:
     def test_checked_against_a_height_alone(self):
         # the same checks and messages, before any tower exists
         assert working_level(64, 1, 0, 64) == 63
-        with pytest.raises(ValueError, match="tower has no level 70"):
+        with pytest.raises(InputError, match="tower has no level 70"):
             working_level(64, 1, 70, 2)
-        with pytest.raises(ValueError, match=r"\(j, n\) = \(63, 2\); need level 64"):
+        with pytest.raises(InputError, match=r"\(j, n\) = \(63, 2\); need level 64"):
             working_level(64, 1, 63, 2)
-        with pytest.raises(ValueError, match="step count must be at least 1"):
+        with pytest.raises(InputError, match="step count must be at least 1"):
             working_level(64, 1, 0, 0)
 
 
@@ -273,11 +273,11 @@ class TestShiftPairsRefusals:
     """The range first, then the modulus's type, its size and the height."""
 
     def test_range_first(self):
-        with pytest.raises(ValueError, match="tower has no level 70"):
+        with pytest.raises(InputError, match="tower has no level 70"):
             shift_pairs(2.5, 64, 70, 2)
-        with pytest.raises(ValueError, match=r"\(j, n\) = \(0, 2\); need level 1"):
+        with pytest.raises(InputError, match=r"\(j, n\) = \(0, 2\); need level 1"):
             shift_pairs(1, 1, 0, 2)
-        with pytest.raises(ValueError, match="step count must be at least 1"):
+        with pytest.raises(InputError, match="step count must be at least 1"):
             shift_pairs(1, 1, 0, 0)
 
     def test_modulus_must_be_an_integer(self):
@@ -286,11 +286,11 @@ class TestShiftPairsRefusals:
                 shift_pairs(modulus, 1, 0, 1)
 
     def test_modulus_must_be_at_least_2(self):
-        with pytest.raises(ValueError, match="modulus must be at least 2"):
+        with pytest.raises(InputError, match="modulus must be at least 2"):
             shift_pairs(1, 1, 0, 1)
 
     def test_two_levels(self):
-        with pytest.raises(ValueError, match="tower needs at least two levels for the shift"):
+        with pytest.raises(InputError, match="tower needs at least two levels for the shift"):
             shift_pairs(2, 1, 0, 1)
 
 
