@@ -137,7 +137,9 @@ def slot_edge_pairs(draw):
     rows, inner, cols = (draw(st.integers(min_value=1, max_value=8)) for _ in range(3))
     bound = draw(edge_bounds)
     top = 2 ** ((inner * bound).bit_length() + draw(st.integers(0, 64))) + 1
-    below = st.sampled_from([2, 3, top - 2, top - 1, top])
+    # modulus 2 on a one-column a would make the row (1,), a unit row
+    small = [2, 3] if inner > 1 else [3]
+    below = st.sampled_from([*small, top - 2, top - 1, top])
     moduli = [draw(below) for _ in range(rows - 1)] + [top]
     a = IntMatrix.from_rows([[d - 1] * inner for d in moduli])
     b = IntMatrix.from_rows([[bound] * cols] * inner)
