@@ -68,14 +68,17 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
     in the perp exactly when B^T D^-1 y is integral, so the perp is
     X^T Z^k with X = B^-1 D.  X is integral because the subgroup contains
     the relations D Z^k: its column i is the coordinate vector of d_i e_i
-    in B, which :meth:`HnfBasis.solve` returns.  The perp is the Hermite
-    form of those k rows, one k-column echelon on entries never scaled by
-    lcm(moduli).
+    in B, which :meth:`HnfBasis.solve` returns.  The perp contains the
+    relations of the dual group, which are diag(moduli) again, so its
+    Hermite form is those k rows inserted into that diagonal, reduced
+    modulo the moduli as they go (:func:`~entbridge.exactlinalg.hnf`
+    with a basis), on entries never scaled by lcm(moduli).
     """
     g = subgroup.ambient
     # the relation matrix is diagonal: its row i is the column d_i e_i
     rows = [subgroup.basis.solve(r) for r in g.relations.matrix.entries]
-    lattice = hnf(_trusted(IntMatrix, g.rank, g.rank, tuple(rows)))
+    gens = _trusted(IntMatrix, g.rank, g.rank, tuple(rows))
+    lattice = hnf(gens, g.relations, g.moduli)
     return _trusted(SubgroupLattice, dual_group(g), lattice)
 
 

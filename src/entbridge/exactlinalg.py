@@ -9,21 +9,39 @@ modulo the diagonal entry of its own row.  Canonicality turns lattice
 equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
-One column echelon by Euclid (Cohen, GTM 138, section 2.4) is the only
-integer elimination here.  It reduces the first rows of a list of
-columns; the rows below follow the column operations, and the columns
-left zero on every reduced row stay behind.  Each Euclid round divides
-by the least entry on the row with the nearest-integer quotient, so
-every remainder is at most half the pivot, and a column leaves the
-round once it is zero there.  :func:`hnf` reduces every
-row and puts the pivots in Hermite form, and :func:`kernel_basis` reads
-the identity rows of m stacked on the identity.  :func:`preimage_lattice`
-reduces [m | target] over [basis | 0] in one pass: the rows of m, then
-straight on down the basis rows, whose pivots in Hermite form are
-basis . {y : m y in target}.  :func:`snf` runs the echelon on a matrix
-and then on the transpose of its pivot columns, alternately, until every
-pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
-Comput. 8, 1979).
+There are two integer eliminations here, both by Euclid with the
+nearest-integer quotient, so every remainder is at most half the pivot
+(Cohen, GTM 138, section 2.4).  The row-scan column echelon takes
+arbitrary columns: it reduces the first rows of a list of columns, the
+rows below follow the column operations, and the columns left zero on
+every reduced row stay behind.  Each round divides by the least entry
+on the row, and a column leaves the round once it is zero there.
+:func:`hnf` of plain generators reduces every row and puts the pivots in
+Hermite form, and :func:`kernel_basis` reads the identity rows of m
+stacked on the identity.  :func:`preimage_lattice` reduces [m | target]
+over [basis | 0] in one pass: the rows of m, then straight on down the
+basis rows, whose pivots in Hermite form are basis . {y : m y in target};
+a column of a Hermite basis that m sends to zero skips the rows of m and
+joins only at its own row, as that row's first pivot candidate (its
+seed).  :func:`snf` runs the echelon on a matrix and then on the
+transpose of its pivot columns, alternately, until every pivot column
+has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+
+The other elimination is Hermite form modulo the relations
+(Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
+algorithm 2.4.8), for a Hermite basis that already contains
+diag(d_1, ..., d_k) and new generators: :func:`hnf` with a `basis`.
+Each generator is inserted row by row.  On row t, Euclid runs between
+it and the pivot of row t; then row s of both, for every s below t, is
+reduced modulo d_s.  That is exact: the pivots of rows s and below are
+still those of a triangular basis of a lattice that contains d_s e_s,
+which is zero above row s, so they span it, and taking a multiple of it
+off the two columns changes neither lattice.  So no entry that enters
+the final Hermite step is past the largest modulus, where the row-scan
+on the basis next to the generators lets entries grow with every row.
+The row-scan stays wherever the generators are arbitrary (the pass over
+m, kernels, Smith forms and the p-adic lattices): there no relation
+lattice is known to reduce by.
 
 ``IntMatrix @ IntMatrix`` is the definitional row-by-column sum.  The
 products the package computes all reduce row i modulo a modulus, in the
@@ -59,8 +77,9 @@ allocated at its final size, while tuple() of a generator, a map or a
 zip is resized as it grows, and CPython keeps resized tuples on its
 per-size free lists until a full collection, which the peak RSS shows.
 
-Deliberately out of scope: floating point, modular-arithmetic HNF tricks,
-sparse formats, and basis reduction.  The intended scale is small ambient
+Deliberately out of scope: floating point, modular determinant tricks
+for lattices with no known relations, sparse formats, and basis
+reduction.  The intended scale is small ambient
 rank (up to a dozen or so) with possibly huge entries.
 """
 
@@ -69,6 +88,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence, TypeVar
 
 __all__ = [
@@ -295,7 +315,9 @@ class HnfBasis:
         return coords
 
 
-def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
+def _echelon(
+    pending: list[list[int]], rows: int, seeds: Sequence[list[int] | None] | None = None
+) -> list[list[int] | None]:
     """Column echelon of the columns `pending` on their first `rows` rows.
 
     Row i is shrunk by Euclid across the pending columns until at most one
@@ -304,13 +326,20 @@ def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
     nearest-integer multiple of it from the others, so every remainder is
     at most half the pivot; a column leaves the round once it is zero on
     row i.  Each pivot leaves `pending`, and the columns left are zero
-    above row i, so updates start at row i.  Returns the pivots; `pending`
-    keeps the columns left zero on every row reduced, and the rows below
-    follow the column operations.
+    above row i, so updates start at row i.  `seeds[i]`, when given and
+    not None, is a column zero above row i and nonzero on it, which the
+    rows before would leave as it is: it joins the columns live on row i
+    there, first, so it is the pivot on a tie, and `pending` only if it
+    is not the pivot.  Returns the pivots; `pending` keeps the columns
+    left zero on every row reduced, and the rows below follow the column
+    operations.
     """
     pivots: list[list[int] | None] = []
     for i in range(rows):
+        seed = None if seeds is None else seeds[i]
         live = [c for c in pending if c[i]]
+        if seed is not None:
+            live.insert(0, seed)
         while len(live) > 1:
             sizes = [abs(c[i]) for c in live]
             piv = live[sizes.index(min(sizes))]
@@ -326,8 +355,10 @@ def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
                     if c[i]:
                         left.append(c)
             live = left
-        if live:
+        if live and live[0] is not seed:
             pending.remove(live[0])  # the only pending column nonzero on row i
+        if seed is not None and live[0] is not seed:
+            pending.append(seed)  # zero on row i now, as the others left
         pivots.append(live[0] if live else None)
     return pivots
 
@@ -350,16 +381,78 @@ def _hermite(pivots: list[list[int] | None]) -> HnfBasis:
     return _trusted(HnfBasis, _trusted(IntMatrix, n, n, tuple(list(zip(*pivots)))))
 
 
-def hnf(gens: IntMatrix) -> HnfBasis:
-    """Canonical column Hermite form of the lattice spanned by the columns.
+def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -> None:
+    """Insert `column` into `pivots`, changed in place: the pivot of each
+    row of a triangular basis of a lattice that contains diag(moduli).
 
-    Accepts any number of generator columns (callers append relation
-    columns themselves when working modulo a finite group).  Raises
-    ValueError("lattice not full rank") when the column span has rank
-    below the ambient dimension.  The result is a Hermite basis by
-    construction, so the :class:`HnfBasis` checks are not run on it.
+    On each row t where the column is nonzero, Euclid runs between it and
+    the pivot of row t, by the nearest-integer rule of :func:`_echelon`
+    (the pivot first on a tie), on the two entries of row t; the one left
+    nonzero is the new pivot, and the other goes on to the rows below.
+    The rounds are collected into one unimodular 2 x 2 transform, which
+    then acts on the rows below, each entry of row s of both reduced
+    modulo moduli[s] as it is made.  That reduction takes a multiple of
+    d_s e_s off, which the pivots of rows s and below span, since they
+    are untouched still and d_s e_s is zero above row s.
     """
-    return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
+    n = len(pivots)
+    for t in range(n):
+        y = column[t]
+        if not y:
+            continue
+        piv = pivots[t]
+        x = piv[t]
+        column[t] = 0
+        # the tails are short (the rank), so plain loops beat comprehensions
+        if not y % x:  # one round, and the pivot stays
+            q = y // x
+            for s in range(t + 1, n):
+                column[s] = (column[s] - q * piv[s]) % moduli[s]
+            continue
+        # (x, y) = (a piv + b column, c piv + e column) on row t
+        a, b, c, e = 1, 0, 0, 1
+        while y:
+            if abs(y) < abs(x):
+                x, y, a, b, c, e = y, x, c, e, a, b
+            q = (2 * y + x) // (2 * x)
+            y -= q * x
+            c -= q * a
+            e -= q * b
+        pivots[t] = new = [0] * n
+        new[t] = x
+        for s in range(t + 1, n):
+            u, v, d = piv[s], column[s], moduli[s]
+            new[s] = (a * u + b * v) % d
+            column[s] = (c * u + e * v) % d
+
+
+def hnf(
+    gens: IntMatrix, basis: HnfBasis | None = None, moduli: Sequence[int] | None = None
+) -> HnfBasis:
+    """Canonical column Hermite form of the lattice spanned by the columns
+    of `gens`, and by those of `basis` when it is given.
+
+    With no `basis`, one echelon of the columns; it raises
+    ValueError("lattice not full rank") when their span has rank below
+    the ambient dimension.  With a Hermite `basis` whose lattice contains
+    diag(`moduli`) (the caller's to ensure: it is not checked), each
+    generator column is inserted into the basis row by row, reduced
+    modulo the moduli as it goes (:func:`_insert`), so no entry grows
+    past its modulus; the result always has full rank.  The result is a
+    Hermite basis by construction, so the :class:`HnfBasis` checks are
+    not run on it.
+    """
+    if basis is None:
+        return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
+    if moduli is None:
+        raise ValueError("a basis to insert into needs the moduli of its relations")
+    if gens.rows != basis.dim or len(moduli) != basis.dim:
+        raise ValueError("generators, basis and moduli take different dimensions")
+    pivots = [list(c) for c in zip(*basis.matrix.entries)]
+    for column in zip(*gens.entries):
+        if any(column):
+            _insert(pivots, list(column), moduli)
+    return _hermite(pivots)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -375,7 +468,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([c[m.rows :] for c in pending], rows=m.cols)
 
 
-def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBasis:
+def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix | HnfBasis) -> HnfBasis:
     """HNF basis of {basis @ y : m @ y lies in the target lattice}.
 
     y is in the preimage exactly when (y, z) is in the kernel of
@@ -386,15 +479,32 @@ def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBas
     the plain preimage.  The preimage always has full rank (it contains
     det(target) * Z^k), so the result has full rank whenever `basis` is
     square and nonsingular.
+
+    A Hermite `basis` may be passed as the :class:`HnfBasis` itself.  Its
+    column j is zero above row j and nonzero on it, so when m sends it to
+    zero the rows of m and the basis rows above j leave it as it is: it
+    skips the pass over the rows of m and joins the echelon only at row
+    j, as the seed of that row.
     """
+    hermite = isinstance(basis, HnfBasis)
+    if hermite:
+        basis = basis.matrix
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
     if basis.cols != m.cols:
         raise ValueError("basis and map take different domains")
-    pending = [list(c) for c in zip(*m.entries, *basis.entries)]
-    pending += [list(c) + [0] * basis.rows for c in zip(*target.matrix.entries)]
-    _echelon(pending, m.rows)
-    return _hermite(_echelon([c[m.rows :] for c in pending], basis.rows))
+    k, rows = m.rows, basis.rows
+    columns = zip(*m.entries, *basis.entries)
+    seeds = None
+    if hermite:
+        touched = list(map(any, zip(*m.entries)))
+        if not all(touched):
+            seeds = [None if t else list(c) for t, c in zip(touched, zip(*basis.entries))]
+            columns = compress(columns, touched)
+    pending = [list(c) for c in columns]
+    pending += [list(c) + [0] * rows for c in zip(*target.matrix.entries)]
+    _echelon(pending, k)
+    return _hermite(_echelon([c[k:] for c in pending], rows, seeds))
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:

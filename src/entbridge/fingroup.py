@@ -25,16 +25,22 @@ f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
 into one group and yields the running sums of the images g_t(S_t) (the
 trajectories).  Each step is at most one elimination: a meet step is one
 :func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
-previous term, whose basis it tracks, and a join step is one Hermite
-form of the previous term next to g_t(S_t).  The product that feeds
+previous term, whose basis it tracks, and a join step inserts the
+generators of g_t(S_t) into the Hermite basis of the previous term,
+which contains the relation lattice, reducing modulo the moduli as it
+goes (:func:`~entbridge.exactlinalg.hnf` with a basis: Hermite form
+modulo the relations).  Sums, images, generated subgroups and the
+surjectivity check insert their generators the same way, into the left
+operand's basis or into the relation lattice.  The product that feeds
 each step, f_t times the previous basis or g_t times the basis of S_t,
 is reduced modulo the codomain moduli as it is multiplied, like a
 composite.  That is exact and leaves every term as it was: V_t
 contains the codomain's relation lattice, so m y lies in V_t exactly
 when (m mod e) y does, row i of m taken mod e_i; and the previous join
-term contains the relation lattice too, so a generator next to it spans
-the same lattice after any multiple of d_i is taken off its entry i.
-Reduced, no entry that enters an elimination is past its modulus.
+term contains the relation lattice too, so a generator spans the same
+lattice with it after any multiple of d_i is taken off its entry i.
+Reduced, no entry that enters an elimination is past its modulus, and
+no entry of a join step grows past it.
 Three kinds of step have a known answer and skip work, each giving the
 term the plain step gives.  A first pair whose map is the identity
 gives C_1 = V_1 and T_1 = S_1 with no elimination, since the term
@@ -185,23 +191,23 @@ class SubgroupLattice:
     def sum(self, other: "SubgroupLattice") -> "SubgroupLattice":
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        gens = self.basis.matrix.hstack(other.basis.matrix)
-        return _trusted(SubgroupLattice, self.ambient, hnf(gens))
+        sum_basis = hnf(other.basis.matrix, self.basis, self.ambient.moduli)
+        return _trusted(SubgroupLattice, self.ambient, sum_basis)
 
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
         """The intersection, as B1 {a : B1 a in B2 Z^k}: one elimination
         that tracks B1, the basis of this subgroup."""
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        b1 = self.basis.matrix
-        return _trusted(SubgroupLattice, self.ambient, preimage_lattice(b1, other.basis, b1))
+        b1 = self.basis
+        return _trusted(SubgroupLattice, self.ambient, preimage_lattice(b1.matrix, other.basis, b1))
 
 
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:
     """Subgroup generated by the given elements."""
     cols = [list(group.reduce(g)) for g in generators]
-    gens = IntMatrix.from_columns(cols, rows=group.rank).hstack(group.relations.matrix)
-    return _trusted(SubgroupLattice, group, hnf(gens))
+    gens = IntMatrix.from_columns(cols, rows=group.rank)
+    return _trusted(SubgroupLattice, group, hnf(gens, group.relations, group.moduli))
 
 
 def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
@@ -292,16 +298,16 @@ class GroupHom:
 def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.domain:
         raise ValueError("subgroup not in the domain")
-    # reduced as it is multiplied, like a join step: the relations sit next to it
-    product = _product(f.matrix, subgroup.basis.matrix, f.codomain.moduli, f.domain.moduli)
-    gens = product.hstack(f.codomain.relations.matrix)
-    return _trusted(SubgroupLattice, f.codomain, hnf(gens))
+    # reduced as it is multiplied, like a join step: inserted into the relations
+    cod = f.codomain
+    product = _product(f.matrix, subgroup.basis.matrix, cod.moduli, f.domain.moduli)
+    return _trusted(SubgroupLattice, cod, hnf(product, cod.relations, cod.moduli))
 
 
 def preimage(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.codomain:
         raise ValueError("subgroup not in the codomain")
-    identity = IntMatrix.identity(f.domain.rank)
+    identity = full_subgroup(f.domain).basis
     return _trusted(SubgroupLattice, f.domain, preimage_lattice(f.matrix, subgroup.basis, identity))
 
 
@@ -312,7 +318,8 @@ def kernel(f: GroupHom) -> SubgroupLattice:
 def is_surjective(f: GroupHom) -> bool:
     """Whether the columns of M and the codomain relations span Z^k: their
     Hermite form is the identity, which is the only one of determinant 1."""
-    return hnf(f.matrix.hstack(f.codomain.relations.matrix)).det() == 1
+    cod = f.codomain
+    return hnf(f.matrix, cod.relations, cod.moduli).det() == 1
 
 
 Pairs = Iterable[tuple[GroupHom, SubgroupLattice]]
@@ -360,8 +367,8 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
         if n == 0 and f.is_endo and f == GroupHom.identity(group):
             term = v
         else:
-            basis = term.basis.matrix
-            product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
+            basis = term.basis
+            product = _product(f.matrix, basis.matrix, f.codomain.moduli, group.moduli)
             if any(map(any, product.entries)):
                 term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
         yield term
@@ -370,10 +377,10 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
 def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
     """Yield T_1, T_2, ... with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
 
-    Each step is one Hermite form of the previous term next to the
-    generators of g_n(S_n), starting from the relation lattice, which
-    every term contains, so the generators are reduced modulo the moduli
-    as they are multiplied.  Three steps have a known answer: a first map
+    Each step inserts the generators of g_n(S_n) into the Hermite basis
+    of the previous term, starting from the relation lattice, which every
+    term contains, so the generators are reduced modulo the moduli as
+    they are multiplied and as they are inserted.  Three steps have a known answer: a first map
     that is the identity gives T_1 = S_1 with no elimination, a whole
     S_n (its Hermite basis is the identity) contributes the columns of
     g_n, already reduced, with no product, and a step that adds no
@@ -398,7 +405,7 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
             whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
             gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, g.domain.moduli)
             if any(map(any, gens.entries)):
-                term = _trusted(SubgroupLattice, group, hnf(term.basis.matrix.hstack(gens)))
+                term = _trusted(SubgroupLattice, group, hnf(gens, term.basis, group.moduli))
         yield term
 
 

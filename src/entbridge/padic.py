@@ -248,7 +248,7 @@ class PadicLattice:
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
-            raise ValueError("prime required")
+            raise InputError("prime required")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
         basis = HnfBasis(self.scaled)

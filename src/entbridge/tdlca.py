@@ -229,9 +229,9 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
     """
     modulus = operator.index(modulus)
     if modulus < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InputError("modulus must be at least 2")
     if height < 2:
-        raise ValueError("tower needs at least two levels for the shift")
+        raise InputError("tower needs at least two levels for the shift")
     levels = [FinAbGroup((modulus,) * (i + 1)) for i in range(height)]
     projections, shifts = [], []
     for i in range(height - 1):
@@ -244,12 +244,12 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
 def padic_tower(prime: int, height: int, entries: Sequence[Sequence[int]]) -> TowerEndo:
     """An integer matrix acting on the p-adic tower (Z/p^(k+1))^d, lag 0."""
     if not is_prime(prime):
-        raise ValueError("prime required")
+        raise InputError("prime required")
     if height < 1:
-        raise ValueError("tower needs at least one level")
+        raise InputError("tower needs at least one level")
     m = IntMatrix.from_rows([list(row) for row in entries])
     if m.rows != m.cols:
-        raise ValueError("endomorphism matrix must be square")
+        raise InputError("endomorphism matrix must be square")
     d = m.rows
     levels = [FinAbGroup((prime ** (k + 1),) * d) for k in range(height)]
     projections = tuple(

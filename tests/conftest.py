@@ -14,9 +14,13 @@ basis together with its inverse, and :func:`conjugate_tower_endo`
 presents the same dynamics through one such pair per level, so tests can
 check that index sequences do not depend on the presentation.  Last come
 the index-sequence laws :func:`ratios`, :func:`ratios_nonincreasing` and
-:func:`shifted_submultiplicative`, read literally off the integers.
+:func:`shifted_submultiplicative`, read literally off the integers, and
+:func:`capped_instances`, instances at the schema caps that the golden
+digests and the entry-bound check share.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -229,3 +233,40 @@ def shifted_submultiplicative(indices) -> bool:
     seq = validate_indices(indices)
     n = len(seq)
     return all(seq[i + j] <= seq[i] * seq[j] for i in range(1, n) for j in range(i, n - i))
+
+
+def capped_instances() -> dict[str, dict]:
+    """Verify instances at the schema caps, where the Hermite entries of a
+    chain step are widest: finite rank 16 with moduli 2^128 and 16
+    generators, and with moduli alternating 2^128 and 6^49 (the
+    endomorphism by the residue rule, entry (i, j) a multiple of
+    d_i / gcd(d_i, d_j)); the shift over Z/2^128 at height 64 from level
+    1; a dense 16 x 16 qp matrix of thirds over Q_3 at 64 steps, whose
+    working modulus is 3^63; and the upper-bidiagonal 16 x 16 qp matrix
+    with 1/4 on the diagonal over Q_2 at 64 steps, working modulo 2^126.
+    Each is built from its own random.Random(0)."""
+    rng = random.Random(0)
+    pow2 = [2**128] * 16
+    vector = lambda: [rng.randrange(2**128) for _ in range(16)]
+    finite_pow2 = {
+        "kind": "finite", "moduli": pow2, "steps": 64,
+        "endomorphism": [vector() for _ in range(16)], "subgroup": [vector() for _ in range(16)],
+    }
+    rng = random.Random(0)
+    mixed = [2**128 if i % 2 == 0 else 6**49 for i in range(16)]
+    entry = lambda di, dj: di // math.gcd(di, dj) * rng.randrange(math.gcd(di, dj))
+    finite_mixed = {
+        "kind": "finite", "moduli": mixed, "steps": 64,
+        "endomorphism": [[entry(di, dj) for dj in mixed] for di in mixed],
+        "subgroup": [[rng.randrange(d) for d in mixed] for _ in range(2)],
+    }
+    rng = random.Random(0)
+    thirds = [[f"{rng.randrange(-9, 10)}/3" for _ in range(16)] for _ in range(16)]
+    bidiagonal = [["1/4" if c == r else "1" if c == r + 1 else "0" for c in range(16)] for r in range(16)]
+    return {
+        "finite-2^128-rank-16": finite_pow2,
+        "finite-mixed-rank-16": finite_mixed,
+        "shift-2^128-height-64": {"kind": "shift", "modulus": 2**128, "height": 64, "level": 1, "steps": 63},
+        "qp-dense-3-steps-64": {"kind": "qp", "prime": 3, "matrix": thirds, "steps": 64},
+        "qp-bidiagonal-2-steps-64": {"kind": "qp", "prime": 2, "matrix": bidiagonal, "steps": 64},
+    }

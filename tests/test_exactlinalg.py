@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import det, unimodular_pair
+from conftest import capped_instances, det, unimodular_pair
+from entbridge import duality, exactlinalg, fingroup
+from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import (
     HnfBasis,
     InputError,
@@ -420,6 +422,43 @@ def maximal_minor_gcd(m: IntMatrix) -> int:
     return g
 
 
+# moduli up to 2^128, with 1, 2, 6 and the top on their own
+relation_moduli = st.one_of(st.sampled_from([1, 2, 6, 2**128]), st.integers(1, 2**128))
+
+
+@st.composite
+def relation_bases(draw):
+    """(basis, moduli): a Hermite basis of rank 1-6 whose lattice contains
+    diag(moduli), the row-scan Hermite form of the relations next to 0-3
+    columns of entries up to 2^128, so it is the relation lattice itself
+    or a lattice above it."""
+    k = draw(st.integers(1, 6))
+    moduli = draw(st.lists(relation_moduli, min_size=k, max_size=k))
+    extra = draw(st.lists(st.lists(st.integers(0, 2**128), min_size=k, max_size=k), max_size=3))
+    return hnf(IntMatrix.diagonal(moduli).hstack(IntMatrix.from_columns(extra, rows=k))), moduli
+
+
+@st.composite
+def generator_matrices(draw, moduli):
+    """0-5 generator columns for the moduli, each drawn by shape: zero, a
+    unit column, or dense, its entries zero, at the modulus less one,
+    reduced, or of either sign and past 2^128, so past the modulus."""
+    k = len(moduli)
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(["zero", "unit", "dense"]))
+        column = [0] * k
+        if shape == "unit":
+            column[draw(st.integers(0, k - 1))] = 1
+        elif shape == "dense":
+            column = [
+                draw(st.one_of(st.just(0), st.just(d - 1), st.integers(0, d - 1), st.integers(-(2**130), 2**130)))
+                for d in moduli
+            ]
+        columns.append(column)
+    return IntMatrix.from_columns(columns, rows=k)
+
+
 @st.composite
 def kernel_cases(draw):
     """Any shape up to 3 x 5; tiny entries make rank deficiency common."""
@@ -447,6 +486,69 @@ def preimage_cases(draw):
         for i in range(r)
     ]
     return m, HnfBasis(IntMatrix.from_rows(rows, cols=r))
+
+
+class TestHnfModuloRelations:
+    """hnf(gens, basis, moduli): generators inserted into a Hermite basis
+    that contains the relations, against the row-scan of both together."""
+
+    def test_worked_example(self):
+        # Z^2 / diag(4, 6): the generator (2, 3) joins the relations
+        relations = hnf(IntMatrix.diagonal([4, 6]))
+        gens = IntMatrix.from_columns([[2, 3]], rows=2)
+        assert hnf(gens, relations, [4, 6]).matrix.entries == ((2, 0), (3, 6))
+        assert hnf(gens, relations, [4, 6]) == hnf(relations.matrix.hstack(gens))
+
+    @given(relation_bases().flatmap(lambda case: st.tuples(st.just(case), generator_matrices(case[1]))))
+    @settings(max_examples=300)
+    def test_insertion_matches_the_row_scan(self, case):
+        (basis, moduli), gens = case
+        assert hnf(gens, basis, moduli) == hnf(basis.matrix.hstack(gens))
+
+    def test_no_generators_give_the_basis(self):
+        basis = hnf(IntMatrix.from_columns([[2, 1], [0, 3]], rows=2))
+        zeros = IntMatrix.from_columns([[0, 0]], rows=2)
+        assert hnf(zeros, basis, [2, 3]) == basis
+        assert hnf(IntMatrix.zero(2, 0), basis, [2, 3]) == basis
+
+    def test_dimensions_checked(self):
+        basis = hnf(IntMatrix.diagonal([2, 3]))
+        with pytest.raises(ValueError, match="different dimensions"):
+            hnf(IntMatrix.identity(3), basis, [2, 3])
+        with pytest.raises(ValueError, match="different dimensions"):
+            hnf(IntMatrix.identity(2), basis, [2, 3, 5])
+        with pytest.raises(ValueError, match="needs the moduli"):
+            hnf(IntMatrix.identity(2), basis)
+
+    def test_inserted_pivots_stay_within_the_largest_modulus(self, monkeypatch):
+        """Every entry of the pivots that _hermite receives from an insertion
+        on the dense 16 x 16 qp instance over Q_3 at 64 steps is at most
+        the working modulus 3^63.  Without the reduction modulo the moduli
+        the same report comes out, but the entries grow with every row and
+        the instance takes two orders of magnitude longer."""
+        largest = []
+        inserting = []
+        original_hnf, original_hermite = exactlinalg.hnf, exactlinalg._hermite
+
+        def hnf_spy(gens, basis=None, moduli=None):
+            inserting.append(basis is not None)
+            try:
+                return original_hnf(gens, basis, moduli)
+            finally:
+                inserting.pop()
+
+        def hermite_spy(pivots):
+            if inserting and inserting[-1]:
+                largest.append(max(abs(x) for piv in pivots for x in piv))
+            return original_hermite(pivots)
+
+        for module in (fingroup, duality):
+            monkeypatch.setattr(module, "hnf", hnf_spy)
+        monkeypatch.setattr(exactlinalg, "_hermite", hermite_spy)
+        report = verify_instance(capped_instances()["qp-dense-3-steps-64"])
+        assert report["verdict"] == "pass"
+        assert len(largest) > 60  # the join steps ran through the insertion
+        assert max(largest) <= 3**63
 
 
 class TestKernel:
@@ -520,6 +622,41 @@ class TestPreimageLattice:
             return
         plain = preimage_lattice(m, target, IntMatrix.identity(k))
         assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+    @given(preimage_cases().filter(lambda case: case[0].rows > 0), st.data())
+    @settings(max_examples=200)
+    def test_seeded_hermite_basis_matches_two_steps(self, case, data):
+        # a Hermite basis passed as such, with some columns of m zero: those
+        # columns seed their rows, and the result is the plain preimage
+        # multiplied by the basis and put in Hermite form, as for the matrix
+        m, target = case
+        k = m.cols
+        zeroed = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+        m = IntMatrix.from_rows([[0 if j in zeroed else x for j, x in enumerate(row)] for row in m.entries], cols=k)
+        diag = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        rows = [[data.draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] if j == i else 0 for j in range(k)] for i in range(k)]
+        basis = HnfBasis(IntMatrix.from_rows(rows, cols=k))
+        plain = preimage_lattice(m, target, IntMatrix.identity(k))
+        expected = hnf(basis.matrix @ plain.matrix)
+        assert preimage_lattice(m, target, basis) == expected
+        assert preimage_lattice(m, target, basis.matrix) == expected
+
+    def test_zero_columns_of_m_seed_their_rows(self, monkeypatch):
+        seen = []
+        original = exactlinalg._echelon
+
+        def spy(pending, rows, seeds=None):
+            seen.append(seeds)
+            return original(pending, rows, seeds)
+
+        monkeypatch.setattr(exactlinalg, "_echelon", spy)
+        m = IntMatrix.from_rows([[0, 2, 0], [0, 1, 0]])
+        target = hnf(IntMatrix.diagonal([4, 4]))
+        basis = hnf(IntMatrix.from_columns([[2, 1, 0], [0, 3, 1], [0, 0, 5]], rows=3))
+        seeded = preimage_lattice(m, target, basis)
+        assert [s is not None for s in seen[-1]] == [True, False, True]
+        assert seeded == preimage_lattice(m, target, basis.matrix)
+        assert seen[-1] is None
 
     def test_basis_shape_checked(self):
         m = IntMatrix.identity(2)

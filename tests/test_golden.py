@@ -1,8 +1,9 @@
 """Byte-identical reports: sha256 digests of canonical verify reports.
 
 Each digest is sha256 of ``cli.canonical_json(verify_instance(instance))``
-for ``random_instance(random.Random(seed), kind)``, seeds 0-7, and for
-a few hand-written instances the generators never draw.  They pin
+for ``random_instance(random.Random(seed), kind)``, seeds 0-7, for a
+few hand-written instances the generators never draw, and for the
+instances at the schema caps that ``conftest.capped_instances`` builds.  They pin
 the whole report (index sequences, estimates, verdicts and
 counterexample payloads), so a change to any computation on the report
 route that alters a single byte fails here.  Regenerate them only for a
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+from conftest import capped_instances
 from entbridge.bridge import random_instance, verify_instance
 from entbridge.cli import canonical_json
 
@@ -90,3 +92,21 @@ HAND_WRITTEN = {
 def test_hand_written_reports_match_golden_digests(name):
     instance, digest = HAND_WRITTEN[name]
     assert hashlib.sha256(canonical_json(verify_instance(instance)).encode()).hexdigest() == digest
+
+
+# instances at the schema caps (conftest.capped_instances), where Hermite
+# entries are widest; computed before the join steps, sums, images and
+# annihilators moved to Hermite form modulo the relations
+CAPPED = {
+    "finite-2^128-rank-16": "bc2aae0d84e183a0f0c156c95ae7a766c3e9e12df17bfa52a58181aa2435b1f6",
+    "finite-mixed-rank-16": "6666e18f74609d449d6ec5ed77719e7f0b0c660ae923104461a059ce401d3509",
+    "shift-2^128-height-64": "2baf6655ab5aaa6f3c65615dc851fd53886ce56762527bebc846f1b4fffcc485",
+    "qp-dense-3-steps-64": "bf98e9c2b9b7a763b90c9310d7354d18a3a4fb3999286cf9bad368ea6ce6f503",
+    "qp-bidiagonal-2-steps-64": "5cad816e720f11c781a77bf0079c9759bc01c774329590dd3936c057570bc104",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_capped_reports_match_golden_digests(name):
+    instance = capped_instances()[name]
+    assert hashlib.sha256(canonical_json(verify_instance(instance)).encode()).hexdigest() == CAPPED[name]

@@ -228,6 +228,10 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="shift is not minimal"):
             PadicLattice(2, IntMatrix.diagonal([2, 2]), 1)
 
+    def test_prime_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="prime required"):
+            PadicLattice(4, IntMatrix.identity(1), 0)
+
 
 class TestIndex:
     def test_frozen_values(self):

@@ -191,6 +191,14 @@ class TestFullShift:
         with pytest.raises(ValueError, match="two levels"):
             full_shift_tower(2, 1)
 
+    def test_modulus_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="modulus must be at least 2"):
+            full_shift_tower(1, 8)
+
+    def test_height_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="tower needs at least two levels for the shift"):
+            full_shift_tower(2, 1)
+
 
 class TestConditionMaps:
     """The maps of TowerEndo.pairs, built by the definition
@@ -327,6 +335,18 @@ class TestPadicTower:
 
     def test_requires_square_matrix(self):
         with pytest.raises(ValueError, match="square"):
+            padic_tower(2, 2, [[1, 0]])
+
+    def test_prime_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="prime required"):
+            padic_tower(4, 2, [[1]])
+
+    def test_height_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="tower needs at least one level"):
+            padic_tower(2, 0, [[1]])
+
+    def test_square_refusal_is_input_error(self):
+        with pytest.raises(InputError, match="endomorphism matrix must be square"):
             padic_tower(2, 2, [[1, 0]])
 
     def test_projection_reduces_the_rows_it_copies(self):
