@@ -78,7 +78,7 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
     # the relation matrix is diagonal: its row i is the column d_i e_i
     rows = [subgroup.basis.solve(r) for r in g.relations.matrix.entries]
     gens = _trusted(IntMatrix, g.rank, g.rank, tuple(rows))
-    lattice = hnf(gens, g.relations, g.moduli)
+    lattice = hnf(gens, g.relations, g.moduli, False)  # the relations hold themselves
     return _trusted(SubgroupLattice, dual_group(g), lattice)
 
 

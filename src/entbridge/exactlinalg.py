@@ -20,10 +20,8 @@ on the row, and a column leaves the round once it is zero there.
 Hermite form, and :func:`kernel_basis` reads the identity rows of m
 stacked on the identity.  :func:`preimage_lattice` reduces [m | target]
 over [basis | 0] in one pass: the rows of m, then straight on down the
-basis rows, whose pivots in Hermite form are basis . {y : m y in target};
-a column of a Hermite basis that m sends to zero skips the rows of m and
-joins only at its own row, as that row's first pivot candidate (its
-seed).  :func:`snf` runs the echelon on a matrix and then on the
+basis rows, whose pivots in Hermite form are basis . {y : m y in target}.
+:func:`snf` runs the echelon on a matrix and then on the
 transpose of its pivot columns, alternately, until every pivot column
 has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
@@ -39,7 +37,9 @@ which is zero above row s, so they span it, and taking a multiple of it
 off the two columns changes neither lattice.  So no entry that enters
 the final Hermite step is past the largest modulus, where the row-scan
 on the basis next to the generators lets entries grow with every row.
-The row-scan stays wherever the generators are arbitrary (the pass over
+:func:`hnf` checks the containment unless told not to; the callers in
+:mod:`entbridge.fingroup` and :mod:`entbridge.duality` hold it by
+construction and skip the check.  The row-scan stays wherever the generators are arbitrary (the pass over
 m, kernels, Smith forms and the p-adic lattices): there no relation
 lattice is known to reduce by.
 
@@ -88,7 +88,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence, TypeVar
 
 __all__ = [
@@ -315,9 +314,7 @@ class HnfBasis:
         return coords
 
 
-def _echelon(
-    pending: list[list[int]], rows: int, seeds: Sequence[list[int] | None] | None = None
-) -> list[list[int] | None]:
+def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
     """Column echelon of the columns `pending` on their first `rows` rows.
 
     Row i is shrunk by Euclid across the pending columns until at most one
@@ -326,20 +323,13 @@ def _echelon(
     nearest-integer multiple of it from the others, so every remainder is
     at most half the pivot; a column leaves the round once it is zero on
     row i.  Each pivot leaves `pending`, and the columns left are zero
-    above row i, so updates start at row i.  `seeds[i]`, when given and
-    not None, is a column zero above row i and nonzero on it, which the
-    rows before would leave as it is: it joins the columns live on row i
-    there, first, so it is the pivot on a tie, and `pending` only if it
-    is not the pivot.  Returns the pivots; `pending` keeps the columns
-    left zero on every row reduced, and the rows below follow the column
-    operations.
+    above row i, so updates start at row i.  Returns the pivots; `pending`
+    keeps the columns left zero on every row reduced, and the rows below
+    follow the column operations.
     """
     pivots: list[list[int] | None] = []
     for i in range(rows):
-        seed = None if seeds is None else seeds[i]
         live = [c for c in pending if c[i]]
-        if seed is not None:
-            live.insert(0, seed)
         while len(live) > 1:
             sizes = [abs(c[i]) for c in live]
             piv = live[sizes.index(min(sizes))]
@@ -355,10 +345,8 @@ def _echelon(
                     if c[i]:
                         left.append(c)
             live = left
-        if live and live[0] is not seed:
+        if live:
             pending.remove(live[0])  # the only pending column nonzero on row i
-        if seed is not None and live[0] is not seed:
-            pending.append(seed)  # zero on row i now, as the others left
         pivots.append(live[0] if live else None)
     return pivots
 
@@ -427,7 +415,10 @@ def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -
 
 
 def hnf(
-    gens: IntMatrix, basis: HnfBasis | None = None, moduli: Sequence[int] | None = None
+    gens: IntMatrix,
+    basis: HnfBasis | None = None,
+    moduli: Sequence[int] | None = None,
+    check: bool = True,
 ) -> HnfBasis:
     """Canonical column Hermite form of the lattice spanned by the columns
     of `gens`, and by those of `basis` when it is given.
@@ -435,19 +426,22 @@ def hnf(
     With no `basis`, one echelon of the columns; it raises
     ValueError("lattice not full rank") when their span has rank below
     the ambient dimension.  With a Hermite `basis` whose lattice contains
-    diag(`moduli`) (the caller's to ensure: it is not checked), each
-    generator column is inserted into the basis row by row, reduced
-    modulo the moduli as it goes (:func:`_insert`), so no entry grows
-    past its modulus; the result always has full rank.  The result is a
-    Hermite basis by construction, so the :class:`HnfBasis` checks are
-    not run on it.
+    diag(`moduli`), each generator column is inserted into the basis row
+    by row, reduced modulo the moduli as it goes (:func:`_insert`), so no
+    entry grows past its modulus; the result always has full rank.  That
+    containment is checked, one forward substitution per modulus, and a
+    basis without it raises ValueError.  A `check` of False skips that,
+    for a caller that holds it by construction (a subgroup basis and the
+    moduli of its group), as it costs about as much as the insertion.
+    The result is a Hermite basis by construction, so the
+    :class:`HnfBasis` checks are not run on it.
     """
     if basis is None:
         return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
-    if moduli is None:
-        raise ValueError("a basis to insert into needs the moduli of its relations")
-    if gens.rows != basis.dim or len(moduli) != basis.dim:
-        raise ValueError("generators, basis and moduli take different dimensions")
+    if moduli is None or gens.rows != basis.dim or len(moduli) != basis.dim:
+        raise ValueError("a basis needs generators and moduli of its dimension")
+    if check and not basis.contains_lattice(HnfBasis(IntMatrix.diagonal(moduli))):
+        raise ValueError("basis does not contain diag(moduli)")
     pivots = [list(c) for c in zip(*basis.matrix.entries)]
     for column in zip(*gens.entries):
         if any(column):
@@ -468,7 +462,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns([c[m.rows :] for c in pending], rows=m.cols)
 
 
-def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix | HnfBasis) -> HnfBasis:
+def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBasis:
     """HNF basis of {basis @ y : m @ y lies in the target lattice}.
 
     y is in the preimage exactly when (y, z) is in the kernel of
@@ -479,32 +473,15 @@ def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix | HnfBasis
     the plain preimage.  The preimage always has full rank (it contains
     det(target) * Z^k), so the result has full rank whenever `basis` is
     square and nonsingular.
-
-    A Hermite `basis` may be passed as the :class:`HnfBasis` itself.  Its
-    column j is zero above row j and nonzero on it, so when m sends it to
-    zero the rows of m and the basis rows above j leave it as it is: it
-    skips the pass over the rows of m and joins the echelon only at row
-    j, as the seed of that row.
     """
-    hermite = isinstance(basis, HnfBasis)
-    if hermite:
-        basis = basis.matrix
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
     if basis.cols != m.cols:
         raise ValueError("basis and map take different domains")
-    k, rows = m.rows, basis.rows
-    columns = zip(*m.entries, *basis.entries)
-    seeds = None
-    if hermite:
-        touched = list(map(any, zip(*m.entries)))
-        if not all(touched):
-            seeds = [None if t else list(c) for t, c in zip(touched, zip(*basis.entries))]
-            columns = compress(columns, touched)
-    pending = [list(c) for c in columns]
-    pending += [list(c) + [0] * rows for c in zip(*target.matrix.entries)]
-    _echelon(pending, k)
-    return _hermite(_echelon([c[k:] for c in pending], rows, seeds))
+    pending = [list(c) for c in zip(*m.entries, *basis.entries)]
+    pending += [list(c) + [0] * basis.rows for c in zip(*target.matrix.entries)]
+    _echelon(pending, m.rows)
+    return _hermite(_echelon([c[m.rows :] for c in pending], basis.rows))
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:

@@ -31,7 +31,9 @@ which contains the relation lattice, reducing modulo the moduli as it
 goes (:func:`~entbridge.exactlinalg.hnf` with a basis: Hermite form
 modulo the relations).  Sums, images, generated subgroups and the
 surjectivity check insert their generators the same way, into the left
-operand's basis or into the relation lattice.  The product that feeds
+operand's basis or into the relation lattice.  Each skips the check
+that the basis contains the relations, which every subgroup basis here
+does by construction.  The product that feeds
 each step, f_t times the previous basis or g_t times the basis of S_t,
 is reduced modulo the codomain moduli as it is multiplied, like a
 composite.  That is exact and leaves every term as it was: V_t
@@ -191,7 +193,8 @@ class SubgroupLattice:
     def sum(self, other: "SubgroupLattice") -> "SubgroupLattice":
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        sum_basis = hnf(other.basis.matrix, self.basis, self.ambient.moduli)
+        # False: no containment check, as every subgroup basis holds the relations
+        sum_basis = hnf(other.basis.matrix, self.basis, self.ambient.moduli, False)
         return _trusted(SubgroupLattice, self.ambient, sum_basis)
 
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
@@ -199,15 +202,15 @@ class SubgroupLattice:
         that tracks B1, the basis of this subgroup."""
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        b1 = self.basis
-        return _trusted(SubgroupLattice, self.ambient, preimage_lattice(b1.matrix, other.basis, b1))
+        b1 = self.basis.matrix
+        return _trusted(SubgroupLattice, self.ambient, preimage_lattice(b1, other.basis, b1))
 
 
 def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[int]]) -> SubgroupLattice:
     """Subgroup generated by the given elements."""
     cols = [list(group.reduce(g)) for g in generators]
     gens = IntMatrix.from_columns(cols, rows=group.rank)
-    return _trusted(SubgroupLattice, group, hnf(gens, group.relations, group.moduli))
+    return _trusted(SubgroupLattice, group, hnf(gens, group.relations, group.moduli, False))
 
 
 def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
@@ -301,13 +304,13 @@ def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     # reduced as it is multiplied, like a join step: inserted into the relations
     cod = f.codomain
     product = _product(f.matrix, subgroup.basis.matrix, cod.moduli, f.domain.moduli)
-    return _trusted(SubgroupLattice, cod, hnf(product, cod.relations, cod.moduli))
+    return _trusted(SubgroupLattice, cod, hnf(product, cod.relations, cod.moduli, False))
 
 
 def preimage(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     if subgroup.ambient != f.codomain:
         raise ValueError("subgroup not in the codomain")
-    identity = full_subgroup(f.domain).basis
+    identity = IntMatrix.identity(f.domain.rank)
     return _trusted(SubgroupLattice, f.domain, preimage_lattice(f.matrix, subgroup.basis, identity))
 
 
@@ -319,7 +322,7 @@ def is_surjective(f: GroupHom) -> bool:
     """Whether the columns of M and the codomain relations span Z^k: their
     Hermite form is the identity, which is the only one of determinant 1."""
     cod = f.codomain
-    return hnf(f.matrix, cod.relations, cod.moduli).det() == 1
+    return hnf(f.matrix, cod.relations, cod.moduli, False).det() == 1
 
 
 Pairs = Iterable[tuple[GroupHom, SubgroupLattice]]
@@ -367,8 +370,8 @@ def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
         if n == 0 and f.is_endo and f == GroupHom.identity(group):
             term = v
         else:
-            basis = term.basis
-            product = _product(f.matrix, basis.matrix, f.codomain.moduli, group.moduli)
+            basis = term.basis.matrix
+            product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
             if any(map(any, product.entries)):
                 term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
         yield term
@@ -405,7 +408,8 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
             whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
             gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, g.domain.moduli)
             if any(map(any, gens.entries)):
-                term = _trusted(SubgroupLattice, group, hnf(gens, term.basis, group.moduli))
+                joined = hnf(gens, term.basis, group.moduli, False)
+                term = _trusted(SubgroupLattice, group, joined)
         yield term
 
 

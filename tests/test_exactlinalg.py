@@ -503,22 +503,50 @@ class TestHnfModuloRelations:
     @settings(max_examples=300)
     def test_insertion_matches_the_row_scan(self, case):
         (basis, moduli), gens = case
-        assert hnf(gens, basis, moduli) == hnf(basis.matrix.hstack(gens))
+        expected = hnf(basis.matrix.hstack(gens))
+        assert hnf(gens, basis, moduli) == expected
+        assert hnf(gens, basis, moduli, False) == expected
 
     def test_no_generators_give_the_basis(self):
+        # (6, 0) = 3 (2, 1) - (0, 3), so the basis contains diag(6, 3)
         basis = hnf(IntMatrix.from_columns([[2, 1], [0, 3]], rows=2))
         zeros = IntMatrix.from_columns([[0, 0]], rows=2)
-        assert hnf(zeros, basis, [2, 3]) == basis
-        assert hnf(IntMatrix.zero(2, 0), basis, [2, 3]) == basis
+        assert hnf(zeros, basis, [6, 3]) == basis
+        assert hnf(IntMatrix.zero(2, 0), basis, [6, 3]) == basis
+
+    def test_basis_without_the_relations_refused(self):
+        # diag(4, 4) does not contain (2, 0): reducing modulo 2 would turn
+        # the Hermite form [[1, 0], [3, 4]] of (1, 3) and diag(4, 4) into
+        # [[1, 0], [1, 4]]; and [[2, 0], [1, 4]] passes a test of its
+        # diagonal alone against the moduli (4, 4), but not (4, 0)
+        gens = IntMatrix.from_columns([[1, 3]], rows=2)
+        with pytest.raises(ValueError, match=r"does not contain diag\(moduli\)"):
+            hnf(gens, hnf(IntMatrix.diagonal([4, 4])), [2, 2])
+        skew = HnfBasis(IntMatrix.from_rows([[2, 0], [1, 4]]))
+        with pytest.raises(ValueError, match=r"does not contain diag\(moduli\)"):
+            hnf(gens, skew, [4, 4])
+        with pytest.raises(ValueError, match="diagonal entries must be positive"):
+            hnf(gens, hnf(IntMatrix.identity(2)), [2, 0])
 
     def test_dimensions_checked(self):
         basis = hnf(IntMatrix.diagonal([2, 3]))
-        with pytest.raises(ValueError, match="different dimensions"):
-            hnf(IntMatrix.identity(3), basis, [2, 3])
-        with pytest.raises(ValueError, match="different dimensions"):
-            hnf(IntMatrix.identity(2), basis, [2, 3, 5])
-        with pytest.raises(ValueError, match="needs the moduli"):
+        for gens, moduli in ((IntMatrix.identity(3), [2, 3]), (IntMatrix.identity(2), [2, 3, 5])):
+            with pytest.raises(ValueError, match="generators and moduli of its dimension"):
+                hnf(gens, basis, moduli)
+        with pytest.raises(ValueError, match="generators and moduli of its dimension"):
             hnf(IntMatrix.identity(2), basis)
+
+    def test_package_skips_the_containment_check(self, monkeypatch):
+        # every insertion on the verify route vouches for its basis, so the
+        # check, which costs about as much as the insertion, never runs there
+        def refuse(self, other):
+            raise AssertionError("a containment check ran on the verify route")
+
+        monkeypatch.setattr(HnfBasis, "contains_lattice", refuse)
+        finite = {"kind": "finite", "moduli": [12, 18], "endomorphism": [[1, 2], [3, 5]], "subgroup": [[2, 3]], "steps": 6}
+        shift = {"kind": "shift", "modulus": 6, "height": 8, "level": 1, "steps": 7}
+        for instance in (finite, shift):
+            assert verify_instance(instance)["verdict"] == "pass"
 
     def test_inserted_pivots_stay_within_the_largest_modulus(self, monkeypatch):
         """Every entry of the pivots that _hermite receives from an insertion
@@ -530,10 +558,10 @@ class TestHnfModuloRelations:
         inserting = []
         original_hnf, original_hermite = exactlinalg.hnf, exactlinalg._hermite
 
-        def hnf_spy(gens, basis=None, moduli=None):
+        def hnf_spy(gens, basis=None, moduli=None, check=True):
             inserting.append(basis is not None)
             try:
-                return original_hnf(gens, basis, moduli)
+                return original_hnf(gens, basis, moduli, check)
             finally:
                 inserting.pop()
 
@@ -622,41 +650,6 @@ class TestPreimageLattice:
             return
         plain = preimage_lattice(m, target, IntMatrix.identity(k))
         assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
-
-    @given(preimage_cases().filter(lambda case: case[0].rows > 0), st.data())
-    @settings(max_examples=200)
-    def test_seeded_hermite_basis_matches_two_steps(self, case, data):
-        # a Hermite basis passed as such, with some columns of m zero: those
-        # columns seed their rows, and the result is the plain preimage
-        # multiplied by the basis and put in Hermite form, as for the matrix
-        m, target = case
-        k = m.cols
-        zeroed = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
-        m = IntMatrix.from_rows([[0 if j in zeroed else x for j, x in enumerate(row)] for row in m.entries], cols=k)
-        diag = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
-        rows = [[data.draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] if j == i else 0 for j in range(k)] for i in range(k)]
-        basis = HnfBasis(IntMatrix.from_rows(rows, cols=k))
-        plain = preimage_lattice(m, target, IntMatrix.identity(k))
-        expected = hnf(basis.matrix @ plain.matrix)
-        assert preimage_lattice(m, target, basis) == expected
-        assert preimage_lattice(m, target, basis.matrix) == expected
-
-    def test_zero_columns_of_m_seed_their_rows(self, monkeypatch):
-        seen = []
-        original = exactlinalg._echelon
-
-        def spy(pending, rows, seeds=None):
-            seen.append(seeds)
-            return original(pending, rows, seeds)
-
-        monkeypatch.setattr(exactlinalg, "_echelon", spy)
-        m = IntMatrix.from_rows([[0, 2, 0], [0, 1, 0]])
-        target = hnf(IntMatrix.diagonal([4, 4]))
-        basis = hnf(IntMatrix.from_columns([[2, 1, 0], [0, 3, 1], [0, 0, 5]], rows=3))
-        seeded = preimage_lattice(m, target, basis)
-        assert [s is not None for s in seen[-1]] == [True, False, True]
-        assert seeded == preimage_lattice(m, target, basis.matrix)
-        assert seen[-1] is None
 
     def test_basis_shape_checked(self):
         m = IntMatrix.identity(2)

@@ -219,7 +219,7 @@ class TestCanonicalForm:
             lattice_from_columns(2, [])
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="prime required"):
+        with pytest.raises(InputError, match="prime required"):
             PadicLattice(4, IntMatrix.identity(1), 0)
         with pytest.raises(ValueError, match="shift must be nonnegative"):
             PadicLattice(2, IntMatrix.identity(1), -1)
@@ -227,10 +227,6 @@ class TestCanonicalForm:
             PadicLattice(2, IntMatrix.diagonal([3]), 0)
         with pytest.raises(ValueError, match="shift is not minimal"):
             PadicLattice(2, IntMatrix.diagonal([2, 2]), 1)
-
-    def test_prime_refusal_is_input_error(self):
-        with pytest.raises(InputError, match="prime required"):
-            PadicLattice(4, IntMatrix.identity(1), 0)
 
 
 class TestIndex:

@@ -186,17 +186,9 @@ class TestFullShift:
         assert calls == {"trivial_subgroup": 1, "full_subgroup": 1}
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="modulus"):
+        with pytest.raises(InputError, match="modulus"):
             full_shift_tower(1, 4)
-        with pytest.raises(ValueError, match="two levels"):
-            full_shift_tower(2, 1)
-
-    def test_modulus_refusal_is_input_error(self):
-        with pytest.raises(InputError, match="modulus must be at least 2"):
-            full_shift_tower(1, 8)
-
-    def test_height_refusal_is_input_error(self):
-        with pytest.raises(InputError, match="tower needs at least two levels for the shift"):
+        with pytest.raises(InputError, match="two levels"):
             full_shift_tower(2, 1)
 
 
@@ -326,7 +318,7 @@ class TestPadicTower:
 
     @pytest.mark.parametrize("not_prime", [1, 4, 9, 15])
     def test_requires_prime(self, not_prime):
-        with pytest.raises(ValueError, match="prime required"):
+        with pytest.raises(InputError, match="prime required"):
             padic_tower(not_prime, 2, [[1]])
 
     @pytest.mark.parametrize("prime", [2, 3, 7919])
@@ -334,20 +326,12 @@ class TestPadicTower:
         assert padic_tower(prime, 2, [[1]]).tower.levels[1].moduli == (prime**2,)
 
     def test_requires_square_matrix(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(InputError, match="square"):
             padic_tower(2, 2, [[1, 0]])
-
-    def test_prime_refusal_is_input_error(self):
-        with pytest.raises(InputError, match="prime required"):
-            padic_tower(4, 2, [[1]])
 
     def test_height_refusal_is_input_error(self):
         with pytest.raises(InputError, match="tower needs at least one level"):
             padic_tower(2, 0, [[1]])
-
-    def test_square_refusal_is_input_error(self):
-        with pytest.raises(InputError, match="endomorphism matrix must be square"):
-            padic_tower(2, 2, [[1, 0]])
 
     def test_projection_reduces_the_rows_it_copies(self):
         # the projection Z/4 -> Z/2 is the identity matrix, so each of its
