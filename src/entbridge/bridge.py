@@ -386,10 +386,25 @@ def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
     }
 
 
+_REQUIRED = {
+    "finite": ("moduli", "endomorphism", "subgroup", "steps"),
+    "shift": ("modulus", "height", "level", "steps"),
+    "qp": ("prime", "matrix", "steps"),
+    "real": ("matrix",),
+}
+
+
 def verify_instance(instance: dict) -> dict:
     """Dispatch one parsed instance description to its bridge; a refusal raises InputError."""
+    if not isinstance(instance, dict):
+        raise InputError(f"an instance is a dict, not {type(instance).__name__}")
     kind = instance.get("kind")
-    if kind in ("finite", "shift", "qp") and instance["steps"] < 2:
+    if not isinstance(kind, str) or kind not in _REQUIRED:
+        raise InputError(f"unknown instance kind: {kind!r}")
+    missing = [key for key in _REQUIRED[kind] if key not in instance]
+    if missing:
+        raise InputError(f"{kind} instance lacks {missing[0]!r}")
+    if kind != "real" and instance["steps"] < 2:
         raise InputError("step count must be at least 2")
     if kind == "finite":
         group = FinAbGroup(tuple(instance["moduli"]))
@@ -397,14 +412,10 @@ def verify_instance(instance: dict) -> dict:
         u = subgroup_from_generators(group, instance["subgroup"])
         return finite_bridge(f, u, instance["steps"])
     if kind == "shift":
-        return shift_bridge(
-            instance["modulus"], instance["height"], instance["level"], instance["steps"]
-        )
+        return shift_bridge(instance["modulus"], instance["height"], instance["level"], instance["steps"])
     if kind == "qp":
         return qp_bridge(instance["prime"], instance["matrix"], instance["steps"])
-    if kind == "real":
-        return real_bridge(instance["matrix"], instance.get("tolerance", 1e-9))
-    raise InputError(f"unknown instance kind: {kind!r}")
+    return real_bridge(instance["matrix"], instance.get("tolerance", 1e-9))
 
 
 def random_finite_group(rng: random.Random, max_order: int = 4096) -> FinAbGroup:

@@ -70,16 +70,15 @@ def annihilator(subgroup: SubgroupLattice) -> SubgroupLattice:
     the relations D Z^k: its column i is the coordinate vector of d_i e_i
     in B, which :meth:`HnfBasis.solve` returns.  The perp contains the
     relations of the dual group, which are diag(moduli) again, so its
-    Hermite form is those k rows inserted into that diagonal, reduced
-    modulo the moduli as they go (:func:`~entbridge.exactlinalg.hnf`
-    with a basis), on entries never scaled by lcm(moduli).
+    Hermite form is :func:`~entbridge.exactlinalg.hnf` of those k rows
+    with the moduli: inserted into that diagonal, reduced modulo the
+    moduli as they go, on entries never scaled by lcm(moduli).
     """
     g = subgroup.ambient
     # the relation matrix is diagonal: its row i is the column d_i e_i
     rows = [subgroup.basis.solve(r) for r in g.relations.matrix.entries]
     gens = _trusted(IntMatrix, g.rank, g.rank, tuple(rows))
-    lattice = hnf(gens, g.relations, g.moduli, False)  # the relations hold themselves
-    return _trusted(SubgroupLattice, dual_group(g), lattice)
+    return _trusted(SubgroupLattice, dual_group(g), hnf(gens, g.moduli))
 
 
 def dual_hom(f: GroupHom) -> GroupHom:

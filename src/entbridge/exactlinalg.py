@@ -27,21 +27,17 @@ has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
 The other elimination is Hermite form modulo the relations
 (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-algorithm 2.4.8), for a Hermite basis that already contains
-diag(d_1, ..., d_k) and new generators: :func:`hnf` with a `basis`.
-Each generator is inserted row by row.  On row t, Euclid runs between
-it and the pivot of row t; then row s of both, for every s below t, is
-reduced modulo d_s.  That is exact: the pivots of rows s and below are
-still those of a triangular basis of a lattice that contains d_s e_s,
-which is zero above row s, so they span it, and taking a multiple of it
-off the two columns changes neither lattice.  So no entry that enters
-the final Hermite step is past the largest modulus, where the row-scan
-on the basis next to the generators lets entries grow with every row.
-:func:`hnf` checks the containment unless told not to; the callers in
-:mod:`entbridge.fingroup` and :mod:`entbridge.duality` hold it by
-construction and skip the check.  The row-scan stays wherever the generators are arbitrary (the pass over
-m, kernels, Smith forms and the p-adic lattices): there no relation
-lattice is known to reduce by.
+algorithm 2.4.8): generators inserted row by row into a Hermite basis
+that contains diag(d_1, ..., d_k).  On row t, Euclid runs between a
+generator and the pivot of row t; then row s of both, for every s below
+t, is reduced modulo d_s.  That is exact: the pivots of rows s and below
+still span the part of the lattice zero above row s, d_s e_s among it.
+So no entry past the largest modulus reaches the Hermite step, where
+the row-scan on the basis next to the generators lets entries grow with
+every row.  :func:`hnf` with `moduli` starts from diag(moduli) itself;
+the private :func:`_hnf_insert` trusts its basis, which its one caller
+takes from a subgroup.  The row-scan stays where no relation lattice is
+known to reduce by: the pass over m, kernels, Smith forms, p-adic lattices.
 
 ``IntMatrix @ IntMatrix`` is the definitional row-by-column sum.  The
 products the package computes all reduce row i modulo a modulus, in the
@@ -414,39 +410,28 @@ def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -
             column[s] = (c * u + e * v) % d
 
 
-def hnf(
-    gens: IntMatrix,
-    basis: HnfBasis | None = None,
-    moduli: Sequence[int] | None = None,
-    check: bool = True,
-) -> HnfBasis:
-    """Canonical column Hermite form of the lattice spanned by the columns
-    of `gens`, and by those of `basis` when it is given.
-
-    With no `basis`, one echelon of the columns; it raises
-    ValueError("lattice not full rank") when their span has rank below
-    the ambient dimension.  With a Hermite `basis` whose lattice contains
-    diag(`moduli`), each generator column is inserted into the basis row
-    by row, reduced modulo the moduli as it goes (:func:`_insert`), so no
-    entry grows past its modulus; the result always has full rank.  That
-    containment is checked, one forward substitution per modulus, and a
-    basis without it raises ValueError.  A `check` of False skips that,
-    for a caller that holds it by construction (a subgroup basis and the
-    moduli of its group), as it costs about as much as the insertion.
-    The result is a Hermite basis by construction, so the
-    :class:`HnfBasis` checks are not run on it.
-    """
-    if basis is None:
-        return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
-    if moduli is None or gens.rows != basis.dim or len(moduli) != basis.dim:
-        raise ValueError("a basis needs generators and moduli of its dimension")
-    if check and not basis.contains_lattice(HnfBasis(IntMatrix.diagonal(moduli))):
-        raise ValueError("basis does not contain diag(moduli)")
+def _hnf_insert(basis: HnfBasis, gens: IntMatrix, moduli: Sequence[int]) -> HnfBasis:
+    """Hermite form of `basis` and the columns of `gens` (:func:`_insert`), for
+    a basis whose lattice contains diag(`moduli`), which is not checked."""
     pivots = [list(c) for c in zip(*basis.matrix.entries)]
     for column in zip(*gens.entries):
         if any(column):
             _insert(pivots, list(column), moduli)
     return _hermite(pivots)
+
+
+def hnf(gens: IntMatrix, moduli: Sequence[int] | None = None) -> HnfBasis:
+    """Canonical column Hermite form of the columns of `gens` and, when given,
+    diag(`moduli`), one positive integer per row: then each column is
+    inserted into that diagonal, so no entry grows past its modulus.  With
+    no `moduli`, one echelon of the columns, which raises ValueError("lattice
+    not full rank") when their span has rank below the ambient dimension.
+    Built unchecked: the result is a Hermite basis by construction."""
+    if moduli is None:
+        return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
+    if len(moduli) != gens.rows or any(d < 1 for d in moduli):
+        raise InputError("moduli must be positive, one per row of the generators")
+    return _hnf_insert(_trusted(HnfBasis, IntMatrix.diagonal(moduli)), gens, moduli)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -27,22 +27,20 @@ trajectories).  Each step is at most one elimination: a meet step is one
 :func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
 previous term, whose basis it tracks, and a join step inserts the
 generators of g_t(S_t) into the Hermite basis of the previous term,
-which contains the relation lattice, reducing modulo the moduli as it
-goes (:func:`~entbridge.exactlinalg.hnf` with a basis: Hermite form
-modulo the relations).  Sums, images, generated subgroups and the
-surjectivity check insert their generators the same way, into the left
-operand's basis or into the relation lattice.  Each skips the check
-that the basis contains the relations, which every subgroup basis here
-does by construction.  The product that feeds
-each step, f_t times the previous basis or g_t times the basis of S_t,
-is reduced modulo the codomain moduli as it is multiplied, like a
-composite.  That is exact and leaves every term as it was: V_t
-contains the codomain's relation lattice, so m y lies in V_t exactly
-when (m mod e) y does, row i of m taken mod e_i; and the previous join
-term contains the relation lattice too, so a generator spans the same
-lattice with it after any multiple of d_i is taken off its entry i.
-Reduced, no entry that enters an elimination is past its modulus, and
-no entry of a join step grows past it.
+reducing modulo the moduli as it goes (Hermite form modulo the
+relations), in :func:`_joined`, as sums do: it takes a subgroup, whose
+basis holds the relations, not a bare basis.  Images, generated
+subgroups and the surjectivity check insert theirs into the relations
+themselves, by :func:`~entbridge.exactlinalg.hnf` with the moduli.  The
+product that feeds each step, f_t times the previous basis or g_t
+times the basis of S_t, is reduced modulo the codomain moduli as it is
+multiplied, like a composite.  That is exact and leaves every term as
+it was: V_t contains the codomain's relation lattice, so m y lies in
+V_t exactly when (m mod e) y does, row i of m taken mod e_i; and the
+previous join term contains the relation lattice too, so a generator
+spans the same lattice with it after any multiple of d_i is taken off
+its entry i.  Reduced, no entry that enters an elimination is past its
+modulus, and no entry of a join step grows past it.
 Three kinds of step have a known answer and skip work, each giving the
 term the plain step gives.  A first pair whose map is the identity
 gives C_1 = V_1 and T_1 = S_1 with no elimination, since the term
@@ -91,7 +89,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, InputError, IntMatrix, _product, _trusted, hnf, preimage_lattice
+from .exactlinalg import HnfBasis, InputError, IntMatrix, _hnf_insert, _product, _trusted, hnf, preimage_lattice
 
 __all__ = [
     "FinAbGroup",
@@ -193,9 +191,7 @@ class SubgroupLattice:
     def sum(self, other: "SubgroupLattice") -> "SubgroupLattice":
         if other.ambient != self.ambient:
             raise ValueError("subgroups live in different groups")
-        # False: no containment check, as every subgroup basis holds the relations
-        sum_basis = hnf(other.basis.matrix, self.basis, self.ambient.moduli, False)
-        return _trusted(SubgroupLattice, self.ambient, sum_basis)
+        return _joined(self, other.basis.matrix)
 
     def intersect(self, other: "SubgroupLattice") -> "SubgroupLattice":
         """The intersection, as B1 {a : B1 a in B2 Z^k}: one elimination
@@ -210,7 +206,7 @@ def subgroup_from_generators(group: FinAbGroup, generators: Iterable[Sequence[in
     """Subgroup generated by the given elements."""
     cols = [list(group.reduce(g)) for g in generators]
     gens = IntMatrix.from_columns(cols, rows=group.rank)
-    return _trusted(SubgroupLattice, group, hnf(gens, group.relations, group.moduli, False))
+    return _trusted(SubgroupLattice, group, hnf(gens, group.moduli))
 
 
 def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
@@ -219,6 +215,13 @@ def full_subgroup(group: FinAbGroup) -> SubgroupLattice:
 
 def trivial_subgroup(group: FinAbGroup) -> SubgroupLattice:
     return _trusted(SubgroupLattice, group, group.relations)
+
+
+def _joined(subgroup: SubgroupLattice, gens: IntMatrix) -> SubgroupLattice:
+    """`subgroup` joined by the columns of `gens`, inserted into its Hermite
+    basis, which contains the relations, as every subgroup basis does."""
+    group = subgroup.ambient
+    return _trusted(SubgroupLattice, group, _hnf_insert(subgroup.basis, gens, group.moduli))
 
 
 def index(outer: SubgroupLattice, inner: SubgroupLattice) -> int:
@@ -304,7 +307,7 @@ def image(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
     # reduced as it is multiplied, like a join step: inserted into the relations
     cod = f.codomain
     product = _product(f.matrix, subgroup.basis.matrix, cod.moduli, f.domain.moduli)
-    return _trusted(SubgroupLattice, cod, hnf(product, cod.relations, cod.moduli, False))
+    return _trusted(SubgroupLattice, cod, hnf(product, cod.moduli))
 
 
 def preimage(f: GroupHom, subgroup: SubgroupLattice) -> SubgroupLattice:
@@ -322,7 +325,7 @@ def is_surjective(f: GroupHom) -> bool:
     """Whether the columns of M and the codomain relations span Z^k: their
     Hermite form is the identity, which is the only one of determinant 1."""
     cod = f.codomain
-    return hnf(f.matrix, cod.relations, cod.moduli, False).det() == 1
+    return hnf(f.matrix, cod.moduli).det() == 1
 
 
 Pairs = Iterable[tuple[GroupHom, SubgroupLattice]]
@@ -408,8 +411,7 @@ def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
             whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
             gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, g.domain.moduli)
             if any(map(any, gens.entries)):
-                joined = hnf(gens, term.basis, group.moduli, False)
-                term = _trusted(SubgroupLattice, group, joined)
+                term = _joined(term, gens)
         yield term
 
 

@@ -195,6 +195,16 @@ def _paired(conditions: Sequence[GroupHom], base: FinAbGroup) -> tuple[Pairs, Pa
     return ((c, zero) for c in conditions), ((dual_hom(c), whole) for c in conditions)
 
 
+def _shift_modulus(modulus: int, height: int) -> int:
+    """`modulus` as an int, after refusing a modulus or a height below 2."""
+    modulus = operator.index(modulus)
+    if modulus < 2:
+        raise InputError("modulus must be at least 2")
+    if height < 2:
+        raise InputError("tower needs at least two levels for the shift")
+    return modulus
+
+
 def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pairs, Pairs]:
     """(meet pairs, join pairs) of the full shift over Z/modulus at a base
     level, those of ``full_shift_tower(modulus, height).pairs(level, steps)``,
@@ -206,11 +216,7 @@ def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pair
     integers.
     """
     top = working_level(height, 1, level, steps)
-    modulus = operator.index(modulus)
-    if modulus < 2:
-        raise InputError("modulus must be at least 2")
-    if height < 2:
-        raise InputError("tower needs at least two levels for the shift")
+    modulus = _shift_modulus(modulus, height)
     domain = _trusted(FinAbGroup, (modulus,) * (top + 1), False)
     base = _trusted(FinAbGroup, (modulus,) * (level + 1), False)
     rows, window = IntMatrix.identity(top + 1).entries, level + 1
@@ -227,11 +233,7 @@ def full_shift_tower(modulus: int, height: int) -> TowerEndo:
     levels[i] = (Z/modulus)^(i+1); projections drop the last coordinate,
     the shift drops the first, so the lag is 1.
     """
-    modulus = operator.index(modulus)
-    if modulus < 2:
-        raise InputError("modulus must be at least 2")
-    if height < 2:
-        raise InputError("tower needs at least two levels for the shift")
+    modulus = _shift_modulus(modulus, height)
     levels = [FinAbGroup((modulus,) * (i + 1)) for i in range(height)]
     projections, shifts = [], []
     for i in range(height - 1):

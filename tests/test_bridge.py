@@ -236,7 +236,7 @@ class TestEarlyExit:
         g, f = left_shift(16)
         u = coordinate_hyperplane(g, hyperplane)
         fhat = dual_hom(f)
-        counts = {"preimage_lattice": 0, "hnf": 0, f: 0, fhat: 0}
+        counts = {"preimage_lattice": 0, "join": 0, f: 0, fhat: 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -254,7 +254,7 @@ class TestEarlyExit:
         monkeypatch.setattr(
             fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
         )
-        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(fingroup, "_joined", counted("join", fingroup._joined))
         monkeypatch.setattr(GroupHom, "compose", compose)
         (co, _), (tr, _) = _finite_chains(f, u, 16)
         assert len(co) == len(tr) == 16
@@ -263,7 +263,7 @@ class TestEarlyExit:
         # join chain's Hermite forms; one product per power
         assert counts == {
             "preimage_lattice": eliminations,
-            "hnf": eliminations,
+            "join": eliminations,
             f: composes,
             fhat: composes,
         }
@@ -281,7 +281,7 @@ class TestEarlyExit:
         # the repeat; it never calls the checked index
         g, f = left_shift(16)
         u = coordinate_hyperplane(g, hyperplane)
-        counts = {"preimage_lattice": 0, "hnf": 0, "det": 0, "index": 0}
+        counts = {"preimage_lattice": 0, "join": 0, "det": 0, "index": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -293,13 +293,13 @@ class TestEarlyExit:
         monkeypatch.setattr(
             fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
         )
-        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(fingroup, "_joined", counted("join", fingroup._joined))
         monkeypatch.setattr(HnfBasis, "det", counted("det", HnfBasis.det))
         monkeypatch.setattr(bridge, "index", counted("index", bridge.index))
         report = finite_bridge(f, u, 16)
         assert counts == {
             "preimage_lattice": built - 1,
-            "hnf": built - 1,
+            "join": built - 1,
             "det": 2 * built,
             "index": 0,
         }
@@ -313,7 +313,7 @@ class TestEarlyExit:
         # and T_3 = T_2 end both chains, after one elimination on each side.
         # With B = [[2, 1], [0, 2]] and G = (Z/2^9)^2 the maps 2^(9-k) B^k are
         # zero for k = 0 and k = 2, so steps 1 and 3 keep the term before
-        counts = {"preimage_lattice": 0, "hnf": 0}
+        counts = {"preimage_lattice": 0, "join": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -325,9 +325,9 @@ class TestEarlyExit:
         monkeypatch.setattr(
             fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
         )
-        monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(fingroup, "_joined", counted("join", fingroup._joined))
         report = qp_bridge(2, [["1", "1/2"], ["0", "1"]], 10)
-        assert counts == {"preimage_lattice": 1, "hnf": 1}
+        assert counts == {"preimage_lattice": 1, "join": 1}
         expected = [1] + [2] * 9
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert report["verdict"] == "pass"
@@ -800,6 +800,32 @@ class TestVerifyDispatch:
         assert verify_instance(instance)["verdict"] == "pass"
         with pytest.raises(TypeError):
             verify_instance({**instance, **change})
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ({"kind": "finite", "moduli": [4], "endomorphism": [[1]], "subgroup": []}, "finite instance lacks 'steps'"),
+            ({"kind": "shift", "steps": 3}, "shift instance lacks 'modulus'"),
+            ({"kind": "qp", "prime": 2, "steps": 3}, "qp instance lacks 'matrix'"),
+            ({"kind": "real"}, "real instance lacks 'matrix'"),
+            ([["1"]], "an instance is a dict, not list"),
+        ],
+        ids=["finite-no-steps", "shift-no-modulus", "qp-no-matrix", "real-no-matrix", "not-a-dict"],
+    )
+    def test_malformed_instance_is_refused(self, monkeypatch, instance, message):
+        # the keys are checked before anything is parsed, so no bridge runs
+        def no_bridge(*args):
+            raise AssertionError("bridge called")
+
+        for name in ["finite_bridge", "shift_bridge", "qp_bridge", "real_bridge"]:
+            monkeypatch.setattr(bridge, name, no_bridge)
+        with pytest.raises(InputError, match=message):
+            verify_instance(instance)
+
+    def test_required_keys_are_the_schemas(self):
+        defs = load_schema("instance")["$defs"]
+        for kind, keys in bridge._REQUIRED.items():
+            assert ["kind", *keys] == defs[kind]["required"], kind
 
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="unknown instance kind"):

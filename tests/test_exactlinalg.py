@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import capped_instances, det, unimodular_pair
-from entbridge import duality, exactlinalg, fingroup
+from entbridge import exactlinalg, fingroup
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import (
     HnfBasis,
     InputError,
     IntMatrix,
+    _hnf_insert,
     _product,
     hnf,
     kernel_basis,
@@ -489,56 +490,47 @@ def preimage_cases(draw):
 
 
 class TestHnfModuloRelations:
-    """hnf(gens, basis, moduli): generators inserted into a Hermite basis
-    that contains the relations, against the row-scan of both together."""
+    """Generators inserted into a Hermite basis that contains the relations,
+    against the row-scan of both together: hnf(gens, moduli) into diag(moduli),
+    and the private _hnf_insert into any such basis."""
 
     def test_worked_example(self):
-        # Z^2 / diag(4, 6): the generator (2, 3) joins the relations
-        relations = hnf(IntMatrix.diagonal([4, 6]))
+        # Z^2 / diag(4, 6): the generator (2, 3) joins the relations, and
+        # then (1, 0) joins that subgroup
         gens = IntMatrix.from_columns([[2, 3]], rows=2)
-        assert hnf(gens, relations, [4, 6]).matrix.entries == ((2, 0), (3, 6))
-        assert hnf(gens, relations, [4, 6]) == hnf(relations.matrix.hstack(gens))
+        relations = hnf(IntMatrix.diagonal([4, 6]))
+        subgroup = hnf(gens, [4, 6])
+        assert subgroup.matrix.entries == ((2, 0), (3, 6))
+        assert subgroup == hnf(relations.matrix.hstack(gens))
+        unit = IntMatrix.from_columns([[1, 0]], rows=2)
+        assert _hnf_insert(subgroup, unit, [4, 6]).matrix.entries == ((1, 0), (0, 3))
+        assert _hnf_insert(subgroup, unit, [4, 6]) == hnf(subgroup.matrix.hstack(unit))
 
     @given(relation_bases().flatmap(lambda case: st.tuples(st.just(case), generator_matrices(case[1]))))
     @settings(max_examples=300)
     def test_insertion_matches_the_row_scan(self, case):
         (basis, moduli), gens = case
-        expected = hnf(basis.matrix.hstack(gens))
-        assert hnf(gens, basis, moduli) == expected
-        assert hnf(gens, basis, moduli, False) == expected
+        assert hnf(gens, moduli) == hnf(IntMatrix.diagonal(moduli).hstack(gens))
+        assert _hnf_insert(basis, gens, moduli) == hnf(basis.matrix.hstack(gens))
 
     def test_no_generators_give_the_basis(self):
         # (6, 0) = 3 (2, 1) - (0, 3), so the basis contains diag(6, 3)
         basis = hnf(IntMatrix.from_columns([[2, 1], [0, 3]], rows=2))
         zeros = IntMatrix.from_columns([[0, 0]], rows=2)
-        assert hnf(zeros, basis, [6, 3]) == basis
-        assert hnf(IntMatrix.zero(2, 0), basis, [6, 3]) == basis
+        relations = hnf(IntMatrix.diagonal([6, 3]))
+        for gens in (zeros, IntMatrix.zero(2, 0)):
+            assert _hnf_insert(basis, gens, [6, 3]) == basis
+            assert hnf(gens, [6, 3]) == relations
 
-    def test_basis_without_the_relations_refused(self):
-        # diag(4, 4) does not contain (2, 0): reducing modulo 2 would turn
-        # the Hermite form [[1, 0], [3, 4]] of (1, 3) and diag(4, 4) into
-        # [[1, 0], [1, 4]]; and [[2, 0], [1, 4]] passes a test of its
-        # diagonal alone against the moduli (4, 4), but not (4, 0)
-        gens = IntMatrix.from_columns([[1, 3]], rows=2)
-        with pytest.raises(ValueError, match=r"does not contain diag\(moduli\)"):
-            hnf(gens, hnf(IntMatrix.diagonal([4, 4])), [2, 2])
-        skew = HnfBasis(IntMatrix.from_rows([[2, 0], [1, 4]]))
-        with pytest.raises(ValueError, match=r"does not contain diag\(moduli\)"):
-            hnf(gens, skew, [4, 4])
-        with pytest.raises(ValueError, match="diagonal entries must be positive"):
-            hnf(gens, hnf(IntMatrix.identity(2)), [2, 0])
-
-    def test_dimensions_checked(self):
-        basis = hnf(IntMatrix.diagonal([2, 3]))
-        for gens, moduli in ((IntMatrix.identity(3), [2, 3]), (IntMatrix.identity(2), [2, 3, 5])):
-            with pytest.raises(ValueError, match="generators and moduli of its dimension"):
-                hnf(gens, basis, moduli)
-        with pytest.raises(ValueError, match="generators and moduli of its dimension"):
-            hnf(IntMatrix.identity(2), basis)
+    @pytest.mark.parametrize("moduli", [[2], [2, 3, 5], [2, 0], [-4, 6]], ids=["short", "long", "zero", "negative"])
+    def test_moduli_refused(self, moduli):
+        with pytest.raises(InputError, match="moduli must be positive, one per row of the generators"):
+            hnf(IntMatrix.identity(2), moduli)
 
     def test_package_skips_the_containment_check(self, monkeypatch):
-        # every insertion on the verify route vouches for its basis, so the
-        # check, which costs about as much as the insertion, never runs there
+        # no insertion checks its basis: hnf starts from diag(moduli), and the
+        # join helper from a subgroup, whose basis holds the relations; such
+        # a check would cost about as much as the insertion
         def refuse(self, other):
             raise AssertionError("a containment check ran on the verify route")
 
@@ -556,22 +548,22 @@ class TestHnfModuloRelations:
         the instance takes two orders of magnitude longer."""
         largest = []
         inserting = []
-        original_hnf, original_hermite = exactlinalg.hnf, exactlinalg._hermite
+        original_insert, original_hermite = exactlinalg._hnf_insert, exactlinalg._hermite
 
-        def hnf_spy(gens, basis=None, moduli=None, check=True):
-            inserting.append(basis is not None)
+        def insert_spy(basis, gens, moduli):
+            inserting.append(True)
             try:
-                return original_hnf(gens, basis, moduli, check)
+                return original_insert(basis, gens, moduli)
             finally:
                 inserting.pop()
 
         def hermite_spy(pivots):
-            if inserting and inserting[-1]:
+            if inserting:
                 largest.append(max(abs(x) for piv in pivots for x in piv))
             return original_hermite(pivots)
 
-        for module in (fingroup, duality):
-            monkeypatch.setattr(module, "hnf", hnf_spy)
+        for module in (exactlinalg, fingroup):
+            monkeypatch.setattr(module, "_hnf_insert", insert_spy)
         monkeypatch.setattr(exactlinalg, "_hermite", hermite_spy)
         report = verify_instance(capped_instances()["qp-dense-3-steps-64"])
         assert report["verdict"] == "pass"

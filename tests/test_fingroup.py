@@ -697,6 +697,7 @@ class TestChainBuilders:
         )
         monkeypatch.setattr(exactlinalg, "hnf", counted("hnf", exactlinalg.hnf))
         monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
+        monkeypatch.setattr(fingroup, "_joined", counted("hnf", fingroup._joined))
         next(meet_chain(pairs))
         assert counts == {"preimage_lattice": 1, "hnf": 0}
 
