@@ -9,17 +9,18 @@ equal came out different, and the report then carries a reproducible
 counterexample payload: the first failing step, both indices and both
 chain terms.
 
-The finite, shift and qp kinds differ only in the (map, subgroup) pairs
-they hand to the driver :func:`entbridge.fingroup.two_chains`: finite
-pairs (f^k, U) and (g^k, perp U), g the adjoint of f; shift pairs the
-maps that keep the coordinates (x_t, ..., x_{t+j}) of the working level
-with the trivial subgroup and their adjoints with the full group
-(:func:`entbridge.tdlca.shift_pairs`); qp pairs p^(N-ke) B^k from the
+The finite, shift and qp kinds differ only in the two sides, each some
+maps and one subgroup, that they hand to the driver
+:func:`entbridge.fingroup.two_chains`: finite gives the powers f^k with U
+and the powers g^k with perp U, g the adjoint of f; shift gives the maps
+that keep the coordinates (x_t, ..., x_{t+j}) of the working level with
+the trivial subgroup and their adjoints with the full group
+(:func:`entbridge.tdlca.shift_pairs`); qp gives p^(N-ke) B^k from the
 matrix with the trivial subgroup of G = (Z/p^N)^d, and p^(N-ke) B'^k
 from its transpose with G
 (:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
-The two pair lists are separate computations; neither side is derived
-from the other.  The qp report also compares both index routes with the
+The two sides are separate computations; neither is derived from the
+other.  The qp report also compares both index routes with the
 closed form of the Newton polygon.
 
 The module also packages the individual duality laws as checkable
@@ -150,14 +151,12 @@ def check_preimage_annihilator(f: GroupHom, u: SubgroupLattice, steps: int) -> L
 
 def _finite_chains(f: GroupHom, u: SubgroupLattice, steps: int):
     """Both chains of (f, U) and their indices, by :func:`two_chains`: the meet
-    pairs (f^k, U) and the join pairs (g^k, perp U), g the adjoint of f, k < steps."""
+    side (f^k, k < steps; U) and the join side (g^k, k < steps; perp U), g the
+    adjoint of f."""
     if u.ambient != f.domain:
         raise ValueError("need an endomorphism of the subgroup's group")
-    uperp = annihilator(u)
     return two_chains(
-        ((h, u) for h in powers(f, steps)),
-        ((h, uperp) for h in powers(dual_hom(f), steps)),
-        steps,
+        (powers(f, steps), u), (powers(dual_hom(f), steps), annihilator(u)), steps
     )
 
 
@@ -322,8 +321,15 @@ def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = No
     return report
 
 
+def _check_steps(steps: int) -> None:
+    """Refuse a step count below 2, which gives no entropy estimate."""
+    if steps < 2:
+        raise InputError("step count must be at least 2")
+
+
 def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
     """Cotrajectory indices of (f, U) against trajectory indices of the adjoint."""
+    _check_steps(steps)
     extra = {
         "moduli": list(f.domain.moduli),
         "endomorphism": _rows(f.matrix),
@@ -334,9 +340,10 @@ def finite_bridge(f: GroupHom, u: SubgroupLattice, steps: int) -> dict:
 
 def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
     """Both index sequences for the truncated full shift at a base level,
-    from the closed-form pairs of :func:`~entbridge.tdlca.shift_pairs`,
+    from the closed-form sides of :func:`~entbridge.tdlca.shift_pairs`,
     which check (level, steps) against the height before any map is built.
     """
+    _check_steps(steps)
     chains = two_chains(*shift_pairs(modulus, height, level, steps), steps)
     extra = {"modulus": modulus, "height": height, "level": level}
     return _two_sided_report("shift", chains, extra)
@@ -344,6 +351,7 @@ def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
 
 def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
     """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
+    _check_steps(steps)
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
     # run before char_poly: a 16 x 16 matrix of distinct 14-digit
@@ -404,8 +412,6 @@ def verify_instance(instance: dict) -> dict:
     missing = [key for key in _REQUIRED[kind] if key not in instance]
     if missing:
         raise InputError(f"{kind} instance lacks {missing[0]!r}")
-    if kind != "real" and instance["steps"] < 2:
-        raise InputError("step count must be at least 2")
     if kind == "finite":
         group = FinAbGroup(tuple(instance["moduli"]))
         f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))

@@ -18,66 +18,57 @@ identities and composites are reduced but built unchecked.  A composite
 is reduced as it is multiplied, in the one row-shape product of
 :mod:`entbridge.exactlinalg`.
 
-Every index chain in the package is built by one of two builders over
-any iterable of (map, subgroup) pairs: :func:`meet_chain` takes maps f_t
-out of one group and yields the running intersections of the preimages
-f_t^-1(V_t) (the cotrajectories), and :func:`join_chain` takes maps g_t
-into one group and yields the running sums of the images g_t(S_t) (the
-trajectories).  Each step is at most one elimination: a meet step is one
-:func:`~entbridge.exactlinalg.preimage_lattice` of V_t restricted to the
-previous term, whose basis it tracks, and a join step inserts the
-generators of g_t(S_t) into the Hermite basis of the previous term,
-reducing modulo the moduli as it goes (Hermite form modulo the
+Every index chain in the package is built by one of two builders, each
+over one side: an iterable of maps and one subgroup.  :func:`meet_chain`
+takes maps f_t out of one group into the group of a target V and yields
+the running intersections of the preimages f_t^-1(V) (the
+cotrajectories), and :func:`join_chain` takes maps g_t from the group of
+a source S into one group and yields the running sums of the images
+g_t(S) (the trajectories).  Each step is at most one elimination: a meet
+step is one :func:`~entbridge.exactlinalg.preimage_lattice` of V
+restricted to the previous term, whose basis it tracks, and a join step
+inserts the generators of g_t(S) into the Hermite basis of the previous
+term, reducing modulo the moduli as it goes (Hermite form modulo the
 relations), in :func:`_joined`, as sums do: it takes a subgroup, whose
 basis holds the relations, not a bare basis.  Images, generated
 subgroups and the surjectivity check insert theirs into the relations
 themselves, by :func:`~entbridge.exactlinalg.hnf` with the moduli.  The
 product that feeds each step, f_t times the previous basis or g_t
-times the basis of S_t, is reduced modulo the codomain moduli as it is
+times the basis of S, is reduced modulo the codomain moduli as it is
 multiplied, like a composite.  That is exact and leaves every term as
-it was: V_t contains the codomain's relation lattice, so m y lies in
-V_t exactly when (m mod e) y does, row i of m taken mod e_i; and the
+it was: V contains the codomain's relation lattice, so m y lies in
+V exactly when (m mod e) y does, row i of m taken mod e_i; and the
 previous join term contains the relation lattice too, so a generator
 spans the same lattice with it after any multiple of d_i is taken off
 its entry i.  Reduced, no entry that enters an elimination is past its
 modulus, and no entry of a join step grows past it.
 Three kinds of step have a known answer and skip work, each giving the
-term the plain step gives.  A first pair whose map is the identity
-gives C_1 = V_1 and T_1 = S_1 with no elimination, since the term
-before it is the whole group (meet) or the relation lattice, which S_1
-contains (join); every :func:`powers` list starts with the identity, so
-this is the finite route's k = 0 step.  A join pair whose subgroup is
-the whole domain (its Hermite basis is the identity) contributes the
-columns of g_t, which are reduced already, with no product.  And a step
-whose product f_t B is zero (meet), or that adds no nonzero generator
-(join), keeps the term before it, as the same object, with no
-elimination: B y then lies in the preimage for every y, and zero
-generators span nothing new.
+plain step's term: a first identity map gives C_1 = V and T_1 = S (the
+term before it is the whole group, or the relation lattice, which S
+contains), as at the k = 0 step of every :func:`powers` list; a whole S
+(its Hermite basis is the identity) lets each g_t contribute its own
+columns, reduced already, with no product; and a step whose product
+f_t B is zero, or that adds no nonzero generator, keeps the term before
+it, as the same object (B y then lies in the preimage for every y, and
+zero generators span nothing new).
 Both builders are lazy:
-each term is yielded as soon as it is built, and the next pair is read
+each term is yielded as soon as it is built, and the next map is read
 only when the next term is asked for, so a caller that stops early
-pays for no later step.  The finite route pairs the powers f^k with U
-and, on the dual side, the powers of the adjoint of f with perp U, both
-for k < n (:func:`powers`, which composes each power only when it is
-asked for).  The tower route (:mod:`entbridge.tdlca`) pairs its
-condition maps, for the shift the maps that keep a window of
-coordinates, with the trivial subgroup (kernels) and their adjoints
-with the full group (images).  The p-adic route (:mod:`entbridge.padic`)
-runs on one group G = (Z/p^N)^d and pairs the scaled powers
-p^(N-ke) B^k the same way, with the trivial subgroup and with G.
+pays for no later step.  :mod:`entbridge.bridge` lists the sides each
+kind gives: the powers f^k of one endomorphism, or the condition maps
+of a tower or of Q_p, on the meet side, and on the join side their
+adjoints, each side with one subgroup.
 
-One driver, :func:`two_chains`, turns the meet and join pairs of any
+One driver, :func:`two_chains`, turns the meet and join sides of any
 kind into both chains and both index sequences a_n = [C_1 : C_n] and
 b_n = [T_n : T_1].  Each meet term lies inside the one before it and
 each join term contains it, by construction, so the indices are read
 off the Hermite diagonals, with no containment re-proved; for the same
 reason a term is unchanged exactly when its determinant is, and each
-determinant is computed once.  Both chains
-are built together and end at the first step where neither changed, on
-every kind: for one endomorphism f and subgroup U, C_(n+1) = U ∩ f^-1(C_n)
-and T_(n+1) = perp U + g(T_n), g the adjoint, so a repeat is final; the
-tower's working level and the p-adic group (Z/p^N)^d hold faithful copies
-of both chains.  On a correct route a_n = b_n, so both chains stall
+determinant is computed once.  Both chains are built together and end
+at the first step where neither changed, which is final for the sides
+every kind gives (the :func:`two_chains` docstring says why, and which
+sides those are).  On a correct route a_n = b_n, so both chains stall
 together; a stall on one side only is a fault, and both chains go on.
 """
 
@@ -328,7 +319,8 @@ def is_surjective(f: GroupHom) -> bool:
     return hnf(f.matrix, cod.moduli).det() == 1
 
 
-Pairs = Iterable[tuple[GroupHom, SubgroupLattice]]
+# one side of a chain: its maps, read lazily, and its one subgroup
+Side = tuple[Iterable[GroupHom], SubgroupLattice]
 
 
 def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
@@ -346,70 +338,65 @@ def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
     )
 
 
-def meet_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
-    """Yield C_1, C_2, ... with C_n = f_1^-1(V_1) n ... n f_n^-1(V_n), every f_t out of one group.
+def meet_chain(maps: Iterable[GroupHom], target: SubgroupLattice) -> Iterator[SubgroupLattice]:
+    """Yield C_1, C_2, ... with C_n = f_1^-1(V) n ... n f_n^-1(V), every f_t
+    from one group into the group of V = `target`.
 
-    Each step is one preimage restricted to the previous term: with B the
-    basis of C_(n-1) (the whole group before the first step),
-    C_n = B {y : f_n(B y) in V_n}, which one
-    :func:`~entbridge.exactlinalg.preimage_lattice` that tracks B returns
-    in Hermite form; f_n B is reduced modulo the codomain moduli as it is
-    multiplied, since V_n contains the relations.  Two steps have a known
-    answer and take no elimination: a first map that is the identity
-    gives C_1 = V_1, and a step whose product f_n B is zero keeps
-    C_(n-1).  The pair (f_n, V_n) is read only when C_n is asked for.
+    With B the basis of C_(n-1) (the whole group before the first step),
+    step n is C_n = B {y : f_n(B y) in V}, one preimage_lattice that tracks
+    B, on f_n B reduced modulo the codomain moduli.  A first identity map
+    gives C_1 = V, and a zero product f_n B keeps C_(n-1), with no
+    elimination.  The map f_n is read only when C_n is asked for.
     """
-    rest = iter(pairs)
+    rest = iter(maps)
     first = next(rest, None)
     if first is None:
-        raise ValueError("need at least one (map, subgroup) pair")
-    group = first[0].domain
+        raise ValueError("need at least one map")
+    group, cod = first.domain, target.ambient
     term = full_subgroup(group)
-    for n, (f, v) in enumerate(chain((first,), rest)):
+    for n, f in enumerate(chain((first,), rest)):
         if f.domain != group:
             raise ValueError("maps out of different groups")
-        if v.ambient != f.codomain:
+        if f.codomain != cod:
             raise ValueError("subgroup not in the codomain")
         if n == 0 and f.is_endo and f == GroupHom.identity(group):
-            term = v
+            term = target
         else:
             basis = term.basis.matrix
-            product = _product(f.matrix, basis, f.codomain.moduli, group.moduli)
+            product = _product(f.matrix, basis, cod.moduli, group.moduli)
             if any(map(any, product.entries)):
-                term = _trusted(SubgroupLattice, group, preimage_lattice(product, v.basis, basis))
+                term = _trusted(SubgroupLattice, group, preimage_lattice(product, target.basis, basis))
         yield term
 
 
-def join_chain(pairs: Pairs) -> Iterator[SubgroupLattice]:
-    """Yield T_1, T_2, ... with T_n = g_1(S_1) + ... + g_n(S_n), every g_t into one group.
+def join_chain(maps: Iterable[GroupHom], source: SubgroupLattice) -> Iterator[SubgroupLattice]:
+    """Yield T_1, T_2, ... with T_n = g_1(S) + ... + g_n(S), every g_t
+    from the group of S = `source` into one group.
 
-    Each step inserts the generators of g_n(S_n) into the Hermite basis
-    of the previous term, starting from the relation lattice, which every
-    term contains, so the generators are reduced modulo the moduli as
-    they are multiplied and as they are inserted.  Three steps have a known answer: a first map
-    that is the identity gives T_1 = S_1 with no elimination, a whole
-    S_n (its Hermite basis is the identity) contributes the columns of
-    g_n, already reduced, with no product, and a step that adds no
-    nonzero generator keeps T_(n-1).  The pair (g_n, S_n) is read only
-    when T_n is asked for.
+    Step n inserts the generators of g_n(S), reduced modulo the moduli,
+    into the Hermite basis of T_(n-1), starting from the relation lattice.
+    A first identity map gives T_1 = S with no elimination, a whole S
+    (tested once per chain) gives the columns of g_n with no product, and
+    a step that adds no nonzero generator keeps T_(n-1).  The map g_n is
+    read only when T_n is asked for.
     """
-    rest = iter(pairs)
+    rest = iter(maps)
     first = next(rest, None)
     if first is None:
-        raise ValueError("need at least one (map, subgroup) pair")
-    group = first[0].codomain
+        raise ValueError("need at least one map")
+    group, dom = first.codomain, source.ambient
     term = trivial_subgroup(group)
-    for n, (g, s) in enumerate(chain((first,), rest)):
+    basis = source.basis.matrix
+    whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
+    for n, g in enumerate(chain((first,), rest)):
         if g.codomain != group:
             raise ValueError("maps into different groups")
-        if s.ambient != g.domain:
+        if g.domain != dom:
             raise ValueError("subgroup not in the domain")
         if n == 0 and g.is_endo and g == GroupHom.identity(group):
-            term = s
+            term = source
         else:
-            basis = s.basis.matrix
-            whole = all(row[i] == 1 for i, row in enumerate(basis.entries))
-            gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, g.domain.moduli)
+            gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, dom.moduli)
             if any(map(any, gens.entries)):
                 term = _joined(term, gens)
         yield term
@@ -429,19 +416,30 @@ def _indexed(
     return terms + terms[-1:] * pad, indices + indices[-1:] * pad
 
 
-def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int):
-    """((C, a), (T, b)): the first `steps` terms of the meet chain C of the
-    meet pairs and of the join chain T of the join pairs, each built from
-    its own pairs only, with a_n = [C_1 : C_n] and b_n = [T_n : T_1].
+def two_chains(meet: Side, join: Side, steps: int):
+    """((C, a), (T, b)): the first `steps` terms of C = meet_chain(*meet) and
+    T = join_chain(*join), each built from its own side (maps, subgroup)
+    only, with a_n = [C_1 : C_n] and b_n = [T_n : T_1].
+
     The chains are built in step; the first step at which neither changed
-    ends both, and the last terms built fill the remaining steps."""
+    ends both, and the last terms built fill the remaining steps.  That
+    stop needs sides whose repeat is final: the iterates of one
+    endomorphism, or one tower endomorphism's condition maps at one base
+    level, each side with its one subgroup.  For one endomorphism f and
+    subgroup U, C_(n+1) = U ∩ f^-1(C_n) and T_(n+1) = perp U + g(T_n), g
+    the adjoint, and a tower's working level and the p-adic group
+    (Z/p^N)^d hold faithful copies of both chains.  Other sides can
+    repeat a term and change again (on (Z/2)^2 the maps 1, 1 and the swap
+    with V = Z/2 x 0 give V, V, 0): any other caller should use
+    :func:`meet_chain` and :func:`join_chain`, which build every term.
+    """
     if steps < 1:
         raise ValueError("step count must be at least 1")
     # each meet term lies inside the one before it and each join term
     # contains it, so a term is unchanged exactly when its determinant is;
     # each determinant is computed once, here, and the indices reuse it
     built, dets = [], []
-    for c, t in zip(islice(meet_chain(meet_pairs), steps), islice(join_chain(join_pairs), steps)):
+    for c, t in zip(islice(meet_chain(*meet), steps), islice(join_chain(*join), steps)):
         pair = (c.basis.det(), t.basis.det())
         if dets and pair == dets[-1]:
             break
@@ -449,7 +447,7 @@ def two_chains(meet_pairs: Pairs, join_pairs: Pairs, steps: int):
         dets.append(pair)
     else:
         if len(built) < steps:
-            raise ValueError(f"the pairs end after {len(built)} of {steps} steps")
+            raise ValueError(f"the sides end after {len(built)} of {steps} steps")
     co, tr = zip(*built)
     co_dets, tr_dets = zip(*dets)
     return (

@@ -11,18 +11,15 @@ p^(N-ke) B^k x = 0 in G, so the cotrajectory chain is the running
 intersection of the kernels of these maps; and, scaled by p^N, the
 trajectory U + AU + ... + A^(n-1)U becomes the running sum of the
 images B^k (p^(N-ke) G) = p^(N-ke) B^k (G).  :func:`cotrajectory_pairs`
-pairs each map with the trivial subgroup and :func:`trajectory_pairs`
-with the whole group G, as the tower route pairs its condition maps,
-and :func:`entbridge.fingroup.two_chains` builds both chains.  So no
-subgroup p^c G is built, a join step takes the columns of its map with no
-product, and a step whose map or product is zero takes no elimination
-(the first map, p^N B^0, is zero).  The meet target is the relation
-lattice itself, so a meet product, reduced modulo p^N as it is
-multiplied, is reduced modulo the target too, and its elimination
-spends no Euclid round taking it down.  Each route is called with its own
-matrix, so the adjoint route powers and scales the transpose that it is
-given and shares nothing with the primal route but the finite
-arithmetic.
+gives these maps with the trivial subgroup and :func:`trajectory_pairs`
+with the whole group G, one subgroup per side, and
+:func:`entbridge.fingroup.two_chains` builds both chains.  A join step
+takes the columns of its map with no product, a step whose map or
+product is zero takes no elimination (the first map, p^N B^0, is zero),
+and a meet product, reduced modulo p^N, is reduced modulo the target,
+the relation lattice, too.  Each route is called with its own matrix,
+so the adjoint route powers and scales the transpose that it is given
+and shares nothing with the primal route but the finite arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -75,7 +72,7 @@ from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .exactlinalg import HnfBasis, InputError, IntMatrix, _trusted, hnf
-from .fingroup import FinAbGroup, GroupHom, Pairs, _indexed, full_subgroup, join_chain, kernel
+from .fingroup import FinAbGroup, GroupHom, Side, _indexed, full_subgroup, join_chain, kernel
 from .fingroup import meet_chain, powers, trivial_subgroup
 
 __all__ = [
@@ -297,7 +294,7 @@ def lattice_from_columns(
     integral = [[_as_int(x * scale) for x in col] for col in cols]
     h0 = hnf(IntMatrix.from_columns(integral, rows=dim))
     vstar = _vp(h0.det(), prime)
-    sat = hnf(h0.matrix.hstack(IntMatrix.diagonal([prime**vstar] * dim)))
+    sat = hnf(h0.matrix, [prime**vstar] * dim)
     entries = [list(row) for row in sat.matrix.entries]
     while shift > 0 and all(x % prime == 0 for row in entries for x in row):
         entries = [[x // prime for x in row] for row in entries]
@@ -418,32 +415,30 @@ def _scaled(h: GroupHom, c: int, modulus: int) -> GroupHom:
     return _trusted(GroupHom, h.domain, h.codomain, _trusted(IntMatrix, m.rows, m.cols, rows))
 
 
-def cotrajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
-    """The meet pairs (p^(N-ke) B^k, 0), k < steps: x lies in
-    U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U exactly when B^k x lies in p^(ke) G,
-    that is when p^(N-ke) B^k x = 0 in G, for k < n."""
+def cotrajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Side:
+    """The meet side: the maps p^(N-ke) B^k, k < steps, with the trivial
+    subgroup.  x lies in U ∩ φ^-1 U ∩ ... ∩ φ^-(n-1) U exactly when B^k x
+    lies in p^(ke) G, that is when p^(N-ke) B^k x = 0 in G, for k < n."""
     group, maps = _scaled_powers(prime, matrix, steps)
-    zero = trivial_subgroup(group)
-    return ((h, zero) for h in maps)
+    return maps, trivial_subgroup(group)
 
 
-def trajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Pairs:
-    """The join pairs (p^(N-ke) B^k, G), k < steps: scaled by p^N,
-    U + φU + ... + φ^(n-1)U is spanned by their images, since
-    B^k(p^(N-ke) G) = p^(N-ke) B^k(G), and U is p^N G = 0."""
+def trajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Side:
+    """The join side: the maps p^(N-ke) B^k, k < steps, with the whole G.
+    Scaled by p^N, U + φU + ... + φ^(n-1)U is spanned by their images,
+    since B^k(p^(N-ke) G) = p^(N-ke) B^k(G), and U is p^N G = 0."""
     group, maps = _scaled_powers(prime, matrix, steps)
-    whole = full_subgroup(group)
-    return ((h, whole) for h in maps)
+    return maps, full_subgroup(group)
 
 
 def cotrajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """a_n for n = 1..steps, from :func:`cotrajectory_pairs` alone."""
-    return tuple(_indexed(meet_chain(cotrajectory_pairs(prime, matrix, steps)), steps, True)[1])
+    return tuple(_indexed(meet_chain(*cotrajectory_pairs(prime, matrix, steps)), steps, True)[1])
 
 
 def trajectory_indices(prime: int, matrix: RationalMatrix, steps: int) -> tuple[int, ...]:
     """b_n for n = 1..steps, from :func:`trajectory_pairs` alone."""
-    return tuple(_indexed(join_chain(trajectory_pairs(prime, matrix, steps)), steps, False)[1])
+    return tuple(_indexed(join_chain(*trajectory_pairs(prime, matrix, steps)), steps, False)[1])
 
 
 # The primes of the multimodular char_poly, descending from 2^81 - 1, so

@@ -24,23 +24,21 @@ literally the n-step trajectory subgroup.
 
 Both chains are driven by the same condition maps F_{j,t} pi_{l->j+ts},
 t = 0..n-1, which :meth:`TowerEndo.pairs` builds by their definition
-and pairs for the driver :func:`entbridge.fingroup.two_chains`: with the
-trivial subgroup (the cotrajectory is the running intersection of their
-kernels), and, as adjoints, with the full group (the trajectory is the
-running sum of their images).  Every condition map ends in levels[j],
-so each list pairs all its maps with one subgroup, built once per call.
-The two lists share only these input maps; neither chain is computed
-from the other.  ``Tower(...)`` and ``TowerEndo(...)`` check the data
-they are given, and :func:`full_shift_tower` and :func:`padic_tower`
-build through them.
+and gives the driver :func:`entbridge.fingroup.two_chains` as two sides,
+each its maps and one subgroup: the maps with the trivial subgroup of
+levels[j] (the cotrajectory is the running intersection of their
+kernels), and their adjoints with the full dual group (the trajectory
+is the running sum of their images).  The two sides share only these
+input maps; neither chain is computed from the other.  ``Tower(...)``
+and ``TowerEndo(...)`` check the data they are given, and
+:func:`full_shift_tower` and :func:`padic_tower` build through them.
 
 For the one-sided full shift over Z/m the condition maps have a closed
 form: levels[i] = (Z/m)^(i+1), the projections drop the last coordinate
 and the shift drops the first, so F_{j,t} pi_{l->j+t} keeps the
 coordinates (x_t, ..., x_{t+j}) of (Z/m)^(l+1).  :func:`shift_pairs`
-builds these maps as rows t..t+j of the identity and pairs them as
-:meth:`TowerEndo.pairs` does, with no tower built; the tests compare
-them with the tower's condition maps.
+builds these maps as rows t..t+j of the identity, with the subgroups of
+:meth:`TowerEndo.pairs` and no tower; the tests compare the two.
 :func:`working_level` checks (j, n) against a height before any map
 exists, so a caller can refuse an out-of-range request without building
 anything.
@@ -57,7 +55,7 @@ from .exactlinalg import InputError, IntMatrix, _trusted
 from .fingroup import (
     FinAbGroup,
     GroupHom,
-    Pairs,
+    Side,
     _indexed,
     full_subgroup,
     is_surjective,
@@ -164,9 +162,11 @@ class TowerEndo:
             h = h.compose(self.maps[j + i * self.lag])
         return h
 
-    def pairs(self, j: int, steps: int) -> tuple[Pairs, Pairs]:
-        """(meet pairs, join pairs), each read once, of the condition maps
-        F_{j,t} . pi_{level -> j+t*lag}, t = 0..steps-1, built by their definition.
+    def pairs(self, j: int, steps: int) -> tuple[Side, Side]:
+        """(meet side, join side) of the condition maps
+        F_{j,t} . pi_{level -> j+t*lag}, t = 0..steps-1, built by their definition:
+        the maps with the trivial subgroup of levels[j], and their adjoints,
+        each built when the join chain reads it, with its full dual group.
 
         The meet chain is W_1 = U_j, ..., W_steps at the working level; the
         join chain, on its character group, is T_1 = perp U_j, ..., T_steps.
@@ -176,23 +176,19 @@ class TowerEndo:
             self.iterate(j, t).compose(self.tower.project(level, j + t * self.lag))
             for t in range(steps)
         ]
-        return _paired(conditions, self.tower.levels[j])
+        base = self.tower.levels[j]
+        return (
+            (conditions, trivial_subgroup(base)),
+            ((dual_hom(c) for c in conditions), full_subgroup(dual_group(base))),
+        )
 
     def cotrajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps, from the meet pairs alone."""
-        return tuple(_indexed(meet_chain(self.pairs(j, steps)[0]), steps, meet=True)[1])
+        """a_n = [U_j : C_n] = [W_1 : W_n] for n = 1..steps, from the meet side alone."""
+        return tuple(_indexed(meet_chain(*self.pairs(j, steps)[0]), steps, meet=True)[1])
 
     def trajectory_indices(self, j: int, steps: int) -> tuple[int, ...]:
-        """b_n = [T_n : T_1] for n = 1..steps, on the dual side, from the join pairs alone."""
-        return tuple(_indexed(join_chain(self.pairs(j, steps)[1]), steps, meet=False)[1])
-
-
-def _paired(conditions: Sequence[GroupHom], base: FinAbGroup) -> tuple[Pairs, Pairs]:
-    """The condition maps into `base` paired with its trivial subgroup, and
-    their adjoints with its full dual group, each subgroup built once."""
-    zero = trivial_subgroup(base)
-    whole = full_subgroup(dual_group(base))
-    return ((c, zero) for c in conditions), ((dual_hom(c), whole) for c in conditions)
+        """b_n = [T_n : T_1] for n = 1..steps, on the dual side, from the join side alone."""
+        return tuple(_indexed(join_chain(*self.pairs(j, steps)[1]), steps, meet=False)[1])
 
 
 def _shift_modulus(modulus: int, height: int) -> int:
@@ -205,8 +201,8 @@ def _shift_modulus(modulus: int, height: int) -> int:
     return modulus
 
 
-def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pairs, Pairs]:
-    """(meet pairs, join pairs) of the full shift over Z/modulus at a base
+def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Side, Side]:
+    """(meet side, join side) of the full shift over Z/modulus at a base
     level, those of ``full_shift_tower(modulus, height).pairs(level, steps)``,
     from the closed form: condition map t keeps the coordinates
     t..t+level of the working level (Z/modulus)^(l+1), l = level + steps - 1.
@@ -224,7 +220,10 @@ def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Pair
         _trusted(GroupHom, domain, base, _trusted(IntMatrix, window, top + 1, rows[t : t + window]))
         for t in range(steps)
     ]
-    return _paired(conditions, base)
+    return (
+        (conditions, trivial_subgroup(base)),
+        ((dual_hom(c) for c in conditions), full_subgroup(dual_group(base))),
+    )
 
 
 def full_shift_tower(modulus: int, height: int) -> TowerEndo:

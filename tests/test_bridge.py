@@ -43,7 +43,6 @@ from entbridge.fingroup import (
     powers,
     preimage,
     subgroup_from_generators,
-    trivial_subgroup,
     two_chains,
 )
 from entbridge.tdlca import full_shift_tower, padic_tower, shift_pairs
@@ -85,9 +84,9 @@ def recursive_trajectory(f, u, steps):
 class TestChains:
     def test_lengths_and_first_entry(self):
         g, f, u = frozen_instance()
-        co = list(meet_chain([(h, u) for h in powers(f, 4)]))
+        co = list(meet_chain(powers(f, 4), u))
         assert len(co) == 4 and co[0] == u
-        tr = list(join_chain([(h, u) for h in powers(f, 4)]))
+        tr = list(join_chain(powers(f, 4), u))
         assert len(tr) == 4 and tr[0] == u
 
     def test_chains_shrink_and_grow(self):
@@ -104,8 +103,8 @@ class TestChains:
             powers(dual_hom(f), 0)
 
     def test_driver_builds_exactly_steps_terms(self):
-        # 1/2 on Q_2 grows at every step: pairs that end at 3 terms are not
-        # padded as if the chains had stalled, and of 8 pairs per side only
+        # 1/2 on Q_2 grows at every step: sides that end at 3 maps are not
+        # padded as if the chains had stalled, and of 8 maps per side only
         # the first 5 are read for 5 steps
         m = bridge.padic.rational_matrix([["1/2"]])
         for steps in (0, -1):
@@ -115,10 +114,15 @@ class TestChains:
             two_chains(*qp_pairs(2, m, 3), 6)
         read = []
 
-        def counted(pairs):
-            for pair in pairs:
-                read.append(pair)
-                yield pair
+        def counted(side):
+            maps, subgroup = side
+
+            def read_maps():
+                for h in maps:
+                    read.append(h)
+                    yield h
+
+            return read_maps(), subgroup
 
         (co, a), (tr, b) = two_chains(*map(counted, qp_pairs(2, m, 8)), 5)
         assert len(co) == len(tr) == 5 and len(read) == 10
@@ -160,7 +164,7 @@ def strictly_monotone(chain):
 
 
 def qp_pairs(prime, m, steps):
-    """The meet pairs of m and the join pairs of its transpose, as qp_bridge builds them."""
+    """The meet side of m and the join side of its transpose, as qp_bridge builds them."""
     padic = bridge.padic
     return padic.cotrajectory_pairs(prime, m, steps), padic.trajectory_pairs(prime, tuple(zip(*m)), steps)
 
@@ -188,15 +192,15 @@ class TestEarlyExit:
         for f, u, steps in cases:
             (co, _), (tr, _) = _finite_chains(f, u, steps)
             uperp = annihilator(u)
-            assert co == list(meet_chain((h, u) for h in powers(f, steps)))
-            assert tr == list(join_chain((h, uperp) for h in powers(dual_hom(f), steps)))
+            assert co == list(meet_chain(powers(f, steps), u))
+            assert tr == list(join_chain(powers(dual_hom(f), steps), uperp))
             assert co == recursive_cotrajectory(f, u, steps)
             assert tr == recursive_trajectory(dual_hom(f), uperp, steps)
             repeats_at_step_1 += steps >= 2 and co[1] == co[0] and tr[1] == tr[0]
             never_repeats += steps >= 2 and strictly_monotone(co) and strictly_monotone(tr)
         assert len(cases) >= 80
         assert repeats_at_step_1 >= 20 and never_repeats >= 20
-        # qp and tower pairs: unipotent matrices with 1/p, which stall after
+        # qp and tower sides: unipotent matrices with 1/p, which stall after
         # step 2, p-adic towers, some of which stall, and shifts, which never
         # do; the driver's padded chains equal the full builds at every step
         pair_cases = []
@@ -217,9 +221,9 @@ class TestEarlyExit:
         stalled = growing = 0
         for make_pairs, steps in pair_cases:
             (co, _), (tr, _) = two_chains(*make_pairs(), steps)
-            meet_pairs, join_pairs = make_pairs()
-            assert co == list(meet_chain(meet_pairs))
-            assert tr == list(join_chain(join_pairs))
+            meet, join = make_pairs()
+            assert co == list(meet_chain(*meet))
+            assert tr == list(join_chain(*join))
             stalled += steps > 2 and co[-1] is co[-2]
             growing += steps > 2 and strictly_monotone(co) and strictly_monotone(tr)
         assert len(pair_cases) == 60
@@ -471,7 +475,7 @@ class TestFiniteBridge:
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
         # the left shift on (Z/2)^6 with U = {x_0 = 0} has indices 2^n on both
-        # sides; the dual pairs lose their third subgroup, so T_3 = T_2 while
+        # sides; the dual side's third map is zero, so T_3 = T_2 while
         # C_3 != C_2, and the dual chain keeps growing past its stall
         g, f = left_shift(6)
         u = coordinate_hyperplane(g, 0)
@@ -480,7 +484,7 @@ class TestFiniteBridge:
         monkeypatch.setattr(
             bridge,
             "two_chains",
-            lambda meet, join, steps: two_chains(meet, third_subgroup_trivial(join), steps),
+            lambda meet, join, steps: two_chains(meet, third_map_zero(join), steps),
         )
         report = finite_bridge(f, u, 6)
         assert report["indices"] == {"primal": [1, 2, 4, 8, 16, 32], "dual": [1, 2, 2, 4, 8, 16]}
@@ -495,11 +499,15 @@ class TestFiniteBridge:
         }
 
 
-def third_subgroup_trivial(pairs):
-    """The pairs with the third subgroup replaced by the trivial one, so the
-    third join term repeats the second."""
-    for k, (h, s) in enumerate(pairs):
-        yield h, trivial_subgroup(s.ambient) if k == 2 else s
+def third_map_zero(side):
+    """The side with its third map replaced by the zero map, still read
+    lazily, so the third join term repeats the second."""
+    maps, source = side
+
+    def zero(h):
+        return GroupHom(h.domain, h.codomain, IntMatrix.zero(h.codomain.rank, h.domain.rank))
+
+    return (zero(h) if k == 2 else h for k, h in enumerate(maps)), source
 
 
 class TestShiftBridge:
@@ -529,10 +537,10 @@ class TestShiftBridge:
         ranks = []
 
         def recording(modulus, height, level, steps):
-            meet, join = shift_pairs(modulus, height, level, steps)
-            meet = list(meet)
-            ranks.append({f.domain.rank for f, _ in meet})
-            return meet, join
+            (maps, zero), join = shift_pairs(modulus, height, level, steps)
+            maps = list(maps)
+            ranks.append({f.domain.rank for f in maps})
+            return (maps, zero), join
 
         monkeypatch.setattr(bridge, "shift_pairs", recording)
         report = shift_bridge(2, 64, 0, 2)
@@ -600,11 +608,11 @@ class TestShiftBridge:
         assert report["indices"]["primal"] == [6**n for n in range(9)]
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
-        # the dual pairs lose their third subgroup, so T_3 = T_2 and the dual
-        # index at step 3 is 2 where the primal one is 4
+        # the dual side's third map is zero, so T_3 = T_2 and the dual index
+        # at step 3 is 2 where the primal one is 4
         def wrong_dual(*args):
             meet, join = shift_pairs(*args)
-            return meet, third_subgroup_trivial(join)
+            return meet, third_map_zero(join)
 
         co, tr = tower_chains(full_shift_tower(2, 8), 1, 7)
         monkeypatch.setattr(bridge, "shift_pairs", wrong_dual)
@@ -666,8 +674,8 @@ class TestQpBridge:
             verify_instance(instance)
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
-        # 1/2 on Q_2 over 6 steps has indices 2^n on both sides; the dual pairs
-        # lose their third subgroup, so T_3 = T_2 and b_3 = 2 where a_3 = 4
+        # 1/2 on Q_2 over 6 steps has indices 2^n on both sides; the dual
+        # side's third map is zero, so T_3 = T_2 and b_3 = 2 where a_3 = 4
         m = bridge.padic.rational_matrix([["1/2"]])
         (co, _), (tr, _) = two_chains(
             bridge.padic.cotrajectory_pairs(2, m, 6), bridge.padic.trajectory_pairs(2, m, 6), 6
@@ -676,7 +684,7 @@ class TestQpBridge:
         monkeypatch.setattr(
             bridge.padic,
             "trajectory_pairs",
-            lambda prime, matrix, steps: third_subgroup_trivial(trajectory_pairs(prime, matrix, steps)),
+            lambda prime, matrix, steps: third_map_zero(trajectory_pairs(prime, matrix, steps)),
         )
         report = qp_bridge(2, [["1/2"]], 6)
         assert report["indices"] == {"primal": [1, 2, 4, 8, 16, 32], "dual": [1, 2, 2, 8, 16, 32]}
@@ -774,15 +782,24 @@ class TestVerifyDispatch:
             assert report["kind"] == kind
             assert report["verdict"] == "pass"
 
-        # steps: 1 is refused before any bridge builds a chain
+        # fewer than two steps are refused before any chain is built, from a
+        # dict and by each exact bridge called directly
         def no_chain(*args):
-            raise AssertionError("bridge called")
+            raise AssertionError("chain built")
 
-        for name in ["finite_bridge", "shift_bridge", "qp_bridge"]:
-            monkeypatch.setattr(bridge, name, no_chain)
+        monkeypatch.setattr(bridge, "two_chains", no_chain)
         for kind in ["finite", "shift", "qp"]:
             with pytest.raises(InputError, match="step count must be at least 2"):
                 verify_instance({**instances[kind], "steps": 1})
+        _, f, u = frozen_instance()
+        for steps in (0, 1):
+            for call in (
+                lambda: finite_bridge(f, u, steps),
+                lambda: shift_bridge(2, 8, 1, steps),
+                lambda: qp_bridge(2, [["1/2"]], steps),
+            ):
+                with pytest.raises(InputError, match="step count must be at least 2"):
+                    call()
 
     @pytest.mark.parametrize(
         "change",
@@ -823,9 +840,15 @@ class TestVerifyDispatch:
             verify_instance(instance)
 
     def test_required_keys_are_the_schemas(self):
-        defs = load_schema("instance")["$defs"]
-        for kind, keys in bridge._REQUIRED.items():
-            assert ["kind", *keys] == defs[kind]["required"], kind
+        # every kind of the shipped schema, and no other, requires the keys
+        # of its schema branch, "kind" aside, in the schema's order
+        schema = load_schema("instance")
+        kinds = [branch["$ref"].rsplit("/", 1)[1] for branch in schema["oneOf"]]
+        assert sorted(kinds) == sorted(bridge._REQUIRED)
+        for kind in kinds:
+            required = schema["$defs"][kind]["required"]
+            assert "kind" in required, kind
+            assert [key for key in required if key != "kind"] == list(bridge._REQUIRED[kind]), kind
 
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="unknown instance kind"):

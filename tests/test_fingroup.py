@@ -112,13 +112,13 @@ def reference_intersect(a, b):
     return SubgroupLattice(a.ambient, hnf(b1 @ reference_preimage(b1, b.basis).matrix))
 
 
-def reference_meet_chain(pairs):
-    """C_n = hnf(B @ {y : f_n(B y) in V_n}), B the basis of C_(n-1)."""
-    group = pairs[0][0].domain
+def reference_meet_chain(maps, target):
+    """C_n = hnf(B @ {y : f_n(B y) in V}), B the basis of C_(n-1)."""
+    group = maps[0].domain
     basis = IntMatrix.identity(group.rank)
     chain = []
-    for f, v in pairs:
-        coords = reference_preimage(f.matrix @ basis, v.basis)
+    for f in maps:
+        coords = reference_preimage(f.matrix @ basis, target.basis)
         chain.append(SubgroupLattice(group, hnf(basis @ coords.matrix)))
         basis = chain[-1].basis.matrix
     return chain
@@ -133,53 +133,59 @@ def big_group(rng):
     return FinAbGroup(tuple(rng.choice(BIG_MODULI) for _ in range(rng.randint(1, 6))))
 
 
-def unreduced_meet_chain(pairs):
-    """C_n = preimage_lattice(f_n.matrix @ B, V_n, B), the product left unreduced."""
-    group = pairs[0][0].domain
+def unreduced_meet_chain(maps, target):
+    """C_n = preimage_lattice(f_n.matrix @ B, V, B), the product left unreduced."""
+    group = maps[0].domain
     basis = IntMatrix.identity(group.rank)
     chain = []
-    for f, v in pairs:
-        chain.append(SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis)))
+    for f in maps:
+        chain.append(SubgroupLattice(group, preimage_lattice(f.matrix @ basis, target.basis, basis)))
         basis = chain[-1].basis.matrix
     return chain
 
 
-def unreduced_join_chain(pairs):
-    """T_n = hnf(B | g_n.matrix @ S_n), the product left unreduced."""
-    group = pairs[0][0].codomain
+def unreduced_join_chain(maps, source):
+    """T_n = hnf(B | g_n.matrix @ S), the product left unreduced."""
+    group = maps[0].codomain
     basis = group.relations.matrix
     chain = []
-    for g, s in pairs:
-        chain.append(SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix))))
+    for g in maps:
+        chain.append(SubgroupLattice(group, hnf(basis.hstack(g.matrix @ source.basis.matrix))))
         basis = chain[-1].basis.matrix
     return chain
 
 
-def random_meet_pairs(rng, group, other_group):
-    """1-5 maps out of `group`, each paired with a random subgroup of its codomain."""
-    pairs = []
-    for _ in range(rng.randint(1, 5)):
-        other = other_group(rng)
-        pairs.append((random_hom(rng, group, other), random_subgroup(rng, other)))
-    return pairs
+def random_meet_side(rng, group, other_group):
+    """(maps, target): 1-5 maps out of `group` into one other group, and one
+    random subgroup of that group."""
+    other = other_group(rng)
+    maps = [random_hom(rng, group, other) for _ in range(rng.randint(1, 5))]
+    return maps, random_subgroup(rng, other)
+
+
+def random_join_side(rng, group, other_group):
+    """(maps, source): 1-5 maps from one other group into `group`, and one
+    random subgroup of that group."""
+    other = other_group(rng)
+    maps = [random_hom(rng, other, group) for _ in range(rng.randint(1, 5))]
+    return maps, random_subgroup(rng, other)
 
 
 @st.composite
 def known_answer_pairs(draw):
-    """(group, meet pairs, join pairs) on a small group: an identity first
-    map or none, then zero maps, maps paired with a whole subgroup,
-    identities (whose known answer holds only first) and ordinary maps,
-    into and out of small groups."""
+    """(group, meet side, join side) on a small group: an identity first map
+    or none, then zero maps, identities (whose known answer holds only
+    first) and ordinary maps, out of and into one other small group, which
+    is the group itself when an identity is drawn; each side's one
+    subgroup, whole or random, is drawn once."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     group = FinAbGroup(draw(st.sampled_from(SMALL_MODULI)))
-    meet, join = [], []
-    if draw(st.booleans()):
-        identity = GroupHom.identity(group)
-        meet.append((identity, random_subgroup(rng, group)))
-        join.append((identity, random_subgroup(rng, group)))
-    kinds = st.sampled_from(["zero", "whole", "identity", "ordinary"])
-    for kind in draw(st.lists(kinds, max_size=5)):
-        other = group if kind == "identity" else small_group(rng)
+    first_identity = draw(st.booleans())
+    other = group if first_identity or draw(st.booleans()) else small_group(rng)
+    meet = [GroupHom.identity(group)] if first_identity else []
+    join = list(meet)
+    kinds = ["zero", "ordinary"] + (["identity"] if other == group else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)):
         if kind == "identity":
             f = g = GroupHom.identity(group)
         elif kind == "zero":
@@ -187,17 +193,14 @@ def known_answer_pairs(draw):
             g = GroupHom(other, group, IntMatrix.zero(group.rank, other.rank))
         else:
             f, g = random_hom(rng, group, other), random_hom(rng, other, group)
-        if kind == "whole":
-            v = s = full_subgroup(other)
-        else:
-            v, s = random_subgroup(rng, other), random_subgroup(rng, other)
-        meet.append((f, v))
-        join.append((g, s))
+        meet.append(f)
+        join.append(g)
     if not meet:
-        other = small_group(rng)
-        meet.append((random_hom(rng, group, other), random_subgroup(rng, other)))
-        join.append((random_hom(rng, other, group), random_subgroup(rng, other)))
-    return group, meet, join
+        meet.append(random_hom(rng, group, other))
+        join.append(random_hom(rng, other, group))
+    v = full_subgroup(other) if draw(st.booleans()) else random_subgroup(rng, other)
+    s = full_subgroup(other) if draw(st.booleans()) else random_subgroup(rng, other)
+    return group, (meet, v), (join, s)
 
 
 class TestFinAbGroup:
@@ -463,23 +466,23 @@ class TestHomLattices:
 
 def cotrajectory(f, u, steps):
     """C_steps = U ∩ f^-1 U ∩ ... ∩ f^-(steps-1) U."""
-    return list(meet_chain([(h, u) for h in powers(f, steps)]))[-1]
+    return list(meet_chain(powers(f, steps), u))[-1]
 
 
 def trajectory(f, u, steps):
     """T_steps = U + f U + ... + f^(steps-1) U."""
-    return list(join_chain([(h, u) for h in powers(f, steps)]))[-1]
+    return list(join_chain(powers(f, steps), u))[-1]
 
 
-def two_builder_meet(pairs):
-    """Reference: the running intersection of the whole preimages f_t^-1(V_t)."""
-    preimages = (SubgroupLattice(f.domain, reference_preimage(f.matrix, v.basis)) for f, v in pairs)
+def two_builder_meet(maps, target):
+    """Reference: the running intersection of the whole preimages f_t^-1(V)."""
+    preimages = (SubgroupLattice(f.domain, reference_preimage(f.matrix, target.basis)) for f in maps)
     return list(accumulate(preimages, reference_intersect))
 
 
-def two_builder_join(pairs):
-    """Reference: the running sum of the whole images g_t(S_t)."""
-    return list(accumulate((image(g, s) for g, s in pairs), SubgroupLattice.sum))
+def two_builder_join(maps, source):
+    """Reference: the running sum of the whole images g_t(S)."""
+    return list(accumulate((image(g, source) for g in maps), SubgroupLattice.sum))
 
 
 class TestTrajectories:
@@ -542,63 +545,66 @@ class TestTrajectories:
 class TestChainBuilders:
     def test_kernel_chain_matches_enumeration(self):
         for rng, group in random_cases(16, 40):
-            targets = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
-            maps = [random_hom(rng, group, t) for t in targets]
-            chain = list(meet_chain([(m, trivial_subgroup(m.codomain)) for m in maps]))
+            target = FinAbGroup(rng.choice(SMALL_MODULI))
+            maps = [random_hom(rng, group, target) for _ in range(rng.randint(1, 4))]
+            chain = list(meet_chain(maps, trivial_subgroup(target)))
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
                 expected = {
                     x
                     for x in all_elements(group)
-                    if all(m.apply(x) == m.codomain.zero() for m in maps[: t + 1])
+                    if all(m.apply(x) == target.zero() for m in maps[: t + 1])
                 }
                 assert subgroup_elements(sub) == expected
 
     def test_image_chain_matches_enumeration(self):
         for rng, group in random_cases(17, 40):
-            sources = [FinAbGroup(rng.choice(SMALL_MODULI)) for _ in range(rng.randint(1, 4))]
-            maps = [random_hom(rng, s, group) for s in sources]
-            chain = list(join_chain([(m, full_subgroup(m.domain)) for m in maps]))
+            source = FinAbGroup(rng.choice(SMALL_MODULI))
+            maps = [random_hom(rng, source, group) for _ in range(rng.randint(1, 4))]
+            chain = list(join_chain(maps, full_subgroup(source)))
             assert len(chain) == len(maps)
             for t, sub in enumerate(chain):
-                images = [m.apply(x) for m in maps[: t + 1] for x in all_elements(m.domain)]
+                images = [m.apply(x) for m in maps[: t + 1] for x in all_elements(source)]
                 assert subgroup_elements(sub) == closure(group, images)
 
     def test_running_meet_and_join_match_enumeration(self):
+        # varying endomorphisms, not the powers of one, with one subgroup U:
+        # C_n = f_1^-1(U) n ... n f_n^-1(U) and T_n = f_1(U) + ... + f_n(U)
         for rng, group in random_cases(19, 40):
-            subs = [random_subgroup(rng, group) for _ in range(rng.randint(1, 4))]
-            elements = [subgroup_elements(s) for s in subs]
-            pairs = [(GroupHom.identity(group), s) for s in subs]
-            meets, joins = list(meet_chain(pairs)), list(join_chain(pairs))
-            assert len(meets) == len(joins) == len(subs)
-            for t in range(len(subs)):
-                assert subgroup_elements(meets[t]) == frozenset.intersection(*elements[: t + 1])
-                union = [x for e in elements[: t + 1] for x in e]
-                assert subgroup_elements(joins[t]) == closure(group, union)
+            maps = [random_endomorphism(rng, group) for _ in range(rng.randint(1, 4))]
+            u = random_subgroup(rng, group)
+            elements = subgroup_elements(u)
+            meets, joins = list(meet_chain(maps, u)), list(join_chain(maps, u))
+            assert len(meets) == len(joins) == len(maps)
+            members, images = frozenset(all_elements(group)), []
+            for f, meet, join in zip(maps, meets, joins):
+                members &= oracle_preimage(f, elements)
+                images += oracle_image(f, elements)
+                assert subgroup_elements(meet) == members
+                assert subgroup_elements(join) == closure(group, images)
 
     def test_meet_chain_matches_reference(self):
         for rng, group in random_cases(24, 60, wide_group):
-            pairs = random_meet_pairs(rng, group, wide_group)
-            assert list(meet_chain(pairs)) == reference_meet_chain(pairs)
+            maps, target = random_meet_side(rng, group, wide_group)
+            assert list(meet_chain(maps, target)) == reference_meet_chain(maps, target)
 
     def test_reduced_steps_match_unreduced_products(self):
         # the builders reduce each step's product modulo the codomain moduli;
         # the terms are those of the unreduced products, whose entries reach
-        # past the moduli (counted, so the reduction is exercised)
+        # past the moduli (counted, so the reduction is exercised; a side
+        # whose one subgroup is whole, or a meet side of one map, takes no
+        # product past them, so 50 draws give the 30 that do)
         past = 0
-        for rng, group in random_cases(26, 40, big_group):
-            meet_pairs = random_meet_pairs(rng, group, big_group)
-            join_pairs = []
-            for _ in range(rng.randint(1, 5)):
-                other = big_group(rng)
-                join_pairs.append((random_hom(rng, other, group), random_subgroup(rng, other)))
-            meets = list(meet_chain(meet_pairs))
-            joins = list(join_chain(join_pairs))
-            assert meets == unreduced_meet_chain(meet_pairs)
-            assert joins == unreduced_join_chain(join_pairs)
+        for rng, group in random_cases(26, 50, big_group):
+            meet_maps, target = random_meet_side(rng, group, big_group)
+            join_maps, source = random_join_side(rng, group, big_group)
+            meets = list(meet_chain(meet_maps, target))
+            joins = list(join_chain(join_maps, source))
+            assert meets == unreduced_meet_chain(meet_maps, target)
+            assert joins == unreduced_join_chain(join_maps, source)
             bases = [IntMatrix.identity(group.rank)] + [c.basis.matrix for c in meets[:-1]]
-            products = [(f.matrix @ b, f.codomain) for (f, _), b in zip(meet_pairs, bases)]
-            products += [(g.matrix @ t.basis.matrix, group) for g, t in join_pairs]
+            products = [(f.matrix @ b, target.ambient) for f, b in zip(meet_maps, bases)]
+            products += [(g.matrix @ source.basis.matrix, group) for g in join_maps]
             past += any(
                 x >= d for m, cod in products for row, d in zip(m.entries, cod.moduli) for x in row
             )
@@ -606,26 +612,23 @@ class TestChainBuilders:
 
     def test_meet_chain_pairs_match_enumeration(self):
         for rng, group in random_cases(25, 40):
-            pairs = random_meet_pairs(rng, group, small_group)
-            chain = list(meet_chain(pairs))
-            assert chain == reference_meet_chain(pairs)
+            maps, target = random_meet_side(rng, group, small_group)
+            chain = list(meet_chain(maps, target))
+            assert chain == reference_meet_chain(maps, target)
             members = frozenset(all_elements(group))
-            for (f, v), sub in zip(pairs, chain):
-                members &= oracle_preimage(f, subgroup_elements(v))
+            for f, sub in zip(maps, chain):
+                members &= oracle_preimage(f, subgroup_elements(target))
                 assert subgroup_elements(sub) == members
 
     def test_pairs_match_two_builder_oracle(self):
-        # meet: maps out of one group into mixed codomains, each paired with
-        # a random subgroup of its codomain; join: maps from mixed domains
-        # into one group, each paired with a random subgroup of its domain
+        # meet: maps out of one group into one other group, with one random
+        # subgroup of it; join: maps from one other group into one group,
+        # with one random subgroup of it
         for rng, group in random_cases(20, 60):
-            meet_pairs, join_pairs = [], []
-            for _ in range(rng.randint(1, 5)):
-                other = FinAbGroup(rng.choice(SMALL_MODULI))
-                meet_pairs.append((random_hom(rng, group, other), random_subgroup(rng, other)))
-                join_pairs.append((random_hom(rng, other, group), random_subgroup(rng, other)))
-            assert list(meet_chain(meet_pairs)) == two_builder_meet(meet_pairs)
-            assert list(join_chain(join_pairs)) == two_builder_join(join_pairs)
+            meet_maps, target = random_meet_side(rng, group, small_group)
+            join_maps, source = random_join_side(rng, group, small_group)
+            assert list(meet_chain(meet_maps, target)) == two_builder_meet(meet_maps, target)
+            assert list(join_chain(join_maps, source)) == two_builder_join(join_maps, source)
 
     @pytest.mark.parametrize(
         "endo, j, steps",
@@ -645,32 +648,32 @@ class TestChainBuilders:
         ],
     )
     def test_tower_pairs_match_two_builder_oracle(self, endo, j, steps):
-        conditions = [c for c, _ in endo.pairs(j, steps)[0]]
-        kernels = [(c, trivial_subgroup(c.codomain)) for c in conditions]
+        conditions = list(endo.pairs(j, steps)[0][0])
+        zero = trivial_subgroup(endo.tower.levels[j])
         duals = [dual_hom(c) for c in conditions]
-        images = [(d, full_subgroup(d.domain)) for d in duals]
+        whole = full_subgroup(dual_group(endo.tower.levels[j]))
         cotrajectory, trajectory = tower_chains(endo, j, steps)
-        assert cotrajectory == two_builder_meet(kernels) == reference_meet_chain(kernels)
-        assert trajectory == two_builder_join(images)
+        assert cotrajectory == two_builder_meet(conditions, zero) == reference_meet_chain(conditions, zero)
+        assert trajectory == two_builder_join(duals, whole)
 
     @given(known_answer_pairs())
     @settings(max_examples=150, deadline=None)
     def test_known_answer_steps_match_the_plain_steps(self, case):
-        # an identity first map, a zero product, a whole subgroup and a step
+        # an identity first map, a zero product, a whole source and a step
         # that adds no generator each skip a product or an elimination; every
         # term is what the plain step gives and what enumeration gives
-        group, meet, join = case
-        meets, joins = list(meet_chain(meet)), list(join_chain(join))
+        group, (meet, v), (join, s) = case
+        meets, joins = list(meet_chain(meet, v)), list(join_chain(join, s))
         basis = IntMatrix.identity(group.rank)
         members = frozenset(all_elements(group))
-        for (f, v), term in zip(meet, meets):
+        for f, term in zip(meet, meets):
             assert term == SubgroupLattice(group, preimage_lattice(f.matrix @ basis, v.basis, basis))
             members &= oracle_preimage(f, subgroup_elements(v))
             assert subgroup_elements(term) == members
             basis = term.basis.matrix
         basis = group.relations.matrix
         images = []
-        for (g, s), term in zip(join, joins):
+        for g, term in zip(join, joins):
             assert term == SubgroupLattice(group, hnf(basis.hstack(g.matrix @ s.basis.matrix)))
             images += oracle_image(g, subgroup_elements(s))
             assert subgroup_elements(term) == closure(group, images)
@@ -682,7 +685,7 @@ class TestChainBuilders:
         # so a step puts nothing through hnf afterwards
         group = FinAbGroup((8, 4, 6))
         rng = random.Random(3)
-        pairs = [(random_hom(rng, group, group), random_subgroup(rng, group))]
+        f, v = random_hom(rng, group, group), random_subgroup(rng, group)
         counts = {"preimage_lattice": 0, "hnf": 0}
 
         def counted(name, fn):
@@ -698,7 +701,7 @@ class TestChainBuilders:
         monkeypatch.setattr(exactlinalg, "hnf", counted("hnf", exactlinalg.hnf))
         monkeypatch.setattr(fingroup, "hnf", counted("hnf", fingroup.hnf))
         monkeypatch.setattr(fingroup, "_joined", counted("hnf", fingroup._joined))
-        next(meet_chain(pairs))
+        next(meet_chain([f], v))
         assert counts == {"preimage_lattice": 1, "hnf": 0}
 
     def test_needs_maps_on_one_group(self):
@@ -708,17 +711,17 @@ class TestChainBuilders:
         to_g = random_hom(random.Random(0), h, g)
         for build in (meet_chain, join_chain):
             with pytest.raises(ValueError, match="at least one"):
-                list(build([]))
+                list(build([], full_subgroup(g)))
         with pytest.raises(ValueError, match="out of different groups"):
-            list(meet_chain([(to_h, full_subgroup(h)), (to_g, full_subgroup(g))]))
+            list(meet_chain([to_h, to_g], full_subgroup(h)))
         with pytest.raises(ValueError, match="into different groups"):
-            list(join_chain([(to_h, full_subgroup(g)), (to_g, full_subgroup(h))]))
+            list(join_chain([to_h, to_g], full_subgroup(g)))
 
     def test_subgroup_on_the_wrong_side(self):
         g = FinAbGroup((4, 2))
         h = FinAbGroup((2,))
         to_h = random_hom(random.Random(0), g, h)
         with pytest.raises(ValueError, match="not in the codomain"):
-            list(meet_chain([(to_h, full_subgroup(g))]))
+            list(meet_chain([to_h], full_subgroup(g)))
         with pytest.raises(ValueError, match="not in the domain"):
-            list(join_chain([(to_h, full_subgroup(h))]))
+            list(join_chain([to_h], full_subgroup(h)))

@@ -98,7 +98,7 @@ def test_input_error_is_the_one_refusal_type():
 IDENTITY_2, IDENTITY_3 = (GroupHom.identity(FinAbGroup((d,))) for d in (2, 3))
 
 
-def _pairs_of_three_steps():
+def _sides_of_three_steps():
     m = padic.rational_matrix([["1/2"]])
     return padic.cotrajectory_pairs(2, m, 3), padic.trajectory_pairs(2, m, 3)
 
@@ -107,7 +107,7 @@ def _pairs_of_three_steps():
     "call,message",
     [
         (lambda: hnf(IntMatrix.from_columns([[1, 2], [2, 4]], rows=2)), "lattice not full rank"),
-        (lambda: two_chains(*_pairs_of_three_steps(), 6), "end after 3 of 6 steps"),
+        (lambda: two_chains(*_sides_of_three_steps(), 6), "end after 3 of 6 steps"),
         (lambda: IDENTITY_2.compose(IDENTITY_3), "homomorphisms do not compose"),
         (lambda: estimate_entropy([2, 1]), "invalid index sequence"),
     ],

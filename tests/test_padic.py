@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,8 @@ from conftest import all_elements, char_poly_oracle, closure, det
 from entbridge import padic
 from entbridge.bridge import verify_instance
 from entbridge.exactlinalg import HnfBasis, InputError, IntMatrix
-from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, join_chain, meet_chain, powers
+from entbridge import fingroup
+from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, powers
 from entbridge.padic import (
     _MR_BOUND,
     PadicLattice,
@@ -86,10 +88,11 @@ def lattice_trajectory(prime, m, steps):
     return tuple(out)
 
 
-def unscaled_pairs(prime, m, steps):
-    """(meet pairs, join pairs) of the unscaled route on G = (Z/p^N)^d,
-    N = (steps - 1) e for m = B / (u p^e): (B^k, p^(ke) G) and
-    (B^k, p^(N-ke) G), k < steps, each p^c G a checked subgroup."""
+def unscaled_chains(prime, m, steps):
+    """(meet chain, join chain) of the unscaled route on G = (Z/p^N)^d,
+    N = (steps - 1) e for m = B / (u p^e): the running intersection of the
+    preimages B^-k(p^(ke) G) and the running sum of the images
+    B^k(p^(N-ke) G), k < steps, each p^c G a checked subgroup."""
     den = math.lcm(*(x.denominator for row in m for x in row))
     e = 0
     while den % prime**(e + 1) == 0:
@@ -102,9 +105,9 @@ def unscaled_pairs(prime, m, steps):
     def multiples(c):
         return SubgroupLattice(group, HnfBasis(IntMatrix.diagonal((c,) * len(m))))
 
-    meet = [(h, multiples(prime ** (k * e))) for k, h in enumerate(b_powers)]
-    join = [(h, multiples(prime ** (top - k * e))) for k, h in enumerate(b_powers)]
-    return meet, join
+    meet = [fingroup.preimage(h, multiples(prime ** (k * e))) for k, h in enumerate(b_powers)]
+    join = [fingroup.image(h, multiples(prime ** (top - k * e))) for k, h in enumerate(b_powers)]
+    return list(accumulate(meet, SubgroupLattice.intersect)), list(accumulate(join, SubgroupLattice.sum))
 
 
 def chain_indices(terms, meet):
@@ -503,9 +506,10 @@ class TestIndexSequences:
                 assert trajectory_indices(prime, tuple(zip(*m)), steps) == tuple(dual)
 
     def test_scaled_pairs_match_unscaled_pairs(self):
-        # the routes pair p^(N-ke) B^k with the trivial subgroup and with G;
-        # the unscaled pairs give the same indices, on matrices with unit and
-        # p-power denominators, singular ones included
+        # the routes give p^(N-ke) B^k with the trivial subgroup and with G;
+        # the unscaled route, B^k with p^(ke) G and with p^(N-ke) G, gives
+        # the same indices, on matrices with unit and p-power denominators,
+        # singular ones included
         rng = random.Random(43)
         cases = 0
         for prime in (2, 3, 5, 7):
@@ -516,9 +520,9 @@ class TestIndexSequences:
                 steps = rng.randint(2, 6)
                 rows = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
                 m = rational_matrix([[Fraction(x, rng.choice(dens)) for x in row] for row in rows])
-                meet, join = unscaled_pairs(prime, m, steps)
-                assert cotrajectory_indices(prime, m, steps) == chain_indices(meet_chain(meet), True)
-                assert trajectory_indices(prime, m, steps) == chain_indices(join_chain(join), False)
+                meet, join = unscaled_chains(prime, m, steps)
+                assert cotrajectory_indices(prime, m, steps) == chain_indices(meet, True)
+                assert trajectory_indices(prime, m, steps) == chain_indices(join, False)
                 cases += 1
         assert cases >= 300
 
