@@ -18,26 +18,41 @@ every reduced row stay behind.  Each round divides by the least entry
 on the row, and a column leaves the round once it is zero there.
 :func:`hnf` of plain generators reduces every row and puts the pivots in
 Hermite form, and :func:`kernel_basis` reads the identity rows of m
-stacked on the identity.  :func:`preimage_lattice` reduces [m | target]
-over [basis | 0] in one pass: the rows of m, then straight on down the
-basis rows, whose pivots in Hermite form are basis . {y : m y in target}.
-:func:`snf` runs the echelon on a matrix and then on the
-transpose of its pivot columns, alternately, until every pivot column
-has a single nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+stacked on the identity.  :func:`snf` runs the echelon on a matrix and
+then on the transpose of its pivot columns, alternately, until every
+pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
+Comput. 8, 1979).
 
-The other elimination is Hermite form modulo the relations
+The other elimination inserts columns one at a time into the pivots of
+a triangular basis: on row t, Euclid runs between the column and the
+pivot of row t, a row with no pivot yet takes the column, and the
+column goes on down with what is left.  Into a Hermite basis that
+contains diag(d_1, ..., d_k) this is Hermite form modulo the relations
 (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-algorithm 2.4.8): generators inserted row by row into a Hermite basis
-that contains diag(d_1, ..., d_k).  On row t, Euclid runs between a
-generator and the pivot of row t; then row s of both, for every s below
-t, is reduced modulo d_s.  That is exact: the pivots of rows s and below
-still span the part of the lattice zero above row s, d_s e_s among it.
-So no entry past the largest modulus reaches the Hermite step, where
-the row-scan on the basis next to the generators lets entries grow with
+algorithm 2.4.8): row s of both, for every s below t, is then reduced
+modulo d_s.  That is exact: the pivots of rows s and below still span
+the part of the lattice zero above row s, d_s e_s among it.  So no
+entry past the largest modulus reaches the Hermite step, where the
+row-scan on the basis next to the generators lets entries grow with
 every row.  :func:`hnf` with `moduli` starts from diag(moduli) itself;
 the private :func:`_hnf_insert` trusts its basis, which its one caller
-takes from a subgroup.  The row-scan stays where no relation lattice is
-known to reduce by: the pass over m, kernels, Smith forms, p-adic lattices.
+outside this module takes from a subgroup.
+
+:func:`preimage_lattice` uses both.  A column of the tracked basis that
+m sends to zero and that is d e_j, d > 0, on its own row j is already a
+kernel column and stays the pivot of row j.  The row-scan reduces the
+rows of m over the other columns of [m | target] stacked on
+[basis | 0], and the kernel columns it leaves, basis . y for a basis of
+{y : m y in target}, are inserted among those pivots with no modular
+reduction (no relation lattice is known there).
+
+Every Hermite basis ends in one normalizer, :func:`_normalize`, given
+the rows whose pivot changed: the pivots must be Hermite except at those
+rows.  A changed row's pivot is made positive and reduces every pivot
+to its left; any other row reduces only the pivots already modified,
+and the rows above the first change are left alone.  :func:`hnf` of
+plain generators passes every row; an insertion replaces pivots and
+never edits one, and reports the rows it replaced.
 
 ``IntMatrix @ IntMatrix`` is the definitional row-by-column sum.  The
 products the package computes all reduce row i modulo a modulus, in the
@@ -59,8 +74,10 @@ and only if a dense row occurs.  The one
 forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
 call) skips rows whose residual is already zero.  The shift maps of
-:mod:`entbridge.tdlca` are unit rows, and these shortcuts are all the
-sparsity support there is: every matrix stays a dense tuple of rows.
+:mod:`entbridge.tdlca` are unit rows.  These shortcuts, the zero-image
+columns that :func:`preimage_lattice` keeps as pivots and the unchanged
+rows that :func:`_normalize` skips, are all the sparsity support there
+is: every matrix stays a dense tuple of rows.
 
 Values are checked where they enter, and refused with :class:`InputError`:
 ``IntMatrix(...)``, ``from_rows`` and ``from_columns`` check the shape of
@@ -74,9 +91,10 @@ zip is resized as it grows, and CPython keeps resized tuples on its
 per-size free lists until a full collection, which the peak RSS shows.
 
 Deliberately out of scope: floating point, modular determinant tricks
-for lattices with no known relations, sparse formats, and basis
-reduction.  The intended scale is small ambient
-rank (up to a dozen or so) with possibly huge entries.
+for lattices with no known relations, sparse matrix formats (a step
+skips the columns and rows it leaves unchanged, but stores them dense),
+and basis reduction.  The intended scale is small ambient rank (up to a
+dozen or so) with possibly huge entries.
 """
 
 from __future__ import annotations
@@ -347,37 +365,67 @@ def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
     return pivots
 
 
-def _hermite(pivots: list[list[int] | None]) -> HnfBasis:
-    """Hermite basis of the echelon pivots of every row, or ValueError("lattice
-    not full rank") if a row has none: each pivot is made positive on its
-    own row, and the earlier pivots are reduced modulo it there."""
-    if any(piv is None for piv in pivots):
+def _normalize(pivots: list[list[int] | None], changed: list[bool]) -> HnfBasis:
+    """Hermite basis of the pivots of every row, changed in place, or
+    ValueError("lattice not full rank") if a row has none.
+
+    The pivots must be Hermite except at the rows flagged in `changed`:
+    the pivot of each other row is positive on its row, and the other
+    unflagged pivots to its left are reduced modulo it there.  Rows above
+    the first flagged one are left as they are.  A flagged pivot is made
+    positive on its own row and reduces every pivot to its left there;
+    any other row reduces only the pivots modified so far (the flagged
+    ones, and those a reduction changed below an earlier row), since the
+    rest are reduced there already.
+    """
+    if None in pivots:
         raise ValueError("lattice not full rank")
     n = len(pivots)
-    for i, piv in enumerate(pivots):
-        if piv[i] < 0:
-            piv[:] = [-x for x in piv]
-        for b in pivots[:i]:
-            q = b[i] // piv[i]
-            if q:
-                for t in range(i, n):
-                    b[t] -= q * piv[t]
+    moved: set[int] = set()
+    for i in range(changed.index(True) if True in changed else n, n):
+        piv = pivots[i]
+        d = piv[i]
+        if changed[i]:
+            if d < 0:
+                piv[:] = [-x for x in piv]
+                d = -d
+            for j in range(i):
+                b = pivots[j]
+                q = b[i] // d
+                if q:
+                    for t in range(i, n):
+                        b[t] -= q * piv[t]
+                    moved.add(j)
+            moved.add(i)
+        else:
+            for j in moved:
+                b = pivots[j]
+                q = b[i] // d
+                if q:
+                    for t in range(i, n):
+                        b[t] -= q * piv[t]
     return _trusted(HnfBasis, _trusted(IntMatrix, n, n, tuple(list(zip(*pivots)))))
 
 
-def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -> None:
-    """Insert `column` into `pivots`, changed in place: the pivot of each
-    row of a triangular basis of a lattice that contains diag(moduli).
+def _insert(
+    pivots: list[list[int] | None], column: list[int], moduli: Sequence[int] | None, changed: list[bool]
+) -> None:
+    """Insert `column` into `pivots`, the pivot of each row of a triangular
+    basis, and flag in `changed` each row whose pivot it replaces.  A
+    pivot is replaced, never edited in place.
 
     On each row t where the column is nonzero, Euclid runs between it and
     the pivot of row t, by the nearest-integer rule of :func:`_echelon`
     (the pivot first on a tie), on the two entries of row t; the one left
     nonzero is the new pivot, and the other goes on to the rows below.
     The rounds are collected into one unimodular 2 x 2 transform, which
-    then acts on the rows below, each entry of row s of both reduced
-    modulo moduli[s] as it is made.  That reduction takes a multiple of
-    d_s e_s off, which the pivots of rows s and below span, since they
-    are untouched still and d_s e_s is zero above row s.
+    then acts on the rows below.  With `moduli`, for a lattice that
+    contains diag(moduli), each entry of row s of both is reduced modulo
+    moduli[s] as it is made.  That reduction takes a multiple of d_s e_s
+    off, which the pivots of rows s and below span, since they are
+    untouched still and d_s e_s is zero above row s.  With no `moduli`
+    (no relation lattice is known), a row may have no pivot (None) yet,
+    and the column, zero above that row, becomes its pivot.
     """
     n = len(pivots)
     for t in range(n):
@@ -385,13 +433,21 @@ def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -
         if not y:
             continue
         piv = pivots[t]
+        if piv is None:
+            pivots[t] = column
+            changed[t] = True
+            return
         x = piv[t]
         column[t] = 0
         # the tails are short (the rank), so plain loops beat comprehensions
         if not y % x:  # one round, and the pivot stays
             q = y // x
-            for s in range(t + 1, n):
-                column[s] = (column[s] - q * piv[s]) % moduli[s]
+            if moduli is None:
+                for s in range(t + 1, n):
+                    column[s] -= q * piv[s]
+            else:
+                for s in range(t + 1, n):
+                    column[s] = (column[s] - q * piv[s]) % moduli[s]
             continue
         # (x, y) = (a piv + b column, c piv + e column) on row t
         a, b, c, e = 1, 0, 0, 1
@@ -404,20 +460,29 @@ def _insert(pivots: list[list[int]], column: list[int], moduli: Sequence[int]) -
             e -= q * b
         pivots[t] = new = [0] * n
         new[t] = x
-        for s in range(t + 1, n):
-            u, v, d = piv[s], column[s], moduli[s]
-            new[s] = (a * u + b * v) % d
-            column[s] = (c * u + e * v) % d
+        changed[t] = True
+        if moduli is None:
+            for s in range(t + 1, n):
+                u, v = piv[s], column[s]
+                new[s] = a * u + b * v
+                column[s] = c * u + e * v
+        else:
+            for s in range(t + 1, n):
+                u, v, d = piv[s], column[s], moduli[s]
+                new[s] = (a * u + b * v) % d
+                column[s] = (c * u + e * v) % d
 
 
 def _hnf_insert(basis: HnfBasis, gens: IntMatrix, moduli: Sequence[int]) -> HnfBasis:
     """Hermite form of `basis` and the columns of `gens` (:func:`_insert`), for
-    a basis whose lattice contains diag(`moduli`), which is not checked."""
+    a basis whose lattice contains diag(`moduli`), which is not checked.
+    Only the rows whose pivot an insertion replaced are normalized again."""
     pivots = [list(c) for c in zip(*basis.matrix.entries)]
+    changed = [False] * len(pivots)
     for column in zip(*gens.entries):
         if any(column):
-            _insert(pivots, list(column), moduli)
-    return _hermite(pivots)
+            _insert(pivots, list(column), moduli, changed)
+    return _normalize(pivots, changed)
 
 
 def hnf(gens: IntMatrix, moduli: Sequence[int] | None = None) -> HnfBasis:
@@ -428,7 +493,8 @@ def hnf(gens: IntMatrix, moduli: Sequence[int] | None = None) -> HnfBasis:
     not full rank") when their span has rank below the ambient dimension.
     Built unchecked: the result is a Hermite basis by construction."""
     if moduli is None:
-        return _hermite(_echelon([list(c) for c in zip(*gens.entries)], gens.rows))
+        pivots = _echelon([list(c) for c in zip(*gens.entries)], gens.rows)
+        return _normalize(pivots, [True] * gens.rows)
     if len(moduli) != gens.rows or any(d < 1 for d in moduli):
         raise InputError("moduli must be positive, one per row of the generators")
     return _hnf_insert(_trusted(HnfBasis, IntMatrix.diagonal(moduli)), gens, moduli)
@@ -451,22 +517,40 @@ def preimage_lattice(m: IntMatrix, target: HnfBasis, basis: IntMatrix) -> HnfBas
     """HNF basis of {basis @ y : m @ y lies in the target lattice}.
 
     y is in the preimage exactly when (y, z) is in the kernel of
-    [m | target] for some z.  One echelon of [m | target] stacked on
+    [m | target] for some z.  The echelon of [m | target] stacked on
     [basis | 0] reduces the rows of m, leaving basis @ y for a basis of
-    that kernel on the rows below, and goes straight on down those rows:
-    their pivots, in Hermite form, are the result.  Pass the identity for
-    the plain preimage.  The preimage always has full rank (it contains
-    det(target) * Z^k), so the result has full rank whenever `basis` is
-    square and nonsingular.
+    that kernel on the rows below.  A column of `basis` that m sends to
+    zero and that is d e_j, d > 0, for its own j (every column of a
+    diagonal Hermite basis) lies in that kernel as it stands: it stays
+    the pivot of row j, skips the echelon, and needs no normalizing,
+    since no other such column is nonzero on row j.  The row-scan runs
+    over the other columns and the target; the kernel columns it leaves
+    are inserted among those pivots (:func:`_insert` with no moduli), and
+    :func:`_normalize` puts the rows whose pivot changed in Hermite form.
+    Pass the identity for the plain preimage.  The preimage always has
+    full rank (it contains det(target) * Z^k), so the result has full
+    rank whenever `basis` is square and nonsingular.
     """
     if m.rows != target.dim:
         raise ValueError("codomain dimension mismatch")
     if basis.cols != m.cols:
         raise ValueError("basis and map take different domains")
-    pending = [list(c) for c in zip(*m.entries, *basis.entries)]
-    pending += [list(c) + [0] * basis.rows for c in zip(*target.matrix.entries)]
-    _echelon(pending, m.rows)
-    return _hermite(_echelon([c[m.rows :] for c in pending], basis.rows))
+    k, n = m.rows, basis.rows
+    pivots: list[list[int] | None] = [None] * n
+    pending = []
+    for j, column in enumerate(map(list, zip(*m.entries, *basis.entries))):
+        if j < n and column[k + j] > 0 and column.count(0) == k + n - 1:
+            pivots[j] = column[k:]
+        else:
+            pending.append(column)
+    pending += [list(c) + [0] * n for c in zip(*target.matrix.entries)]
+    _echelon(pending, k)
+    changed = [False] * n
+    for column in pending:
+        tracked = column[k:]
+        if any(tracked):
+            _insert(pivots, tracked, None, changed)
+    return _normalize(pivots, changed)
 
 
 def snf(m: IntMatrix) -> tuple[int, ...]:

@@ -24,13 +24,17 @@ takes maps f_t out of one group into the group of a target V and yields
 the running intersections of the preimages f_t^-1(V) (the
 cotrajectories), and :func:`join_chain` takes maps g_t from the group of
 a source S into one group and yields the running sums of the images
-g_t(S) (the trajectories).  Each step is at most one elimination: a meet
-step is one :func:`~entbridge.exactlinalg.preimage_lattice` of V
-restricted to the previous term, whose basis it tracks, and a join step
-inserts the generators of g_t(S) into the Hermite basis of the previous
-term, reducing modulo the moduli as it goes (Hermite form modulo the
-relations), in :func:`_joined`, as sums do: it takes a subgroup, whose
-basis holds the relations, not a bare basis.  Images, generated
+g_t(S) (the trajectories).  Each step is at most one elimination, and
+pays only for what it changes.  A meet step is one
+:func:`~entbridge.exactlinalg.preimage_lattice` of V restricted to the
+previous term, whose basis it tracks: a basis column d e_j that f_t
+sends to zero stays the pivot of its row, and only the other columns
+are eliminated.  A join step inserts the generators of g_t(S) into the
+Hermite basis of the previous term, reducing modulo the moduli as it
+goes (Hermite form modulo the relations), in :func:`_joined`, as sums
+do: it takes a subgroup, whose basis holds the relations, not a bare
+basis; only the rows that got a new pivot are put in Hermite form
+again.  Images, generated
 subgroups and the surjectivity check insert theirs into the relations
 themselves, by :func:`~entbridge.exactlinalg.hnf` with the moduli.  The
 product that feeds each step, f_t times the previous basis or g_t

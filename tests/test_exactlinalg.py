@@ -541,14 +541,14 @@ class TestHnfModuloRelations:
             assert verify_instance(instance)["verdict"] == "pass"
 
     def test_inserted_pivots_stay_within_the_largest_modulus(self, monkeypatch):
-        """Every entry of the pivots that _hermite receives from an insertion
-        on the dense 16 x 16 qp instance over Q_3 at 64 steps is at most
-        the working modulus 3^63.  Without the reduction modulo the moduli
-        the same report comes out, but the entries grow with every row and
-        the instance takes two orders of magnitude longer."""
+        """Every entry of the pivots that _normalize receives from an
+        insertion on the dense 16 x 16 qp instance over Q_3 at 64 steps is
+        at most the working modulus 3^63.  Without the reduction modulo the
+        moduli the same report comes out, but the entries grow with every
+        row and the instance takes two orders of magnitude longer."""
         largest = []
         inserting = []
-        original_insert, original_hermite = exactlinalg._hnf_insert, exactlinalg._hermite
+        original_insert, original_normalize = exactlinalg._hnf_insert, exactlinalg._normalize
 
         def insert_spy(basis, gens, moduli):
             inserting.append(True)
@@ -557,14 +557,14 @@ class TestHnfModuloRelations:
             finally:
                 inserting.pop()
 
-        def hermite_spy(pivots):
+        def normalize_spy(pivots, changed):
             if inserting:
                 largest.append(max(abs(x) for piv in pivots for x in piv))
-            return original_hermite(pivots)
+            return original_normalize(pivots, changed)
 
         for module in (exactlinalg, fingroup):
             monkeypatch.setattr(module, "_hnf_insert", insert_spy)
-        monkeypatch.setattr(exactlinalg, "_hermite", hermite_spy)
+        monkeypatch.setattr(exactlinalg, "_normalize", normalize_spy)
         report = verify_instance(capped_instances()["qp-dense-3-steps-64"])
         assert report["verdict"] == "pass"
         assert len(largest) > 60  # the join steps ran through the insertion
@@ -642,6 +642,65 @@ class TestPreimageLattice:
             return
         plain = preimage_lattice(m, target, IntMatrix.identity(k))
         assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+    @given(preimage_cases(), st.data())
+    @settings(max_examples=200)
+    def test_hermite_basis_with_killed_columns_matches_two_steps(self, case, data):
+        # the chain steps' shape: a Hermite basis holding relations, whose
+        # sparse generators leave many columns d e_j, and a map that kills
+        # some columns; a killed column d e_j stays the pivot of its row
+        m, target = case
+        k = m.cols
+        moduli = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        entry = st.sampled_from([0, 0, 0, 1, 2, 5])
+        gens = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=3))
+        basis = hnf(IntMatrix.from_columns(gens, rows=k), moduli).matrix
+        killed = data.draw(st.sets(st.integers(0, k - 1)))
+        m = IntMatrix.from_rows([[0 if j in killed else x for j, x in enumerate(row)] for row in m.entries], cols=k)
+        plain = preimage_lattice(m, target, IntMatrix.identity(k))
+        assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+    def test_killed_unit_columns_skip_the_elimination(self, monkeypatch):
+        # m kills 2 e_0 and 5 e_2, which stay pivots; of the tracked columns
+        # only the one for 3 e_1, with y_1 in 4Z, is inserted
+        inserted = []
+        original = exactlinalg._insert
+
+        def spy(pivots, column, moduli, changed):
+            inserted.append(list(column))
+            return original(pivots, column, moduli, changed)
+
+        monkeypatch.setattr(exactlinalg, "_insert", spy)
+        m = IntMatrix.from_rows([[0, 1, 0]])
+        target = hnf(IntMatrix.from_rows([[4]]))
+        lattice = preimage_lattice(m, target, IntMatrix.diagonal([2, 3, 5]))
+        assert lattice.matrix == IntMatrix.diagonal([2, 12, 5])
+        assert inserted == [[0, -12, 0]]
+
+    @pytest.mark.parametrize(
+        "m, target, rows",
+        [
+            # column (3, 2) is killed but nonzero above its row
+            ([[1, 0]], [[2]], [[1, 3], [0, 2]]),
+            # lower triangular, both columns killed, 5 unreduced modulo 3
+            ([[0, 0]], [[1]], [[2, 0], [5, 3]]),
+            # a negative diagonal on a killed unit column
+            ([[1, 0]], [[3]], [[1, 0], [0, -4]]),
+        ],
+        ids=["nonzero-above", "unreduced", "negative"],
+    )
+    def test_killed_columns_of_other_bases(self, m, target, rows):
+        m, basis = IntMatrix.from_rows(m), IntMatrix.from_rows(rows)
+        target = hnf(IntMatrix.from_rows(target))
+        plain = preimage_lattice(m, target, IntMatrix.identity(2))
+        assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+    @pytest.mark.parametrize("rows", [[[2, 0, 0], [1, 3, 0], [0, 0, 1]], [[0, 1, 0], [2, 0, 0], [0, 4, -1]]])
+    def test_map_with_no_rows(self, rows):
+        # m: Z^3 -> Z^0 kills everything, so the result is the basis' lattice
+        m, target = IntMatrix(0, 3, ()), hnf(IntMatrix.zero(0, 0))
+        basis = IntMatrix.from_rows(rows)
+        assert preimage_lattice(m, target, basis) == hnf(basis)
 
     def test_basis_shape_checked(self):
         m = IntMatrix.identity(2)

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import capped_instances
 from entbridge import exactlinalg, fingroup, padic
 from entbridge.bridge import check_all_laws, random_instance, random_qp_instance, verify_instance
 from entbridge.cli import canonical_json
@@ -137,6 +138,20 @@ def test_built_values_pass_their_checks(kind, data):
         result = run(instance)
     assert fired == []
     assert BUILT[kind] <= set(built), built
+    assert result == expected
+
+
+@pytest.mark.parametrize("name", ["shift-2^128-height-64", "finite-mixed-rank-16"])
+def test_capped_instances_pass_their_checks(name):
+    # at the schema caps every Hermite basis a chain step returns, of rank
+    # 64 on the shift's working level and 16 on the finite group, passes
+    # HnfBasis's checks, not only the small bases drawn above
+    instance = capped_instances()[name]
+    expected = report(instance)
+    with checked_builds() as (built, fired):
+        result = report(instance)
+    assert fired == []
+    assert BUILT[instance["kind"]] <= set(built), built
     assert result == expected
 
 
