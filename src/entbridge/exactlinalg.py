@@ -52,25 +52,30 @@ rows.  A changed row's pivot is made positive and reduces every pivot
 to its left; any other row reduces only the pivots already modified,
 and the rows above the first change are left alone.  :func:`hnf` of
 plain generators passes every row; an insertion replaces pivots and
-never edits one, and reports the rows it replaced.
+never edits one, and reports the rows it replaced, so
+:func:`_hnf_insert` returns its basis itself when it replaced none.
 
 ``IntMatrix @ IntMatrix`` is the definitional row-by-column sum.  The
-products the package computes all reduce row i modulo a modulus, in the
-one routine :func:`_product` behind
-:meth:`~entbridge.fingroup.GroupHom.compose` and the chain steps of
-:mod:`entbridge.fingroup`, and go by the shape of each row of the left
-factor: a zero row gives zeros, a unit row (a single nonzero entry, 1)
-copies the matching row of the right factor, kept as it stands when that
-row is already bounded by the same modulus, and any other (dense) row
-takes one sum of its entries times the rows of the right factor, each
-row packed into a single integer (Kronecker substitution): row k packs
-to sum_j b[k][j] 2^(w j), so entry j of the product row sits in slot j
-of the sum, bits w j to w (j + 1), and is read back with a shift and a
+products the package computes all reduce row i modulo a modulus, and
+all are built by one row routine, :func:`_rows`, behind
+:func:`_product` (:meth:`~entbridge.fingroup.GroupHom.compose` and the
+chain steps of :mod:`entbridge.fingroup`) and the powers kernel
+:func:`_powers`.  It goes by the shape of each row of the left factor:
+a zero row gives zeros, a unit row (a single nonzero entry, 1) copies
+the matching row of the right factor, kept as it stands when that row
+is already bounded by the same modulus, and any other (dense) row takes
+one sum of its entries times the rows of the right factor, each row
+packed into a single integer by the one packing routine,
+:func:`_packing` (Kronecker substitution): row k packs to
+sum_j b[k][j] 2^(w j), so entry j of the product row sits in slot j of
+the sum, bits w j to w (j + 1), and is read back with a shift and a
 mask.  This is exact because no slot carries into the next: the moduli
 bound the entries of both factors, none is negative, every entry of the
 product is at most n times the two bounds, n the inner dimension, and w
-is the bit length of that bound.  The rows are packed once per product,
-and only if a dense row occurs.  The one
+is the bit length of that bound.  The right factor is packed only if a
+dense row occurs, once per product, and once per chain for the powers:
+b^(k+1) is b^k times the fixed factor b, so b is packed once for the
+whole list.  The one
 forward substitution (behind :meth:`HnfBasis.solve`, and
 :meth:`HnfBasis.contains_lattice` for all columns of a basis in one
 call) skips rows whose residual is already zero.  The shift maps of
@@ -102,7 +107,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 __all__ = [
     "InputError",
@@ -217,11 +222,25 @@ class IntMatrix:
         return tuple([sum(map(operator.mul, row, vector)) for row in self.entries])
 
 
-def _product(
-    a: IntMatrix, b: IntMatrix, moduli: Sequence[int], reduced: Sequence[int]
-) -> IntMatrix:
-    """a @ b with row i reduced modulo moduli[i], for a.cols == b.rows, built row
-    by row by the shape of each row of a.
+def _packing(
+    b: IntMatrix, moduli: Sequence[int], reduced: Sequence[int]
+) -> tuple[list[int], range, int]:
+    """(packed, shifts, mask): the rows of b packed into single integers for
+    products whose row i is reduced modulo moduli[i], row k of b lying in
+    [0, reduced[k]].  Row k packs to sum_j b[k][j] 2^(w j), with w the bit
+    length of n max(moduli) max(reduced), n = b.rows: no slot of a sum of
+    rows times entries of a row of the left factor carries into the next.
+    Slot j of such a sum is read back as sum >> shifts[j] & mask."""
+    width = (b.rows * max(moduli) * max(reduced)).bit_length()
+    shifts = range(0, width * b.cols, width)
+    return [sum(map(operator.lshift, r, shifts)) for r in b.entries], shifts, (1 << width) - 1
+
+
+def _rows(
+    a: IntMatrix, b: IntMatrix, moduli: Sequence[int], reduced: Sequence[int], packing: list
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of a @ b with row i reduced modulo moduli[i], for a.cols ==
+    b.rows, built row by row by the shape of each row of a.
 
     Row i of a lies in [0, moduli[i]) and row k of b in [0, reduced[k]],
     bounded by the modulus and possibly equal to it (a Hermite row of a
@@ -229,10 +248,13 @@ def _product(
     zero row gives zeros, a unit row (a single nonzero entry, 1, at k)
     is row k of b, copied as it stands when reduced[k] == moduli[i] and
     reduced otherwise, and any other row is multiplied into the rows of
-    b packed into single integers, whose slots are the entries of the
-    product row; b is packed only when such a row occurs.  So a product
-    row is always congruent to row i of a @ b modulo moduli[i], and lies
-    in [0, moduli[i]) when the rows of b lie below their bounds.
+    b packed by :func:`_packing`, whose slots are the entries of the
+    product row.  `packing` holds that packing of b as its one item, or
+    is empty until a dense row first needs it, and then keeps it: a
+    caller that multiplies by the same b again passes the same list.  So
+    a product row is always congruent to row i of a @ b modulo
+    moduli[i], and lies in [0, moduli[i]) when the rows of b lie below
+    their bounds.
     """
     n = a.cols
     zero = (0,) * b.cols
@@ -248,13 +270,35 @@ def _product(
             data.append(b.entries[k] if d == reduced[k] else tuple([x % d for x in b.entries[k]]))
         else:
             if packed is None:
-                width = (n * max(moduli) * max(reduced)).bit_length()
-                shifts = range(0, width * b.cols, width)
-                packed = [sum(map(operator.lshift, r, shifts)) for r in b.entries]
-                mask = (1 << width) - 1
+                if not packing:
+                    packing.append(_packing(b, moduli, reduced))
+                packed, shifts, mask = packing[0]
             total = sum(map(operator.mul, row, packed))
             data.append(tuple([(total >> s & mask) % d for s in shifts]))
-    return _trusted(IntMatrix, a.rows, b.cols, tuple(data))
+    return tuple(data)
+
+
+def _product(
+    a: IntMatrix, b: IntMatrix, moduli: Sequence[int], reduced: Sequence[int]
+) -> IntMatrix:
+    """a @ b with row i reduced modulo moduli[i] (:func:`_rows`); b is packed
+    only if a dense row of a occurs."""
+    return _trusted(IntMatrix, a.rows, b.cols, _rows(a, b, moduli, reduced, []))
+
+
+def _powers(b: IntMatrix, moduli: Sequence[int]) -> Iterator[IntMatrix]:
+    """Yield b, b^2, b^3, ... for a square b whose row i lies in
+    [0, moduli[i]), row i of each power reduced modulo moduli[i].
+
+    Each power is the one before it times the fixed factor b, by
+    :func:`_rows`, and b is packed once for the whole list, when a dense
+    row first needs it.  A power is multiplied only when it is asked for.
+    """
+    packing: list = []
+    power = b
+    while True:
+        yield power
+        power = _trusted(IntMatrix, b.rows, b.cols, _rows(power, b, moduli, moduli, packing))
 
 
 @dataclass(frozen=True)
@@ -365,9 +409,11 @@ def _echelon(pending: list[list[int]], rows: int) -> list[list[int] | None]:
     return pivots
 
 
-def _normalize(pivots: list[list[int] | None], changed: list[bool]) -> HnfBasis:
+def _normalize(pivots: list[list[int] | tuple[int, ...] | None], changed: list[bool]) -> HnfBasis:
     """Hermite basis of the pivots of every row, changed in place, or
-    ValueError("lattice not full rank") if a row has none.
+    ValueError("lattice not full rank") if a row has none.  Each pivot is
+    a list, or a tuple at a row not flagged, which is copied to a list
+    only when a reduction changes it.
 
     The pivots must be Hermite except at the rows flagged in `changed`:
     the pivot of each other row is positive on its row, and the other
@@ -393,6 +439,8 @@ def _normalize(pivots: list[list[int] | None], changed: list[bool]) -> HnfBasis:
                 b = pivots[j]
                 q = b[i] // d
                 if q:
+                    if b.__class__ is tuple:
+                        pivots[j] = b = list(b)
                     for t in range(i, n):
                         b[t] -= q * piv[t]
                     moved.add(j)
@@ -408,7 +456,10 @@ def _normalize(pivots: list[list[int] | None], changed: list[bool]) -> HnfBasis:
 
 
 def _insert(
-    pivots: list[list[int] | None], column: list[int], moduli: Sequence[int] | None, changed: list[bool]
+    pivots: list[list[int] | tuple[int, ...] | None],
+    column: list[int],
+    moduli: Sequence[int] | None,
+    changed: list[bool],
 ) -> None:
     """Insert `column` into `pivots`, the pivot of each row of a triangular
     basis, and flag in `changed` each row whose pivot it replaces.  A
@@ -476,13 +527,17 @@ def _insert(
 def _hnf_insert(basis: HnfBasis, gens: IntMatrix, moduli: Sequence[int]) -> HnfBasis:
     """Hermite form of `basis` and the columns of `gens` (:func:`_insert`), for
     a basis whose lattice contains diag(`moduli`), which is not checked.
-    Only the rows whose pivot an insertion replaced are normalized again."""
-    pivots = [list(c) for c in zip(*basis.matrix.entries)]
+    Only the rows whose pivot an insertion replaced are normalized again,
+    and when none was replaced (every generator lay in the lattice) the
+    result is `basis` itself.  :func:`_insert` only reads the pivots it
+    keeps, so they stay the columns of `basis`, as tuples, and
+    :func:`_normalize` copies only those it changes."""
+    pivots: list[list[int] | tuple[int, ...] | None] = list(zip(*basis.matrix.entries))
     changed = [False] * len(pivots)
     for column in zip(*gens.entries):
         if any(column):
             _insert(pivots, list(column), moduli, changed)
-    return _normalize(pivots, changed)
+    return _normalize(pivots, changed) if True in changed else basis
 
 
 def hnf(gens: IntMatrix, moduli: Sequence[int] | None = None) -> HnfBasis:

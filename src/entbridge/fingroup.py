@@ -14,9 +14,11 @@ construction and are built unchecked (:func:`~entbridge.exactlinalg._trusted`).
 
 Homomorphisms follow the same rule: ``GroupHom(...)`` reduces the
 matrix it is given and checks that it defines a homomorphism, while
-identities and composites are reduced but built unchecked.  A composite
-is reduced as it is multiplied, in the one row-shape product of
-:mod:`entbridge.exactlinalg`.
+identities, composites and powers are reduced but built unchecked.  A
+composite or a power is reduced as it is multiplied, in the one
+row-shape routine of :mod:`entbridge.exactlinalg`; :func:`powers`
+takes each f^(k+1) as f^k times the fixed factor f, from the powers
+kernel, which packs f once per list.
 
 Every index chain in the package is built by one of two builders, each
 over one side: an iterable of maps and one subgroup.  :func:`meet_chain`
@@ -81,10 +83,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from .exactlinalg import HnfBasis, InputError, IntMatrix, _hnf_insert, _product, _trusted, hnf, preimage_lattice
+from .exactlinalg import HnfBasis, InputError, IntMatrix, _hnf_insert, _powers, _product, _trusted
+from .exactlinalg import hnf, preimage_lattice
 
 __all__ = [
     "FinAbGroup",
@@ -244,12 +247,13 @@ class GroupHom:
     construction, so homomorphism equality is matrix equality.  M induces
     a well-defined map exactly when d_j M[i][j] = 0 mod d_i for all i, j,
     with d_j the domain moduli and d_i the codomain's; the constructor
-    checks this per entry and rejects any other matrix.  Identities and
-    composites hold it by construction, and :meth:`identity` and
-    :meth:`compose` build them unchecked, but still reduced: entries
-    would otherwise grow along :func:`powers`.  So every entry of row k
-    of any GroupHom matrix lies in [0, codomain modulus k), and
-    :meth:`compose` relies on it to keep copied rows as they stand.
+    checks this per entry and rejects any other matrix.  Identities,
+    composites and powers hold it by construction, and :meth:`identity`,
+    :meth:`compose` and :func:`powers` build them unchecked, but still
+    reduced: entries would otherwise grow from power to power.  So every
+    entry of row k of any GroupHom matrix lies in [0, codomain modulus
+    k), and :meth:`compose` relies on it to keep copied rows as they
+    stand.
     """
 
     domain: FinAbGroup
@@ -330,16 +334,20 @@ Side = tuple[Iterable[GroupHom], SubgroupLattice]
 def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
     """Yield 1, f, f^2, ..., f^(n-1) for an endomorphism f and n >= 1.
 
-    Both checks run at the call; each power is composed only when it is
-    asked for.
+    Both checks run at the call.  The identity comes first and f^1 is f
+    itself; each later power is the one before it times f, one product
+    by the kernel :func:`~entbridge.exactlinalg._powers`, which packs f
+    once for the whole list.  A power is multiplied only when it is
+    asked for, so reading the first k maps costs max(0, k - 2) products.
     """
     if not f.is_endo:
         raise ValueError("need an endomorphism")
     if n < 1:
         raise ValueError("power count must be at least 1")
-    return accumulate(
-        repeat(f, n - 1), lambda h, _: f.compose(h), initial=GroupHom.identity(f.domain)
-    )
+    group = f.domain
+    later = islice(_powers(f.matrix, group.moduli), 1, None)
+    maps = chain((GroupHom.identity(group), f), (_trusted(GroupHom, group, group, m) for m in later))
+    return islice(maps, n)
 
 
 def meet_chain(maps: Iterable[GroupHom], target: SubgroupLattice) -> Iterator[SubgroupLattice]:

@@ -17,9 +17,12 @@ with the whole group G, one subgroup per side, and
 takes the columns of its map with no product, a step whose map or
 product is zero takes no elimination (the first map, p^N B^0, is zero),
 and a meet product, reduced modulo p^N, is reduced modulo the target,
-the relation lattice, too.  Each route is called with its own matrix,
-so the adjoint route powers and scales the transpose that it is given
-and shares nothing with the primal route but the finite arithmetic.
+the relation lattice, too.  The powers come from the kernel
+:func:`~entbridge.exactlinalg._powers`, one product each by the fixed
+factor B mod p^N, and each is scaled straight into its one map.  Each
+route is called with its own matrix, so the adjoint route powers and
+scales the transpose that it is given and shares nothing with the
+primal route but the finite arithmetic.
 
 A compact open subgroup of Q_p^d is a full-rank Z_p-lattice, and the
 lattice layer below models it directly over the rationals: clear unit
@@ -68,12 +71,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from operator import mul
 from typing import Iterator, Sequence, Union
 
-from .exactlinalg import HnfBasis, InputError, IntMatrix, _trusted, hnf
+from .exactlinalg import HnfBasis, InputError, IntMatrix, _powers, _trusted, hnf
 from .fingroup import FinAbGroup, GroupHom, Side, _indexed, full_subgroup, join_chain, kernel
-from .fingroup import meet_chain, powers, trivial_subgroup
+from .fingroup import meet_chain, trivial_subgroup
 
 __all__ = [
     "PadicLattice",
@@ -385,7 +389,11 @@ def _scaled_powers(
 
     B is integral and u is a unit at p; G = (Z/p^N)^d with
     N = (steps - 1) e is the only group built, and each map is an
-    endomorphism of it, its entries reduced modulo p^N.  A working
+    endomorphism of it, its entries reduced modulo p^N.  B enters through
+    the public ``GroupHom(...)``, which reduces it; the powers B, B^2, ...
+    come from the kernel :func:`~entbridge.exactlinalg._powers`, which
+    packs B mod p^N once, and each is scaled straight into its one map
+    (:func:`_scaled`); no map is built for an unscaled power.  A working
     modulus p^N above 2^_LEVEL_BITS raises InputError.
     """
     if not is_prime(prime):
@@ -404,15 +412,16 @@ def _scaled_powers(
         )
     modulus = prime**top
     group = FinAbGroup((modulus,) * len(b))
-    b_powers = powers(GroupHom(group, group, IntMatrix.from_rows(b)), steps)
-    return group, (_scaled(h, prime ** (top - k * e), modulus) for k, h in enumerate(b_powers))
+    reduced = GroupHom(group, group, IntMatrix.from_rows(b)).matrix
+    b_powers = chain((IntMatrix.identity(len(b)),), islice(_powers(reduced, group.moduli), steps - 1))
+    return group, (_scaled(group, m, prime ** (top - k * e), modulus) for k, m in enumerate(b_powers))
 
 
-def _scaled(h: GroupHom, c: int, modulus: int) -> GroupHom:
-    """c h for an endomorphism h of (Z/modulus)^d, its entries reduced modulo the modulus."""
-    m = h.matrix
+def _scaled(group: FinAbGroup, m: IntMatrix, c: int, modulus: int) -> GroupHom:
+    """c m as an endomorphism of `group` = (Z/modulus)^d, its entries
+    reduced modulo the modulus: the one map built for m."""
     rows = tuple([tuple([c * x % modulus for x in row]) for row in m.entries])
-    return _trusted(GroupHom, h.domain, h.codomain, _trusted(IntMatrix, m.rows, m.cols, rows))
+    return _trusted(GroupHom, group, group, _trusted(IntMatrix, m.rows, m.cols, rows))
 
 
 def cotrajectory_pairs(prime: int, matrix: RationalMatrix, steps: int) -> Side:

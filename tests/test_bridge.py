@@ -7,6 +7,7 @@ import pytest
 
 from conftest import tower_chains
 import entbridge.bridge as bridge
+import entbridge.exactlinalg as exactlinalg
 import entbridge.fingroup as fingroup
 import entbridge.tdlca as tdlca
 from entbridge.bridge import (
@@ -230,11 +231,11 @@ class TestEarlyExit:
         assert stalled >= 20 and growing >= 20
 
     @pytest.mark.parametrize(
-        "hyperplane, eliminations, composes",
-        [(15, 1, 1), (0, 15, 15)],
+        "hyperplane, eliminations, products",
+        [(15, 1, 0), (0, 15, 14)],
         ids=["invariant", "strictly-decreasing"],
     )
-    def test_counts_the_work(self, monkeypatch, hyperplane, eliminations, composes):
+    def test_counts_the_work(self, monkeypatch, hyperplane, eliminations, products):
         # the left shift on (Z/2)^16 leaves {x_15 = 0} invariant, so both
         # chains repeat at step 1; with {x_0 = 0} they never repeat in 16 steps
         g, f = left_shift(16)
@@ -249,28 +250,55 @@ class TestEarlyExit:
 
             return wrapper
 
-        real_compose = GroupHom.compose
+        real_rows = exactlinalg._rows
 
-        def compose(self, inner):
-            counts[self] += 1
-            return real_compose(self, inner)
+        def rows(a, b, moduli, reduced, packing):
+            # the powers kernel's products are the ones by the fixed factor
+            for h in (f, fhat):
+                counts[h] += b == h.matrix
+            return real_rows(a, b, moduli, reduced, packing)
 
         monkeypatch.setattr(
             fingroup, "preimage_lattice", counted("preimage_lattice", fingroup.preimage_lattice)
         )
         monkeypatch.setattr(fingroup, "_joined", counted("join", fingroup._joined))
-        monkeypatch.setattr(GroupHom, "compose", compose)
+        monkeypatch.setattr(exactlinalg, "_rows", rows)
         (co, _), (tr, _) = _finite_chains(f, u, 16)
         assert len(co) == len(tr) == 16
         # one elimination per term built after the first, which the identity
         # gives as U or perp U: the meet chain's are preimage lattices, the
-        # join chain's Hermite forms; one product per power
+        # join chain's Hermite forms; one product per power read after f
+        # itself, so none when the chains stall at the second term
         assert counts == {
             "preimage_lattice": eliminations,
             "join": eliminations,
-            f: composes,
-            fhat: composes,
+            f: products,
+            fhat: products,
         }
+
+    @pytest.mark.parametrize(
+        "hyperplane, read", [(15, 2), (0, 16)], ids=["invariant", "strictly-decreasing"]
+    )
+    def test_reads_no_power_past_the_stall(self, monkeypatch, hyperplane, read):
+        # each side reads its powers lazily: a chain that stalls at its second
+        # term reads 1 and f only, and one that never stalls reads all 16
+        g, f = left_shift(16)
+        u = coordinate_hyperplane(g, hyperplane)
+        seen = []
+        real_powers = bridge.powers
+
+        def recording(h, n):
+            maps = []
+            seen.append(maps)
+            for power in real_powers(h, n):
+                maps.append(power)
+                yield power
+
+        monkeypatch.setattr(bridge, "powers", recording)
+        (co, _), (tr, _) = _finite_chains(f, u, 16)
+        assert len(co) == len(tr) == 16
+        assert [len(maps) for maps in seen] == [read, read]
+        assert seen[0][:2] == [GroupHom.identity(g), f] and seen[0][1] is f
 
     @pytest.mark.parametrize(
         "hyperplane, built, distinct",
@@ -447,6 +475,19 @@ class TestFiniteBridge:
         report = finite_bridge(f, u, 5)
         assert report["indices"]["primal"] == [1, 2, 4, 8, 8]
         assert report["indices"]["dual"] == [1, 2, 4, 8, 8]
+        assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "moduli, endomorphism, subgroup",
+        [([], [], []), ([1, 1], [[1, 2], [3, 4]], [[1, 1]])],
+        ids=["rank-0", "modulus-1"],
+    )
+    def test_trivial_groups(self, moduli, endomorphism, subgroup):
+        # the trivial group of rank 0 and Z/1 x Z/1: every index is 1, and
+        # the powers kernel never needs to pack a row
+        instance = {"kind": "finite", "moduli": moduli, "endomorphism": endomorphism, "subgroup": subgroup}
+        report = verify_instance({**instance, "steps": 3})
+        assert report["indices"] == {"primal": [1, 1, 1], "dual": [1, 1, 1]}
         assert report["verdict"] == "pass"
 
     def test_requires_matching_endomorphism(self):

@@ -513,6 +513,38 @@ class TestHnfModuloRelations:
         assert hnf(gens, moduli) == hnf(IntMatrix.diagonal(moduli).hstack(gens))
         assert _hnf_insert(basis, gens, moduli) == hnf(basis.matrix.hstack(gens))
 
+    @given(
+        relation_bases().flatmap(
+            lambda case: st.tuples(
+                st.just(case),
+                st.lists(
+                    st.lists(st.integers(-(2**130), 2**130), min_size=len(case[1]), max_size=len(case[1])),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_generators_in_the_lattice_return_the_basis_itself(self, case):
+        # integer combinations of the basis columns replace no pivot
+        (basis, moduli), coefficients = case
+        columns = [basis.matrix.apply(c) for c in coefficients]
+        gens = IntMatrix.from_columns(columns, rows=basis.dim)
+        assert _hnf_insert(basis, gens, moduli) is basis
+
+    @given(relation_bases().flatmap(lambda case: st.tuples(st.just(case), generator_matrices(case[1]))))
+    @settings(max_examples=300)
+    def test_new_generators_give_the_hermite_form_of_both(self, case):
+        # the basis itself exactly when every generator lies in its lattice,
+        # and otherwise a new basis, the row-scan Hermite form of both
+        (basis, moduli), gens = case
+        result = _hnf_insert(basis, gens, moduli)
+        if all(basis.contains(column) for column in zip(*gens.entries)):
+            assert result is basis
+        else:
+            assert result != basis
+            assert result == hnf(basis.matrix.hstack(gens))
+
     def test_no_generators_give_the_basis(self):
         # (6, 0) = 3 (2, 1) - (0, 3), so the basis contains diag(6, 3)
         basis = hnf(IntMatrix.from_columns([[2, 1], [0, 3]], rows=2))

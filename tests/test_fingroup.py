@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +400,14 @@ def composable_homs(draw):
     return draw(shaped_hom(b, c)), draw(shaped_hom(a, b))
 
 
+@st.composite
+def shaped_powers(draw):
+    """(f, n): an endomorphism of a group of rank 0-4 over CHAIN_MODULI, by
+    shaped_hom, and a power count n of 1-6."""
+    group = FinAbGroup(tuple(draw(st.lists(CHAIN_MODULI, max_size=4))))
+    return draw(shaped_hom(group, group)), draw(st.integers(1, 6))
+
+
 class TestComposeReducesAsItMultiplies:
     @given(composable_homs())
     @settings(max_examples=300)
@@ -540,6 +548,48 @@ class TestTrajectories:
                     for _ in range(k):
                         y = f.apply(y)
                     assert h.apply(x) == y
+
+    @given(shaped_powers())
+    @settings(max_examples=300)
+    def test_powers_match_plain_products(self, case):
+        # map k is the k-fold plain product of f, reduced afterwards: mixed
+        # moduli, modulus 1, rank 0, zero, unit and dense rows
+        f, n = case
+        maps = list(powers(f, n))
+        assert len(maps) == n
+        product = IntMatrix.identity(f.domain.rank)
+        for h in maps:
+            assert h.matrix == fingroup._mod_rows(product, f.domain.moduli)
+            assert h.domain == h.codomain == f.domain
+            product = product @ f.matrix
+
+    @pytest.mark.parametrize("moduli", [(), (1, 1)], ids=["rank-0", "modulus-1"])
+    def test_powers_of_trivial_groups(self, moduli):
+        g = FinAbGroup(moduli)
+        f = GroupHom(g, g, IntMatrix.from_rows([[1, 2], [3, 4]][: len(moduli)], cols=len(moduli)))
+        assert list(powers(f, 5)) == [GroupHom.identity(g)] * 5
+
+    def test_powers_are_multiplied_only_when_read(self, monkeypatch):
+        # reading the first k of n maps costs max(0, k - 2) products, each by
+        # the fixed factor f, and nothing past the n-th map is multiplied
+        rng = random.Random(8)
+        g = FinAbGroup((8, 12, 2**64))
+        f = random_endomorphism(rng, g)
+        right = []
+        real_rows = exactlinalg._rows
+
+        def rows(a, b, moduli, reduced, packing):
+            right.append(b)
+            return real_rows(a, b, moduli, reduced, packing)
+
+        monkeypatch.setattr(exactlinalg, "_rows", rows)
+        for k in range(7):
+            right.clear()
+            maps = powers(f, 6)
+            assert len(list(islice(maps, k))) == k
+            assert len(right) == max(0, k - 2)
+            assert all(b is f.matrix for b in right)
+        assert next(maps, None) is None and len(right) == 4
 
 
 class TestChainBuilders:

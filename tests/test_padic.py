@@ -526,6 +526,69 @@ class TestIndexSequences:
                 cases += 1
         assert cases >= 300
 
+    def test_scaled_maps_match_plain_products(self):
+        # map k of each side is p^(N-ke) B^k mod p^N, B^k by plain @ on the
+        # unreduced B read off the matrix that side is given; B has negative
+        # entries, and e runs from 0 to 3
+        rng = random.Random(47)
+        counted = {"negative": 0, "e >= 2": 0}
+        for prime in (2, 3, 5):
+            unit = 3 if prime != 3 else 2
+            for _ in range(40):
+                dim, steps = rng.randint(1, 4), rng.randint(1, 6)
+                den = prime ** rng.randint(0, 3) * rng.choice([1, unit])
+                rows = [[Fraction(rng.randint(-9, 9), den) for _ in range(dim)] for _ in range(dim)]
+                m = rational_matrix(rows)
+                sides = ((padic.cotrajectory_pairs, m), (padic.trajectory_pairs, tuple(zip(*m))))
+                for route, given in sides:
+                    lcm = math.lcm(*(x.denominator for row in given for x in row))
+                    b = IntMatrix.from_rows([[int(x * lcm) for x in row] for row in given])
+                    e = 0
+                    while lcm % prime ** (e + 1) == 0:
+                        e += 1
+                    top = (steps - 1) * e
+                    modulus = prime**top
+                    maps = list(route(prime, given, steps)[0])
+                    assert len(maps) == steps
+                    power = IntMatrix.identity(dim)
+                    for k, h in enumerate(maps):
+                        c = prime ** (top - k * e)
+                        scaled = tuple(tuple(c * x % modulus for x in row) for row in power.entries)
+                        assert h.matrix.entries == scaled
+                        assert h.domain == h.codomain == FinAbGroup((modulus,) * dim)
+                        power = power @ b
+                    counted["negative"] += any(x < 0 for row in b.entries for x in row)
+                    counted["e >= 2"] += e >= 2 and steps >= 3
+        assert counted["negative"] >= 150 and counted["e >= 2"] >= 40
+
+    def test_each_side_powers_its_own_matrix(self, monkeypatch):
+        # a qp verify runs the powers kernel twice: on B mod p^N for the meet
+        # side and on the transpose's B' mod p^N for the join side, and no
+        # power of one side is a power of the other
+        runs = []
+        real_powers = padic._powers
+
+        def recording(b, moduli):
+            run = (b, [])
+            runs.append(run)
+            for power in real_powers(b, moduli):
+                run[1].append(power)
+                yield power
+
+        monkeypatch.setattr(padic, "_powers", recording)
+        matrix = [["1/2", "1", "-3"], ["3", "1/4", "0"], ["-1", "2", "1/2"]]
+        report = verify_instance({"kind": "qp", "prime": 2, "matrix": matrix, "steps": 5})
+        assert report["verdict"] == "pass"
+        b = [[int(Fraction(x) * 4) % 2**8 for x in row] for row in matrix]
+        assert [run[0].entries for run in runs] == [
+            tuple(map(tuple, b)),
+            tuple(zip(*b)),
+        ]
+        (_, meet), (_, join) = runs
+        assert len(meet) >= 3 and len(join) >= 3
+        assert not {id(p) for p in meet} & {id(p) for p in join}
+        assert [p.transpose() for p in meet[: len(join)]] == join[: len(meet)]
+
     def test_step_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
             cotrajectory_indices(2, rational_matrix([[1]]), 0)
