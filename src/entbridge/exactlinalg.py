@@ -9,13 +9,13 @@ modulo the diagonal entry of its own row.  Canonicality turns lattice
 equality into plain matrix equality, which the higher layers rely on for
 exact subgroup comparisons.
 
-There are two integer eliminations here, both by Euclid with the
+There are two integer eliminations here.  The row-scan column echelon
+takes arbitrary columns: it reduces the first rows of a list of columns,
+the rows below follow the column operations, and the columns left zero
+on every reduced row stay behind.  It runs Euclid with the
 nearest-integer quotient, so every remainder is at most half the pivot
-(Cohen, GTM 138, section 2.4).  The row-scan column echelon takes
-arbitrary columns: it reduces the first rows of a list of columns, the
-rows below follow the column operations, and the columns left zero on
-every reduced row stay behind.  Each round divides by the least entry
-on the row, and a column leaves the round once it is zero there.
+(Cohen, GTM 138, section 2.4): each round divides by the least entry on
+the row, and a column leaves the round once it is zero there.
 :func:`hnf` of plain generators reduces every row and puts the pivots in
 Hermite form, and :func:`kernel_basis` reads the identity rows of m
 stacked on the identity.  :func:`snf` runs the echelon on a matrix and
@@ -24,19 +24,21 @@ pivot column has a single nonzero entry (Kannan and Bachem, SIAM J.
 Comput. 8, 1979).
 
 The other elimination inserts columns one at a time into the pivots of
-a triangular basis: on row t, Euclid runs between the column and the
-pivot of row t, a row with no pivot yet takes the column, and the
-column goes on down with what is left.  Into a Hermite basis that
-contains diag(d_1, ..., d_k) this is Hermite form modulo the relations
-(Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-algorithm 2.4.8): row s of both, for every s below t, is then reduced
-modulo d_s.  That is exact: the pivots of rows s and below still span
-the part of the lattice zero above row s, d_s e_s among it.  So no
-entry past the largest modulus reaches the Hermite step, where the
-row-scan on the basis next to the generators lets entries grow with
-every row.  :func:`hnf` with `moduli` starts from diag(moduli) itself;
-the private :func:`_hnf_insert` trusts its basis, which its one caller
-outside this module takes from a subgroup.
+a triangular basis.  On row t the column meets the pivot of row t in
+one Bezout step, the extended Euclid identity a x + b y = gcd(x, y)
+(Cohen, GTM 138, section 1.3) taken from one gcd and one modular
+inverse: the new pivot is gcd(x, y) > 0 there, and the column goes on
+down, zero on row t.  A row with no pivot yet takes the column.  Into
+a Hermite basis that contains diag(d_1, ..., d_k) this is Hermite form
+modulo the relations (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+1987; Cohen, GTM 138, algorithm 2.4.8): row s of both, for every s
+below t, is then reduced modulo d_s.  That is exact: the pivots of
+rows s and below still span the part of the lattice zero above row s,
+d_s e_s among it.  So no entry past the largest modulus reaches the
+Hermite step, where the row-scan on the basis next to the generators
+lets entries grow with every row.  :func:`hnf` with `moduli` starts
+from diag(moduli) itself; the private :func:`_hnf_insert` trusts its
+basis, which its one caller outside this module takes from a subgroup.
 
 :func:`preimage_lattice` uses both.  A column of the tracked basis that
 m sends to zero and that is d e_j, d > 0, on its own row j is already a
@@ -422,7 +424,9 @@ def _normalize(pivots: list[list[int] | tuple[int, ...] | None], changed: list[b
     positive on its own row and reduces every pivot to its left there;
     any other row reduces only the pivots modified so far (the flagged
     ones, and those a reduction changed below an earlier row), since the
-    rest are reduced there already.
+    rest are reduced there already.  A pivot that :func:`_insert` makes
+    by a Bezout step is positive on its row already; those the row-scan
+    makes, and the columns a pivotless row takes, may be negative.
     """
     if None in pivots:
         raise ValueError("lattice not full rank")
@@ -465,18 +469,22 @@ def _insert(
     basis, and flag in `changed` each row whose pivot it replaces.  A
     pivot is replaced, never edited in place.
 
-    On each row t where the column is nonzero, Euclid runs between it and
-    the pivot of row t, by the nearest-integer rule of :func:`_echelon`
-    (the pivot first on a tie), on the two entries of row t; the one left
-    nonzero is the new pivot, and the other goes on to the rows below.
-    The rounds are collected into one unimodular 2 x 2 transform, which
-    then acts on the rows below.  With `moduli`, for a lattice that
-    contains diag(moduli), each entry of row s of both is reduced modulo
-    moduli[s] as it is made.  That reduction takes a multiple of d_s e_s
-    off, which the pivots of rows s and below span, since they are
-    untouched still and d_s e_s is zero above row s.  With no `moduli`
-    (no relation lattice is known), a row may have no pivot (None) yet,
-    and the column, zero above that row, becomes its pivot.
+    On each row t where the column is nonzero, with x the entry of the
+    pivot of row t and y the column's: when x divides y the column takes
+    off y / x times the pivot, which stays; otherwise one Bezout step
+    replaces both.  With g = gcd(x, y) > 0, c = -y / g and e = x / g,
+    |e| > 1 and y / g is a unit modulo it, so b = (y / g)^-1 mod |e| and
+    a = (g - b y) / x are integers with a x + b y = g and a e - b c = 1:
+    the new pivot a piv + b column is g on row t, and the column goes on
+    to the rows below as c piv + e column, zero on row t.  This unimodular
+    2 x 2 transform comes from one gcd and one modular inverse, with no
+    Euclid rounds, and acts on the rows below.  With `moduli`, for a
+    lattice that contains diag(moduli), each entry of row s of both is
+    reduced modulo moduli[s] as it is made.  That reduction takes a
+    multiple of d_s e_s off, which the pivots of rows s and below span,
+    since they are untouched still and d_s e_s is zero above row s.  With
+    no `moduli` (no relation lattice is known), a row may have no pivot
+    (None) yet, and the column, zero above that row, becomes its pivot.
     """
     n = len(pivots)
     for t in range(n):
@@ -500,17 +508,13 @@ def _insert(
                 for s in range(t + 1, n):
                     column[s] = (column[s] - q * piv[s]) % moduli[s]
             continue
-        # (x, y) = (a piv + b column, c piv + e column) on row t
-        a, b, c, e = 1, 0, 0, 1
-        while y:
-            if abs(y) < abs(x):
-                x, y, a, b, c, e = y, x, c, e, a, b
-            q = (2 * y + x) // (2 * x)
-            y -= q * x
-            c -= q * a
-            e -= q * b
+        # one Bezout step: a x + b y = g, c x + e y = 0, a e - b c = 1
+        g = math.gcd(x, y)
+        c, e = -(y // g), x // g
+        b = pow(-c, -1, abs(e))
+        a = (g - b * y) // x
         pivots[t] = new = [0] * n
-        new[t] = x
+        new[t] = g
         changed[t] = True
         if moduli is None:
             for s in range(t + 1, n):

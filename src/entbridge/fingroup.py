@@ -350,6 +350,20 @@ def powers(f: GroupHom, n: int) -> Iterator[GroupHom]:
     return islice(maps, n)
 
 
+def _is_identity(f: GroupHom) -> bool:
+    """Whether f is the identity of its group, read off its matrix: an
+    endomorphism whose row i is e_i reduced modulo d_i, so all zero where
+    d_i = 1, as every GroupHom matrix is reduced.  Builds no identity."""
+    if not f.is_endo:
+        return False
+    n = f.domain.rank
+    for i, (row, d) in enumerate(zip(f.matrix.entries, f.domain.moduli)):
+        one = 1 % d
+        if row[i] != one or row.count(0) != n - one:
+            return False
+    return True
+
+
 def meet_chain(maps: Iterable[GroupHom], target: SubgroupLattice) -> Iterator[SubgroupLattice]:
     """Yield C_1, C_2, ... with C_n = f_1^-1(V) n ... n f_n^-1(V), every f_t
     from one group into the group of V = `target`.
@@ -371,7 +385,7 @@ def meet_chain(maps: Iterable[GroupHom], target: SubgroupLattice) -> Iterator[Su
             raise ValueError("maps out of different groups")
         if f.codomain != cod:
             raise ValueError("subgroup not in the codomain")
-        if n == 0 and f.is_endo and f == GroupHom.identity(group):
+        if n == 0 and _is_identity(f):
             term = target
         else:
             basis = term.basis.matrix
@@ -405,7 +419,7 @@ def join_chain(maps: Iterable[GroupHom], source: SubgroupLattice) -> Iterator[Su
             raise ValueError("maps into different groups")
         if g.domain != dom:
             raise ValueError("subgroup not in the domain")
-        if n == 0 and g.is_endo and g == GroupHom.identity(group):
+        if n == 0 and _is_identity(g):
             term = source
         else:
             gens = g.matrix if whole else _product(g.matrix, basis, group.moduli, dom.moduli)

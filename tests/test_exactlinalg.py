@@ -848,6 +848,67 @@ class TestEchelonTiesAndSigns:
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
 
 
+# positive moduli of the magnitudes in tied_entries, so a column entry and
+# the pivot it meets may fail to divide each other either way
+tied_moduli = st.sampled_from([1, 2, 3, 4, 6, 2**70, 3 * 2**69])
+
+
+@st.composite
+def tied_preimage_cases(draw):
+    """(m, target, basis): the shape and target of `preimage_cases`, with the
+    map and a nonsingular basis over `tied_entries`, so the kernel columns
+    inserted with no moduli meet negative pivots."""
+    m, target = draw(preimage_cases())
+    k = m.cols
+    rows = lambda r: st.lists(st.lists(tied_entries, min_size=k, max_size=k), min_size=r, max_size=r)
+    basis = draw(rows(k).filter(lambda b: det(IntMatrix.from_rows(b)) != 0))
+    return IntMatrix.from_rows(draw(rows(m.rows)), cols=k), target, IntMatrix.from_rows(basis)
+
+
+class TestInsertionTiesAndSigns:
+    """The insertion's Bezout step on negative entries, on entries that do not
+    divide each other either way and on 2^70 magnitudes, against the row-scan."""
+
+    @pytest.mark.parametrize("moduli", [None, [8, 10]], ids=["plain", "moduli"])
+    def test_worked_example(self, moduli):
+        # the pivot -4 of row 0 meets the column entry 6: the new pivot is +2
+        # there and the column goes on zero there, then meets the pivot 5 of
+        # row 1; the columns (-4, 5) and (0, 5) span diag(8, 10)
+        pivots = [[-4, 5], [0, 5]]
+        column = [6, 14]
+        changed = [False, False]
+        exactlinalg._insert(pivots, column, moduli, changed)
+        assert pivots[0][0] == 2 and column == [0, 0]
+        assert changed == [True, True] and pivots[1][1] == 1
+        if moduli is None:
+            assert pivots[0][1] == 19  # (-4, 5) + (6, 14), a = b = 1
+        else:
+            assert pivots[0][1] == 9  # 19 reduced modulo 10
+        spanned = IntMatrix.from_columns([[-4, 5], [0, 5], [6, 14]])
+        assert exactlinalg._normalize(pivots, changed) == hnf(spanned)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(
+                st.lists(tied_moduli, min_size=k, max_size=k),
+                st.lists(st.lists(tied_entries, min_size=k, max_size=k), max_size=4),
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_hnf_with_moduli_matches_the_row_scan(self, case):
+        moduli, columns = case
+        gens = IntMatrix.from_columns(columns, rows=len(moduli))
+        assert hnf(gens, moduli) == hnf(IntMatrix.diagonal(moduli).hstack(gens))
+
+    @given(tied_preimage_cases())
+    @settings(max_examples=200)
+    def test_preimage_matches_two_steps(self, case):
+        m, target, basis = case
+        plain = preimage_lattice(m, target, IntMatrix.identity(m.cols))
+        assert preimage_lattice(m, target, basis) == hnf(basis @ plain.matrix)
+
+
 class TestUnimodular:
     """The tests' re-presentation oracle, checked against the Bareiss determinant."""
 

@@ -730,6 +730,28 @@ class TestChainBuilders:
             basis = term.basis.matrix
         assert len(meets) == len(meet) and len(joins) == len(join)
 
+    @pytest.mark.parametrize(
+        "moduli, rows, identity",
+        [
+            ((4, 1, 6), [[1, 0, 0], [0, 0, 0], [0, 0, 1]], True),
+            ((4, 2, 6), [[1, 0, 0], [0, 1, 0], [0, 0, 5]], False),
+            ((4, 2, 6), [[1, 0, 0], [0, 1, 0], [3, 0, 1]], False),
+            ((), [], True),
+        ],
+        ids=["modulus-1", "one-row-scaled", "one-row-off-diagonal", "rank-0"],
+    )
+    def test_first_identity_map_is_read_off_its_matrix(self, moduli, rows, identity):
+        # a Z/1 row of the identity is all zero; the identity's first terms
+        # are V and S themselves, any other map's are its plain step's
+        group = FinAbGroup(moduli)
+        f = GroupHom(group, group, IntMatrix.from_rows(rows, cols=group.rank))
+        assert (f == GroupHom.identity(group)) is identity
+        v = subgroup_from_generators(group, [[2] * group.rank])
+        s = subgroup_from_generators(group, [[1] * group.rank])
+        meet, join = next(meet_chain([f], v)), next(join_chain([f], s))
+        assert (meet is v, join is s) == (identity, identity)
+        assert (meet, join) == (preimage(f, v), image(f, s))
+
     def test_meet_step_is_one_elimination(self, monkeypatch):
         # preimage_lattice reduces its tracked rows in its own elimination,
         # so a step puts nothing through hnf afterwards
