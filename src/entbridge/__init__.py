@@ -15,12 +15,7 @@ from .duality import (
     pairing,
     quotient_invariants,
 )
-from .entropyseq import (
-    EntropyEstimate,
-    LogIndexBound,
-    certified_upper_bound,
-    estimate_entropy,
-)
+from .entropyseq import EntropyEstimate, estimate_entropy
 from .exactlinalg import HnfBasis, InputError, IntMatrix, hnf, kernel_basis, preimage_lattice, snf
 from .fingroup import (
     FinAbGroup,
@@ -88,9 +83,7 @@ __all__ = [
     "dual_hom",
     "quotient_invariants",
     "check_quotient_duality",
-    "LogIndexBound",
     "EntropyEstimate",
-    "certified_upper_bound",
     "estimate_entropy",
     "Tower",
     "TowerEndo",

@@ -99,18 +99,7 @@ def _hom_payload(f: GroupHom) -> dict:
 
 
 def _estimate_payload(e: EntropyEstimate) -> dict:
-    return {
-        "bound": {
-            "index": e.bound.index,
-            "steps": e.bound.steps,
-            "value": e.bound.as_float(),
-        },
-        "status": e.status,
-        "ratio": e.ratio,
-        "value": e.value,
-        "demoted": e.demoted,
-        "window": e.window,
-    }
+    return {"ratio": e.ratio, "value": e.value, "exact": e.exact}
 
 
 @dataclass(frozen=True)
@@ -264,26 +253,28 @@ def check_all_laws(
     ]
 
 
-def _route_agreement(est: EntropyEstimate, ratio: int) -> dict:
-    """Whether an index route agrees with the closed form log(ratio), ratio = p^m:
-    a stabilized ratio equals it, a certified bound log(index)/steps is at least it."""
-    if est.stabilized:
-        consistent = est.ratio == ratio
-    else:
-        consistent = not est.bound.exceeded_by_ratio(ratio)
-    return {"mode": est.status, "consistent": consistent}
+def _route_agreement(est: EntropyEstimate, closed: int) -> dict:
+    """Whether an index route agrees with the closed form log(closed),
+    closed = p^m: the limit ratio p^m divides every ratio, so it is
+    consistent when it divides the last one and reached when it equals it."""
+    ratio = est.ratio
+    return {"consistent": ratio is not None and ratio % closed == 0, "reached": ratio == closed}
 
 
 def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = None) -> dict:
     """The report of an exact kind from the driver's ((C, a), (T, b)), plus `extra`.
 
-    qp passes the multiple m of log p from the Newton polygon (`extra`
-    holds the prime); its verdict also needs both index routes to agree
-    with m log p, and its counterexample carries that agreement.
+    Each side's indices must obey the ratio law of :mod:`entbridge.entropyseq`
+    on their own; a side that breaks it is a mismatch, and the
+    counterexample names the side, the step and the indices that show
+    the break.  qp passes the multiple m of log p from the Newton polygon
+    (`extra` holds the prime); its verdict also needs both index routes to
+    agree with m log p, and its counterexample carries that agreement.
     """
     (co, primal), (tr, dual_side) = chains
     per_step = [a == b for a, b in zip(primal, dual_side)]
-    est_co, est_tr = estimate_entropy(primal), estimate_entropy(dual_side)
+    names = ("primal", "dual") if newton is None else ("cotrajectory", "trajectory")
+    sides = {name: (seq, estimate_entropy(seq)) for name, seq in zip(names, (primal, dual_side))}
     counterexample: dict = {}
     if False in per_step:
         n = per_step.index(False)
@@ -294,6 +285,13 @@ def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = No
             "cotrajectory": _subgroup_payload(co[n]),
             "dual_trajectory": _subgroup_payload(tr[n]),
         }
+    broken = {
+        name: {"step": est.broken_at, "indices": seq[max(0, est.broken_at - 3) : est.broken_at]}
+        for name, (seq, est) in sides.items()
+        if est.broken_at is not None
+    }
+    if broken:
+        counterexample["ratio_law"] = broken
     report = {
         "kind": kind,
         "steps": len(primal),
@@ -301,18 +299,15 @@ def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = No
         "per_step_equal": per_step,
         **extra,
     }
+    estimates = {name: _estimate_payload(est) for name, (_, est) in sides.items()}
     if newton is None:
-        report["estimates"] = {"primal": _estimate_payload(est_co), "dual": _estimate_payload(est_tr)}
+        report["estimates"] = estimates
     else:
         prime = extra["prime"]
-        report["routes"] = {
-            "cotrajectory": _estimate_payload(est_co),
-            "trajectory": _estimate_payload(est_tr),
-            "newton": {"multiple": newton, "prime": prime, "value": newton * math.log(prime)},
-        }
+        newton_route = {"multiple": newton, "prime": prime, "value": newton * math.log(prime)}
+        report["routes"] = {**estimates, "newton": newton_route}
         agreement = report["agreement"] = {
-            "cotrajectory": _route_agreement(est_co, prime**newton),
-            "trajectory": _route_agreement(est_tr, prime**newton),
+            name: _route_agreement(est, prime**newton) for name, (_, est) in sides.items()
         }
         if counterexample or not all(route["consistent"] for route in agreement.values()):
             counterexample["agreement"] = agreement

@@ -67,19 +67,11 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _estimate_lines(label: str, estimate: dict) -> list[str]:
-    bound = estimate["bound"]
-    lines = [
-        f"{label} estimate: {estimate['status']}"
-        + (f", entropy = {_fmt(estimate['value'])}" if estimate["value"] is not None else "")
-    ]
-    lines.append(
-        f"{label} certified bound: log({bound['index']})/{bound['steps']}"
-        f" = {_fmt(bound['value'])}"
-    )
-    if estimate["demoted"]:
-        lines.append(f"{label} ratio estimate exceeded the bound and was demoted")
-    return lines
+def _estimate_line(label: str, estimate: dict, counterexample: dict | None) -> str:
+    if estimate["ratio"] is None:
+        return f"{label} ratio law broken at step {counterexample['ratio_law'][label]['step']}"
+    relation = "=" if estimate["exact"] else "<="
+    return f"{label} entropy {relation} log({estimate['ratio']}) = {_fmt(estimate['value'])}"
 
 
 def _index_table(report: dict) -> list[str]:
@@ -100,8 +92,8 @@ def render_text(report: dict) -> str:
     lines = [f"kind: {kind}", f"verdict: {report['verdict']}"]
     if kind in ("finite", "shift"):
         lines += _index_table(report)
-        lines += _estimate_lines("primal", report["estimates"]["primal"])
-        lines += _estimate_lines("dual", report["estimates"]["dual"])
+        for side in ("primal", "dual"):
+            lines.append(_estimate_line(side, report["estimates"][side], report["counterexample"]))
     elif kind == "qp":
         lines.append(f"prime: {report['prime']}")
         lines += _index_table(report)
@@ -110,14 +102,12 @@ def render_text(report: dict) -> str:
             f"closed form: {newton['multiple']} * log({newton['prime']})"
             f" = {_fmt(newton['value'])}"
         )
-        lines += _estimate_lines("cotrajectory", report["routes"]["cotrajectory"])
-        lines += _estimate_lines("trajectory", report["routes"]["trajectory"])
+        for route in ("cotrajectory", "trajectory"):
+            lines.append(_estimate_line(route, report["routes"][route], report["counterexample"]))
         for route in ("cotrajectory", "trajectory"):
             a = report["agreement"][route]
-            lines.append(
-                f"{route} vs closed form ({a['mode']}): "
-                + ("consistent" if a["consistent"] else "INCONSISTENT")
-            )
+            agrees = "consistent" + (", reached" if a["reached"] else "") if a["consistent"] else "INCONSISTENT"
+            lines.append(f"{route} vs closed form: {agrees}")
     elif kind == "real":
         lines.append(f"topological entropy: {_fmt(report['topological'])}")
         lines.append(f"algebraic entropy (dual side): {_fmt(report['algebraic'])}")

@@ -1,149 +1,89 @@
-"""Entropy estimation from a finite run of cotrajectory (or trajectory) indices.
+"""Entropy from the ratio law of one index sequence.
 
-The inputs are the integers a_n = [U : C_n] for n = 1..N (equivalently
-[T_n : U_perp] on the dual side).  Two exact artefacts are extracted:
+The inputs are the integers a_n = [U : C_n], n = 1..N, of the meet side
+(C_n = U ∩ f^-1(U) ∩ ... ∩ f^-(n-1)(U)), or b_n = [T_n : U^⊥] of the
+join side (T_n = U^⊥ + g(U^⊥) + ... + g^(n-1)(U^⊥), g the adjoint).
+Both obey one exact law: every ratio r_n = a_(n+1)/a_n is an integer,
+and r_(n+1) divides r_n.
 
-* a certified upper bound.  The shifted sequence b_k = log a_{k+1} is
-  subadditive, so lim log(a_n)/n = inf_n log(a_{n+1})/n and every
-  log(a_n)/(n-1) with n >= 2 is a true upper bound for the entropy.
-  The unshifted quantity log(a_n)/n is *not* monotone-safe: a_1 = 1
-  would certify 0 for everything.  Bounds are kept as (index, steps)
-  pairs and compared through integer cross powers, never floats.
+* Meet side.  C_(n+1) = U ∩ f^-1(C_n) lies in C_n, so r_n = [C_n : C_(n+1)]
+  is an integer.  x ↦ f x maps C_n into C_(n-1) and C_(n+1) into C_n, so
+  it induces a map C_n/C_(n+1) → C_(n-1)/C_n.  That map is injective: if
+  x ∈ C_n and f x ∈ C_n, then x ∈ U ∩ f^-1(C_n) = C_(n+1).  So r_n divides
+  r_(n-1).
+* Join side.  T_(n+1) = U^⊥ + g(T_n) contains T_n, so s_n = [T_(n+1) : T_n]
+  is an integer.  g maps T_(n+1)/T_n onto T_(n+2)/T_(n+1): every element
+  of T_(n+2) is u + g(y) with u ∈ U^⊥ ⊆ T_(n+1) and y ∈ T_(n+1).  So
+  s_(n+1) divides s_n.
 
-* a stabilization estimate.  The ratio [C_n : C_{n+1}] = a_{n+1}/a_n is
-  a nonincreasing positive integer, so once its last three values agree
-  it has very likely reached its limit r, and the entropy is log r.
-  A stabilized value that exceeds the certified bound is demoted to
-  bounded-only rather than reported.
+The towers and Q_p^d compute the same sequences on one finite working
+level, which holds faithful copies of both chains, so the law holds
+there too.  The ratios therefore fall by divisibility to a limit r that
+divides every one of them; the entropy lim log(a_n)/n is log r, and the
+last ratio gives the certified bound log r_(N-1) >= log r.  The bound is
+never looser than the subadditive bound min log(a_n)/(n-1), because
+a_n >= r_(N-1)^(n-1).  When r_(N-1) = 1 every later ratio is 1, so
+entropy 0 is proved: this is how a stalled chain ends.  This is the
+limit-free form of the entropy: D. Dikranjan and A. Giordano Bruno,
+"Limit free computation of entropy", Rend. Istit. Mat. Univ. Trieste 44
+(2012).
+
+A sequence that breaks the law was not computed right; the estimate
+names the first step where the break shows, and the bridge reports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = [
-    "LogIndexBound",
-    "EntropyEstimate",
-    "validate_indices",
-    "certified_upper_bound",
-    "estimate_entropy",
-]
-
-# the stabilization estimate needs this many equal trailing ratios; the
-# report records it as "window"
-_WINDOW = 3
-
-
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class LogIndexBound:
-    """The exact real number log(index) / steps.
-
-    Ordering and equality compare values, not representations, via
-    index ** other.steps against other.index ** steps.
-    """
-
-    index: int
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1 or self.steps < 1:
-            raise ValueError("invalid index sequence")
-
-    def as_float(self) -> float:
-        return math.log(self.index) / self.steps
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogIndexBound):
-            return NotImplemented
-        return self.index**other.steps == other.index**self.steps
-
-    def __lt__(self, other: "LogIndexBound") -> bool:
-        return self.index**other.steps < other.index**self.steps
-
-    __hash__ = None  # value equality has no cheap canonical form
-
-    def exceeded_by_ratio(self, ratio: int) -> bool:
-        """Whether log(ratio) > self, decided exactly."""
-        return ratio**self.steps > self.index
+__all__ = ["EntropyEstimate", "estimate_entropy"]
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Outcome of analyzing one finite index sequence."""
+    """The ratios of one index sequence, up to the first break of the law.
 
-    bound: LogIndexBound
-    ratio: Optional[int]
-    stabilized: bool
-    demoted: bool
-    window: ClassVar[int] = _WINDOW
+    `broken_at` is the step n (1-based) of the index a_n at which the law
+    first fails, or None when every ratio obeys it.
+    """
+
+    ratios: tuple[int, ...]
+    broken_at: Optional[int] = None
 
     @property
-    def status(self) -> str:
-        return "stabilized" if self.stabilized else "bounded-only"
+    def ratio(self) -> Optional[int]:
+        """The last ratio, or None when the law breaks."""
+        return None if self.broken_at is not None else self.ratios[-1]
 
     @property
     def value(self) -> Optional[float]:
-        if not self.stabilized:
-            return None
-        return math.log(self.ratio)
+        """log of the last ratio, a certified upper bound for the entropy."""
+        ratio = self.ratio
+        return None if ratio is None else math.log(ratio)
 
-
-def validate_indices(indices: Iterable[int]) -> tuple[int, ...]:
-    """Nondecreasing positive integers, else ValueError."""
-    seq = tuple(indices)
-    if not seq:
-        raise ValueError("invalid index sequence")
-    for a in seq:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ValueError("invalid index sequence")
-    for a, b in zip(seq, seq[1:]):
-        if b < a:
-            raise ValueError("invalid index sequence")
-    return seq
-
-
-def _integer_ratios(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
-    out = []
-    for a, b in zip(seq, seq[1:]):
-        if b % a:
-            return None
-        out.append(b // a)
-    return tuple(out)
-
-
-def certified_upper_bound(indices: Sequence[int]) -> LogIndexBound:
-    """Least log(a_n)/(n-1) over n >= 2, as an exact (index, steps) pair."""
-    return _least_bound(validate_indices(indices))
-
-
-def _least_bound(seq: Sequence[int]) -> LogIndexBound:
-    if len(seq) < 2:
-        raise ValueError("invalid index sequence")
-    return min(LogIndexBound(a, n) for n, a in enumerate(seq[1:], start=1))
+    @property
+    def exact(self) -> bool:
+        """Whether the bound is the entropy: the last ratio is 1."""
+        return self.ratio == 1
 
 
 def estimate_entropy(indices: Sequence[int]) -> EntropyEstimate:
-    """Certified bound plus ratio-stabilization estimate for one sequence.
+    """The ratios of a_1..a_N, or the first step where the law breaks:
+    a ratio that is not an integer (a falling index included) or that
+    does not divide the ratio before it.
 
-    Stabilization requires integer ratios throughout and the last
-    three of them equal; a stabilized log(ratio) strictly above the
-    certified bound cannot be the entropy, so the estimate is demoted
-    and only the bound stands.
+    Fewer than two indices, or an index that is not a positive integer,
+    raises ValueError.
     """
-    seq = validate_indices(indices)
-    bound = _least_bound(seq)
-    r = _integer_ratios(seq) or ()
-    ratio: Optional[int] = None
-    stabilized = False
-    demoted = False
-    if len(r) >= _WINDOW and len(set(r[-_WINDOW:])) == 1:
-        ratio = r[-1]
-        stabilized = True
-        if bound.exceeded_by_ratio(ratio):
-            stabilized = False
-            demoted = True
-    return EntropyEstimate(bound=bound, ratio=ratio, stabilized=stabilized, demoted=demoted)
+    seq = tuple(indices)
+    if len(seq) < 2 or not all(type(a) is int and a >= 1 for a in seq):
+        raise ValueError("invalid index sequence")
+    ratios: list[int] = []
+    for n, (a, b) in enumerate(zip(seq, seq[1:]), start=2):
+        r, rest = divmod(b, a)
+        if rest or (ratios and ratios[-1] % r):
+            return EntropyEstimate(tuple(ratios), n)
+        ratios.append(r)
+    return EntropyEstimate(tuple(ratios))

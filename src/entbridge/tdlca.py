@@ -215,9 +215,9 @@ def shift_pairs(modulus: int, height: int, level: int, steps: int) -> tuple[Side
     modulus = _shift_modulus(modulus, height)
     domain = _trusted(FinAbGroup, (modulus,) * (top + 1), False)
     base = _trusted(FinAbGroup, (modulus,) * (level + 1), False)
-    rows, window = IntMatrix.identity(top + 1).entries, level + 1
+    rows, width = IntMatrix.identity(top + 1).entries, level + 1
     conditions = [
-        _trusted(GroupHom, domain, base, _trusted(IntMatrix, window, top + 1, rows[t : t + window]))
+        _trusted(GroupHom, domain, base, _trusted(IntMatrix, width, top + 1, rows[t : t + width]))
         for t in range(steps)
     ]
     return (

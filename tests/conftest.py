@@ -13,18 +13,22 @@ sequences off them with the checked ``index``, and the re-presentation oracle: :
 basis together with its inverse, and :func:`conjugate_tower_endo`
 presents the same dynamics through one such pair per level, so tests can
 check that index sequences do not depend on the presentation.  Last come
-the index-sequence laws :func:`ratios`, :func:`ratios_nonincreasing` and
-:func:`shifted_submultiplicative`, read literally off the integers, and
+the index-sequence laws :func:`validate_indices`, :func:`ratios`,
+:func:`ratios_nonincreasing` and :func:`shifted_submultiplicative`, read
+literally off the integers, the subadditive bound
+:func:`certified_upper_bound`, exact through :class:`LogIndexBound`'s
+cross powers, and
 :func:`capped_instances`, instances at the schema caps that the golden
 digests and the entry-bound check share.
 """
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product
 
-from entbridge.entropyseq import validate_indices
 from entbridge.exactlinalg import IntMatrix
 from entbridge.fingroup import FinAbGroup, GroupHom, SubgroupLattice, index, two_chains
 from entbridge.tdlca import Tower, TowerEndo
@@ -212,6 +216,56 @@ def conjugate_tower_endo(endo, pairs):
     ]
     maps = [forward[k].compose(f).compose(backward[k + endo.lag]) for k, f in enumerate(endo.maps)]
     return TowerEndo(Tower(tower.levels, projections), endo.lag, maps)
+
+
+def validate_indices(indices) -> tuple[int, ...]:
+    """Nondecreasing positive integers, else ValueError."""
+    seq = tuple(indices)
+    if not seq:
+        raise ValueError("invalid index sequence")
+    for a in seq:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise ValueError("invalid index sequence")
+    for a, b in zip(seq, seq[1:]):
+        if b < a:
+            raise ValueError("invalid index sequence")
+    return seq
+
+
+@total_ordering
+@dataclass(frozen=True, eq=False)
+class LogIndexBound:
+    """The exact real number log(index) / steps, ordered by the cross
+    powers index ** other.steps against other.index ** steps."""
+
+    index: int
+    steps: int
+
+    def as_float(self) -> float:
+        return math.log(self.index) / self.steps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogIndexBound):
+            return NotImplemented
+        return self.index**other.steps == other.index**self.steps
+
+    def __lt__(self, other: "LogIndexBound") -> bool:
+        return self.index**other.steps < other.index**self.steps
+
+    def exceeded_by_ratio(self, ratio: int) -> bool:
+        """Whether log(ratio) > self, decided exactly."""
+        return ratio**self.steps > self.index
+
+
+def certified_upper_bound(indices) -> LogIndexBound:
+    """The subadditive bound: b_k = log a_(k+1) is subadditive, so the
+    entropy is inf log(a_n)/(n-1) over n >= 2, and each candidate is an
+    upper bound.  The oracle that the ratio law's bound log r_(N-1) is
+    compared against."""
+    seq = validate_indices(indices)
+    if len(seq) < 2:
+        raise ValueError("invalid index sequence")
+    return min(LogIndexBound(a, n) for n, a in enumerate(seq[1:], start=1))
 
 
 def ratios(indices) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from entbridge.bridge import (
     random_subgroup,
 )
 from entbridge.duality import annihilator
-from entbridge.entropyseq import certified_upper_bound, estimate_entropy
+from entbridge.entropyseq import estimate_entropy
 from entbridge.exactlinalg import IntMatrix, hnf
 from entbridge.padic import char_poly, newton_entropy, rational_matrix
 from entbridge.realspace import (
@@ -84,7 +84,7 @@ def test_criterion_3_full_shift_towers():
         est = estimate_entropy(co)
         if co != expected or tr != expected:
             problems.append((modulus, "indices"))
-        if not (est.stabilized and est.ratio == modulus):
+        if est.ratio != modulus:
             problems.append((modulus, "ratio"))
         if elapsed >= 5.0:
             problems.append((modulus, f"{elapsed:.1f}s"))
@@ -96,9 +96,9 @@ def test_criterion_4_padic_routes():
     for prime in (2, 3):
         contracting = qp_bridge(prime, [[f"1/{prime}"]], 8)
         routes = contracting["routes"]
-        stabilized = (
-            routes["cotrajectory"]["status"] == "stabilized"
-            and routes["trajectory"]["status"] == "stabilized"
+        reached = (
+            contracting["agreement"]["cotrajectory"] == {"consistent": True, "reached": True}
+            and contracting["agreement"]["trajectory"] == {"consistent": True, "reached": True}
             and routes["cotrajectory"]["ratio"] == prime
             and routes["trajectory"]["ratio"] == prime
         )
@@ -107,7 +107,7 @@ def test_criterion_4_padic_routes():
             abs(routes["cotrajectory"]["value"] - math.log(prime)) < 1e-12
             and abs(routes["newton"]["value"] - math.log(prime)) < 1e-12
         )
-        if not (contracting["verdict"] == "pass" and stabilized and closed and values):
+        if not (contracting["verdict"] == "pass" and reached and closed and values):
             problems.append((prime, "scalar 1/p"))
         integral = qp_bridge(prime, [[prime]], 8)
         if not (
@@ -129,13 +129,9 @@ def test_criterion_4_padic_routes():
                     prime, char_poly(rational_matrix(inst["matrix"]))
                 )
                 for route in ("cotrajectory", "trajectory"):
-                    est = rep["routes"][route]
-                    if est["status"] == "stabilized":
-                        exact = est["ratio"] == prime**newton
-                    else:
-                        bound = est["bound"]
-                        exact = bound["index"] >= prime ** (newton * bound["steps"])
-                    if not exact or not rep["agreement"][route]["consistent"]:
+                    agreement = rep["agreement"][route]
+                    reached = rep["routes"][route]["ratio"] == prime**newton
+                    if not (reached and agreement["reached"] and agreement["consistent"]):
                         problems.append((prime, dim, route))
                 if rep["verdict"] != "pass":
                     problems.append((prime, dim, "verdict"))
@@ -196,11 +192,15 @@ def test_criterion_7_property_suites():
             problems.append(("shifted-submultiplicative", seq))
 
     for _ in range(100):
-        seq = [rng.randint(1, 3)]
+        # a sequence that obeys the ratio law: each ratio a random divisor
+        # of the one before
+        seq, ratio = [rng.randint(1, 3)], rng.randint(1, 64)
         for _ in range(rng.randint(2, 6)):
-            seq.append(seq[-1] * rng.randint(1, 4) + rng.randint(0, 3))
-        bounds = [certified_upper_bound(seq[:n]) for n in range(2, len(seq) + 1)]
-        if any(later > earlier for earlier, later in zip(bounds, bounds[1:])):
+            ratio = rng.choice([d for d in range(1, ratio + 1) if ratio % d == 0])
+            seq.append(seq[-1] * ratio)
+        bounds = [estimate_entropy(seq[:n]).ratio for n in range(2, len(seq) + 1)]
+        antitone = all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
+        if not antitone or any(bounds[-1] ** n > a for n, a in enumerate(seq)):
             problems.append(("bound-antitone", seq))
 
     for _ in range(100):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from functools import partial
@@ -5,8 +6,9 @@ from functools import partial
 import jsonschema
 import pytest
 
-from conftest import tower_chains
+from conftest import certified_upper_bound, tower_chains
 import entbridge.bridge as bridge
+import entbridge.cli as cli
 import entbridge.exactlinalg as exactlinalg
 import entbridge.fingroup as fingroup
 import entbridge.tdlca as tdlca
@@ -33,6 +35,7 @@ from entbridge.bridge import (
 )
 from entbridge.cli import load_schema
 from entbridge.duality import annihilator, dual_group, dual_hom
+from entbridge.entropyseq import estimate_entropy
 from entbridge.exactlinalg import HnfBasis, InputError, IntMatrix
 from entbridge.fingroup import (
     FinAbGroup,
@@ -464,8 +467,8 @@ class TestFiniteBridge:
         assert report["per_step_equal"] == [True] * 6
         assert report["counterexample"] is None
         assert report["moduli"] == [4, 2, 2]
-        assert report["estimates"]["primal"]["status"] == "stabilized"
-        assert report["estimates"]["primal"]["ratio"] == 1
+        # the chains stall, so the last ratio is 1 and entropy 0 is exact
+        assert report["estimates"]["primal"] == {"ratio": 1, "value": 0.0, "exact": True}
 
     def test_left_shift_example(self):
         g = FinAbGroup((2, 2, 2, 2))
@@ -499,7 +502,8 @@ class TestFiniteBridge:
 
     def test_mismatch_plumbing(self):
         # a two-sided report over unequal sequences names the first failing
-        # step with both indices and both chain terms
+        # step with both indices and both chain terms; the dual ratios (2, 4)
+        # also break the ratio law, at the index b_3
         g, f, u = frozen_instance()
         (co, primal), (tr, dual_side) = _finite_chains(f, u, 3)
         assert primal == dual_side == [1, 2, 4]
@@ -512,6 +516,7 @@ class TestFiniteBridge:
             "dual_index": 8,
             "cotrajectory": _subgroup_payload(co[2]),
             "dual_trajectory": _subgroup_payload(tr[2]),
+            "ratio_law": {"dual": {"step": 3, "indices": [1, 2, 8]}},
         }
 
     def test_mismatch_names_the_first_failing_step(self, monkeypatch):
@@ -537,6 +542,7 @@ class TestFiniteBridge:
             "dual_index": 2,
             "cotrajectory": _subgroup_payload(co[2]),
             "dual_trajectory": _subgroup_payload(tr[1]),
+            "ratio_law": {"dual": {"step": 4, "indices": [2, 2, 4]}},
         }
 
 
@@ -557,8 +563,7 @@ class TestShiftBridge:
         expected = [2**t for t in range(7)]
         assert report["indices"] == {"primal": expected, "dual": expected}
         assert report["verdict"] == "pass"
-        assert report["estimates"]["primal"]["ratio"] == 2
-        assert report["estimates"]["primal"]["status"] == "stabilized"
+        assert report["estimates"]["primal"] == {"ratio": 2, "value": math.log(2), "exact": False}
         assert report["modulus"] == 2 and report["level"] == 1
 
     def test_range_refused_before_any_level_is_built(self, monkeypatch):
@@ -590,15 +595,7 @@ class TestShiftBridge:
         assert ranks == [{2}, {9}]
         # the report carries the given height, and the indices of a
         # 64-level tower
-        bound = {"index": 2, "steps": 1, "value": math.log(2)}
-        estimate = {
-            "bound": bound,
-            "demoted": False,
-            "ratio": None,
-            "status": "bounded-only",
-            "value": None,
-            "window": 3,
-        }
+        estimate = {"exact": False, "ratio": 2, "value": math.log(2)}
         assert report == {
             "counterexample": None,
             "estimates": {"dual": estimate, "primal": estimate},
@@ -670,6 +667,7 @@ class TestShiftBridge:
             "dual_index": 2,
             "cotrajectory": _subgroup_payload(co[2]),
             "dual_trajectory": _subgroup_payload(tr[1]),
+            "ratio_law": {"dual": {"step": 4, "indices": [2, 2, 8]}},
         }
 
 
@@ -737,6 +735,7 @@ class TestQpBridge:
             "dual_index": 2,
             "cotrajectory": _subgroup_payload(co[2]),
             "dual_trajectory": _subgroup_payload(tr[1]),
+            "ratio_law": {"trajectory": {"step": 4, "indices": [2, 2, 8]}},
             "agreement": report["agreement"],
         }
 
@@ -750,16 +749,17 @@ class TestQpBridge:
         assert report["per_step_equal"] == [True] * 6
         assert report["routes"]["newton"]["multiple"] == 2
         assert report["agreement"] == {
-            "cotrajectory": {"mode": "stabilized", "consistent": False},
-            "trajectory": {"mode": "stabilized", "consistent": False},
+            "cotrajectory": {"consistent": False, "reached": False},
+            "trajectory": {"consistent": False, "reached": False},
         }
         assert report["verdict"] == "mismatch"
         assert report["counterexample"] == {"agreement": report["agreement"]}
 
-    @pytest.mark.parametrize("delta", [0, 1, -1])
-    def test_closed_form_off_by_one_is_a_mismatch(self, monkeypatch, delta):
-        # every draw stabilizes, so a multiple m + 1 or m - 1 of log p
-        # contradicts both index routes; unchanged, every draw passes
+    @staticmethod
+    def _draws_with_closed_form_moved(monkeypatch, delta):
+        """200 seeded qp draws, each route of which reaches p^m, with the
+        Newton multiple m moved by delta (draws with m = 0 left out for
+        delta < 0)."""
         padic = bridge.padic
         newton_entropy = padic.newton_entropy
 
@@ -774,21 +774,102 @@ class TestQpBridge:
         if delta < 0:
             draws = [inst for inst in draws if multiple(inst) >= 1]
         monkeypatch.setattr(padic, "newton_entropy", lambda p, coeffs: newton_entropy(p, coeffs) + delta)
-        verdicts = {verify_instance(inst)["verdict"] for inst in draws}
-        assert verdicts == {"pass" if delta == 0 else "mismatch"}
+        return [verify_instance(inst) for inst in draws]
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_closed_form_off_by_one_is_a_mismatch(self, monkeypatch, delta):
+        # every route reaches p^m, so p^(m + 1) divides no last ratio;
+        # unchanged, every draw passes
+        reports = self._draws_with_closed_form_moved(monkeypatch, delta)
+        assert {report["verdict"] for report in reports} == {"pass" if delta == 0 else "mismatch"}
+
+    def test_closed_form_one_below_is_consistent_but_not_reached(self, monkeypatch):
+        # p^(m - 1) divides every ratio, so no finite run refutes it (the
+        # ratios could still fall to it), but no route reaches it
+        reports = self._draws_with_closed_form_moved(monkeypatch, -1)
+        assert {report["verdict"] for report in reports} == {"pass"}
+        agreements = [a for report in reports for a in report["agreement"].values()]
+        assert all(a == {"consistent": True, "reached": False} for a in agreements)
 
     @pytest.mark.parametrize("multiple,consistent", [(1, True), (2, False)])
     def test_bounded_only_agreement(self, monkeypatch, multiple, consistent):
-        # indices [1, 2, 4] give two ratios, fewer than the window, and the
-        # certified bound log(2)/1: m log 2 is consistent with it only for m <= 1
+        # indices [1, 2, 4] only bound the entropy, by log 2, their last
+        # ratio: 2^m divides 2, and so agrees with it, only for m <= 1
         monkeypatch.setattr(bridge.padic, "newton_entropy", lambda prime, coeffs: multiple)
         report = qp_bridge(2, [["1/2"]], 3)
         assert report["indices"]["primal"] == [1, 2, 4]
-        assert report["routes"]["cotrajectory"]["bound"]["index"] == 2
-        assert report["routes"]["cotrajectory"]["bound"]["steps"] == 1
-        assert report["agreement"]["cotrajectory"] == {"mode": "bounded-only", "consistent": consistent}
-        assert report["agreement"]["trajectory"] == {"mode": "bounded-only", "consistent": consistent}
+        assert report["routes"]["cotrajectory"] == {"ratio": 2, "value": math.log(2), "exact": False}
+        agreement = {"consistent": consistent, "reached": consistent}
+        assert report["agreement"] == {"cotrajectory": agreement, "trajectory": agreement}
         assert report["verdict"] == ("pass" if consistent else "mismatch")
+
+    def test_closed_form_dividing_the_last_ratio_is_consistent(self):
+        # the ratios 9, 9, 9 of 4 steps fall to 3 = 3^1, the Newton multiple,
+        # only at 5 steps: 3 divides 9, so both routes agree without reaching it
+        matrix = [
+            ["-162", "0", "81", "-6"],
+            ["1", "-6", "0", "54"],
+            ["-81", "-1", "-9", "-18"],
+            ["-1/9", "81", "1/9", "0"],
+        ]
+        report = qp_bridge(3, matrix, 4)
+        assert report["indices"]["primal"] == report["indices"]["dual"] == [1, 9, 81, 729]
+        assert report["routes"]["newton"]["multiple"] == 1
+        assert report["verdict"] == "pass"
+        assert all(a == {"consistent": True, "reached": False} for a in report["agreement"].values())
+        for steps in range(5, 13):
+            report = qp_bridge(3, matrix, steps)
+            assert report["verdict"] == "pass"
+            assert all(a == {"consistent": True, "reached": True} for a in report["agreement"].values())
+
+
+class TestRatioLaw:
+    @pytest.mark.parametrize("kind", ["finite", "shift", "qp"])
+    def test_law_holds_on_both_sides_of_random_draws(self, kind):
+        # each side's ratios are integers that divide the one before, and
+        # r_(N-1)^(n-1) <= a_n at every n, so the last ratio is never a
+        # looser bound than the subadditive one
+        rng = random.Random(f"ratio-law/{kind}")
+        for _ in range(200):
+            report = verify_instance(random_instance(rng, kind))
+            assert report["verdict"] == "pass"
+            for seq in report["indices"].values():
+                est = estimate_entropy(seq)
+                assert est.broken_at is None, seq
+                assert all(est.ratio ** (n - 1) <= a for n, a in enumerate(seq, start=1)), seq
+                assert not certified_upper_bound(seq).exceeded_by_ratio(est.ratio), seq
+
+    @pytest.mark.parametrize(
+        "instance, sides",
+        [
+            ({"kind": "shift", "modulus": 2, "height": 8, "level": 1, "steps": 7}, ("primal", "dual")),
+            ({"kind": "qp", "prime": 2, "matrix": [["1/2"]], "steps": 7}, ("cotrajectory", "trajectory")),
+        ],
+        ids=["shift", "qp"],
+    )
+    def test_broken_law_on_both_sides_is_a_mismatch(self, monkeypatch, tmp_path, capsys, instance, sides):
+        # both sides give the same indices, whose ratios (2, 4, ...) break the
+        # law at a_3: every step is equal, and still the verdict is mismatch
+        two_chains = bridge.two_chains
+        broken = [1, 2, 8, 32, 128, 512, 2048]
+
+        def breaking(meet, join, steps):
+            (co, _), (tr, _) = two_chains(meet, join, steps)
+            return (co, list(broken)), (tr, list(broken))
+
+        monkeypatch.setattr(bridge, "two_chains", breaking)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        assert cli.main(["verify", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["per_step_equal"] == [True] * 7
+        assert report["verdict"] == "mismatch"
+        law = {side: {"step": 3, "indices": [1, 2, 8]} for side in sides}
+        assert report["counterexample"]["ratio_law"] == law
+        assert cli.main(["verify", str(path), "--format", "text"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "verdict: mismatch" in lines
+        assert all(f"{side} ratio law broken at step 3" in lines for side in sides)
 
 
 class TestRealBridge:

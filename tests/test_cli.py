@@ -36,10 +36,8 @@ step  primal-index  dual-index  equal
    4             4           4  yes
    5             4           4  yes
    6             4           4  yes
-primal estimate: stabilized, entropy = 0
-primal certified bound: log(4)/5 = 0.277258872224
-dual estimate: stabilized, entropy = 0
-dual certified bound: log(4)/5 = 0.277258872224
+primal entropy = log(1) = 0
+dual entropy = log(1) = 0
 """
 
 QP_TEXT = """\
@@ -53,12 +51,10 @@ step  primal-index  dual-index  equal
    4             8           8  yes
    5            16          16  yes
 closed form: 1 * log(2) = 0.69314718056
-cotrajectory estimate: stabilized, entropy = 0.69314718056
-cotrajectory certified bound: log(2)/1 = 0.69314718056
-trajectory estimate: stabilized, entropy = 0.69314718056
-trajectory certified bound: log(2)/1 = 0.69314718056
-cotrajectory vs closed form (stabilized): consistent
-trajectory vs closed form (stabilized): consistent
+cotrajectory entropy <= log(2) = 0.69314718056
+trajectory entropy <= log(2) = 0.69314718056
+cotrajectory vs closed form: consistent, reached
+trajectory vs closed form: consistent, reached
 """
 
 

@@ -8,9 +8,13 @@ the whole report (index sequences, estimates, verdicts and
 counterexample payloads), so a change to any computation on the report
 route that alters a single byte fails here.  Regenerate them only for a
 deliberate change of the report format or of the instance generators.
+``INDEX_GOLDEN`` pins the two index sequences of every exact-kind entry
+on their own, so a change of the report format, which regenerates the
+report digests, can be shown to leave every index as it was.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -21,34 +25,34 @@ from entbridge.cli import canonical_json
 
 GOLDEN = {
     "finite": [
-        "a3a86ebfccce6c5d30c3b77d43d48fe210d2226c6ecde01d19b6bacb42f20c94",
-        "fc6dfa6621c04b396cb8bab616c401e8da8987df57e6fb5686ed98bb1216fb22",
-        "5d47e28a3ff6eb758eddc7d631375e91728cd714427fceee40249c99a8c8371a",
-        "bf80010536a8af13b974c3a2ec8dc432d7de60e99bc6db029d47a4772b3b7ba7",
-        "abc7aac076b0cb4ee6b76acd5fe11bae8ccc6193b5bb1078670d3c1e016d6377",
-        "0f5a2895c7c6329228ab4a30ef0c2b8e87fd64c44278052ec1f3842714f85029",
-        "80d4bc3da296494bf5a51145db6ac4090a154b8c956cc5dee3e699865661f15c",
-        "1b173e2f5ec8d4b5159d21adaff5ac526666e0cad3801b3fe4e8701a908f2690",
+        "ff1e4531424545e2031c3fcd5082ad57840404044be758acb8ea610400e3498d",
+        "37c02e9b7a76c4709f3df4ca9d7d361f5af00a41e79ff64ef7deb9b6cb2276c9",
+        "ed665c4043a4817f4f8aa42302a2456a7d7f2d5f4c6f7d895411648fb3a88936",
+        "0f06bbafe6fbe20ee1a5c7aa60378fb0b891dc20c565298828cd8337e94c0cea",
+        "a7c20bf607eea8668e0607df95cd4a59e96000354ff21e2462a2ec7caf4ffaba",
+        "d90eb78054687d5a563b6e1fa2e79ed7ac2ca598e125696edc42b3f4e394af62",
+        "54f96911f3a8bb743eb65e9f4ddb509ea17b31f0241dc24059bf8f4e12db941e",
+        "69ec28ac5e7dee4777824dd8156d9fc73d358666417c6eeac83449b84fc560c6",
     ],
     "shift": [
-        "1252b4a954265af01906acff163bcce1af5f380f4bb9f545f2a9dc2dd74a7cf2",
-        "a40c40b46ede5f62f645027496d05a81a2c9b7755ee0b072edd4c3d34ab95ca1",
-        "78916d63fd74da7545b5dcce59f3c134ac6d202f2dcee7f4ad1813b0f6e3e604",
-        "a40c40b46ede5f62f645027496d05a81a2c9b7755ee0b072edd4c3d34ab95ca1",
-        "a40c40b46ede5f62f645027496d05a81a2c9b7755ee0b072edd4c3d34ab95ca1",
-        "166cd812b6a849e73f977b4686b63a57f07a2fe6837c2632fb212edcb69af85a",
-        "166cd812b6a849e73f977b4686b63a57f07a2fe6837c2632fb212edcb69af85a",
-        "ef362ca439694359e3fa484a9479134374f69a4672da8525a3342d82f0800318",
+        "5ced1c6f5e7b58834762aee1feed9f1ae13706851bd4dc7f15bfd0b9b3edcdf5",
+        "7da65edec9c8e8939403241462b8b64db385b50eddcfe0b4361c496c8a8e0d8f",
+        "1b43db183339d3c1f1883d31b49c0c31683e6f9bb5e3e1c343b0d75f95846c6d",
+        "7da65edec9c8e8939403241462b8b64db385b50eddcfe0b4361c496c8a8e0d8f",
+        "7da65edec9c8e8939403241462b8b64db385b50eddcfe0b4361c496c8a8e0d8f",
+        "a97b9c08cbe2729dd50e024b50ea749ddcf735e09090e59e84616639d5dca450",
+        "a97b9c08cbe2729dd50e024b50ea749ddcf735e09090e59e84616639d5dca450",
+        "61f5817c18baff18287958eab24b655394ed61b2625a76429486e875ad87bcf1",
     ],
     "qp": [
-        "2bf2ebd3ba0e8646830b5f8b7b940a8a4dbb74c76f38296d553eef9e027b37d0",
-        "d23c851357b9c29d516dc89519e11cdeee8825a5a05f2a7de1ef9e122aae5edc",
-        "8dd90b7909770be639c8f2d417d91fe13e225909851e292947c12279ff3a0e40",
-        "244f87e5f2122a43a37cdcec1c5f454c3145b9dcd409a6d52535ca3a2b3a42e0",
-        "6c3e022b6e55e4d43acfa0fd527dff4993a2df88a8db6708bdd9beb9823c82d2",
-        "c3b83648be1784ef50ee93919aa4a58899acbe73a9253dd3c93380d1f4bec283",
-        "c18e5abed067c54fd5389982b90722c59a35649bca620352c3ee6469d0930d2e",
-        "c83416f278a1cff1deccfaff6efbc097bf6fa6aac87d9431723b90c6df9443d6",
+        "c7b3ea9d170fa6dcca17294f88686959fd5e49da1e623cbe332d19276d4a9f83",
+        "99e37efb3e2997bcefcb575e6884e535a95542491f7bf043e275425937dd97ef",
+        "7c4c4361d193970241bb3339d5fdd5c0f006222935b3b8478d0321b3600d00d3",
+        "e056f0197acbb21f93247dc474805b8da2bbbd27565f59e80cbb2224e7d73646",
+        "75b1d0ae895b971ee412cb9c0dd535dacb3a4e149b68bf9fbdc8dcf7305070fe",
+        "5c04c01cc0b5d7d687ef37d9ed925fd418f66969f2b609c42409910f66c091ba",
+        "432248887be72458ba7a9f20a18e3f0becf61db5d03214bf78b30830d0aed88f",
+        "6311536de2c8ec85b1dd633ff03ea7d2be6183786c29e593cab26aab42f45a0e",
     ],
     "real": [
         "2221a0afe111892ea59e3a3fe5f4e8d9cc27b07a52d2bebf8039b9fba80c354b",
@@ -75,15 +79,32 @@ def test_reports_match_golden_digests(kind):
 
 
 # singular qp matrices over Q_2, 8 steps: entropy log 2 (indices 2^n) and 0
-# (indices 1, 2, 2, ...); the random qp generator draws invertible matrices only
+# (indices 1, 2, 2, ...); the random qp generator draws invertible matrices only.
+# A qp matrix over Q_3 whose ratios are 9, 9, 9 over 4 steps and drop to
+# 3 = 3^1, its Newton multiple, only later: its last ratio is a multiple of
+# 3, not 3 itself, and both routes agree with the closed form
 HAND_WRITTEN = {
     "qp-singular-contracting": (
         {"kind": "qp", "prime": 2, "matrix": [["1/2", "0"], ["0", "0"]], "steps": 8},
-        "0089bfad2ff855c737cb3a7174d1cb4bc20c1cb20c38347622046569b6dd8a1f",
+        "0c33050fc9dd534c5d439f163df71ceb84bf6515872137ed6f6f7b562ab086dd",
     ),
     "qp-singular-projection": (
         {"kind": "qp", "prime": 2, "matrix": [["1/2", "1/2"], ["1/2", "1/2"]], "steps": 8},
-        "709784aeae4fb0e2a995555e6d50fa376af554ea6df0cd583d8a6fae9b5b9dfd",
+        "6aefbad7214756c898f2a41508e253d0edd2a3f850d0b3590936c4a5a03ee4b8",
+    ),
+    "qp-ratio-law-4-steps": (
+        {
+            "kind": "qp",
+            "prime": 3,
+            "matrix": [
+                ["-162", "0", "81", "-6"],
+                ["1", "-6", "0", "54"],
+                ["-81", "-1", "-9", "-18"],
+                ["-1/9", "81", "1/9", "0"],
+            ],
+            "steps": 4,
+        },
+        "71709aad2ddbc2de5c364b5d9eb372cc8f23296378c1474314563d76013e3e9f",
     ),
 }
 
@@ -95,14 +116,13 @@ def test_hand_written_reports_match_golden_digests(name):
 
 
 # instances at the schema caps (conftest.capped_instances), where Hermite
-# entries are widest; computed before the join steps, sums, images and
-# annihilators moved to Hermite form modulo the relations
+# entries are widest
 CAPPED = {
-    "finite-2^128-rank-16": "bc2aae0d84e183a0f0c156c95ae7a766c3e9e12df17bfa52a58181aa2435b1f6",
-    "finite-mixed-rank-16": "6666e18f74609d449d6ec5ed77719e7f0b0c660ae923104461a059ce401d3509",
-    "shift-2^128-height-64": "2baf6655ab5aaa6f3c65615dc851fd53886ce56762527bebc846f1b4fffcc485",
-    "qp-dense-3-steps-64": "bf98e9c2b9b7a763b90c9310d7354d18a3a4fb3999286cf9bad368ea6ce6f503",
-    "qp-bidiagonal-2-steps-64": "5cad816e720f11c781a77bf0079c9759bc01c774329590dd3936c057570bc104",
+    "finite-2^128-rank-16": "cbdaafe6f58ff3562c9f1ca30355f3200fdde526b8db4361561f83b4d56d5257",
+    "finite-mixed-rank-16": "eb451692297eec4c5d26dc89b8cea4c65e1c39f7831b400b2c7d4ad98aa8d555",
+    "shift-2^128-height-64": "8e218201362336bdcd616156c6141b980f2b7e6d7026252700df45787d85e249",
+    "qp-dense-3-steps-64": "2b2a5e9dad3ee251ae93135fb5716c1b7fb958a8961c58649cbb3554020c1b36",
+    "qp-bidiagonal-2-steps-64": "390b20b2182039c0419286436c0cec5d91a413635a8dc8ec1bca51e0427534a3",
 }
 
 
@@ -110,3 +130,70 @@ CAPPED = {
 def test_capped_reports_match_golden_digests(name):
     instance = capped_instances()[name]
     assert hashlib.sha256(canonical_json(verify_instance(instance)).encode()).hexdigest() == CAPPED[name]
+
+
+# sha256 of the two index lists of each exact-kind entry above, serialized
+# as perfbench/reference.json serializes them (json.dumps([primal, dual])
+# with separators (",", ":"); that file keeps the first 16 hex digits).
+# Recorded before the estimates moved to the ratio law, and not regenerated
+# with the report digests then.
+INDEX_GOLDEN = {
+    "finite": [
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+        "4c4936f2e70c348ec7505e67519f57521a8626a2bf30bf5da1f1316e91574b8a",
+        "7b539d0e879307aad7cf7b94bd0b10ddcc43a207bf823e9024882e62c20f7fcf",
+    ],
+    "shift": [
+        "f23cd8d17d7969ebe39ca8455ef58c18ec1e917421b4c5bf3086cfaf7146e22e",
+        "476b85de91832a971dfd7a733283c5d715becc450d4e8ba400375bd871126232",
+        "f7fe597eee9ed2c62d594f5ec494718be7269efe489280a6bf3ee2b9abc1d21e",
+        "476b85de91832a971dfd7a733283c5d715becc450d4e8ba400375bd871126232",
+        "476b85de91832a971dfd7a733283c5d715becc450d4e8ba400375bd871126232",
+        "0fb6dc6bf8be5b9136147867800b8d60f8365eb128f4e95b15811c55dac739d3",
+        "0fb6dc6bf8be5b9136147867800b8d60f8365eb128f4e95b15811c55dac739d3",
+        "20b2953f31f766add1f53217b7883d83339953e728fbbb965e2bb73b718e8bc9",
+    ],
+    "qp": [
+        "d7a949e85545abec93514294d4ccec88db777983590993fdd9485cb42c1816c2",
+        "05026de83da702eff681fc789d0ca1aabac8acc1edc290a5b42784818cc22416",
+        "05026de83da702eff681fc789d0ca1aabac8acc1edc290a5b42784818cc22416",
+        "627f715416682ffe568106ead2086558fdfdfd30d4e47c48652e5b8db438a154",
+        "05026de83da702eff681fc789d0ca1aabac8acc1edc290a5b42784818cc22416",
+        "d7a949e85545abec93514294d4ccec88db777983590993fdd9485cb42c1816c2",
+        "5c9e399d6c2d8fbf10ae4f1c3d64a56a0513887f9fdd6251774f2f166d303574",
+        "d7a949e85545abec93514294d4ccec88db777983590993fdd9485cb42c1816c2",
+    ],
+    "qp-singular-contracting": "a15985085a4697582898c03454c0cd1eb70d2c79411ab371536b6e11ee8da14d",
+    "qp-singular-projection": "b38ae142cea4d88ff16e3a632d6de6781da0521174b87ad20d22695eff3b8023",
+    "qp-ratio-law-4-steps": "e6a9f4d42eedf9d71d694f09774f69bac025b5b7bb1eb713d0b57f7b0ed7e175",
+    "finite-2^128-rank-16": "9476853b4a4f6b09d6bc42667a4baf128b15044bd1b297c4ca72a5a07cb64d59",
+    "finite-mixed-rank-16": "0a4439183b1b0e8370603fc59b4c8cdfae1ba47917f4a580e3ef15e1e1b231fc",
+    "shift-2^128-height-64": "0f37cf3f84c73fddd8a29b83a6fa841b6928f83fc745c6540b05667351a16c92",
+    "qp-dense-3-steps-64": "5e0240c5e7b132ccb6af5b5ac962b4ec84add6d968ac73ce1d414c00e1ec3e0b",
+    "qp-bidiagonal-2-steps-64": "c6844ea33230cc9bd3266baae6c6f0d2cc1d70eadb1c7f304530f55a9affa5df",
+}
+
+
+def _index_digest(report: dict) -> str:
+    indices = [report["indices"]["primal"], report["indices"]["dual"]]
+    return hashlib.sha256(json.dumps(indices, separators=(",", ":")).encode()).hexdigest()
+
+
+def _index_golden_cases():
+    for kind in ("finite", "shift", "qp"):
+        for seed, digest in enumerate(INDEX_GOLDEN[kind]):
+            yield pytest.param(lambda kind=kind, seed=seed: random_instance(random.Random(seed), kind), digest, id=f"{kind}-{seed}")
+    for name, (instance, _) in HAND_WRITTEN.items():
+        yield pytest.param(lambda instance=instance: instance, INDEX_GOLDEN[name], id=name)
+    for name in CAPPED:
+        yield pytest.param(lambda name=name: capped_instances()[name], INDEX_GOLDEN[name], id=name)
+
+
+@pytest.mark.parametrize("make, digest", _index_golden_cases())
+def test_index_sequences_match_index_digests(make, digest):
+    assert _index_digest(verify_instance(make())) == digest

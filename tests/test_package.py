@@ -109,9 +109,9 @@ def _sides_of_three_steps():
         (lambda: hnf(IntMatrix.from_columns([[1, 2], [2, 4]], rows=2)), "lattice not full rank"),
         (lambda: two_chains(*_sides_of_three_steps(), 6), "end after 3 of 6 steps"),
         (lambda: IDENTITY_2.compose(IDENTITY_3), "homomorphisms do not compose"),
-        (lambda: estimate_entropy([2, 1]), "invalid index sequence"),
+        (lambda: estimate_entropy([5]), "invalid index sequence"),
     ],
-    ids=["hnf-rank-deficient", "two-chains-short", "compose", "estimate-decreasing"],
+    ids=["hnf-rank-deficient", "two-chains-short", "compose", "estimate-one-index"],
 )
 def test_internal_checks_raise_plain_value_error(call, message):
     # these hold by construction on every verify route, so a failure is a

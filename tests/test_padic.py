@@ -770,7 +770,7 @@ class TestNewtonEntropy:
             newton_entropy(6, (Fraction(1), Fraction(1)))
 
     def test_matches_index_growth(self):
-        # stabilized cotrajectory ratio equals p^multiple on the same map
+        # the last cotrajectory ratio equals p^multiple on the same map
         m = rational_matrix([[Fraction(1, 3), 1], [0, 3]])
         seq = cotrajectory_indices(3, m, 5)
         ratio = seq[-1] // seq[-2]

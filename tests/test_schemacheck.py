@@ -138,14 +138,16 @@ def mutated_reports(report, rng):
         for value in rng.sample([None, True, -1, math.nan, math.inf, -math.inf, "x", [], {}], 3):
             yield dict(report, **{key: value})
     yield dict(report, extra=1)
-    for key in ("indices", "estimates", "routes"):
+    # an index, or a field of an estimate (ratio, value, exact) or of a qp
+    # route's agreement (consistent, reached)
+    for key in ("indices", "estimates", "routes", "agreement"):
         if key in report:
             bad = copy.deepcopy(report)
             inner = bad[key][rng.choice(sorted(bad[key]))]
             if isinstance(inner, list):
                 inner[rng.randrange(len(inner))] = rng.choice([0, True, 1.0, 1.5])
             else:
-                inner[rng.choice(sorted(inner))] = rng.choice([None, -1, math.nan, "x"])
+                inner[rng.choice(sorted(inner))] = rng.choice([None, -1, 0, True, math.nan, "x"])
             yield bad
 
 
