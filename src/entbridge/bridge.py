@@ -20,8 +20,9 @@ matrix with the trivial subgroup of G = (Z/p^N)^d, and p^(N-ke) B'^k
 from its transpose with G
 (:func:`entbridge.padic.cotrajectory_pairs`, :func:`~entbridge.padic.trajectory_pairs`).
 The two sides are separate computations; neither is derived from the
-other.  The qp report also compares both index routes with the
-closed form of the Newton polygon.
+other.  Every exact report names them ``primal`` (cotrajectory indices
+a_n) and ``dual`` (trajectory indices b_n of the adjoint); the qp report
+also checks each side against the closed form of the Newton polygon.
 
 The module also packages the individual duality laws as checkable
 units (LawCheck): the two chain laws read the driver's finite chains,
@@ -253,28 +254,23 @@ def check_all_laws(
     ]
 
 
-def _route_agreement(est: EntropyEstimate, closed: int) -> dict:
-    """Whether an index route agrees with the closed form log(closed),
-    closed = p^m: the limit ratio p^m divides every ratio, so it is
-    consistent when it divides the last one and reached when it equals it."""
-    ratio = est.ratio
-    return {"consistent": ratio is not None and ratio % closed == 0, "reached": ratio == closed}
-
-
-def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = None) -> dict:
+def _two_sided_report(kind: str, chains, extra: dict, closed: Optional[tuple] = None) -> dict:
     """The report of an exact kind from the driver's ((C, a), (T, b)), plus `extra`.
 
     Each side's indices must obey the ratio law of :mod:`entbridge.entropyseq`
     on their own; a side that breaks it is a mismatch, and the
     counterexample names the side, the step and the indices that show
-    the break.  qp passes the multiple m of log p from the Newton polygon
-    (`extra` holds the prime); its verdict also needs both index routes to
-    agree with m log p, and its counterexample carries that agreement.
+    the break.  A kind with a closed form passes `closed` = (w, payload),
+    w the limit ratio it predicts and `payload` the report's
+    ``closed_form``: since w divides every ratio, a side is consistent
+    with it when w divides the side's last ratio, and has reached it when
+    the two are equal.  An inconsistent side is a mismatch, and the
+    counterexample then carries the agreement.
     """
     (co, primal), (tr, dual_side) = chains
     per_step = [a == b for a, b in zip(primal, dual_side)]
-    names = ("primal", "dual") if newton is None else ("cotrajectory", "trajectory")
-    sides = {name: (seq, estimate_entropy(seq)) for name, seq in zip(names, (primal, dual_side))}
+    indices = {"primal": primal, "dual": dual_side}
+    sides = {side: (seq, estimate_entropy(seq)) for side, seq in indices.items()}
     counterexample: dict = {}
     if False in per_step:
         n = per_step.index(False)
@@ -286,8 +282,8 @@ def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = No
             "dual_trajectory": _subgroup_payload(tr[n]),
         }
     broken = {
-        name: {"step": est.broken_at, "indices": seq[max(0, est.broken_at - 3) : est.broken_at]}
-        for name, (seq, est) in sides.items()
+        side: {"step": est.broken_at, "indices": seq[max(0, est.broken_at - 3) : est.broken_at]}
+        for side, (seq, est) in sides.items()
         if est.broken_at is not None
     }
     if broken:
@@ -295,21 +291,19 @@ def _two_sided_report(kind: str, chains, extra: dict, newton: Optional[int] = No
     report = {
         "kind": kind,
         "steps": len(primal),
-        "indices": {"primal": primal, "dual": dual_side},
+        "indices": indices,
         "per_step_equal": per_step,
+        "estimates": {side: _estimate_payload(est) for side, (_, est) in sides.items()},
         **extra,
     }
-    estimates = {name: _estimate_payload(est) for name, (_, est) in sides.items()}
-    if newton is None:
-        report["estimates"] = estimates
-    else:
-        prime = extra["prime"]
-        newton_route = {"multiple": newton, "prime": prime, "value": newton * math.log(prime)}
-        report["routes"] = {**estimates, "newton": newton_route}
+    if closed is not None:
+        w, report["closed_form"] = closed
+        ratios = {side: est.ratio for side, (_, est) in sides.items()}
         agreement = report["agreement"] = {
-            name: _route_agreement(est, prime**newton) for name, (_, est) in sides.items()
+            side: {"consistent": r is not None and r % w == 0, "reached": r == w}
+            for side, r in ratios.items()
         }
-        if counterexample or not all(route["consistent"] for route in agreement.values()):
+        if counterexample or not all(a["consistent"] for a in agreement.values()):
             counterexample["agreement"] = agreement
     report["verdict"] = "mismatch" if counterexample else "pass"
     report["counterexample"] = counterexample or None
@@ -345,7 +339,8 @@ def shift_bridge(modulus: int, height: int, level: int, steps: int) -> dict:
 
 
 def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
-    """Three routes on Q_p^d: cotrajectory, adjoint trajectory, closed form."""
+    """Both index sequences on Q_p^d, each checked against the closed form
+    m log p of the Newton polygon."""
     _check_steps(steps)
     m = padic.rational_matrix(entries)
     # the index routes refuse an oversized working modulus cheaply, so they
@@ -356,9 +351,10 @@ def qp_bridge(prime: int, entries: Sequence[Sequence], steps: int) -> dict:
         padic.trajectory_pairs(prime, tuple(zip(*m)), steps),
         steps,
     )
-    coeffs = padic.char_poly(m)
+    multiple = padic.newton_entropy(prime, padic.char_poly(m))
+    closed_form = {"multiple": multiple, "prime": prime, "value": multiple * math.log(prime)}
     extra = {"prime": prime, "matrix": [[str(x) for x in row] for row in m]}
-    return _two_sided_report("qp", chains, extra, padic.newton_entropy(prime, coeffs))
+    return _two_sided_report("qp", chains, extra, (prime**multiple, closed_form))
 
 
 def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
@@ -387,36 +383,6 @@ def real_bridge(entries: Sequence[Sequence], tol: float = 1e-9) -> dict:
         "verdict": "pass" if matched else "mismatch",
         "counterexample": None if matched else {"topological": top, "algebraic": alg},
     }
-
-
-_REQUIRED = {
-    "finite": ("moduli", "endomorphism", "subgroup", "steps"),
-    "shift": ("modulus", "height", "level", "steps"),
-    "qp": ("prime", "matrix", "steps"),
-    "real": ("matrix",),
-}
-
-
-def verify_instance(instance: dict) -> dict:
-    """Dispatch one parsed instance description to its bridge; a refusal raises InputError."""
-    if not isinstance(instance, dict):
-        raise InputError(f"an instance is a dict, not {type(instance).__name__}")
-    kind = instance.get("kind")
-    if not isinstance(kind, str) or kind not in _REQUIRED:
-        raise InputError(f"unknown instance kind: {kind!r}")
-    missing = [key for key in _REQUIRED[kind] if key not in instance]
-    if missing:
-        raise InputError(f"{kind} instance lacks {missing[0]!r}")
-    if kind == "finite":
-        group = FinAbGroup(tuple(instance["moduli"]))
-        f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))
-        u = subgroup_from_generators(group, instance["subgroup"])
-        return finite_bridge(f, u, instance["steps"])
-    if kind == "shift":
-        return shift_bridge(instance["modulus"], instance["height"], instance["level"], instance["steps"])
-    if kind == "qp":
-        return qp_bridge(instance["prime"], instance["matrix"], instance["steps"])
-    return real_bridge(instance["matrix"], instance.get("tolerance", 1e-9))
 
 
 def random_finite_group(rng: random.Random, max_order: int = 4096) -> FinAbGroup:
@@ -496,13 +462,51 @@ def random_real_instance(rng: random.Random) -> dict:
     }
 
 
+def _finite_run(instance: dict) -> dict:
+    group = FinAbGroup(tuple(instance["moduli"]))
+    f = GroupHom(group, group, IntMatrix.from_rows(instance["endomorphism"], cols=group.rank))
+    u = subgroup_from_generators(group, instance["subgroup"])
+    return finite_bridge(f, u, instance["steps"])
+
+
+# kind -> (required keys, the bridge run on an instance dict, the generator);
+# the keys are the instance schema's, "kind" aside.  The runs look each
+# bridge up by name when called, so a wrapper set on this module sees it.
+_KINDS = {
+    "finite": (("moduli", "endomorphism", "subgroup", "steps"), _finite_run, random_finite_instance),
+    "shift": (
+        ("modulus", "height", "level", "steps"),
+        lambda i: shift_bridge(i["modulus"], i["height"], i["level"], i["steps"]),
+        random_shift_instance,
+    ),
+    "qp": (
+        ("prime", "matrix", "steps"),
+        lambda i: qp_bridge(i["prime"], i["matrix"], i["steps"]),
+        random_qp_instance,
+    ),
+    "real": (
+        ("matrix",),
+        lambda i: real_bridge(i["matrix"], i.get("tolerance", 1e-9)),
+        random_real_instance,
+    ),
+}
+
+
+def verify_instance(instance: dict) -> dict:
+    """Dispatch one parsed instance description to its bridge; a refusal raises InputError."""
+    if not isinstance(instance, dict):
+        raise InputError(f"an instance is a dict, not {type(instance).__name__}")
+    kind = instance.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"unknown instance kind: {kind!r}")
+    required, run, _ = _KINDS[kind]
+    missing = [key for key in required if key not in instance]
+    if missing:
+        raise InputError(f"{kind} instance lacks {missing[0]!r}")
+    return run(instance)
+
+
 def random_instance(rng: random.Random, kind: str) -> dict:
-    if kind == "finite":
-        return random_finite_instance(rng)
-    if kind == "shift":
-        return random_shift_instance(rng)
-    if kind == "qp":
-        return random_qp_instance(rng)
-    if kind == "real":
-        return random_real_instance(rng)
-    raise ValueError(f"unknown instance kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown instance kind: {kind!r}")
+    return _KINDS[kind][2](rng)

@@ -15,8 +15,9 @@ Three subcommands:
   qp integer entries at 2^128 in absolute value, and string entries at
   16 (qp) or 32 (real) characters with an exponent of at most one (qp)
   or three (real) digits.
-* ``generate``: emit a random instance for a given kind, deterministic
-  in the seed.
+* ``generate``: emit a random instance of a kind that
+  :func:`~entbridge.bridge.verify_instance` dispatches, deterministic in
+  the seed.
 * ``schema``: print one of the shipped schemas.
 
 The instance JSON is read with one rule for numbers: an integral number
@@ -46,7 +47,7 @@ from pathlib import Path
 
 # bound under this name for perfbench's cli.schema_validate layer, which traces jsonschema.validate here
 from . import schemacheck as jsonschema
-from .bridge import random_instance, verify_instance
+from .bridge import _KINDS, random_instance, verify_instance
 from .exactlinalg import InputError
 from .schemacheck import SCHEMA_NAMES, load_schema
 
@@ -74,46 +75,34 @@ def _estimate_line(label: str, estimate: dict, counterexample: dict | None) -> s
     return f"{label} entropy {relation} log({estimate['ratio']}) = {_fmt(estimate['value'])}"
 
 
-def _index_table(report: dict) -> list[str]:
-    lines = ["step  primal-index  dual-index  equal"]
-    rows = zip(
-        report["indices"]["primal"],
-        report["indices"]["dual"],
-        report["per_step_equal"],
-    )
-    for n, (a, b, equal) in enumerate(rows, start=1):
-        lines.append(f"{n:>4}  {a:>12}  {b:>10}  {'yes' if equal else 'NO'}")
-    return lines
-
-
 def render_text(report: dict) -> str:
-    """Human-readable rendering; a pure function of the report dict."""
-    kind = report["kind"]
-    lines = [f"kind: {kind}", f"verdict: {report['verdict']}"]
-    if kind in ("finite", "shift"):
-        lines += _index_table(report)
-        for side in ("primal", "dual"):
-            lines.append(_estimate_line(side, report["estimates"][side], report["counterexample"]))
-    elif kind == "qp":
-        lines.append(f"prime: {report['prime']}")
-        lines += _index_table(report)
-        newton = report["routes"]["newton"]
-        lines.append(
-            f"closed form: {newton['multiple']} * log({newton['prime']})"
-            f" = {_fmt(newton['value'])}"
-        )
-        for route in ("cotrajectory", "trajectory"):
-            lines.append(_estimate_line(route, report["routes"][route], report["counterexample"]))
-        for route in ("cotrajectory", "trajectory"):
-            a = report["agreement"][route]
-            agrees = "consistent" + (", reached" if a["reached"] else "") if a["consistent"] else "INCONSISTENT"
-            lines.append(f"{route} vs closed form: {agrees}")
-    elif kind == "real":
+    """Human-readable rendering; a pure function of the report dict.
+
+    The exact kinds share one layout: the index table and each side's
+    entropy, then the closed form, if the report has one, and each side's
+    agreement with it."""
+    lines = [f"kind: {report['kind']}", f"verdict: {report['verdict']}"]
+    if report["kind"] == "real":
         lines.append(f"topological entropy: {_fmt(report['topological'])}")
         lines.append(f"algebraic entropy (dual side): {_fmt(report['algebraic'])}")
         lines.append(f"difference: {_fmt(report['difference'])}")
         if report["boundary_warning"]:
             lines.append("warning: eigenvalue modulus near 1; classification unreliable")
+        return "\n".join(lines) + "\n"
+    lines.append("step  primal-index  dual-index  equal")
+    rows = zip(report["indices"]["primal"], report["indices"]["dual"], report["per_step_equal"])
+    for n, (a, b, equal) in enumerate(rows, start=1):
+        lines.append(f"{n:>4}  {a:>12}  {b:>10}  {'yes' if equal else 'NO'}")
+    for side in ("primal", "dual"):
+        lines.append(_estimate_line(side, report["estimates"][side], report["counterexample"]))
+    closed = report.get("closed_form")
+    if closed:
+        value = _fmt(closed["value"])
+        lines.append(f"closed form: {closed['multiple']} * log({closed['prime']}) = {value}")
+        for side in ("primal", "dual"):
+            a = report["agreement"][side]
+            agrees = "consistent" + (", reached" if a["reached"] else "") if a["consistent"] else "INCONSISTENT"
+            lines.append(f"{side} vs closed form: {agrees}")
     return "\n".join(lines) + "\n"
 
 
@@ -197,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(run=_run_verify)
 
     generate = sub.add_parser("generate", help="emit a random instance")
-    generate.add_argument("kind", choices=("finite", "shift", "qp", "real"))
+    generate.add_argument("kind", choices=tuple(_KINDS))
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(run=_run_generate)
 

@@ -95,24 +95,24 @@ def test_criterion_4_padic_routes():
     problems = []
     for prime in (2, 3):
         contracting = qp_bridge(prime, [[f"1/{prime}"]], 8)
-        routes = contracting["routes"]
+        estimates = contracting["estimates"]
         reached = (
-            contracting["agreement"]["cotrajectory"] == {"consistent": True, "reached": True}
-            and contracting["agreement"]["trajectory"] == {"consistent": True, "reached": True}
-            and routes["cotrajectory"]["ratio"] == prime
-            and routes["trajectory"]["ratio"] == prime
+            contracting["agreement"]["primal"] == {"consistent": True, "reached": True}
+            and contracting["agreement"]["dual"] == {"consistent": True, "reached": True}
+            and estimates["primal"]["ratio"] == prime
+            and estimates["dual"]["ratio"] == prime
         )
-        closed = routes["newton"]["multiple"] == 1
+        closed = contracting["closed_form"]["multiple"] == 1
         values = (
-            abs(routes["cotrajectory"]["value"] - math.log(prime)) < 1e-12
-            and abs(routes["newton"]["value"] - math.log(prime)) < 1e-12
+            abs(estimates["primal"]["value"] - math.log(prime)) < 1e-12
+            and abs(contracting["closed_form"]["value"] - math.log(prime)) < 1e-12
         )
         if not (contracting["verdict"] == "pass" and reached and closed and values):
             problems.append((prime, "scalar 1/p"))
         integral = qp_bridge(prime, [[prime]], 8)
         if not (
             integral["verdict"] == "pass"
-            and integral["routes"]["newton"]["multiple"] == 0
+            and integral["closed_form"]["multiple"] == 0
             and integral["indices"]["primal"] == [1] * 8
         ):
             problems.append((prime, "scalar p"))
@@ -128,11 +128,11 @@ def test_criterion_4_padic_routes():
                 newton = newton_entropy(
                     prime, char_poly(rational_matrix(inst["matrix"]))
                 )
-                for route in ("cotrajectory", "trajectory"):
-                    agreement = rep["agreement"][route]
-                    reached = rep["routes"][route]["ratio"] == prime**newton
+                for side in ("primal", "dual"):
+                    agreement = rep["agreement"][side]
+                    reached = rep["estimates"][side]["ratio"] == prime**newton
                     if not (reached and agreement["reached"] and agreement["consistent"]):
-                        problems.append((prime, dim, route))
+                        problems.append((prime, dim, side))
                 if rep["verdict"] != "pass":
                     problems.append((prime, dim, "verdict"))
     ok = not problems and count == 30

@@ -43,18 +43,17 @@ dual entropy = log(1) = 0
 QP_TEXT = """\
 kind: qp
 verdict: pass
-prime: 2
 step  primal-index  dual-index  equal
    1             1           1  yes
    2             2           2  yes
    3             4           4  yes
    4             8           8  yes
    5            16          16  yes
+primal entropy <= log(2) = 0.69314718056
+dual entropy <= log(2) = 0.69314718056
 closed form: 1 * log(2) = 0.69314718056
-cotrajectory entropy <= log(2) = 0.69314718056
-trajectory entropy <= log(2) = 0.69314718056
-cotrajectory vs closed form: consistent, reached
-trajectory vs closed form: consistent, reached
+primal vs closed form: consistent, reached
+dual vs closed form: consistent, reached
 """
 
 

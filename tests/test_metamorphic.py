@@ -74,7 +74,7 @@ def test_qp_direct_sum_multiplies_the_indices_and_adds_the_multiples(prime, d_a,
     left, right = verify_instance(a), verify_instance(b)
     report = verify_instance(whole)
     assert_indices_multiply(report, left, right)
-    multiples = [r["routes"]["newton"]["multiple"] for r in (report, left, right)]
+    multiples = [r["closed_form"]["multiple"] for r in (report, left, right)]
     assert multiples[0] == multiples[1] + multiples[2]
 
 
@@ -136,7 +136,7 @@ def reduce_rows(m, moduli):
 
 
 def qp_report_key(report):
-    return report["indices"], report["routes"]["newton"]["multiple"]
+    return report["indices"], report["closed_form"]["multiple"]
 
 
 def conjugated_qp_instance(rng, prime, d):

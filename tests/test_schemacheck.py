@@ -138,12 +138,13 @@ def mutated_reports(report, rng):
         for value in rng.sample([None, True, -1, math.nan, math.inf, -math.inf, "x", [], {}], 3):
             yield dict(report, **{key: value})
     yield dict(report, extra=1)
-    # an index, or a field of an estimate (ratio, value, exact) or of a qp
-    # route's agreement (consistent, reached)
-    for key in ("indices", "estimates", "routes", "agreement"):
+    # an index, or a field of an estimate (ratio, value, exact), of a qp
+    # side's agreement (consistent, reached) or of the qp closed form
+    # (multiple, prime, value)
+    for key in ("indices", "estimates", "agreement", "closed_form"):
         if key in report:
             bad = copy.deepcopy(report)
-            inner = bad[key][rng.choice(sorted(bad[key]))]
+            inner = bad[key] if key == "closed_form" else bad[key][rng.choice(sorted(bad[key]))]
             if isinstance(inner, list):
                 inner[rng.randrange(len(inner))] = rng.choice([0, True, 1.0, 1.5])
             else:
